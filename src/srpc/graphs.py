@@ -174,17 +174,23 @@ def write_graph(graph: SignedAdjacency, path) -> None:
 
 
 def read_graph(path) -> SignedAdjacency:
+    """Parse the edge-list format; malformed lines raise :class:`InputError`."""
     with open(path) as fh:
         header = fh.readline().strip()
         parts = header.split()
-        if parts[:2] != ["srpc-graph", "v1"] or not parts[-1].startswith("n="):
-            raise InputError(f"unrecognized graph header: {header!r}")
+        if (parts[:2] != ["srpc-graph", "v1"] or not parts[-1].startswith("n=")
+                or not parts[-1][2:].isdecimal()):
+            raise InputError(f"line 1: unrecognized graph header: {header!r}")
         n = int(parts[-1][2:])
         edges = []
-        for line in fh:
-            line = line.strip()
-            if not line:
+        for lineno, line in enumerate(fh, start=2):
+            fields = line.split()
+            if not fields:
                 continue
-            i, j = line.split()
-            edges.append((int(i), int(j)))
+            try:
+                i, j = fields
+                edges.append((int(i), int(j)))
+            except ValueError:
+                raise InputError(f"line {lineno}: expected two integer vertex indices, "
+                                 f"got {line.strip()!r}") from None
     return from_edge_list(n, edges)

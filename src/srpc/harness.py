@@ -13,8 +13,11 @@ import io
 import json
 import math
 import re
+import sys
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -146,48 +149,45 @@ def _trial_seed(root: int, cell_index: int, trial: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
-def _run_trial(cell: dict, root_seed: int, cell_index: int, trial: int) -> EvalResult:
-    seed = _trial_seed(root_seed, cell_index, trial)
-    strategy = strategy_by_name(cell["adversary"], **cell["adversary_params"])
-    inst = generate(cell["n"], cell["k"], cell["p"], strategy, seed)
-    cfg_doc = cell["solver"].to_dict()
-    cfg_doc["seed"] = seed + 1
-    cfg = solver.SolverConfig.from_dict(cfg_doc)
-    result = solver.solve(inst.graph, cell["k"], cell["p"], cfg)
-    return evaluate(inst, result)
+def _run_trial(cell: dict, root_seed: int, cell_index: int,
+               trial: int) -> tuple[EvalResult | None, str | None]:
+    """(result, None), or (None, formatted traceback) when the trial raises."""
+    try:
+        seed = _trial_seed(root_seed, cell_index, trial)
+        strategy = strategy_by_name(cell["adversary"], **cell["adversary_params"])
+        inst = generate(cell["n"], cell["k"], cell["p"], strategy, seed)
+        cfg_doc = cell["solver"].to_dict()
+        cfg_doc["seed"] = seed + 1
+        cfg = solver.SolverConfig.from_dict(cfg_doc)
+        result = solver.solve(inst.graph, cell["k"], cell["p"], cfg)
+        return evaluate(inst, result), None
+    except Exception:
+        return None, traceback.format_exc()
 
 
 GRID_COLUMNS = ["cell", "n", "k_rule", "k", "p", "adversary", "order", "reps",
-                "trials", "successes", "success_rate", "mean_list_size",
+                "trials", "successes", "errors", "success_rate", "mean_list_size",
                 "mean_max_spurious", "mean_oracle_calls"]
 
 
 def run_grid(grid: ExperimentGrid, threads: int = 1) -> list[dict]:
     """One row per cell; trials are independent and individually seeded.
 
-    A trial that raises is recorded as a failure for that cell rather than
-    aborting the grid.
+    A trial that raises counts as a failure and in the cell's ``errors``
+    column rather than aborting the grid; the first traceback of each such
+    cell goes to stderr.
     """
     cells = grid.cells()
     rows = []
     for index, cell in enumerate(cells):
-        results: list[EvalResult | None] = [None] * grid.trials
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                futures = [pool.submit(_run_trial, cell, grid.seed, index, t)
-                           for t in range(grid.trials)]
-                for t, fut in enumerate(futures):
-                    try:
-                        results[t] = fut.result()
-                    except Exception:
-                        results[t] = None
-        else:
-            for t in range(grid.trials):
-                try:
-                    results[t] = _run_trial(cell, grid.seed, index, t)
-                except Exception:
-                    results[t] = None
-        done = [r for r in results if r is not None]
+        trial = partial(_run_trial, cell, grid.seed, index)
+        with ThreadPoolExecutor(max_workers=max(threads, 1)) as pool:
+            outcomes = list(pool.map(trial, range(grid.trials)))
+        done = [r for r, _ in outcomes if r is not None]
+        errors = [tb for _, tb in outcomes if tb is not None]
+        if errors:
+            print(f"grid cell {index}: {len(errors)} of {grid.trials} trials raised; "
+                  f"first traceback:\n{errors[0]}", file=sys.stderr, end="")
         successes = sum(1 for r in done if r.recovered)
 
         def mean(vals):
@@ -197,7 +197,7 @@ def run_grid(grid: ExperimentGrid, threads: int = 1) -> list[dict]:
             "cell": index, "n": cell["n"], "k_rule": cell["k_rule"],
             "k": cell["k"], "p": cell["p"], "adversary": cell["adversary"],
             "order": cell["solver"].order, "reps": cell["solver"].reps,
-            "trials": grid.trials, "successes": successes,
+            "trials": grid.trials, "successes": successes, "errors": len(errors),
             "success_rate": successes / grid.trials,
             "mean_list_size": mean([r.list_size for r in done]),
             "mean_max_spurious": mean([r.max_spurious for r in done]),

@@ -4,10 +4,10 @@ Matrices are plain 2-D numpy arrays, row-major, with dtype int64 (exact)
 or float64.  All backends compute the same product; the int64 kind is
 checked against a precomputed overflow bound before multiplying.
 
-Every call to :func:`matmul` (or the packed-sign fast path
-:func:`sign_matmul`) counts as one call to the abstract multiplication
-oracle; callers that batch work into n-row chunks therefore get call
-counts proportional to the number of chunks.
+Every call to :func:`matmul` (or to :func:`sign_matmul`, its exact
+counterpart for bit-packed sign matrices) counts as one call to the
+abstract multiplication oracle; callers that batch work into n-row chunks
+therefore get call counts proportional to the number of chunks.
 """
 
 from __future__ import annotations
@@ -22,10 +22,9 @@ from .errors import InternalInvariantError, NonConvergenceError, ParameterError
 
 INT64_MAX = np.iinfo(np.int64).max
 
-# Above this dimension the packed-popcount inner products lose to an exact
-# BLAS product on the unpacked +-1 rows (every partial sum is an integer
-# below 2**24, so float32 accumulation is exact in any order).
-_SIGN_GEMM_MIN_N = 2048
+# A +-1 row product's partial sums are integers of magnitude <= n, which
+# float32 holds exactly, in any summation order, while n < 2**24.
+_FLOAT32_EXACT_N = 2 ** 24
 
 
 @dataclass
@@ -187,20 +186,21 @@ def sign_matmul(packed_a: np.ndarray, packed_b: np.ndarray, n: int,
                 counters: Counters | None = None) -> np.ndarray:
     """Inner-product table for bit-packed +-1 operands.
 
-    T[i, j] = <a_i, b_j> computed as n - 2*popcount(a_i XOR b_j); equals the
-    generic integer matmul of the unpacked rows exactly.  For large n the
-    same table is produced by an exact float32 product (all partial sums are
-    integers < 2**24), which is faster than word-parallel popcounts there.
+    T[i, j] = <a_i, b_j>, computed as a float32 product of the unpacked rows;
+    it equals the generic integer matmul exactly.  Rows of length n >= 2**24,
+    past float32's exact integer range, raise :class:`ParameterError`.
     """
+    if n >= _FLOAT32_EXACT_N:
+        raise ParameterError(
+            f"sign rows of length {n} exceed the exact float32 range (< {_FLOAT32_EXACT_N})")
     packed_a = np.atleast_2d(packed_a)
     packed_b = np.atleast_2d(packed_b)
     start = time.perf_counter()
-    if n <= _SIGN_GEMM_MIN_N:
-        out = bits.sign_inner_popcount(packed_a, packed_b, n)
-    else:
-        rows = bits.unpack_sign_rows(packed_a, n).astype(np.float32)
-        cols = bits.unpack_sign_rows(packed_b, n).astype(np.float32)
-        out = (rows @ cols.T).astype(np.int32)
+    rows = bits.unpack_sign_rows(packed_a, n).astype(np.float32)
+    cols = bits.unpack_sign_rows(packed_b, n).astype(np.float32)
+    prod = rows @ cols.T
+    del rows, cols  # release the unpacked operands before the int32 copy
+    out = prod.astype(np.int32)
     if counters is not None:
         counters.record(packed_a.shape[0], n, packed_b.shape[0],
                         time.perf_counter() - start)

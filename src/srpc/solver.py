@@ -6,11 +6,12 @@ row clears the threshold k * p_plus**4 / 2.  A single degree sweep then
 drops vertices with fewer than k-1 neighbors inside the set, the sweep
 survivors are kept only if they form a clique of size >= k, and the
 accepted sets are deduplicated and pruned down by pairwise intersection.
+Oracle calls take at most n rows each and multiply only real rows.
 
 The solver only ever sees the graph; nothing here reads a planted set.
-Inner products for p = 1/2 run on the packed sign matrix and are exact
-integers; the general-p path accumulates in float64 and compares against
-the threshold with a 1e-9 absolute tolerance.
+Inner products for p = 1/2 come from :func:`linalg.sign_matmul` and are
+exact integers; the general-p path accumulates in float64 and compares
+against the threshold with a 1e-9 absolute tolerance.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ class SolverConfig:
     threshold: float | None = None
     seed: int = 0
     backend: linalg.Backend = linalg.NAIVE
-    iterate_refine: bool = False
 
     def __post_init__(self):
         if self.order not in (1, 2, 3):
@@ -77,16 +77,14 @@ class SolverConfig:
     def to_dict(self) -> dict:
         return {"order": self.order, "reps": self.reps, "c_rounds": self.c_rounds,
                 "rounds": self.rounds, "threshold": self.threshold,
-                "seed": self.seed, "backend": self.backend.kind,
-                "iterate_refine": self.iterate_refine}
+                "seed": self.seed, "backend": self.backend.kind}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SolverConfig":
         return cls(order=doc["order"], reps=doc["reps"], c_rounds=doc["c_rounds"],
                    rounds=doc.get("rounds"), threshold=doc.get("threshold"),
                    seed=doc["seed"],
-                   backend=linalg.parse_backend(doc.get("backend", "naive")),
-                   iterate_refine=doc.get("iterate_refine", False))
+                   backend=linalg.parse_backend(doc.get("backend", "naive")))
 
 
 @dataclass(frozen=True)
@@ -123,7 +121,8 @@ def batched_inner_products(matrix: Matrix, alphas: Sequence[Sequence[int]],
                            counters: linalg.Counters | None = None) -> np.ndarray:
     """Table T[a, j] = <M_alpha_a, M_j>, one oracle call per n-row batch.
 
-    The final ragged batch is zero-padded up to n rows before the call.
+    There are ceil(len(alphas) / n) calls; the last batch holds only the
+    remaining rows.
     """
     if not alphas:
         raise ParameterError("alphas must be nonempty")
@@ -132,13 +131,7 @@ def batched_inner_products(matrix: Matrix, alphas: Sequence[Sequence[int]],
     out = np.empty((len(alphas), n),
                    dtype=np.int64 if isinstance(matrix, SignedAdjacency) else np.float64)
     for start in range(0, len(alphas), n):
-        block = rows[start:start + n]
-        if block.shape[0] < n:
-            pad = np.zeros((n - block.shape[0], block.shape[1]), dtype=block.dtype)
-            block = np.vstack([block, pad])
-        table = _inner_table(matrix, block, backend, counters)
-        take = min(n, len(alphas) - start)
-        out[start:start + take] = table[:take]
+        out[start:start + n] = _inner_table(matrix, rows[start:start + n], backend, counters)
     return out
 
 
@@ -161,18 +154,38 @@ def refine(graph: SignedAdjacency, cand: CandidateSet, k: int,
     """
     if cand.stage != "raw":
         raise ParameterError(f"refine expects a raw candidate set, got {cand.stage!r}")
-    members = np.asarray(cand.members, dtype=np.int64)
-    while True:
-        if members.size == 0:
-            break
-        sub = graph.signs[np.ix_(members, members)] > 0
-        degrees = sub.sum(axis=1) - 1  # diagonal is +1, not a neighbor
-        keep = degrees >= k - 1
-        if not iterate or keep.all():
-            members = members[keep]
-            break
-        members = members[keep]
+    (members,) = _refine_sets(graph, [cand.members], k, iterate=iterate)
     return CandidateSet(cand.alphas, tuple(int(j) for j in members), "refined")
+
+
+def _refine_sets(graph: SignedAdjacency, sets: Sequence[Sequence[int]], k: int,
+                 backend: linalg.Backend = linalg.NAIVE,
+                 counters: linalg.Counters | None = None,
+                 iterate: bool = False) -> list[np.ndarray]:
+    """Keep the members of every set that have >= k-1 neighbors inside it.
+
+    One batched degree product sweeps all sets; ``iterate`` re-sweeps the
+    sets that shrank until none does.
+    """
+    kept = [np.asarray(members, dtype=np.int64) for members in sets]
+    todo = list(range(len(kept)))
+    while todo:
+        degrees = batched_membership_degrees(graph, [kept[a] for a in todo],
+                                             backend, counters)
+        shrunk = []
+        for a, deg in zip(todo, degrees):
+            keep = deg[kept[a]] >= k - 1
+            if not keep.all():
+                kept[a] = kept[a][keep]
+                shrunk.append(a)
+        todo = shrunk if iterate else []
+    return kept
+
+
+def _is_clique(graph: SignedAdjacency, members: Sequence[int], k: int) -> bool:
+    """True when ``members`` has size >= k and its induced submatrix is all +1."""
+    return (len(members) >= k
+            and bool(np.all(graph.signs[np.ix_(members, members)] == 1)))
 
 
 def verify_clique(graph: SignedAdjacency, cand: CandidateSet,
@@ -180,11 +193,7 @@ def verify_clique(graph: SignedAdjacency, cand: CandidateSet,
     """Accept the set when it induces a complete subgraph of size >= k."""
     if cand.stage != "refined":
         raise ParameterError(f"verify expects a refined set, got {cand.stage!r}")
-    members = list(cand.members)
-    if len(members) < k:
-        return None
-    sub = graph.signs[np.ix_(members, members)]
-    if not np.all(sub == 1):
+    if not _is_clique(graph, cand.members, k):
         return None
     return CandidateSet(cand.alphas, cand.members, "verified-clique")
 
@@ -195,8 +204,9 @@ def batched_membership_degrees(graph: SignedAdjacency,
                                counters: linalg.Counters | None = None) -> np.ndarray:
     """D[a, j] = number of neighbors of j inside sets[a].
 
-    0/1 indicator times 0/1 adjacency; counts stay below 2**53 so the
-    float64 product is exact and the int64 cast loses nothing.
+    0/1 indicator times 0/1 adjacency, one oracle call per n-set batch;
+    counts stay below 2**53 so the float64 product is exact and the int64
+    cast loses nothing.
     """
     n = graph.n
     adj = graph.adjacency01(np.float64)
@@ -205,12 +215,8 @@ def batched_membership_degrees(graph: SignedAdjacency,
     for a, members in enumerate(sets):
         indicators[a, list(members)] = 1.0
     for start in range(0, len(sets), n):
-        block = indicators[start:start + n]
-        if block.shape[0] < n:
-            block = np.vstack([block, np.zeros((n - block.shape[0], n))])
-        table = linalg.matmul(block, adj, backend, counters)
-        take = min(n, len(sets) - start)
-        out[start:start + take] = np.rint(table[:take]).astype(np.int64)
+        table = linalg.matmul(indicators[start:start + n], adj, backend, counters)
+        out[start:start + n] = np.rint(table).astype(np.int64)
     return out
 
 
@@ -258,15 +264,11 @@ def iter_round_members(graph: SignedAdjacency, k: int, p: float,
     cutoff = tau if sign_path else tau - FLOAT_THRESHOLD_TOL
 
     t = cfg.reps
-    rounds_per_batch = n // t  # whole rounds per oracle call, rows padded to n
+    rounds_per_batch = n // t  # whole rounds per oracle call of at most n rows
     for r0 in range(0, rounds, rounds_per_batch):
         r1 = min(r0 + rounds_per_batch, rounds)
         rows = _product_rows(matrix, alphas[r0 * t:r1 * t])
-        if rows.shape[0] < n:
-            pad = np.zeros((n - rows.shape[0], rows.shape[1]), dtype=rows.dtype)
-            rows = np.vstack([rows, pad])
-        table = _inner_table(matrix, rows, cfg.backend, counters)
-        passes = table[:(r1 - r0) * t] >= cutoff
+        passes = _inner_table(matrix, rows, cfg.backend, counters) >= cutoff
         for r in range(r0, r1):
             mask = passes[(r - r0) * t:(r - r0 + 1) * t].all(axis=0)
             members = np.nonzero(mask)[0]
@@ -279,8 +281,9 @@ def solve(graph: SignedAdjacency, k: int, p: float, cfg: SolverConfig,
     """Run all rounds, refine, verify, deduplicate and prune.
 
     Returns the pruned clique list; ``stats`` carries per-stage counts,
-    per-stage oracle-call counts, wall times, and an echo of the resolved
-    configuration (enough to replay the round sampling).
+    per-stage oracle calls and multiply-adds, wall times, and an echo of the
+    resolved configuration (enough to replay the round sampling).  Verify
+    checks induced submatrices and makes no oracle call.
     """
     n = graph.n
     rounds = cfg.num_rounds(n, k)
@@ -314,38 +317,21 @@ def solve(graph: SignedAdjacency, k: int, p: float, cfg: SolverConfig,
 
     t0 = time.perf_counter()
     records = list(distinct.values())
-    refined_records = []
-    if records:
-        degrees = batched_membership_degrees(
-            graph, [r["members"] for r in records], cfg.backend,
-            stage_counters["refine"])
-        for rec, deg in zip(records, degrees):
-            members = rec["members"]
-            kept = members[deg[members] >= k - 1]
-            if cfg.iterate_refine:
-                cand = CandidateSet(rec["alphas"][0],
-                                    tuple(int(v) for v in members), "raw")
-                kept = np.asarray(refine(graph, cand, k, iterate=True).members,
-                                  dtype=np.int64)
-            if kept.size >= k:
-                refined_records.append({"members": kept, "alphas": rec["alphas"],
-                                        "rounds": rec["rounds"]})
+    kept_sets = _refine_sets(graph, [r["members"] for r in records], k,
+                             cfg.backend, stage_counters["refine"])
+    refined_records = [dict(rec, members=kept)
+                       for rec, kept in zip(records, kept_sets) if kept.size >= k]
     wall["refine"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     accepted: dict[tuple[int, ...], dict] = {}
     rounds_accepted = 0
-    if refined_records:
-        degrees = batched_membership_degrees(
-            graph, [r["members"] for r in refined_records], cfg.backend,
-            stage_counters["verify"])
-        for rec, deg in zip(refined_records, degrees):
-            members = rec["members"]
-            if np.all(deg[members] == members.size - 1):
-                verts = tuple(int(v) for v in members)
-                rounds_accepted += rec["rounds"]
-                slot = accepted.setdefault(verts, {"alphas": []})
-                slot["alphas"].extend(rec["alphas"])
+    for rec in refined_records:
+        if _is_clique(graph, rec["members"], k):
+            verts = tuple(int(v) for v in rec["members"])
+            rounds_accepted += rec["rounds"]
+            slot = accepted.setdefault(verts, {"alphas": []})
+            slot["alphas"].extend(rec["alphas"])
     wall["verify"] = time.perf_counter() - t0
 
     for verts in accepted:  # independent re-check of every accepted entry
@@ -379,6 +365,7 @@ def solve(graph: SignedAdjacency, k: int, p: float, cfg: SolverConfig,
         "pruned_size": len(pruned.entries),
         "prune": pruned.stats,
         "oracle_calls": {name: c.oracle_calls for name, c in stage_counters.items()},
+        "madds": {name: c.madds for name, c in stage_counters.items()},
         "wall_times": wall,
     }
     if counters is not None:

@@ -130,6 +130,23 @@ def test_bench_command(runner, tmp_path):
     assert all(case["oracle_calls"] == 1 for case in doc["cases"])
 
 
+@pytest.mark.parametrize("text, line", [
+    ("srpc-graph v1 n=4\n0 1\n1 2 3\n", 3),
+    ("srpc-graph v1 n=five\n0 1\n", 1),
+    ("srpc-graph v1 n=4\n0 x\n", 2),
+], ids=["three-fields", "non-integer-n", "non-integer-vertex"])
+def test_malformed_graph_file_exits_2(tmp_path, text, line):
+    graph = tmp_path / "bad.txt"
+    graph.write_text(text)
+    proc = subprocess.run(
+        [sys.executable, "-m", "srpc.cli", "solve", "--graph", str(graph),
+         "--k", "2", "--out", str(tmp_path / "o")],
+        capture_output=True, text=True)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert f"line {line}:" in proc.stderr
+
+
 def test_exit_codes_via_subprocess(tmp_path):
     # parameter error -> 2
     proc = subprocess.run(

@@ -87,6 +87,20 @@ def test_grid_reruns_are_byte_identical_and_thread_invariant():
     assert a == b == c
 
 
+def test_grid_counts_errored_trials_apart(capsys):
+    grid = ExperimentGrid(ns=(40,), k_rules=("20",), ps=(0.5,),
+                          solvers=(SolverConfig(),),
+                          adversaries=(("erdos_renyi", {}), ("majority", {"m": 4})),
+                          trials=3, seed=4)
+    rows = run_grid(grid, threads=1)
+    assert [row["errors"] for row in rows] == [0, 3]
+    assert rows[1]["successes"] == 0
+    err = capsys.readouterr().err
+    assert "grid cell 1: 3 of 3 trials raised" in err
+    assert err.count("Traceback") == 1  # the first traceback of the cell only
+    assert grid_csv(run_grid(grid, threads=2)) == grid_csv(rows)
+
+
 def test_grid_success_monotone_in_k():
     # success rate cannot drop as the planted clique grows
     grid = ExperimentGrid(ns=(512,), k_rules=("2*ceilsqrt", "4*ceilsqrt", "8*ceilsqrt"),

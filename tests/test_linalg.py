@@ -80,16 +80,27 @@ def test_sign_matmul_equals_generic_integer_path():
         assert np.array_equal(table, dense)
 
 
-def test_sign_matmul_gemm_route_matches_popcount_route():
-    # n above the internal switch runs the exact float product; both routes
-    # must produce identical integer tables.
+def test_sign_matmul_matches_popcount_reference():
+    # sizes around the 64-bit word boundary, and n in the thousands
     rng = np.random.default_rng(5)
-    n = 2500
-    signs = rng.choice(np.array([-1, 1], dtype=np.int8), size=(40, n))
-    packed = bits.pack_sign_rows(signs)
-    table = linalg.sign_matmul(packed, packed, n)
-    popcount = bits.sign_inner_popcount(packed, packed, n)
-    assert np.array_equal(table, popcount)
+    for n in (1, 63, 64, 65, 2000, 2500):
+        signs = rng.choice(np.array([-1, 1], dtype=np.int8), size=(40, n))
+        packed = bits.pack_sign_rows(signs)
+        table = linalg.sign_matmul(packed, packed, n)
+        assert table.dtype == np.int32
+        assert np.array_equal(table, bits.sign_inner_popcount(packed, packed, n))
+
+
+def test_sign_matmul_refuses_rows_past_float32_exactness(monkeypatch):
+    # one-word operands, and unpacking fails the test: the length check must
+    # come before anything is allocated
+    def no_unpack(*args):
+        raise AssertionError("operands unpacked before the range check")
+
+    monkeypatch.setattr(bits, "unpack_sign_rows", no_unpack)
+    word = np.zeros((1, 1), dtype=np.uint64)
+    with pytest.raises(ParameterError):
+        linalg.sign_matmul(word, word, 2 ** 24)
 
 
 def test_gram_counts_intersections():

@@ -194,6 +194,21 @@ def test_batched_membership_degrees_cases():
             assert table[a, j] == direct
 
 
+def test_oracle_calls_multiply_only_real_rows():
+    g = random_graph(64, 22)
+    rng = np.random.default_rng(2)
+    alphas = [tuple(sorted(rng.choice(64, size=2, replace=False))) for _ in range(65)]
+    counters = linalg.Counters()
+    batched_inner_products(g, alphas[:5], counters=counters)
+    assert (counters.oracle_calls, counters.madds) == (1, 5 * 64 * 64)
+    counters = linalg.Counters()
+    batched_inner_products(g, alphas, counters=counters)
+    assert (counters.oracle_calls, counters.madds) == (2, 65 * 64 * 64)
+    counters = linalg.Counters()
+    batched_membership_degrees(g, [(0, 1, 2), (3, 4)], counters=counters)
+    assert (counters.oracle_calls, counters.madds) == (1, 2 * 64 * 64)
+
+
 def test_solve_complete_graph_returns_single_clique():
     g = complete_graph(12)
     result = solve(g, 12, 0.5, SolverConfig(seed=1))
@@ -274,6 +289,22 @@ def test_solve_round_count_and_oracle_batches():
     rounds = result.stats["rounds"]
     assert rounds == math.ceil(10.0 * (128 / 64) ** 3)
     assert result.stats["oracle_calls"]["candidate"] == math.ceil(rounds / 128)
+
+
+def test_solve_reports_stage_madds():
+    inst = generate(128, 64, 0.5, strategy_erdos_renyi(), seed=21)
+    result = solve(inst.graph, 64, 0.5, SolverConfig(order=3, reps=1, seed=14))
+    stats = result.stats
+    assert stats["madds"]["candidate"] == stats["rounds"] * 128 ** 2
+    assert stats["madds"]["refine"] == stats["distinct_raw"] * 128 ** 2
+    # verify checks induced submatrices without the oracle
+    assert stats["oracle_calls"]["verify"] == stats["madds"]["verify"] == 0
+
+
+def test_solver_config_loads_documents_with_iterate_refine():
+    doc = SolverConfig(seed=3).to_dict()
+    assert "iterate_refine" not in doc
+    assert SolverConfig.from_dict({**doc, "iterate_refine": True}) == SolverConfig(seed=3)
 
 
 def test_solver_config_validation():
