@@ -46,32 +46,6 @@ def popcount(words: np.ndarray) -> np.ndarray:
     return np.bitwise_count(words)
 
 
-def pad_mask(n: int) -> np.ndarray:
-    """Per-word AND mask that zeroes the padding bits of a packed row."""
-    width = words_per_row(n)
-    mask = np.full(width, ~np.uint64(0), dtype=np.uint64)
-    rem = n % WORD_BITS
-    if rem:
-        mask[-1] = (np.uint64(1) << np.uint64(rem)) - np.uint64(1)
-    return mask
-
-
-def hadamard_pack(packed_rows: np.ndarray, n: int) -> np.ndarray:
-    """Entrywise product of sign rows, staying in the packed domain.
-
-    The product of an odd number of signs is +1 exactly when the XOR of
-    their bits is 1; for an even number it is the complement, which must
-    be re-masked so padding bits stay 0.
-    """
-    packed_rows = np.atleast_2d(packed_rows)
-    out = packed_rows[0].copy()
-    for row in packed_rows[1:]:
-        out ^= row
-    if packed_rows.shape[0] % 2 == 0:
-        out = ~out & pad_mask(n)
-    return out
-
-
 def sign_inner_popcount(packed_a: np.ndarray, packed_b: np.ndarray, n: int,
                         chunk: int = 64) -> np.ndarray:
     """All pairwise inner products between two packed sign-row stacks.

@@ -31,6 +31,21 @@ def _write(path, text: str) -> None:
             fh.write(text)
 
 
+def _read_doc(path, parse):
+    """parse() of a file's JSON object; malformed content raises InputError naming the file."""
+    with open(path) as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise InputError(f"{path}: not valid JSON ({exc})") from None
+    if not isinstance(doc, dict):
+        raise InputError(f"{path}: expected a JSON object, got {type(doc).__name__}")
+    try:
+        return parse(doc)
+    except KeyError as exc:
+        raise InputError(f"{path}: missing key {exc}") from None
+
+
 def _backend_from_ctx(ctx, override: str | None) -> linalg.Backend:
     name = override or ctx.obj.get("backend") or "naive"
     return linalg.parse_backend(name)
@@ -117,9 +132,7 @@ def solve_cmd(ctx, graph_path, k, p, order, reps, rounds_const, rounds, seed,
 @click.pass_context
 def prune_cmd(ctx, list_path, n, p, mode, out):
     """Prune a clique-list document by pairwise intersection."""
-    with open(list_path) as fh:
-        doc = json.load(fh)
-    clique_list = CliqueList.from_dict(doc)
+    clique_list = _read_doc(list_path, CliqueList.from_dict)
     params = pruning.PruneParams.for_model(n, p)
     if mode == "naive":
         pruned = pruning.prune_naive(clique_list, params)
@@ -139,8 +152,7 @@ def prune_cmd(ctx, list_path, n, p, mode, out):
 def evaluate_cmd(graph_path, meta_path, result_path, out):
     """Score a solve document against an instance's hidden planted set."""
     inst = read_instance(graph_path, meta_path)
-    with open(result_path) as fh:
-        clique_list = CliqueList.from_dict(json.load(fh))
+    clique_list = _read_doc(result_path, CliqueList.from_dict)
     result = harness.evaluate(inst, clique_list)
     doc = result.to_dict()
     doc["format"] = "srpc-eval v1"
@@ -157,9 +169,7 @@ def evaluate_cmd(graph_path, meta_path, result_path, out):
 @click.pass_context
 def grid_cmd(ctx, config_path, out_csv, out_config, threads):
     """Run a Monte-Carlo grid of generate -> solve -> evaluate trials."""
-    with open(config_path) as fh:
-        doc = json.load(fh)
-    grid = harness.ExperimentGrid.from_dict(doc)
+    doc, grid = _read_doc(config_path, lambda d: (d, harness.ExperimentGrid.from_dict(d)))
     rows = harness.run_grid(grid, threads=threads or ctx.obj["threads"])
     _write(out_csv, harness.grid_csv(rows))
     if out_config:

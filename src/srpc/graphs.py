@@ -127,7 +127,6 @@ class RowProduct:
     base: Union[SignedAdjacency, PBiasedMatrix]
     alpha: tuple[int, ...]
     values: np.ndarray
-    packed: np.ndarray | None = None  # present only for sign-matrix bases
 
 
 def _check_alpha(alpha, n: int) -> tuple[int, ...]:
@@ -141,18 +140,24 @@ def _check_alpha(alpha, n: int) -> tuple[int, ...]:
     return idx
 
 
+def row_products(values: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+    """out[b] = product over i in alphas[b] of values[i], for a (B, s) index array.
+
+    Factors are multiplied in index order, so float rows equal a sequential
+    ``*=`` over the same indices bit for bit.  Indices are not validated.
+    """
+    out = values[alphas[:, 0]]
+    for col in range(1, alphas.shape[1]):
+        out *= values[alphas[:, col]]
+    return out
+
+
 def hadamard_rows(matrix: Union[SignedAdjacency, PBiasedMatrix],
                   alpha: Iterable[int]) -> RowProduct:
     """values[j] = product over i in alpha of matrix[i][j]."""
     idx = _check_alpha(alpha, matrix.n)
-    if isinstance(matrix, SignedAdjacency):
-        packed = bits.hadamard_pack(matrix.packed[list(idx)], matrix.n)
-        values = bits.unpack_sign_rows(packed, matrix.n)[0]
-        return RowProduct(matrix, idx, values, packed=packed)
-    values = matrix.values[idx[0]].copy()
-    for i in idx[1:]:
-        values *= matrix.values[i]
-    return RowProduct(matrix, idx, values)
+    dense = matrix.signs if isinstance(matrix, SignedAdjacency) else matrix.values
+    return RowProduct(matrix, idx, row_products(dense, np.array([idx]))[0])
 
 
 def restrict(v: RowProduct, coords: Iterable[int]) -> np.ndarray:

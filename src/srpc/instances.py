@@ -241,26 +241,42 @@ def write_instance(inst: Instance, graph_path, meta_path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _ints(text: str) -> list[int]:
+    return [int(v) for v in text.split()]
+
+
 def read_instance(graph_path, meta_path) -> Instance:
+    """Graph file plus sidecar; a malformed or mismatched sidecar raises InputError."""
     graph = read_graph(graph_path)
     meta = read_instance_meta(meta_path)
-    params = {k[len("param_"):]: int(v) for k, v in meta.items()
-              if k.startswith("param_")}
-    details = {}
-    for key in ("chosen", "decoys"):
-        if key in meta:
-            details[key] = [int(v) for v in meta[key].split()]
-    return Instance(graph=graph, n=int(meta["n"]), k=int(meta["k"]),
-                    p=float(meta["p"]), planted=tuple(int(v) for v in meta["planted"].split()),
-                    adversary=meta["adversary"], adversary_params=params,
-                    seed=int(meta["seed"]), details=details)
+
+    def parsed(key, parse):
+        if key not in meta:
+            raise InputError(f"{meta_path}: missing key {key!r}")
+        try:
+            return parse(meta[key])
+        except ValueError:
+            raise InputError(f"{meta_path}: cannot parse {key} = {meta[key]!r}") from None
+
+    n, k, seed = (parsed(key, int) for key in ("n", "k", "seed"))
+    planted = parsed("planted", _ints)
+    if n != graph.n:
+        raise InputError(f"{meta_path}: n = {n}, but the graph has n = {graph.n}")
+    if len(planted) != k or len(set(planted) & set(range(n))) != k:
+        raise InputError(f"{meta_path}: planted set is not {k} distinct vertices in [0,{n})")
+    params = {key[len("param_"):]: parsed(key, int) for key in meta
+              if key.startswith("param_")}
+    details = {key: parsed(key, _ints) for key in ("chosen", "decoys") if key in meta}
+    return Instance(graph=graph, n=n, k=k, p=parsed("p", float), planted=tuple(planted),
+                    adversary=parsed("adversary", str), adversary_params=params,
+                    seed=seed, details=details)
 
 
 def read_instance_meta(meta_path) -> dict:
     with open(meta_path) as fh:
         header = fh.readline().strip()
         if header != INSTANCE_HEADER:
-            raise InputError(f"unrecognized instance header: {header!r}")
+            raise InputError(f"{meta_path}: unrecognized instance header: {header!r}")
         meta = {}
         for line in fh:
             line = line.strip()

@@ -5,7 +5,7 @@ or float64.  All backends compute the same product; the int64 kind is
 checked against a precomputed overflow bound before multiplying.
 
 Every call to :func:`matmul` (or to :func:`sign_matmul`, its exact
-counterpart for bit-packed sign matrices) counts as one call to the
+counterpart for dense float32 sign matrices) counts as one call to the
 abstract multiplication oracle; callers that batch work into n-row chunks
 therefore get call counts proportional to the number of chunks.
 """
@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import bits
 from .errors import InternalInvariantError, NonConvergenceError, ParameterError
 
 INT64_MAX = np.iinfo(np.int64).max
@@ -182,28 +181,23 @@ def matmul(a: np.ndarray, b: np.ndarray, backend: Backend = NAIVE,
     return out
 
 
-def sign_matmul(packed_a: np.ndarray, packed_b: np.ndarray, n: int,
+def sign_matmul(a: np.ndarray, b: np.ndarray, n: int,
                 counters: Counters | None = None) -> np.ndarray:
-    """Inner-product table for bit-packed +-1 operands.
+    """Exact table T[i, j] = <a_i, b_j> of dense float32 +-1 rows of length n.
 
-    T[i, j] = <a_i, b_j>, computed as a float32 product of the unpacked rows;
-    it equals the generic integer matmul exactly.  Rows of length n >= 2**24,
-    past float32's exact integer range, raise :class:`ParameterError`.
+    One float32 GEMM cast to int32.  Rows of length n >= 2**24, past float32's
+    exact integer range, and operands that are not float32 (an int8 GEMM would
+    overflow silently) raise :class:`ParameterError` before any work.
     """
     if n >= _FLOAT32_EXACT_N:
         raise ParameterError(
             f"sign rows of length {n} exceed the exact float32 range (< {_FLOAT32_EXACT_N})")
-    packed_a = np.atleast_2d(packed_a)
-    packed_b = np.atleast_2d(packed_b)
+    if a.dtype != np.float32 or b.dtype != np.float32:
+        raise ParameterError(f"sign operands must be float32, got {a.dtype} and {b.dtype}")
     start = time.perf_counter()
-    rows = bits.unpack_sign_rows(packed_a, n).astype(np.float32)
-    cols = bits.unpack_sign_rows(packed_b, n).astype(np.float32)
-    prod = rows @ cols.T
-    del rows, cols  # release the unpacked operands before the int32 copy
-    out = prod.astype(np.int32)
+    out = (a @ b.T).astype(np.int32)
     if counters is not None:
-        counters.record(packed_a.shape[0], n, packed_b.shape[0],
-                        time.perf_counter() - start)
+        counters.record(a.shape[0], n, b.shape[0], time.perf_counter() - start)
     return out
 
 

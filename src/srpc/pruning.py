@@ -127,13 +127,11 @@ def _mark_violators(entries: list[CliqueEntry], n: int, batch: int,
                 ub = indicators[b:b + batch]
                 table = linalg.matmul(ua, np.ascontiguousarray(ub.T),
                                       backend, counters)
-            rows, cols = np.nonzero(table > delta)
-            for r, c in zip(rows, cols):
-                gi, gj = a + int(r), b + int(c)
-                if gi == gj:
-                    continue
-                marked[gi] = True
-                marked[gj] = True
+            hits = table > delta
+            if a == b:
+                np.fill_diagonal(hits, False)  # an entry does not conflict with itself
+            marked[a:a + hits.shape[0]] |= hits.any(axis=1)
+            marked[b:b + hits.shape[1]] |= hits.any(axis=0)
     return marked
 
 

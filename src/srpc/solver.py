@@ -9,8 +9,9 @@ accepted sets are deduplicated and pruned down by pairwise intersection.
 Oracle calls take at most n rows each and multiply only real rows.
 
 The solver only ever sees the graph; nothing here reads a planted set.
-Inner products for p = 1/2 come from :func:`linalg.sign_matmul` and are
-exact integers; the general-p path accumulates in float64 and compares
+The round loop decodes the graph once into a dense operand: at p = 1/2
+the float32 sign matrix, whose :func:`linalg.sign_matmul` inner products
+are exact integers; otherwise the float64 rescaled matrix, compared
 against the threshold with a 1e-9 absolute tolerance.
 """
 
@@ -26,7 +27,7 @@ import numpy as np
 from . import linalg, pruning
 from .cliquelist import CliqueEntry, CliqueList
 from .errors import InternalInvariantError, ParameterError
-from .graphs import PBiasedMatrix, SignedAdjacency, hadamard_rows
+from .graphs import PBiasedMatrix, SignedAdjacency, hadamard_rows, row_products
 
 FLOAT_THRESHOLD_TOL = 1e-9
 
@@ -61,6 +62,8 @@ class SolverConfig:
             raise ParameterError(f"order must be 1, 2 or 3, got {self.order}")
         if self.reps < 1:
             raise ParameterError(f"reps must be >= 1, got {self.reps}")
+        if not (math.isfinite(self.c_rounds) and self.c_rounds > 0):
+            raise ParameterError(f"c_rounds must be finite and > 0, got {self.c_rounds}")
         if self.rounds is not None and self.rounds < 1:
             raise ParameterError("rounds must be >= 1")
         if self.threshold is not None and self.threshold <= 0:
@@ -100,20 +103,18 @@ class CandidateSet:
 Matrix = Union[SignedAdjacency, PBiasedMatrix]
 
 
-def _product_rows(matrix: Matrix, alphas: Sequence[Sequence[int]]):
-    """Stack of entrywise row products, packed for sign matrices."""
-    products = [hadamard_rows(matrix, alpha) for alpha in alphas]
+def _operand(matrix: Matrix) -> np.ndarray:
+    """Dense oracle operand: float32 signs of a sign matrix, else its float64 values."""
     if isinstance(matrix, SignedAdjacency):
-        return np.vstack([rp.packed for rp in products])
-    return np.vstack([rp.values for rp in products])
+        return matrix.signs.astype(np.float32)
+    return matrix.values
 
 
-def _inner_table(matrix: Matrix, rows, backend: linalg.Backend,
+def _inner_table(values: np.ndarray, rows: np.ndarray, backend: linalg.Backend,
                  counters: linalg.Counters | None) -> np.ndarray:
-    if isinstance(matrix, SignedAdjacency):
-        return linalg.sign_matmul(rows, matrix.packed, matrix.n, counters)
-    return linalg.matmul(rows, np.ascontiguousarray(matrix.values.T),
-                         backend, counters)
+    if values.dtype == np.float32:
+        return linalg.sign_matmul(rows, values, values.shape[0], counters)
+    return linalg.matmul(rows, np.ascontiguousarray(values.T), backend, counters)
 
 
 def batched_inner_products(matrix: Matrix, alphas: Sequence[Sequence[int]],
@@ -122,16 +123,17 @@ def batched_inner_products(matrix: Matrix, alphas: Sequence[Sequence[int]],
     """Table T[a, j] = <M_alpha_a, M_j>, one oracle call per n-row batch.
 
     There are ceil(len(alphas) / n) calls; the last batch holds only the
-    remaining rows.
+    remaining rows.  Alphas may mix orders.
     """
     if not alphas:
         raise ParameterError("alphas must be nonempty")
     n = matrix.n
-    rows = _product_rows(matrix, alphas)
+    values = _operand(matrix)
+    rows = np.vstack([hadamard_rows(matrix, a).values for a in alphas]).astype(values.dtype)
     out = np.empty((len(alphas), n),
                    dtype=np.int64 if isinstance(matrix, SignedAdjacency) else np.float64)
     for start in range(0, len(alphas), n):
-        out[start:start + n] = _inner_table(matrix, rows[start:start + n], backend, counters)
+        out[start:start + n] = _inner_table(values, rows[start:start + n], backend, counters)
     return out
 
 
@@ -260,15 +262,15 @@ def iter_round_members(graph: SignedAdjacency, k: int, p: float,
     alphas = _sample_alphas(n, rounds, cfg.order, cfg.reps, rng)
 
     sign_path = p == 0.5
-    matrix: Matrix = graph if sign_path else PBiasedMatrix(graph, p)
+    values = _operand(graph if sign_path else PBiasedMatrix(graph, p))
     cutoff = tau if sign_path else tau - FLOAT_THRESHOLD_TOL
 
     t = cfg.reps
     rounds_per_batch = n // t  # whole rounds per oracle call of at most n rows
     for r0 in range(0, rounds, rounds_per_batch):
         r1 = min(r0 + rounds_per_batch, rounds)
-        rows = _product_rows(matrix, alphas[r0 * t:r1 * t])
-        passes = _inner_table(matrix, rows, cfg.backend, counters) >= cutoff
+        rows = row_products(values, alphas[r0 * t:r1 * t])
+        passes = _inner_table(values, rows, cfg.backend, counters) >= cutoff
         for r in range(r0, r1):
             mask = passes[(r - r0) * t:(r - r0 + 1) * t].all(axis=0)
             members = np.nonzero(mask)[0]

@@ -5,6 +5,7 @@ import sys
 import pytest
 from click.testing import CliRunner
 
+from srpc import generate, strategy_erdos_renyi, write_instance
 from srpc.cli import cli
 
 
@@ -164,3 +165,75 @@ def test_exit_codes_via_subprocess(tmp_path):
     proc = subprocess.run([sys.executable, "-m", "srpc.cli", "solve"],
                           capture_output=True, text=True)
     assert proc.returncode == 2
+
+
+def run_cli(*args):
+    return subprocess.run([sys.executable, "-m", "srpc.cli", *map(str, args)],
+                          capture_output=True, text=True)
+
+
+def assert_input_error(proc):
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+
+@pytest.fixture
+def instance_files(tmp_path):
+    graph, meta = tmp_path / "g.txt", tmp_path / "m.txt"
+    write_instance(generate(60, 10, 0.5, strategy_erdos_renyi(), seed=5), graph, meta)
+    result = tmp_path / "r.json"
+    result.write_text('{"cliques": [], "stats": {}}')
+    return graph, meta, result
+
+
+@pytest.mark.parametrize("key, edit", [
+    ("k", lambda v: None),
+    ("k", lambda v: "x"),
+    ("p", lambda v: "half"),
+    ("planted", lambda v: " ".join(v.split()[:9] + ["999"])),
+    ("n", lambda v: "100"),
+    ("planted", lambda v: " ".join(v.split()[:9] + v.split()[:1])),
+    ("planted", lambda v: " ".join(v.split()[:9])),
+], ids=["missing-k", "non-integer-k", "non-float-p", "planted-out-of-range",
+        "n-differs-from-graph", "planted-repeated", "planted-not-size-k"])
+def test_malformed_instance_meta_exits_2(instance_files, key, edit):
+    graph, meta, result = instance_files
+    header, *lines = meta.read_text().splitlines()
+    kept = [header]
+    for line in lines:
+        name, _, value = line.partition(" = ")
+        value = edit(value) if name == key else value
+        if value is not None:
+            kept.append(f"{name} = {value}")
+    meta.write_text("\n".join(kept) + "\n")
+    assert_input_error(run_cli("evaluate", "--graph", graph, "--meta", meta,
+                               "--result", result))
+
+
+@pytest.mark.parametrize("command, text", [
+    ("evaluate", "not json"),
+    ("evaluate", '{"cliques": [{"alphas": []}]}'),
+    ("prune", "{"),
+    ("prune", '{"cliques": [{"alphas": []}]}'),
+    ("prune", "[1, 2]"),
+    ("grid", '{"k_rules": ["8"]}'),
+], ids=["evaluate-not-json", "evaluate-no-vertices", "prune-not-json",
+        "prune-no-vertices", "prune-not-an-object", "grid-no-ns"])
+def test_malformed_json_input_exits_2(instance_files, tmp_path, command, text):
+    graph, meta, _ = instance_files
+    doc = tmp_path / "doc.json"
+    doc.write_text(text)
+    args = {"evaluate": ["--graph", graph, "--meta", meta, "--result", doc],
+            "prune": ["--list", doc, "--n", 60, "--p", 0.5],
+            "grid": ["--config", doc, "--out-csv", tmp_path / "grid.csv"]}[command]
+    proc = run_cli(command, *args)
+    assert_input_error(proc)
+    assert str(doc) in proc.stderr
+
+
+@pytest.mark.parametrize("const", ["0", "-1", "nan"])
+def test_non_positive_rounds_const_exits_2(instance_files, tmp_path, const):
+    graph = instance_files[0]
+    assert_input_error(run_cli("solve", "--graph", graph, "--k", 10, "--rounds-const", const,
+                               "--out", tmp_path / "s.json"))

@@ -4,6 +4,7 @@ import pytest
 from srpc import (PBiasedMatrix, SignedAdjacency, from_edge_list, hadamard_rows,
                   p_biased_rescale, read_graph, restrict, write_graph)
 from srpc.errors import InputError, ParameterError
+from srpc.graphs import row_products
 
 
 def random_graph(n, seed, p=0.5):
@@ -148,6 +149,26 @@ def test_hadamard_on_p_biased_matrix():
     rp = hadamard_rows(m, [2, 5, 9])
     expected = m.values[2] * m.values[5] * m.values[9]
     assert np.allclose(rp.values, expected, rtol=1e-15)
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_row_products_match_per_alpha_products(s):
+    g = random_graph(29, 12)
+    m = p_biased_rescale(g, 0.3)
+    rng = np.random.default_rng(s)
+    alphas = np.sort(np.array([rng.choice(29, size=s, replace=False) for _ in range(11)]),
+                     axis=1)
+    signs = row_products(g.signs, alphas)
+    assert signs.dtype == np.int8
+    values = row_products(m.values, alphas)
+    for row, vals, alpha in zip(signs, values, alphas):
+        assert np.array_equal(row, np.prod(g.signs[alpha].astype(np.int64), axis=0))
+        assert np.allclose(vals, np.prod(m.values[alpha], axis=0), rtol=1e-15)
+        # bit-identical to multiplying the rows one by one, in index order
+        expected = m.values[alpha[0]]
+        for i in alpha[1:]:
+            expected = expected * m.values[i]
+        assert np.array_equal(vals, expected)
 
 
 def test_hadamard_validation():

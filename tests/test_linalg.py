@@ -74,10 +74,10 @@ def test_sign_matmul_equals_generic_integer_path():
     rng = np.random.default_rng(4)
     for n in (1, 2, 63, 64, 65, 129, 256):
         signs = rng.choice(np.array([-1, 1], dtype=np.int8), size=(n, n))
-        packed = bits.pack_sign_rows(signs)
-        table = linalg.sign_matmul(packed, packed, n)
-        dense = linalg.matmul(signs.astype(np.int64), signs.T.astype(np.int64))
-        assert np.array_equal(table, dense)
+        dense = bits.unpack_sign_rows(bits.pack_sign_rows(signs), n).astype(np.float32)
+        table = linalg.sign_matmul(dense, dense, n)
+        expected = linalg.matmul(signs.astype(np.int64), signs.T.astype(np.int64))
+        assert np.array_equal(table, expected)
 
 
 def test_sign_matmul_matches_popcount_reference():
@@ -86,21 +86,33 @@ def test_sign_matmul_matches_popcount_reference():
     for n in (1, 63, 64, 65, 2000, 2500):
         signs = rng.choice(np.array([-1, 1], dtype=np.int8), size=(40, n))
         packed = bits.pack_sign_rows(signs)
-        table = linalg.sign_matmul(packed, packed, n)
+        dense = bits.unpack_sign_rows(packed, n).astype(np.float32)
+        table = linalg.sign_matmul(dense, dense, n)
         assert table.dtype == np.int32
         assert np.array_equal(table, bits.sign_inner_popcount(packed, packed, n))
 
 
-def test_sign_matmul_refuses_rows_past_float32_exactness(monkeypatch):
-    # one-word operands, and unpacking fails the test: the length check must
-    # come before anything is allocated
-    def no_unpack(*args):
-        raise AssertionError("operands unpacked before the range check")
+def test_sign_matmul_refuses_rows_past_float32_exactness():
+    # 1x1 operands whose product fails the test: the length check must come
+    # before any GEMM
+    class NoGemm(np.ndarray):
+        def __matmul__(self, other):
+            raise AssertionError("GEMM ran before the range check")
 
-    monkeypatch.setattr(bits, "unpack_sign_rows", no_unpack)
-    word = np.zeros((1, 1), dtype=np.uint64)
+    one = np.ones((1, 1), dtype=np.float32).view(NoGemm)
+    counters = linalg.Counters()
+    with pytest.raises(ParameterError, match="exact float32 range"):
+        linalg.sign_matmul(one, one, 2 ** 24, counters)
+    assert counters.oracle_calls == 0
+
+
+def test_sign_matmul_refuses_non_float32_operands():
+    # an int8 GEMM would wrap around silently at n >= 128
+    signs = np.ones((2, 200), dtype=np.int8)
     with pytest.raises(ParameterError):
-        linalg.sign_matmul(word, word, 2 ** 24)
+        linalg.sign_matmul(signs, signs, 200)
+    with pytest.raises(ParameterError):
+        linalg.sign_matmul(signs.astype(np.float32), signs.astype(np.float64), 200)
 
 
 def test_gram_counts_intersections():

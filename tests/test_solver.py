@@ -316,6 +316,9 @@ def test_solver_config_validation():
         SolverConfig(rounds=0)
     with pytest.raises(ParameterError):
         SolverConfig(threshold=-1.0)
+    for c_rounds in (0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ParameterError):
+            SolverConfig(c_rounds=c_rounds)
 
 
 def test_stage_validation():
