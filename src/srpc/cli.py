@@ -153,7 +153,10 @@ def evaluate_cmd(graph_path, meta_path, result_path, out):
     """Score a solve document against an instance's hidden planted set."""
     inst = read_instance(graph_path, meta_path)
     clique_list = _read_doc(result_path, CliqueList.from_dict)
-    result = harness.evaluate(inst, clique_list)
+    try:
+        result = harness.evaluate(inst, clique_list)
+    except InputError as exc:
+        raise InputError(f"{result_path}: {exc}") from None
     doc = result.to_dict()
     doc["format"] = "srpc-eval v1"
     _write(out, harness.report_json(doc))

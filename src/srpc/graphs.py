@@ -9,6 +9,8 @@ mean-zero unit-variance entries when edges appear with probability p.
 
 from __future__ import annotations
 
+import io
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Union
@@ -16,7 +18,7 @@ from typing import Iterable, Union
 import numpy as np
 
 from . import bits
-from .errors import InputError, ParameterError
+from .errors import InputError, InternalInvariantError, ParameterError
 
 GRAPH_HEADER = "srpc-graph v1"
 
@@ -65,10 +67,6 @@ class SignedAdjacency:
         np.fill_diagonal(a, 0)
         return a
 
-    def edges(self) -> list[tuple[int, int]]:
-        iu, ju = np.nonzero(np.triu(self.signs, 1) > 0)
-        return list(zip(iu.tolist(), ju.tolist()))
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, SignedAdjacency) and self.n == other.n
                 and np.array_equal(self.packed, other.packed))
@@ -77,19 +75,29 @@ class SignedAdjacency:
         return hash((self.n, self.packed.tobytes()))
 
 
-def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> SignedAdjacency:
-    """Build the sign matrix with +1 exactly on the given undirected edges."""
+def from_edge_list(n: int, edges: np.ndarray | Iterable[tuple[int, int]]) -> SignedAdjacency:
+    """Build the sign matrix with +1 exactly on the given undirected edges.
+
+    ``edges`` is an (m, 2) integer array or any iterable of vertex pairs.
+    """
     if n < 1:
         raise ParameterError("n must be >= 1")
+    pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
+    if pairs.size == 0:
+        pairs = np.empty((0, 2), dtype=np.int64)
+    if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.dtype.kind not in "iu":
+        raise InputError("edges must be pairs of integer vertex indices")
+    i, j = pairs.T
+    bad = np.flatnonzero((np.minimum(i, j) < 0) | (np.maximum(i, j) >= n) | (i == j))
+    if bad.size:
+        a, b = pairs[bad[0]].tolist()
+        if not (0 <= a < n and 0 <= b < n):
+            raise InputError(f"edge ({a},{b}) has an endpoint outside [0,{n})")
+        raise InputError(f"self-loop ({a},{a}) is not allowed")
     signs = -np.ones((n, n), dtype=np.int8)
     np.fill_diagonal(signs, 1)
-    for i, j in edges:
-        if not (0 <= i < n and 0 <= j < n):
-            raise InputError(f"edge ({i},{j}) has an endpoint outside [0,{n})")
-        if i == j:
-            raise InputError(f"self-loop ({i},{i}) is not allowed")
-        signs[i, j] = 1
-        signs[j, i] = 1
+    signs[i, j] = 1
+    signs[j, i] = 1
     return SignedAdjacency(bits.pack_sign_rows(signs), n)
 
 
@@ -170,32 +178,88 @@ def restrict(v: RowProduct, coords: Iterable[int]) -> np.ndarray:
 
 
 def write_graph(graph: SignedAdjacency, path) -> None:
-    """Write the versioned edge-list format; output is byte-reproducible."""
-    lines = [f"{GRAPH_HEADER} n={graph.n}"]
-    for i, j in sorted(graph.edges()):
-        lines.append(f"{i} {j}")
+    """Write the v1 edge list: the header, then ``i j`` per edge, i < j, sorted by (i, j).
+
+    Lines are built a row at a time from a table of decimal vertex names, so
+    no Python code runs per edge; the output is byte-reproducible.
+    """
+    n = graph.n
+    iu, ju = np.nonzero(np.triu(graph.signs, 1) > 0)
+    names = np.array([str(v) for v in range(n)], dtype=object)
+    bounds = np.searchsorted(iu, np.arange(n + 1))
+    lines = [f"{GRAPH_HEADER} n={n}"]
+    for i in np.flatnonzero(np.diff(bounds)):
+        prefix = names[i] + " "
+        lines.append(prefix + ("\n" + prefix).join(names[ju[bounds[i]:bounds[i + 1]]]))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
+# A body line: blank, or two ASCII-decimal vertex indices; spaces and tabs around them.
+_EDGE_LINE = re.compile(r"[ \t]*(?:([0-9]+)[ \t]+([0-9]+)[ \t]*)?")
+
+
+def _edge_array(body: str, n: int) -> np.ndarray | None:
+    """The (m, 2) edges of a v1 body from one C-level parse; None if a line breaks the format."""
+    raw = body.encode("utf-8")
+    if raw.translate(None, b"0123456789 \t\n"):
+        return None
+    if not raw.strip():
+        return np.empty((0, 2), dtype=np.int64)
+    try:
+        edges = np.loadtxt(io.BytesIO(raw), dtype=np.int64, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if edges.shape[1] != 2:
+        return None
+    i, j = edges[:, 0], edges[:, 1]
+    if not (np.all(i < j) and j.max() < n and np.all(np.diff(i * n + j) > 0)):
+        return None
+    return edges
+
+
+def _bad_line(body: str, n: int) -> InputError:
+    """The error naming the first body line that :func:`_edge_array` rejects."""
+    prev = -1
+    for lineno, line in enumerate(body.split("\n"), start=2):
+        match = _EDGE_LINE.fullmatch(line)
+        if match is None:
+            return InputError(f"line {lineno}: expected two integer vertex indices, "
+                              f"got {line.strip()!r}")
+        if match.group(1) is None:
+            continue
+        i, j = int(match.group(1)), int(match.group(2))
+        where = f"line {lineno}: edge ({i},{j})"
+        if max(i, j) >= n:
+            return InputError(f"{where} has an endpoint outside [0,{n})")
+        if i >= j:
+            return InputError(f"{where} is not written with i < j")
+        key = i * n + j
+        if key == prev:
+            return InputError(f"{where} is a duplicate")
+        if key < prev:
+            return InputError(f"{where} is out of order; edges must be sorted by (i, j)")
+        prev = key
+    return InternalInvariantError("the edge-list parse failed, but every line is well formed")
+
+
 def read_graph(path) -> SignedAdjacency:
-    """Parse the edge-list format; malformed lines raise :class:`InputError`."""
-    with open(path) as fh:
+    """Parse a v1 edge list, as :func:`write_graph` writes it.
+
+    Each non-blank body line holds one edge ``i j`` in plain ASCII decimal,
+    with 0 <= i < j < n; edges are sorted by (i, j) with no duplicates.
+    Blank lines, spaces and tabs around the indices, and CRLF line ends are
+    accepted.  Any other line raises :class:`InputError` naming its line.
+    """
+    with open(path, encoding="utf-8", errors="replace") as fh:
         header = fh.readline().strip()
         parts = header.split()
         if (parts[:2] != ["srpc-graph", "v1"] or not parts[-1].startswith("n=")
                 or not parts[-1][2:].isdecimal()):
             raise InputError(f"line 1: unrecognized graph header: {header!r}")
         n = int(parts[-1][2:])
-        edges = []
-        for lineno, line in enumerate(fh, start=2):
-            fields = line.split()
-            if not fields:
-                continue
-            try:
-                i, j = fields
-                edges.append((int(i), int(j)))
-            except ValueError:
-                raise InputError(f"line {lineno}: expected two integer vertex indices, "
-                                 f"got {line.strip()!r}") from None
+        body = fh.read()
+    edges = _edge_array(body, n)
+    if edges is None:
+        raise _bad_line(body, n)
     return from_edge_list(n, edges)

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import linalg, solver
 from .cliquelist import CliqueList
-from .errors import ParameterError
+from .errors import InputError, ParameterError
 from .instances import (Instance, generate, majority_vector, strategy_by_name,
                         strategy_majority_adversary)
 
@@ -62,13 +62,22 @@ def max_spurious_members(instance: Instance, cfg: solver.SolverConfig) -> int:
 
 def evaluate(instance: Instance, clique_list: CliqueList,
              compute_spurious: bool = True) -> EvalResult:
-    """Score a solve output against the instance's hidden planted set."""
+    """Score a solve output against the instance's hidden planted set.
+
+    An entry with a repeated vertex or a vertex outside [0, n), or a
+    ``stats.config`` that lacks a key, raises :class:`InputError`.
+    """
     planted = tuple(sorted(instance.planted))
     matching = sum(1 for e in clique_list.entries if e.vertices == planted)
     valid = True
     for entry in clique_list.entries:
-        sub = instance.graph.signs[np.ix_(entry.vertices, entry.vertices)]
-        if len(entry.vertices) < instance.k or not np.all(sub == 1):
+        verts = entry.vertices
+        if len(set(verts)) != len(verts):
+            raise InputError("entry has repeated vertices")
+        if verts and (verts[0] < 0 or verts[-1] >= instance.n):
+            raise InputError(f"entry has vertices outside [0,{instance.n})")
+        sub = instance.graph.signs[np.ix_(verts, verts)]
+        if len(verts) < instance.k or not np.all(sub == 1):
             valid = False
     stats = clique_list.stats
     stage_counts = {key: stats.get(key) for key in
@@ -77,8 +86,11 @@ def evaluate(instance: Instance, clique_list: CliqueList,
                      "accepted_distinct", "pruned_size")}
     spurious = 0
     if compute_spurious and "config" in stats:
-        spurious = max_spurious_members(
-            instance, solver.SolverConfig.from_dict(stats["config"]))
+        try:
+            config = solver.SolverConfig.from_dict(stats["config"])
+        except KeyError as exc:
+            raise InputError(f"stats.config is missing key {exc}") from None
+        spurious = max_spurious_members(instance, config)
     return EvalResult(recovered=matching > 0, list_size=len(clique_list.entries),
                       stage_counts=stage_counts, max_spurious=spurious,
                       entries_matching_planted=matching,

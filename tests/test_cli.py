@@ -135,10 +135,22 @@ def test_bench_command(runner, tmp_path):
     ("srpc-graph v1 n=4\n0 1\n1 2 3\n", 3),
     ("srpc-graph v1 n=five\n0 1\n", 1),
     ("srpc-graph v1 n=4\n0 x\n", 2),
-], ids=["three-fields", "non-integer-n", "non-integer-vertex"])
+    ("srpc-graph v1 n=4\n0 1\n0 1\n", 3),
+    ("srpc-graph v1 n=4\n0 1\n2 1\n", 3),
+    ("srpc-graph v1 n=4\n1 2\n0 3\n", 3),
+    ("srpc-graph v1 n=20\n0 1\n1_0 11\n", 3),
+    ("srpc-graph v1 n=4\n0 +3\n", 2),
+    ("srpc-graph v1 n=4\n0 \u0663\n", 2),
+    ("srpc-graph v1 n=4\n0 1\n\n1 4\n", 4),
+    ("srpc-graph v1 n=4\n2 2\n", 2),
+    ("srpc-graph v1 n=4\n0 1\n99999999999999999999 1\n", 3),
+    ("srpc-graph v1 n=4\n0 1\n\udcff 1\n", 3),
+], ids=["three-fields", "non-integer-n", "non-integer-vertex", "duplicate", "reversed",
+        "unsorted", "underscore", "plus-sign", "non-ascii-digit", "out-of-range",
+        "self-loop", "past-int64", "not-utf-8"])
 def test_malformed_graph_file_exits_2(tmp_path, text, line):
     graph = tmp_path / "bad.txt"
-    graph.write_text(text)
+    graph.write_bytes(text.encode("utf-8", "surrogateescape"))
     proc = subprocess.run(
         [sys.executable, "-m", "srpc.cli", "solve", "--graph", str(graph),
          "--k", "2", "--out", str(tmp_path / "o")],
@@ -218,8 +230,14 @@ def test_malformed_instance_meta_exits_2(instance_files, key, edit):
     ("prune", '{"cliques": [{"alphas": []}]}'),
     ("prune", "[1, 2]"),
     ("grid", '{"k_rules": ["8"]}'),
+    ("evaluate", '{"cliques": [{"vertices": [0, 60]}]}'),
+    ("evaluate", '{"cliques": [{"vertices": [0, 0, 0, 0, 0, 0, 0, 0, 0, 0]}]}'),
+    ("evaluate", '{"cliques": [], "stats": {"config": {"reps": 1, "c_rounds": 10.0, '
+                 '"seed": 0}}}'),
 ], ids=["evaluate-not-json", "evaluate-no-vertices", "prune-not-json",
-        "prune-no-vertices", "prune-not-an-object", "grid-no-ns"])
+        "prune-no-vertices", "prune-not-an-object", "grid-no-ns",
+        "evaluate-vertex-out-of-range", "evaluate-repeated-vertex",
+        "evaluate-config-no-order"])
 def test_malformed_json_input_exits_2(instance_files, tmp_path, command, text):
     graph, meta, _ = instance_files
     doc = tmp_path / "doc.json"

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,24 @@ def test_edge_validation():
         from_edge_list(3, [(0, 3)])
     with pytest.raises(InputError):
         from_edge_list(3, [(1, 1)])
+    # the message names the first bad edge, whatever its kind
+    with pytest.raises(InputError, match=r"self-loop \(1,1\)"):
+        from_edge_list(3, np.array([(0, 1), (1, 1), (0, 3)]))
+    with pytest.raises(InputError, match=r"edge \(-1,2\) has an endpoint outside"):
+        from_edge_list(3, [(0, 1), (-1, 2), (2, 2)])
+    with pytest.raises(InputError):
+        from_edge_list(3, [(0, 1, 2)])
+    with pytest.raises(InputError):
+        from_edge_list(3, [(0.5, 1)])
+
+
+def test_from_edge_list_accepts_arrays_and_iterables():
+    edges = [(0, 2), (1, 3), (2, 3)]
+    expected = from_edge_list(4, edges)
+    assert from_edge_list(4, np.array(edges)) == expected
+    assert from_edge_list(4, iter(edges)) == expected
+    assert from_edge_list(4, (e for e in edges + [(3, 1)])) == expected
+    assert from_edge_list(4, np.empty((0, 2), dtype=np.int64)) == from_edge_list(4, [])
 
 
 def test_constructor_invariants_on_random_inputs():
@@ -228,3 +248,38 @@ def test_graph_file_roundtrip(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
     header = path.read_text().splitlines()[0]
     assert header == "srpc-graph v1 n=30"
+
+
+def reference_graph_text(graph):
+    """The per-edge f-string writer that write_graph replaced: the byte reference."""
+    iu, ju = np.nonzero(np.triu(graph.signs, 1) > 0)
+    lines = [f"srpc-graph v1 n={graph.n}"]
+    for i, j in sorted(zip(iu.tolist(), ju.tolist())):
+        lines.append(f"{i} {j}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("kind", ["edgeless", "complete", "random"])
+@pytest.mark.parametrize("n", [1, 2, 9, 10, 11, 100, 101, 300])
+def test_graph_file_matches_reference_writer(tmp_path, n, kind):
+    if kind == "random":
+        graph = random_graph(n, n)
+    else:
+        off_diagonal = 1 if kind == "complete" else -1
+        graph = SignedAdjacency.from_signs(np.where(np.eye(n, dtype=bool), 1, off_diagonal))
+    path = tmp_path / "g.txt"
+    write_graph(graph, path)
+    assert path.read_bytes() == reference_graph_text(graph).encode()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert read_graph(path) == graph
+
+
+def test_read_graph_accepts_blank_lines_tabs_and_crlf(tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_bytes(b"srpc-graph v1 n=5\r\n\r\n 0 1\t\r\n\t0  4\n \t\n2\t3 \r\n\n")
+    assert read_graph(path) == from_edge_list(5, [(0, 1), (0, 4), (2, 3)])
+    path.write_bytes(b"srpc-graph v1 n=5\n \n\t\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert read_graph(path) == from_edge_list(5, [])
