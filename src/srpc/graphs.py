@@ -21,6 +21,8 @@ from . import bits
 from .errors import InputError, InternalInvariantError, ParameterError
 
 GRAPH_HEADER = "srpc-graph v1"
+# Largest n that read_graph accepts; its dense int8 sign matrix is then at most 1 GiB.
+MAX_N = 1 << 15
 
 
 class SignedAdjacency:
@@ -249,7 +251,8 @@ def read_graph(path) -> SignedAdjacency:
     Each non-blank body line holds one edge ``i j`` in plain ASCII decimal,
     with 0 <= i < j < n; edges are sorted by (i, j) with no duplicates.
     Blank lines, spaces and tabs around the indices, and CRLF line ends are
-    accepted.  Any other line raises :class:`InputError` naming its line.
+    accepted.  Any other line, or a header ``n`` above :data:`MAX_N`, raises
+    :class:`InputError` naming its line.
     """
     with open(path, encoding="utf-8", errors="replace") as fh:
         header = fh.readline().strip()
@@ -258,6 +261,8 @@ def read_graph(path) -> SignedAdjacency:
                 or not parts[-1][2:].isdecimal()):
             raise InputError(f"line 1: unrecognized graph header: {header!r}")
         n = int(parts[-1][2:])
+        if n > MAX_N:
+            raise InputError(f"line 1: n={n} exceeds the limit MAX_N={MAX_N}")
         body = fh.read()
     edges = _edge_array(body, n)
     if edges is None:

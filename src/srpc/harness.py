@@ -65,7 +65,8 @@ def evaluate(instance: Instance, clique_list: CliqueList,
     """Score a solve output against the instance's hidden planted set.
 
     An entry with a repeated vertex or a vertex outside [0, n), or a
-    ``stats.config`` that lacks a key, raises :class:`InputError`.
+    ``stats.config`` that lacks a key or holds a bad value, raises
+    :class:`InputError`.
     """
     planted = tuple(sorted(instance.planted))
     matching = sum(1 for e in clique_list.entries if e.vertices == planted)
@@ -90,6 +91,8 @@ def evaluate(instance: Instance, clique_list: CliqueList,
             config = solver.SolverConfig.from_dict(stats["config"])
         except KeyError as exc:
             raise InputError(f"stats.config is missing key {exc}") from None
+        except ParameterError as exc:
+            raise InputError(f"stats.config: {exc}") from None
         spurious = max_spurious_members(instance, config)
     return EvalResult(recovered=matching > 0, list_size=len(clique_list.entries),
                       stage_counts=stage_counts, max_spurious=spurious,

@@ -145,9 +145,10 @@ def test_bench_command(runner, tmp_path):
     ("srpc-graph v1 n=4\n2 2\n", 2),
     ("srpc-graph v1 n=4\n0 1\n99999999999999999999 1\n", 3),
     ("srpc-graph v1 n=4\n0 1\n\udcff 1\n", 3),
+    ("srpc-graph v1 n=100000000\n0 1\n", 1),
 ], ids=["three-fields", "non-integer-n", "non-integer-vertex", "duplicate", "reversed",
         "unsorted", "underscore", "plus-sign", "non-ascii-digit", "out-of-range",
-        "self-loop", "past-int64", "not-utf-8"])
+        "self-loop", "past-int64", "not-utf-8", "n-above-limit"])
 def test_malformed_graph_file_exits_2(tmp_path, text, line):
     graph = tmp_path / "bad.txt"
     graph.write_bytes(text.encode("utf-8", "surrogateescape"))
@@ -234,10 +235,12 @@ def test_malformed_instance_meta_exits_2(instance_files, key, edit):
     ("evaluate", '{"cliques": [{"vertices": [0, 0, 0, 0, 0, 0, 0, 0, 0, 0]}]}'),
     ("evaluate", '{"cliques": [], "stats": {"config": {"reps": 1, "c_rounds": 10.0, '
                  '"seed": 0}}}'),
+    ("evaluate", '{"cliques": [], "stats": {"config": {"order": 7, "reps": 1, '
+                 '"c_rounds": 10.0, "seed": 0}}}'),
 ], ids=["evaluate-not-json", "evaluate-no-vertices", "prune-not-json",
         "prune-no-vertices", "prune-not-an-object", "grid-no-ns",
         "evaluate-vertex-out-of-range", "evaluate-repeated-vertex",
-        "evaluate-config-no-order"])
+        "evaluate-config-no-order", "evaluate-config-bad-order"])
 def test_malformed_json_input_exits_2(instance_files, tmp_path, command, text):
     graph, meta, _ = instance_files
     doc = tmp_path / "doc.json"

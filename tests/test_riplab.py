@@ -1,11 +1,15 @@
+import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 import pytest
 
-from srpc import riplab
+from srpc import linalg, riplab
 from srpc.errors import BudgetExceededError, ParameterError
 
 
@@ -112,7 +116,7 @@ def test_opnorm_monotone_in_r_and_full_support_is_spectral_norm():
     h = rng.standard_normal((15, 6))
     values = [riplab.sparse_opnorm_exhaustive(h, r=r).value for r in range(1, 7)]
     assert values == sorted(values)
-    assert values[-1] == pytest.approx(riplab.spectral_norm(h), rel=1e-8)
+    assert values[-1] == pytest.approx(linalg.power_iteration(h)[0], rel=1e-8)
 
 
 def test_opnorm_budget_refusal():
@@ -227,10 +231,10 @@ def test_correlation_count_vs_opnorm_inequality():
 
 
 def test_spectral_norm_cases():
-    assert riplab.spectral_norm(np.diag([3.0, 1.0])) == pytest.approx(3.0, rel=1e-9)
+    assert linalg.power_iteration(np.diag([3.0, 1.0]))[0] == pytest.approx(3.0, rel=1e-9)
     u = np.array([2.0, 0.0, 0.0])
     v = np.array([0.0, 5.0])
-    assert riplab.spectral_norm(np.outer(u, v)) == pytest.approx(10.0, rel=1e-9)
+    assert linalg.power_iteration(np.outer(u, v))[0] == pytest.approx(10.0, rel=1e-9)
 
 
 def test_spectral_norm_rademacher_ratio():
@@ -238,5 +242,77 @@ def test_spectral_norm_rademacher_ratio():
     for seed in range(20):
         rng = np.random.default_rng(seed)
         m = rng.choice(np.array([-1.0, 1.0]), size=(512, 64))
-        ratios.append(riplab.spectral_norm(m) / (math.sqrt(512) + math.sqrt(64)))
+        ratios.append(linalg.power_iteration(m)[0] / (math.sqrt(512) + math.sqrt(64)))
     assert all(0.8 <= r <= 1.3 for r in ratios)
+
+
+def tied_columns():
+    """Unit columns v_0..v_7, u with <v_i, u> = +-1/2 and <v_i, v_j> = +-1/4.
+
+    The r=2 maximum sqrt(3/2) is reached by every support (i, 8).  Their Gram
+    matrices differ in the sign of the off-diagonal entry, so the tie is
+    exact in value but not in the arithmetic that ranks it.
+    """
+    c, m = 0.5, 8
+    h = np.zeros((m + 1, m + 1))
+    h[0, :m] = c * (-1.0) ** np.arange(m)
+    h[np.arange(1, m + 1), np.arange(m)] = math.sqrt(1 - c * c)
+    h[0, m] = 1.0
+    return h
+
+
+def test_opnorm_exhaustive_tie_goes_to_lexicographically_first_support():
+    report = riplab.sparse_opnorm_exhaustive(tied_columns(), r=2)
+    assert report.value == pytest.approx(math.sqrt(1.5), rel=1e-9)
+    assert report.support == (0, 8)
+
+
+def test_opnorm_sampled_tie_goes_to_first_drawn_support():
+    report = riplab.sparse_opnorm_sampled(tied_columns(), r=2, trials=200, seed=3)
+    rng = np.random.default_rng(np.random.SeedSequence(3))
+    drawn = [tuple(int(c) for c in np.sort(rng.choice(9, size=2, replace=False)))
+             for _ in range(200)]
+    assert report.support == next(s for s in drawn if s[1] == 8)
+    assert report.value == pytest.approx(math.sqrt(1.5), rel=1e-9)
+
+
+def test_opnorm_exhaustive_r2_matches_closed_form_pair_max():
+    q = 64
+    mat = riplab.build_tensored(8, 2, q, riplab.RademacherBase(), seed=17).values / math.sqrt(q)
+    gram = mat.T @ mat
+
+    def pair_norm(i, j):
+        a, b, c = gram[i, i], gram[j, j], gram[i, j]
+        return math.sqrt((a + b) / 2 + math.sqrt(((a - b) / 2) ** 2 + c * c))
+
+    best = max(pair_norm(i, j) for i, j in combinations(range(mat.shape[1]), 2))
+    report = riplab.sparse_opnorm_exhaustive(mat, r=2)
+    # The ranking is exact; the reported value is the power-iterated witness.
+    assert pair_norm(*report.support) == pytest.approx(best, rel=1e-12)
+    assert report.value == pytest.approx(best, rel=1e-9)
+
+
+def test_opnorm_exhaustive_r3_matches_svd_over_supports():
+    rng = np.random.default_rng(18)
+    h = rng.standard_normal((9, 7))
+    best = max(np.linalg.svd(h[:, list(s)], compute_uv=False)[0]
+               for s in combinations(range(7), 3))
+    report = riplab.sparse_opnorm_exhaustive(h, r=3)
+    assert report.value == pytest.approx(best, rel=1e-9)
+    top = np.linalg.svd(h[:, list(report.support)], compute_uv=False)[0]
+    assert top == pytest.approx(best, rel=1e-12)
+
+
+def test_sampled_opnorm_document_identical_across_blas_threads(tmp_path):
+    docs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"opnorm-{threads}.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "srpc.cli", "rip", "opnorm", "--k", "10", "--t", "3",
+             "--q", "128", "--r", "6", "--method", "sampled", "--trials", "3000",
+             "--seed", "5", "--out", str(out)],
+            env=dict(os.environ, OPENBLAS_NUM_THREADS=threads), capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        docs.append(out.read_bytes())
+    assert docs[0] == docs[1]
+    assert json.loads(docs[0])["supports_checked"] == 3000
