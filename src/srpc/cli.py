@@ -101,7 +101,8 @@ def generate_cmd(ctx, n, k, p, adversary, m, decoys, seed, out_graph, out_meta):
 @click.option("--backend", type=click.Choice(["naive", "blocked", "recursive"]),
               default=None)
 @click.option("--out", required=True)
-@click.option("--timings", default=None, help="Optional wall-time sidecar path.")
+@click.option("--timings", default=None,
+              help="Optional sidecar path for stage wall times and oracle seconds.")
 @click.pass_context
 def solve_cmd(ctx, graph_path, k, p, order, reps, rounds_const, rounds, seed,
               backend, out, timings):
@@ -113,13 +114,14 @@ def solve_cmd(ctx, graph_path, k, p, order, reps, rounds_const, rounds, seed,
                               backend=_backend_from_ctx(ctx, backend))
     result = solver.solve(graph, k, p, cfg)
     wall = result.stats.pop("wall_times")
+    oracle = result.stats.pop("oracle_seconds")
     doc = result.to_dict()
     doc["format"] = "srpc-solve v1"
     _write(out, harness.report_json(doc))
     for stage in sorted(wall):
         click.echo(f"{stage}: {wall[stage]:.3f}s", err=True)
     if timings:
-        _write(timings, harness.report_json(wall))
+        _write(timings, harness.report_json(dict(wall, oracle_seconds=oracle)))
 
 
 @cli.command("prune")

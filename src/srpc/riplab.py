@@ -16,12 +16,13 @@ from itertools import combinations
 
 import numpy as np
 
-from . import linalg
 from .errors import (BudgetExceededError, InternalInvariantError,
                      ParameterError)
 
 DEFAULT_SUPPORT_BUDGET = 1_000_000
 _ENUM_OUTCOME_LIMIT = 20  # 2**k outcomes must stay enumerable
+_ISO_BLOCK_ENTRIES = 2 ** 16  # integer table entries per block of outcomes
+_CHUNK_FLOATS = 2 ** 18  # float64 entries in one chunk of gathered r x r Gram blocks
 
 
 class RademacherBase:
@@ -127,31 +128,39 @@ class IsotropyReport:
 
 
 def _exact_isotropy(k: int, t: int, base) -> IsotropyReport:
+    """Exact column moments over all 2^k base outcomes, in integer arithmetic.
+
+    Values and probabilities are scaled to integer numerators over their
+    common denominators, so every mean and Gram entry is an exact integer
+    over one known denominator; outcomes are taken in blocks to bound memory.
+    """
     if k > _ENUM_OUTCOME_LIMIT:
         raise ParameterError(
             f"exhaustive isotropy enumerates 2^k outcomes; k={k} exceeds "
             f"the limit {_ENUM_OUTCOME_LIMIT}")
-    v_plus, v_minus = base.exact_values()
-    p_plus, p_minus = base.exact_probs()
-    cols = list(combinations(range(k), t))
-    means = [Fraction(0)] * len(cols)
-    gram = [[Fraction(0)] * len(cols) for _ in range(len(cols))]
-    for outcome in range(2 ** k):
-        coord = [v_plus if (outcome >> j) & 1 else v_minus for j in range(k)]
-        weight = math.prod(
-            (p_plus if (outcome >> j) & 1 else p_minus) for j in range(k))
-        colvals = [math.prod(coord[j] for j in alpha) for alpha in cols]
-        for a, va in enumerate(colvals):
-            means[a] += weight * va
-            for b in range(a, len(cols)):
-                gram[a][b] += weight * va * colvals[b]
-    max_mean = max(abs(m) for m in means)
-    max_cross = Fraction(0)
-    max_diag = Fraction(0)
-    for a in range(len(cols)):
-        max_diag = max(max_diag, abs(gram[a][a] - 1))
-        for b in range(a + 1, len(cols)):
-            max_cross = max(max_cross, abs(gram[a][b]))
+    values, probs = base.exact_values(), base.exact_probs()  # (plus, minus) each
+    v_den = math.lcm(*(v.denominator for v in values))
+    p_den = math.lcm(*(p.denominator for p in probs))
+    v_num = np.array([int(v * v_den) for v in values], dtype=object)
+    p_num = np.array([int(p * p_den) for p in probs], dtype=object)
+    idx = np.array(list(combinations(range(k), t)))
+    d = len(idx)
+    mean_num = np.zeros(d, dtype=object)
+    gram_num = np.zeros((d, d), dtype=object)
+    block = max(1, _ISO_BLOCK_ENTRIES // d)
+    for start in range(0, 2 ** k, block):
+        outcomes = np.arange(start, min(start + block, 2 ** k))
+        minus = 1 - ((outcomes[:, None] >> np.arange(k)) & 1)  # bit j set: plus
+        cols = v_num[minus][:, idx].prod(axis=2)
+        weighted = cols * p_num[minus].prod(axis=1)[:, None]
+        mean_num += weighted.sum(axis=0)
+        gram_num += weighted.T @ cols
+    mean_den = p_den ** k * v_den ** t
+    gram_den = mean_den * v_den ** t
+    off = ~np.eye(d, dtype=bool)
+    max_mean = Fraction(max(abs(m) for m in mean_num), mean_den)
+    max_cross = Fraction(max((abs(g) for g in gram_num[off]), default=0), gram_den)
+    max_diag = Fraction(max(abs(g - gram_den) for g in np.diag(gram_num)), gram_den)
     ok = max_mean == 0 and max_cross == 0 and max_diag == 0
     return IsotropyReport(mode="exhaustive", ok=ok, max_abs_mean=float(max_mean),
                           max_abs_cross=float(max_cross),
@@ -208,6 +217,32 @@ def _as_matrix(h) -> np.ndarray:
     return np.asarray(values, dtype=np.float64)
 
 
+def _chunks(rows: int, r: int) -> list[slice]:
+    """Row slices of a support array; each slice's r x r Gram blocks hold <= 2**18 float64."""
+    step = max(1, _CHUNK_FLOATS // (r * r))
+    return [slice(start, start + step) for start in range(0, rows, step)]
+
+
+def _gram_blocks(gram: np.ndarray, supports: np.ndarray) -> np.ndarray:
+    """The r x r Gram submatrix of each row of ``supports``."""
+    return gram[supports[:, :, None], supports[:, None, :]]
+
+
+def _draw_supports(rng: np.random.Generator, d: int, r: int, trials: int) -> np.ndarray:
+    """``trials`` uniform size-r subsets of range(d), one per row (Floyd's sampler).
+
+    For each slot j in d-r .. d-1, every row draws t uniform in [0, j] and
+    takes t, or j if t is already in the row.  Rows are int32, which halves
+    the largest array a sampled estimate holds.
+    """
+    out = np.empty((trials, r), dtype=np.int32)
+    for slot, j in enumerate(range(d - r, d)):
+        t = rng.integers(0, j + 1, size=trials)
+        seen = (out[:, :slot] == t[:, None]).any(axis=1)
+        out[:, slot] = np.where(seen, j, t)
+    return out
+
+
 def _opnorm_over_supports(mat: np.ndarray, supports: np.ndarray) -> int:
     """Row of ``supports`` whose column submatrix has the largest top singular value.
 
@@ -215,22 +250,21 @@ def _opnorm_over_supports(mat: np.ndarray, supports: np.ndarray) -> int:
     which is exact to rounding.  Ties within a relative 1e-12 of the maximum
     go to the first row.
     """
-    gram_full = mat.T @ mat
-    chunk = 4096
-    lam = np.concatenate([
-        np.linalg.eigvalsh(gram_full[sup[:, :, None], sup[:, None, :]])[:, -1]
-        for sup in np.split(supports, range(chunk, supports.shape[0], chunk))])
+    gram = mat.T @ mat
+    lam = np.concatenate([np.linalg.eigvalsh(_gram_blocks(gram, supports[c]))[:, -1]
+                          for c in _chunks(*supports.shape)])
     top = lam.max()
     return int(np.argmax(lam >= top - 1e-12 * abs(top)))
 
 
 def _finish_report(mat: np.ndarray, support: tuple[int, ...], method: str,
-                   r: int, checked: int, tol: float, cap: int,
-                   seed: int) -> OpNormReport:
+                   r: int, checked: int) -> OpNormReport:
+    """Witness of the chosen support: the top eigenpair of its r x r Gram, re-verified."""
     sub = mat[:, list(support)]
-    value, coeff = linalg.power_iteration(sub, tol=tol, cap=cap, seed=seed)
-    achieved = float(np.linalg.norm(sub @ coeff))
-    residual = abs(achieved - value)
+    lam, vecs = np.linalg.eigh(sub.T @ sub)
+    value = math.sqrt(max(float(lam[-1]), 0.0))
+    coeff = vecs[:, -1]
+    residual = abs(float(np.linalg.norm(sub @ coeff)) - value)
     if residual > 1e-9 * max(value, 1.0):
         raise InternalInvariantError(f"witness re-verification failed: {residual}")
     return OpNormReport(r=r, value=value, support=support, coefficients=coeff,
@@ -238,14 +272,14 @@ def _finish_report(mat: np.ndarray, support: tuple[int, ...], method: str,
 
 
 def sparse_opnorm_exhaustive(h, r: int, budget: int = DEFAULT_SUPPORT_BUDGET,
-                             tol: float = 1e-9, cap: int = 10_000,
                              seed: int = 0) -> OpNormReport:
     """Max top singular value over every size-r column support.
 
     Supports are ranked exactly (batched ``eigvalsh`` of their Gram
     submatrices); of those within a relative 1e-12 of the maximum, the
-    lexicographically first is reported.  ``tol``, ``cap`` and ``seed`` only
-    govern the power-iteration re-verification of that support's witness.
+    lexicographically first is reported, with its witness from ``eigh``.
+    ``seed`` has no effect; it is accepted so that both opnorm methods share
+    one call form.
     """
     mat = _as_matrix(h)
     d = mat.shape[1]
@@ -258,17 +292,15 @@ def sparse_opnorm_exhaustive(h, r: int, budget: int = DEFAULT_SUPPORT_BUDGET,
     supports = np.array(list(combinations(range(d), r)))
     best_idx = _opnorm_over_supports(mat, supports)
     support = tuple(int(c) for c in supports[best_idx])
-    return _finish_report(mat, support, "exhaustive", r, total, tol, cap, seed)
+    return _finish_report(mat, support, "exhaustive", r, total)
 
 
-def sparse_opnorm_sampled(h, r: int, trials: int, seed: int = 0,
-                          tol: float = 1e-9, cap: int = 10_000) -> OpNormReport:
+def sparse_opnorm_sampled(h, r: int, trials: int, seed: int = 0) -> OpNormReport:
     """Certified lower bound: max over ``trials`` uniformly sampled supports.
 
-    ``seed`` draws the supports.  They are ranked exactly (batched
-    ``eigvalsh``); of those within a relative 1e-12 of the maximum, the first
-    drawn is reported.  ``tol``, ``cap`` and ``seed`` also govern the
-    power-iteration re-verification of that support's witness.
+    ``seed`` draws the supports (:func:`_draw_supports`).  They are ranked
+    exactly (batched ``eigvalsh``); of those within a relative 1e-12 of the
+    maximum, the first drawn is reported, with its witness from ``eigh``.
     """
     mat = _as_matrix(h)
     d = mat.shape[1]
@@ -277,28 +309,37 @@ def sparse_opnorm_sampled(h, r: int, trials: int, seed: int = 0,
     if trials < 1:
         raise ParameterError("trials must be >= 1")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    supports = np.empty((trials, r), dtype=np.int64)
-    for i in range(trials):
-        supports[i] = np.sort(rng.choice(d, size=r, replace=False))
+    supports = _draw_supports(rng, d, r, trials)
+    supports.sort(axis=1)
     best_idx = _opnorm_over_supports(mat, supports)
     support = tuple(int(c) for c in supports[best_idx])
-    return _finish_report(mat, support, "sampled", r, trials, tol, cap, seed)
+    return _finish_report(mat, support, "sampled", r, trials)
 
 
 def rip_deviation_sampled(h_normalized, r: int, trials: int, seed: int = 0) -> float:
-    """max over sampled unit r-sparse v of | ||H v|| - 1 | (a lower bound on delta)."""
+    """max over sampled unit r-sparse v of | ||H v|| - 1 | (a lower bound on delta).
+
+    ``seed`` draws the supports (:func:`_draw_supports`), then one standard
+    normal coefficient row per support, in support order and scaled to unit
+    norm.  The rows are drawn chunk by chunk, which gives the same stream as
+    one (trials, r) block; ||H v|| is sqrt(c^T G_S c) with G = H^T H.
+    """
     mat = _as_matrix(h_normalized)
     d = mat.shape[1]
     if not 1 <= r <= d:
         raise ParameterError(f"need 1 <= r <= {d}, got r={r}")
+    if trials < 1:
+        raise ParameterError("trials must be >= 1")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
+    supports = _draw_supports(rng, d, r, trials)
+    gram = mat.T @ mat
     worst = 0.0
-    for _ in range(trials):
-        support = rng.choice(d, size=r, replace=False)
-        coeff = rng.standard_normal(r)
-        coeff /= np.linalg.norm(coeff)
-        image = mat[:, support] @ coeff
-        worst = max(worst, abs(float(np.linalg.norm(image)) - 1.0))
+    for c in _chunks(trials, r):
+        sup = supports[c]
+        coeff = rng.standard_normal(sup.shape)
+        coeff /= np.linalg.norm(coeff, axis=1, keepdims=True)
+        sq = np.einsum("ni,nij,nj->n", coeff, _gram_blocks(gram, sup), coeff)
+        worst = max(worst, float(np.abs(np.sqrt(np.maximum(sq, 0.0)) - 1.0).max()))
     return worst
 
 

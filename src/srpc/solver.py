@@ -18,6 +18,7 @@ against the threshold with a 1e-9 absolute tolerance.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, replace
 from typing import Iterator, Sequence, Union
@@ -58,6 +59,15 @@ class SolverConfig:
     backend: linalg.Backend = linalg.NAIVE
 
     def __post_init__(self):
+        for names, kind, what in ((("order", "reps", "rounds", "seed"), numbers.Integral,
+                                   "an integer"),
+                                  (("c_rounds", "threshold"), numbers.Real, "a real number")):
+            for name in names:
+                value = getattr(self, name)
+                if value is None and name in ("rounds", "threshold"):
+                    continue
+                if isinstance(value, bool) or not isinstance(value, kind):
+                    raise ParameterError(f"{name} must be {what}, got {value!r}")
         if self.order not in (1, 2, 3):
             raise ParameterError(f"order must be 1, 2 or 3, got {self.order}")
         if self.reps < 1:
@@ -68,6 +78,8 @@ class SolverConfig:
             raise ParameterError("rounds must be >= 1")
         if self.threshold is not None and self.threshold <= 0:
             raise ParameterError("threshold must be positive")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
 
     def num_rounds(self, n: int, k: int) -> int:
         if self.rounds is not None:
@@ -283,9 +295,9 @@ def solve(graph: SignedAdjacency, k: int, p: float, cfg: SolverConfig,
     """Run all rounds, refine, verify, deduplicate and prune.
 
     Returns the pruned clique list; ``stats`` carries per-stage counts,
-    per-stage oracle calls and multiply-adds, wall times, and an echo of the
-    resolved configuration (enough to replay the round sampling).  Verify
-    checks induced submatrices and makes no oracle call.
+    per-stage oracle calls, multiply-adds and oracle seconds, wall times, and
+    an echo of the resolved configuration (enough to replay the round
+    sampling).  Verify checks induced submatrices and makes no oracle call.
     """
     n = graph.n
     rounds = cfg.num_rounds(n, k)
@@ -369,6 +381,7 @@ def solve(graph: SignedAdjacency, k: int, p: float, cfg: SolverConfig,
         "oracle_calls": {name: c.oracle_calls for name, c in stage_counters.items()},
         "madds": {name: c.madds for name, c in stage_counters.items()},
         "wall_times": wall,
+        "oracle_seconds": {name: c.seconds for name, c in stage_counters.items()},
     }
     if counters is not None:
         for c in stage_counters.values():

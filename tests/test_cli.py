@@ -46,9 +46,29 @@ def test_solve_output_has_no_wall_times(runner, tmp_path):
     invoke(runner, ["solve", "--graph", str(g), "--k", "60", "--seed", "2",
                     "--out", str(out), "--timings", str(tmp_path / "t.json")])
     doc = json.loads(out.read_text())
-    assert "wall_times" not in doc["stats"]
+    assert "wall_times" not in doc["stats"] and "oracle_seconds" not in doc["stats"]
     timings = json.loads((tmp_path / "t.json").read_text())
-    assert set(timings) == {"candidate", "refine", "verify", "prune"}
+    stages = {"candidate", "refine", "verify", "prune"}
+    assert set(timings) == stages | {"oracle_seconds"}
+    assert set(timings["oracle_seconds"]) == stages
+    assert all(seconds >= 0 for seconds in timings["oracle_seconds"].values())
+
+
+def test_solve_document_bytes_do_not_depend_on_timings(runner, tmp_path):
+    g, meta = tmp_path / "g.txt", tmp_path / "m.txt"
+    invoke(runner, ["generate", "--n", "80", "--k", "40", "--seed", "3",
+                    "--out-graph", str(g), "--out-meta", str(meta)])
+    docs = []
+    for extra in ([], ["--timings", str(tmp_path / "t.json")]):
+        out = tmp_path / f"s{len(docs)}.json"
+        invoke(runner, ["solve", "--graph", str(g), "--k", "40", "--seed", "4",
+                        "--out", str(out), *extra])
+        docs.append(out.read_bytes())
+    assert docs[0] == docs[1]
+    assert set(json.loads(docs[0])["stats"]) == {
+        "n", "k", "p", "config", "rounds", "threshold", "rounds_nonempty",
+        "rounds_short_skipped", "distinct_raw", "distinct_refined", "rounds_accepted",
+        "accepted_distinct", "pruned_size", "prune", "oracle_calls", "madds"}
 
 
 def test_prune_command_modes_agree(runner, tmp_path):
@@ -237,10 +257,23 @@ def test_malformed_instance_meta_exits_2(instance_files, key, edit):
                  '"seed": 0}}}'),
     ("evaluate", '{"cliques": [], "stats": {"config": {"order": 7, "reps": 1, '
                  '"c_rounds": 10.0, "seed": 0}}}'),
+    ("evaluate", '{"cliques": [], "stats": {"config": {"order": 3, "reps": "1", '
+                 '"c_rounds": 10.0, "seed": 0}}}'),
+    ("evaluate", '{"cliques": [], "stats": {"config": {"order": true, "reps": 1, '
+                 '"c_rounds": 10.0, "seed": 0}}}'),
+    ("evaluate", '{"cliques": [], "stats": {"config": {"order": 3, "reps": 1, '
+                 '"c_rounds": "10", "seed": 0}}}'),
+    ("evaluate", '{"cliques": [], "stats": {"config": {"order": 3, "reps": 1, '
+                 '"c_rounds": 10.0, "threshold": false, "seed": 0}}}'),
+    ("evaluate", '{"cliques": [], "stats": {"config": {"order": 3, "reps": 1, '
+                 '"c_rounds": 10.0, "seed": -1}}}'),
 ], ids=["evaluate-not-json", "evaluate-no-vertices", "prune-not-json",
         "prune-no-vertices", "prune-not-an-object", "grid-no-ns",
         "evaluate-vertex-out-of-range", "evaluate-repeated-vertex",
-        "evaluate-config-no-order", "evaluate-config-bad-order"])
+        "evaluate-config-no-order", "evaluate-config-bad-order",
+        "evaluate-config-string-reps", "evaluate-config-bool-order",
+        "evaluate-config-string-c-rounds", "evaluate-config-bool-threshold",
+        "evaluate-config-negative-seed"])
 def test_malformed_json_input_exits_2(instance_files, tmp_path, command, text):
     graph, meta, _ = instance_files
     doc = tmp_path / "doc.json"

@@ -150,6 +150,29 @@ def test_rip_deviation_orthonormal_and_r1():
     assert dev == 0.0  # columns have exactly unit norm after scaling
 
 
+def test_sampled_estimates_refuse_zero_trials():
+    with pytest.raises(ParameterError):
+        riplab.rip_deviation_sampled(np.eye(4), r=2, trials=0)
+    with pytest.raises(ParameterError):
+        riplab.sparse_opnorm_sampled(np.eye(4), r=2, trials=0)
+
+
+def test_rip_deviation_matches_direct_loop():
+    # Reference: the draw rule replayed row by row, with one (trials, r)
+    # coefficient block and ||H v|| taken directly.  r=12 gives two chunks.
+    q, r, trials = 128, 12, 2500
+    h = riplab.build_tensored(10, 3, q, riplab.RademacherBase(), seed=23).values / math.sqrt(q)
+    rows = floyd_rows(24, h.shape[1], r, trials)
+    rng = np.random.default_rng(np.random.SeedSequence(24))
+    for j in range(h.shape[1] - r, h.shape[1]):
+        rng.integers(0, j + 1, size=trials)
+    coeff = rng.standard_normal((trials, r))
+    expected = max(abs(float(np.linalg.norm(h[:, row] @ (c / np.linalg.norm(c)))) - 1.0)
+                   for row, c in zip(rows, coeff))
+    dev = riplab.rip_deviation_sampled(h, r=r, trials=trials, seed=24)
+    assert dev == pytest.approx(expected, abs=1e-12)
+
+
 def test_rip_deviation_decreases_with_rows():
     devs = []
     for q in (128, 512, 2048):
@@ -267,11 +290,41 @@ def test_opnorm_exhaustive_tie_goes_to_lexicographically_first_support():
     assert report.support == (0, 8)
 
 
+def floyd_rows(seed, d, r, trials):
+    """Floyd's sampler one row at a time, on the same draws as riplab._draw_supports."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    draws = [rng.integers(0, j + 1, size=trials) for j in range(d - r, d)]
+    rows = []
+    for i in range(trials):
+        row = []
+        for j, t in zip(range(d - r, d), draws):
+            row.append(j if t[i] in row else int(t[i]))
+        rows.append(row)
+    return rows
+
+
+def test_draw_supports_matches_floyd_reference():
+    rng = np.random.default_rng(np.random.SeedSequence(21))
+    drawn = riplab._draw_supports(rng, 12, 5, 300)
+    assert drawn.tolist() == floyd_rows(21, 12, 5, 300)
+    assert drawn.min() >= 0 and drawn.max() < 12
+    assert all(len(set(row)) == 5 for row in drawn.tolist())
+
+
+def test_draw_supports_pairs_are_uniform():
+    trials = 200_000
+    rng = np.random.default_rng(np.random.SeedSequence(22))
+    drawn = np.sort(riplab._draw_supports(rng, 5, 2, trials), axis=1)
+    assert np.all(drawn[:, 0] < drawn[:, 1]) and drawn.min() >= 0 and drawn.max() < 5
+    pairs, counts = np.unique(drawn[:, 0] * 5 + drawn[:, 1], return_counts=True)
+    assert len(pairs) == 10
+    sigma = math.sqrt(trials * 0.1 * 0.9)
+    assert np.all(np.abs(counts - trials / 10) <= 5 * sigma), counts
+
+
 def test_opnorm_sampled_tie_goes_to_first_drawn_support():
     report = riplab.sparse_opnorm_sampled(tied_columns(), r=2, trials=200, seed=3)
-    rng = np.random.default_rng(np.random.SeedSequence(3))
-    drawn = [tuple(int(c) for c in np.sort(rng.choice(9, size=2, replace=False)))
-             for _ in range(200)]
+    drawn = [tuple(sorted(row)) for row in floyd_rows(3, 9, 2, 200)]
     assert report.support == next(s for s in drawn if s[1] == 8)
     assert report.value == pytest.approx(math.sqrt(1.5), rel=1e-9)
 
@@ -287,7 +340,7 @@ def test_opnorm_exhaustive_r2_matches_closed_form_pair_max():
 
     best = max(pair_norm(i, j) for i, j in combinations(range(mat.shape[1]), 2))
     report = riplab.sparse_opnorm_exhaustive(mat, r=2)
-    # The ranking is exact; the reported value is the power-iterated witness.
+    # The ranking is exact; the reported value comes from the eigh witness.
     assert pair_norm(*report.support) == pytest.approx(best, rel=1e-12)
     assert report.value == pytest.approx(best, rel=1e-9)
 
@@ -303,16 +356,89 @@ def test_opnorm_exhaustive_r3_matches_svd_over_supports():
     assert top == pytest.approx(best, rel=1e-12)
 
 
-def test_sampled_opnorm_document_identical_across_blas_threads(tmp_path):
+def rip_docs_across_blas_threads(tmp_path, *args):
     docs = []
     for threads in ("1", "2"):
-        out = tmp_path / f"opnorm-{threads}.json"
+        out = tmp_path / f"doc-{threads}.json"
         proc = subprocess.run(
-            [sys.executable, "-m", "srpc.cli", "rip", "opnorm", "--k", "10", "--t", "3",
-             "--q", "128", "--r", "6", "--method", "sampled", "--trials", "3000",
-             "--seed", "5", "--out", str(out)],
+            [sys.executable, "-m", "srpc.cli", "rip", *args, "--out", str(out)],
             env=dict(os.environ, OPENBLAS_NUM_THREADS=threads), capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         docs.append(out.read_bytes())
     assert docs[0] == docs[1]
-    assert json.loads(docs[0])["supports_checked"] == 3000
+    return json.loads(docs[0])
+
+
+def test_sampled_opnorm_document_identical_across_blas_threads(tmp_path):
+    doc = rip_docs_across_blas_threads(
+        tmp_path, "opnorm", "--k", "10", "--t", "3", "--q", "128", "--r", "6",
+        "--method", "sampled", "--trials", "3000", "--seed", "5")
+    assert doc["supports_checked"] == 3000
+
+
+def test_deviation_document_identical_across_blas_threads(tmp_path):
+    doc = rip_docs_across_blas_threads(
+        tmp_path, "deviation", "--k", "10", "--t", "3", "--q", "256", "--r", "12",
+        "--trials", "3000", "--seed", "5")
+    assert doc["trials"] == 3000 and 0 < doc["deviation"] < 1
+
+
+def test_opnorm_witness_is_exact_where_power_iteration_stalled():
+    # At this seed the best r=2 support's Gram has a start vector 4e-6 from
+    # its bottom eigenvector; power iteration stopped there and reported the
+    # smaller singular value.  The witness now comes from eigh.
+    q = 256
+    h = riplab.build_tensored(12, 3, q, riplab.RademacherBase(), seed=1887620648)
+    mat = h.values / math.sqrt(q)
+    report = riplab.sparse_opnorm_exhaustive(mat, r=2, seed=1887620648)
+    top = np.linalg.svd(mat[:, list(report.support)], compute_uv=False)[0]
+    assert abs(report.value - top) <= 1e-9
+    assert report.residual <= 1e-9 * max(report.value, 1.0)
+
+
+def fraction_isotropy(k, t, base):
+    """Exact column moments by a Fraction loop over every outcome (the reference)."""
+    v_plus, v_minus = base.exact_values()
+    p_plus, p_minus = base.exact_probs()
+    cols = list(combinations(range(k), t))
+    means = [Fraction(0)] * len(cols)
+    gram = [[Fraction(0)] * len(cols) for _ in cols]
+    for outcome in range(2 ** k):
+        coord = [v_plus if (outcome >> j) & 1 else v_minus for j in range(k)]
+        weight = math.prod(p_plus if (outcome >> j) & 1 else p_minus for j in range(k))
+        colvals = [math.prod(coord[j] for j in alpha) for alpha in cols]
+        for a, va in enumerate(colvals):
+            means[a] += weight * va
+            for b in range(len(cols)):
+                gram[a][b] += weight * va * colvals[b]
+    d = len(cols)
+    max_mean = max(abs(m) for m in means)
+    max_cross = max((abs(gram[a][b]) for a in range(d) for b in range(d) if a != b),
+                    default=Fraction(0))
+    max_diag = max(abs(gram[a][a] - 1) for a in range(d))
+    return float(max_mean), float(max_cross), float(max_diag)
+
+
+class OffCentreBase:
+    """Values 1 and -1/2 with probability 1/2 each: nonzero mean, non-unit variance."""
+
+    def exact_values(self):
+        return Fraction(1), Fraction(-1, 2)
+
+    def exact_probs(self):
+        return Fraction(1, 2), Fraction(1, 2)
+
+
+@pytest.mark.parametrize("k, t, base", [
+    *[(k, t, riplab.RademacherBase()) for k in range(3, 8) for t in range(1, 4)],
+    (5, 2, riplab.PBiasedBase(Fraction(4, 5))),
+    (4, 3, riplab.PBiasedBase(Fraction(4, 5))),
+    (5, 1, OffCentreBase()),
+    (5, 2, OffCentreBase()),
+    (4, 3, OffCentreBase()),
+])
+def test_exact_isotropy_matches_fraction_loop(k, t, base):
+    report = riplab._exact_isotropy(k, t, base)
+    expected = fraction_isotropy(k, t, base)
+    assert (report.max_abs_mean, report.max_abs_cross, report.max_diag_err) == expected
+    assert report.ok == (expected == (0.0, 0.0, 0.0))

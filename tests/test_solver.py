@@ -316,9 +316,27 @@ def test_solver_config_validation():
         SolverConfig(rounds=0)
     with pytest.raises(ParameterError):
         SolverConfig(threshold=-1.0)
+    with pytest.raises(ParameterError):
+        SolverConfig(seed=-1)
     for c_rounds in (0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ParameterError):
             SolverConfig(c_rounds=c_rounds)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("order", "3"), ("order", True), ("order", 3.0), ("reps", "1"), ("reps", False),
+    ("rounds", "5"), ("rounds", True), ("seed", "0"), ("seed", 1.5), ("seed", None),
+    ("c_rounds", "10"), ("c_rounds", True), ("c_rounds", None), ("threshold", "1"),
+    ("threshold", False)])
+def test_solver_config_rejects_wrong_types(field, value):
+    with pytest.raises(ParameterError, match=field):
+        SolverConfig(**{field: value})
+
+
+def test_solver_config_accepts_numpy_integers_and_integer_reals():
+    cfg = SolverConfig(order=np.int64(2), reps=np.int32(1), seed=np.int64(4), c_rounds=3,
+                       threshold=np.float64(2.5))
+    assert cfg.num_rounds(10, 5) == math.ceil(3 * 2 ** 2)
 
 
 def test_stage_validation():
