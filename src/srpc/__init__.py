@@ -1,25 +1,21 @@
 """Greedy list-decoding of planted cliques in semirandom graphs."""
 
 from .cliquelist import CliqueEntry, CliqueList
-from .graphs import (PBiasedMatrix, RowProduct, SignedAdjacency, from_edge_list,
-                     hadamard_rows, p_biased_rescale, read_graph, restrict,
-                     write_graph)
+from .graphs import (PBiasedMatrix, SignedAdjacency, from_edge_list, hadamard_rows,
+                     read_graph, write_graph)
 from .instances import (Instance, generate, majority_vector, read_instance,
                         strategy_clique_union, strategy_erdos_renyi,
                         strategy_majority_adversary, write_instance)
 from .pruning import PruneParams, intersection_threshold, prune_fast, prune_naive
-from .solver import (CandidateSet, SolverConfig, batched_inner_products,
-                     batched_membership_degrees, candidate_set, refine, solve,
-                     threshold_for, verify_clique)
+from .solver import (SolverConfig, batched_inner_products, batched_membership_degrees,
+                     solve, threshold_for)
 
 __all__ = [
-    "CandidateSet", "CliqueEntry", "CliqueList", "Instance", "PBiasedMatrix",
-    "PruneParams", "RowProduct", "SignedAdjacency", "SolverConfig",
-    "batched_inner_products", "batched_membership_degrees", "candidate_set",
-    "from_edge_list", "generate", "hadamard_rows", "intersection_threshold",
-    "majority_vector", "p_biased_rescale", "prune_fast", "prune_naive",
-    "read_graph", "read_instance", "refine", "restrict", "solve",
-    "strategy_clique_union", "strategy_erdos_renyi",
-    "strategy_majority_adversary", "threshold_for", "verify_clique",
+    "CliqueEntry", "CliqueList", "Instance", "PBiasedMatrix", "PruneParams",
+    "SignedAdjacency", "SolverConfig", "batched_inner_products",
+    "batched_membership_degrees", "from_edge_list", "generate", "hadamard_rows",
+    "intersection_threshold", "majority_vector", "prune_fast", "prune_naive",
+    "read_graph", "read_instance", "solve", "strategy_clique_union",
+    "strategy_erdos_renyi", "strategy_majority_adversary", "threshold_for",
     "write_graph", "write_instance",
 ]

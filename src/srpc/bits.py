@@ -1,6 +1,8 @@
-"""Bit packing helpers for sign (+1/-1) matrices.
+"""Bit-packed sign rows: the exact XOR-popcount reference for sign inner products.
 
-Rows are packed one bit per entry into little-endian uint64 words: bit
+No graph is stored this way (graphs hold dense int8 signs); the tests
+compare ``linalg.sign_matmul`` against :func:`sign_inner_popcount`.  Rows
+are packed one bit per entry into little-endian uint64 words: bit
 ``j % 64`` of word ``j // 64`` is 1 when the entry is +1 and 0 when it is
 -1.  Padding bits past the row length are always 0, so XOR-based popcount
 inner products never see them.
@@ -42,10 +44,6 @@ def unpack_sign_rows(packed: np.ndarray, n: int) -> np.ndarray:
     return (bits.astype(np.int8) * 2) - 1
 
 
-def popcount(words: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(words)
-
-
 def sign_inner_popcount(packed_a: np.ndarray, packed_b: np.ndarray, n: int,
                         chunk: int = 64) -> np.ndarray:
     """All pairwise inner products between two packed sign-row stacks.
@@ -60,6 +58,6 @@ def sign_inner_popcount(packed_a: np.ndarray, packed_b: np.ndarray, n: int,
     for start in range(0, m, chunk):
         block = packed_a[start:start + chunk]
         xored = block[:, None, :] ^ packed_b[None, :, :]
-        out[start:start + chunk] = n - 2 * popcount(xored).sum(
+        out[start:start + chunk] = n - 2 * np.bitwise_count(xored).sum(
             axis=2, dtype=np.int32)
     return out

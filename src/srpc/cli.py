@@ -46,13 +46,17 @@ def _read_doc(path, parse):
         raise InputError(f"{path}: missing key {exc}") from None
 
 
+# Seeds feed np.random.SeedSequence, which takes only non-negative integers.
+SEED = click.IntRange(min=0)
+
+
 def _backend_from_ctx(ctx, override: str | None) -> linalg.Backend:
     name = override or ctx.obj.get("backend") or "naive"
     return linalg.parse_backend(name)
 
 
 @click.group()
-@click.option("--seed", type=int, default=0, show_default=True,
+@click.option("--seed", type=SEED, default=0, show_default=True,
               help="Default seed for subcommands that do not set their own.")
 @click.option("--threads", type=int, default=1, show_default=True,
               help="Worker threads for independent trials.")
@@ -72,7 +76,7 @@ def cli(ctx, seed, threads, backend):
               default="erdos_renyi", show_default=True)
 @click.option("--m", type=int, default=None, help="Majority adversary row count (odd).")
 @click.option("--decoys", type=int, default=None, help="Majority adversary decoy count.")
-@click.option("--seed", type=int, default=None)
+@click.option("--seed", type=SEED, default=None)
 @click.option("--out-graph", required=True)
 @click.option("--out-meta", required=True)
 @click.pass_context
@@ -97,7 +101,7 @@ def generate_cmd(ctx, n, k, p, adversary, m, decoys, seed, out_graph, out_meta):
 @click.option("--reps", type=int, default=1, show_default=True)
 @click.option("--rounds-const", type=float, default=10.0, show_default=True)
 @click.option("--rounds", type=int, default=None, help="Override the round count.")
-@click.option("--seed", type=int, default=None)
+@click.option("--seed", type=SEED, default=None)
 @click.option("--backend", type=click.Choice(["naive", "blocked", "recursive"]),
               default=None)
 @click.option("--out", required=True)
@@ -189,7 +193,7 @@ def grid_cmd(ctx, config_path, out_csv, out_config, threads):
 @click.option("--n", type=int, required=True)
 @click.option("--k", type=int, required=True)
 @click.option("--m", type=int, required=True)
-@click.option("--seed", type=int, default=None)
+@click.option("--seed", type=SEED, default=None)
 @click.option("--rounds-const", type=float, default=10.0, show_default=True)
 @click.option("--out", default="-")
 @click.pass_context
@@ -212,7 +216,11 @@ def _base_dist(base: str, p: str | None):
         return riplab.RademacherBase()
     if p is None:
         raise ParameterError("--p is required for the p-biased base")
-    return riplab.PBiasedBase(Fraction(p))
+    try:
+        frac = Fraction(p)
+    except (ValueError, ZeroDivisionError):
+        raise ParameterError(f"--p must be a fraction such as 4/5, got {p!r}") from None
+    return riplab.PBiasedBase(frac)
 
 
 _shared_rip = [
@@ -222,7 +230,7 @@ _shared_rip = [
     click.option("--base", type=click.Choice(["rademacher", "pbiased"]),
                  default="rademacher", show_default=True),
     click.option("--p", default=None, help="Base-law p as a fraction, e.g. 4/5."),
-    click.option("--seed", type=int, default=None),
+    click.option("--seed", type=SEED, default=None),
     click.option("--out", default="-"),
 ]
 
@@ -312,7 +320,7 @@ def rip_deviation(ctx, k, t, q, base, p, seed, out, r, trials):
 @rip.command("corrcount")
 @_with_options(_shared_rip)
 @click.option("--tau", type=float, required=True)
-@click.option("--w-seed", type=int, default=0, show_default=True)
+@click.option("--w-seed", type=SEED, default=0, show_default=True)
 @click.pass_context
 def rip_corrcount(ctx, k, t, q, base, p, seed, out, tau, w_seed):
     """Count columns correlated with a seeded random sign vector."""
@@ -332,13 +340,15 @@ def rip_corrcount(ctx, k, t, q, base, p, seed, out, tau, w_seed):
 @click.option("--backends", default="naive,blocked,recursive", show_default=True)
 @click.option("--kind", type=click.Choice(["int", "float"]), default="int",
               show_default=True)
-@click.option("--seed", type=int, default=None)
+@click.option("--seed", type=SEED, default=None)
 @click.option("--out", default="-",
               help="Deterministic counter report (wall times go to stderr).")
 @click.pass_context
 def bench(ctx, sizes, backends, kind, seed, out):
     """Time the multiplication backends and report oracle counters."""
     rng = np.random.default_rng(seed if seed is not None else ctx.obj["seed"])
+    if not all(s.strip().isdecimal() and int(s) > 0 for s in sizes.split(",")):
+        raise ParameterError(f"--sizes must be comma-separated positive integers, got {sizes!r}")
     report = []
     for size in [int(s) for s in sizes.split(",")]:
         if kind == "int":

@@ -1,23 +1,22 @@
 """Sign-matrix graph representation and row algebra.
 
 A graph on n vertices is stored as a symmetric n x n matrix over {+1, -1}
-with the diagonal fixed to +1 (an edge is +1, a non-edge -1).  Rows are
-bit-packed; signs are decoded on read.  The p-biased rescaling maps +1 to
-p_plus = sqrt((1-p)/p) and -1 to -p_minus = -sqrt(p/(1-p)), which gives
-mean-zero unit-variance entries when edges appear with probability p.
+with the diagonal fixed to +1 (an edge is +1, a non-edge -1), held as one
+dense read-only int8 array; the row products, the candidate GEMM, the
+degree sweep and the clique check all read it directly.  The p-biased
+rescaling maps +1 to p_plus = sqrt((1-p)/p) and -1 to -p_minus =
+-sqrt(p/(1-p)), which gives mean-zero unit-variance entries when edges
+appear with probability p.
 """
 
 from __future__ import annotations
 
 import io
 import re
-from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Union
 
 import numpy as np
 
-from . import bits
 from .errors import InputError, InternalInvariantError, ParameterError
 
 GRAPH_HEADER = "srpc-graph v1"
@@ -26,42 +25,26 @@ MAX_N = 1 << 15
 
 
 class SignedAdjacency:
-    """Immutable bit-packed +-1 adjacency matrix with +1 diagonal."""
+    """Immutable dense int8 +-1 adjacency matrix with +1 diagonal.
 
-    def __init__(self, packed: np.ndarray, n: int):
-        packed = np.ascontiguousarray(packed, dtype=np.uint64)
-        if packed.shape != (n, bits.words_per_row(n)):
-            raise InputError(f"packed shape {packed.shape} does not match n={n}")
-        self.n = n
-        self.packed = packed
-        self.packed.setflags(write=False)
-        self._check_invariants()
+    The constructor takes ownership of ``signs`` (an int8 array is kept, not
+    copied) and marks it read-only.
+    """
 
-    def _check_invariants(self) -> None:
-        signs = self.signs
-        if not np.array_equal(signs, signs.T):
-            raise InputError("adjacency matrix is not symmetric")
-        if not np.all(np.diag(signs) == 1):
-            raise InputError("diagonal entries must decode to +1")
-
-    @cached_property
-    def signs(self) -> np.ndarray:
-        """Dense int8 +-1 matrix, decoded from the packed rows."""
-        out = bits.unpack_sign_rows(self.packed, self.n)
-        out.setflags(write=False)
-        return out
-
-    @classmethod
-    def from_signs(cls, signs: np.ndarray) -> "SignedAdjacency":
+    def __init__(self, signs: np.ndarray):
         signs = np.asarray(signs)
         if signs.ndim != 2 or signs.shape[0] != signs.shape[1]:
             raise InputError("sign matrix must be square")
         if not np.all(np.abs(signs) == 1):
             raise InputError("entries must be +1 or -1")
-        return cls(bits.pack_sign_rows(signs), signs.shape[0])
-
-    def row(self, i: int) -> np.ndarray:
-        return self.signs[i]
+        signs = np.ascontiguousarray(signs, dtype=np.int8)
+        if not np.array_equal(signs, signs.T):
+            raise InputError("adjacency matrix is not symmetric")
+        if not np.all(np.diag(signs) == 1):
+            raise InputError("diagonal entries must be +1")
+        signs.setflags(write=False)
+        self.n = signs.shape[0]
+        self.signs = signs
 
     def adjacency01(self, dtype=np.float64) -> np.ndarray:
         """0/1 adjacency with a zero diagonal (a vertex is not its own neighbor)."""
@@ -70,11 +53,7 @@ class SignedAdjacency:
         return a
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, SignedAdjacency) and self.n == other.n
-                and np.array_equal(self.packed, other.packed))
-
-    def __hash__(self):
-        return hash((self.n, self.packed.tobytes()))
+        return isinstance(other, SignedAdjacency) and np.array_equal(self.signs, other.signs)
 
 
 def from_edge_list(n: int, edges: np.ndarray | Iterable[tuple[int, int]]) -> SignedAdjacency:
@@ -100,7 +79,7 @@ def from_edge_list(n: int, edges: np.ndarray | Iterable[tuple[int, int]]) -> Sig
     np.fill_diagonal(signs, 1)
     signs[i, j] = 1
     signs[j, i] = 1
-    return SignedAdjacency(bits.pack_sign_rows(signs), n)
+    return SignedAdjacency(signs)
 
 
 class PBiasedMatrix:
@@ -121,22 +100,6 @@ class PBiasedMatrix:
         values = np.where(graph.signs > 0, self.p_plus, -self.p_minus)
         self.values = values
         self.values.setflags(write=False)
-
-    def row(self, i: int) -> np.ndarray:
-        return self.values[i]
-
-
-def p_biased_rescale(graph: SignedAdjacency, p: float) -> PBiasedMatrix:
-    return PBiasedMatrix(graph, p)
-
-
-@dataclass(frozen=True)
-class RowProduct:
-    """Entrywise product of up to three rows of a (rescaled) sign matrix."""
-
-    base: Union[SignedAdjacency, PBiasedMatrix]
-    alpha: tuple[int, ...]
-    values: np.ndarray
 
 
 def _check_alpha(alpha, n: int) -> tuple[int, ...]:
@@ -163,20 +126,11 @@ def row_products(values: np.ndarray, alphas: np.ndarray) -> np.ndarray:
 
 
 def hadamard_rows(matrix: Union[SignedAdjacency, PBiasedMatrix],
-                  alpha: Iterable[int]) -> RowProduct:
-    """values[j] = product over i in alpha of matrix[i][j]."""
+                  alpha: Iterable[int]) -> np.ndarray:
+    """The row out[j] = product over i in alpha of matrix[i][j]."""
     idx = _check_alpha(alpha, matrix.n)
     dense = matrix.signs if isinstance(matrix, SignedAdjacency) else matrix.values
-    return RowProduct(matrix, idx, row_products(dense, np.array([idx]))[0])
-
-
-def restrict(v: RowProduct, coords: Iterable[int]) -> np.ndarray:
-    """Values of the row product at the given coordinates, in sorted order."""
-    n = len(v.values)
-    sel = sorted(int(c) for c in coords)
-    if sel and (sel[0] < 0 or sel[-1] >= n):
-        raise InputError("restriction coordinates outside vertex range")
-    return v.values[sel]
+    return row_products(dense, np.array([idx]))[0]
 
 
 def write_graph(graph: SignedAdjacency, path) -> None:

@@ -89,6 +89,7 @@ def evaluate(instance: Instance, clique_list: CliqueList,
     if compute_spurious and "config" in stats:
         try:
             config = solver.SolverConfig.from_dict(stats["config"])
+            config.num_rounds(instance.n, instance.k)  # refuses a round count past the limit
         except KeyError as exc:
             raise InputError(f"stats.config is missing key {exc}") from None
         except ParameterError as exc:

@@ -214,7 +214,7 @@ def generate(n: int, k: int, p: float, strategy: AdversaryStrategy,
             [int(v) for v in complement[start:stop]]
             for start, stop in details["decoy_cliques"]]
 
-    return Instance(graph=SignedAdjacency.from_signs(signs), n=n, k=k, p=p,
+    return Instance(graph=SignedAdjacency(signs), n=n, k=k, p=p,
                     planted=tuple(int(v) for v in planted),
                     adversary=strategy.name, adversary_params=strategy.params(),
                     seed=seed, details=resolved)

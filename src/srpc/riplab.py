@@ -204,11 +204,6 @@ class OpNormReport:
     supports_checked: int
     residual: float  # | ||H w|| - value | after re-verification
 
-    def witness_vector(self, num_columns: int) -> np.ndarray:
-        v = np.zeros(num_columns)
-        v[list(self.support)] = self.coefficients
-        return v
-
 
 def _as_matrix(h) -> np.ndarray:
     values = h.values if isinstance(h, TensoredMatrix) else np.asarray(h, dtype=np.float64)

@@ -9,7 +9,7 @@ accepted sets are deduplicated and pruned down by pairwise intersection.
 Oracle calls take at most n rows each and multiply only real rows.
 
 The solver only ever sees the graph; nothing here reads a planted set.
-The round loop decodes the graph once into a dense operand: at p = 1/2
+The round loop converts the graph once into a dense operand: at p = 1/2
 the float32 sign matrix, whose :func:`linalg.sign_matmul` inner products
 are exact integers; otherwise the float64 rescaled matrix, compared
 against the threshold with a 1e-9 absolute tolerance.
@@ -31,6 +31,9 @@ from .errors import InternalInvariantError, ParameterError
 from .graphs import PBiasedMatrix, SignedAdjacency, hadamard_rows, row_products
 
 FLOAT_THRESHOLD_TOL = 1e-9
+# Most rows (rounds * reps) a solve samples; its (rows, s) int64 alpha array
+# then stays within 1.5 GiB.
+MAX_ALPHA_ROWS = 1 << 26
 
 
 def threshold_for(k: int, p: float) -> float:
@@ -40,6 +43,12 @@ def threshold_for(k: int, p: float) -> float:
     if not 0.0 < p < 1.0:
         raise ParameterError(f"p must lie in (0,1), got {p}")
     return k * (1.0 / p - 1.0) ** 2 / 2.0
+
+
+def _check_alpha_rows(rounds: int, reps: int) -> None:
+    if rounds * reps > MAX_ALPHA_ROWS:
+        raise ParameterError(f"rounds * reps = {rounds} * {reps} exceeds the limit "
+                             f"MAX_ALPHA_ROWS={MAX_ALPHA_ROWS}")
 
 
 @dataclass(frozen=True)
@@ -74,17 +83,33 @@ class SolverConfig:
             raise ParameterError(f"reps must be >= 1, got {self.reps}")
         if not (math.isfinite(self.c_rounds) and self.c_rounds > 0):
             raise ParameterError(f"c_rounds must be finite and > 0, got {self.c_rounds}")
-        if self.rounds is not None and self.rounds < 1:
-            raise ParameterError("rounds must be >= 1")
+        if self.rounds is not None:
+            if self.rounds < 1:
+                raise ParameterError("rounds must be >= 1")
+            _check_alpha_rows(self.rounds, self.reps)
         if self.threshold is not None and self.threshold <= 0:
             raise ParameterError("threshold must be positive")
         if self.seed < 0:
             raise ParameterError(f"seed must be >= 0, got {self.seed}")
 
     def num_rounds(self, n: int, k: int) -> int:
+        """The explicit round count, else ceil(c_rounds * (n/k)**(s*t)), at least 1.
+
+        A computed count that is not finite, or whose rounds * reps exceeds
+        :data:`MAX_ALPHA_ROWS`, raises :class:`ParameterError`.
+        """
         if self.rounds is not None:
             return self.rounds
-        return max(1, math.ceil(self.c_rounds * (n / k) ** (self.order * self.reps)))
+        try:
+            count = self.c_rounds * (n / k) ** (self.order * self.reps)
+        except OverflowError:  # (n/k)**(s*t) past the float range
+            count = math.inf
+        if not math.isfinite(count):
+            raise ParameterError(f"round count c_rounds * (n/k)**{self.order * self.reps} "
+                                 f"is not finite (c_rounds={self.c_rounds}, n={n}, k={k})")
+        rounds = max(1, math.ceil(count))
+        _check_alpha_rows(rounds, self.reps)
+        return rounds
 
     def resolve_threshold(self, k: int, p: float) -> float:
         return self.threshold if self.threshold is not None else threshold_for(k, p)
@@ -100,16 +125,6 @@ class SolverConfig:
                    rounds=doc.get("rounds"), threshold=doc.get("threshold"),
                    seed=doc["seed"],
                    backend=linalg.parse_backend(doc.get("backend", "naive")))
-
-
-@dataclass(frozen=True)
-class CandidateSet:
-    alphas: tuple[tuple[int, ...], ...]
-    members: tuple[int, ...]
-    stage: str  # raw | refined | verified-clique
-
-    def __post_init__(self):
-        object.__setattr__(self, "members", tuple(sorted(self.members)))
 
 
 Matrix = Union[SignedAdjacency, PBiasedMatrix]
@@ -141,7 +156,7 @@ def batched_inner_products(matrix: Matrix, alphas: Sequence[Sequence[int]],
         raise ParameterError("alphas must be nonempty")
     n = matrix.n
     values = _operand(matrix)
-    rows = np.vstack([hadamard_rows(matrix, a).values for a in alphas]).astype(values.dtype)
+    rows = np.vstack([hadamard_rows(matrix, a) for a in alphas]).astype(values.dtype)
     out = np.empty((len(alphas), n),
                    dtype=np.int64 if isinstance(matrix, SignedAdjacency) else np.float64)
     for start in range(0, len(alphas), n):
@@ -149,67 +164,25 @@ def batched_inner_products(matrix: Matrix, alphas: Sequence[Sequence[int]],
     return out
 
 
-def candidate_set(matrix: Matrix, alphas: Sequence[Sequence[int]],
-                  tau: float) -> CandidateSet:
-    """Vertices whose inner product with every product row is >= tau."""
-    table = batched_inner_products(matrix, alphas)
-    cutoff = tau if isinstance(matrix, SignedAdjacency) else tau - FLOAT_THRESHOLD_TOL
-    members = np.nonzero(np.all(table >= cutoff, axis=0))[0]
-    return CandidateSet(tuple(tuple(sorted(a)) for a in alphas),
-                        tuple(int(j) for j in members), "raw")
-
-
-def refine(graph: SignedAdjacency, cand: CandidateSet, k: int,
-           iterate: bool = False) -> CandidateSet:
-    """Drop members with fewer than k-1 neighbors among the members.
-
-    Single sweep against the incoming member set; ``iterate`` repeats the
-    sweep to a fixed point (off by default).
-    """
-    if cand.stage != "raw":
-        raise ParameterError(f"refine expects a raw candidate set, got {cand.stage!r}")
-    (members,) = _refine_sets(graph, [cand.members], k, iterate=iterate)
-    return CandidateSet(cand.alphas, tuple(int(j) for j in members), "refined")
-
-
 def _refine_sets(graph: SignedAdjacency, sets: Sequence[Sequence[int]], k: int,
                  backend: linalg.Backend = linalg.NAIVE,
-                 counters: linalg.Counters | None = None,
-                 iterate: bool = False) -> list[np.ndarray]:
+                 counters: linalg.Counters | None = None) -> list[np.ndarray]:
     """Keep the members of every set that have >= k-1 neighbors inside it.
 
-    One batched degree product sweeps all sets; ``iterate`` re-sweeps the
-    sets that shrank until none does.
+    One batched degree product sweeps all sets once; degrees count against
+    each incoming set.
     """
     kept = [np.asarray(members, dtype=np.int64) for members in sets]
-    todo = list(range(len(kept)))
-    while todo:
-        degrees = batched_membership_degrees(graph, [kept[a] for a in todo],
-                                             backend, counters)
-        shrunk = []
-        for a, deg in zip(todo, degrees):
-            keep = deg[kept[a]] >= k - 1
-            if not keep.all():
-                kept[a] = kept[a][keep]
-                shrunk.append(a)
-        todo = shrunk if iterate else []
-    return kept
+    if not kept:
+        return kept
+    degrees = batched_membership_degrees(graph, kept, backend, counters)
+    return [members[deg[members] >= k - 1] for members, deg in zip(kept, degrees)]
 
 
 def _is_clique(graph: SignedAdjacency, members: Sequence[int], k: int) -> bool:
     """True when ``members`` has size >= k and its induced submatrix is all +1."""
     return (len(members) >= k
             and bool(np.all(graph.signs[np.ix_(members, members)] == 1)))
-
-
-def verify_clique(graph: SignedAdjacency, cand: CandidateSet,
-                  k: int) -> CandidateSet | None:
-    """Accept the set when it induces a complete subgraph of size >= k."""
-    if cand.stage != "refined":
-        raise ParameterError(f"verify expects a refined set, got {cand.stage!r}")
-    if not _is_clique(graph, cand.members, k):
-        return None
-    return CandidateSet(cand.alphas, cand.members, "verified-clique")
 
 
 def batched_membership_degrees(graph: SignedAdjacency,

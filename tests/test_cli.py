@@ -267,13 +267,20 @@ def test_malformed_instance_meta_exits_2(instance_files, key, edit):
                  '"c_rounds": 10.0, "threshold": false, "seed": 0}}}'),
     ("evaluate", '{"cliques": [], "stats": {"config": {"order": 3, "reps": 1, '
                  '"c_rounds": 10.0, "seed": -1}}}'),
+    ("evaluate", '{"cliques": [], "stats": {"config": {"order": 3, "reps": 1, '
+                 '"c_rounds": 1e308, "seed": 0}}}'),
+    ("evaluate", '{"cliques": [], "stats": {"config": {"order": 3, "reps": 1, '
+                 '"c_rounds": 1e12, "seed": 0}}}'),
+    ("evaluate", '{"cliques": [], "stats": {"config": {"order": 3, "reps": 2, '
+                 '"c_rounds": 10.0, "rounds": 33554433, "seed": 0}}}'),
 ], ids=["evaluate-not-json", "evaluate-no-vertices", "prune-not-json",
         "prune-no-vertices", "prune-not-an-object", "grid-no-ns",
         "evaluate-vertex-out-of-range", "evaluate-repeated-vertex",
         "evaluate-config-no-order", "evaluate-config-bad-order",
         "evaluate-config-string-reps", "evaluate-config-bool-order",
         "evaluate-config-string-c-rounds", "evaluate-config-bool-threshold",
-        "evaluate-config-negative-seed"])
+        "evaluate-config-negative-seed", "evaluate-config-infinite-rounds",
+        "evaluate-config-rounds-past-limit", "evaluate-config-explicit-rounds-past-limit"])
 def test_malformed_json_input_exits_2(instance_files, tmp_path, command, text):
     graph, meta, _ = instance_files
     doc = tmp_path / "doc.json"
@@ -291,3 +298,55 @@ def test_non_positive_rounds_const_exits_2(instance_files, tmp_path, const):
     graph = instance_files[0]
     assert_input_error(run_cli("solve", "--graph", graph, "--k", 10, "--rounds-const", const,
                                "--out", tmp_path / "s.json"))
+
+
+@pytest.mark.parametrize("args", [
+    ["--rounds-const", "1e308"], ["--rounds-const", "1e12"], ["--rounds", "67108865"],
+    ["--rounds", "33554433", "--reps", "2"], ["--reps", "100000"]],
+    ids=["infinite", "huge", "explicit", "explicit-with-reps", "overflowing-reps"])
+def test_round_count_past_limit_exits_2(instance_files, tmp_path, args):
+    graph = instance_files[0]
+    proc = run_cli("solve", "--graph", graph, "--k", 10, *args, "--out", tmp_path / "s.json")
+    assert_input_error(proc)
+    assert "MAX_ALPHA_ROWS" in proc.stderr or "not finite" in proc.stderr
+
+
+RIP_SHAPE = ["--k", 4, "--t", 2, "--q", 8]
+
+
+@pytest.mark.parametrize("args, flag", [
+    (["--seed", -1, "generate", "--n", 50, "--k", 10, "--out-graph", "{tmp}/g", "--out-meta", "{tmp}/m"],
+     "--seed"),
+    (["generate", "--n", 50, "--k", 10, "--seed", -1, "--out-graph", "{tmp}/g", "--out-meta", "{tmp}/m"],
+     "--seed"),
+    (["solve", "--graph", "{tmp}/g", "--k", 10, "--seed", -1, "--out", "{tmp}/s"], "--seed"),
+    (["adversary-demo", "--n", 60, "--k", 10, "--m", 3, "--seed", -2], "--seed"),
+    (["rip", "build", *RIP_SHAPE, "--seed", -1], "--seed"),
+    (["rip", "isotropy", *RIP_SHAPE, "--seed", -1], "--seed"),
+    (["rip", "opnorm", *RIP_SHAPE, "--r", 2, "--seed", -1], "--seed"),
+    (["rip", "deviation", *RIP_SHAPE, "--r", 2, "--seed", -1], "--seed"),
+    (["rip", "corrcount", *RIP_SHAPE, "--tau", 0.5, "--seed", -1], "--seed"),
+    (["rip", "corrcount", *RIP_SHAPE, "--tau", 0.5, "--w-seed", -1], "--w-seed"),
+    (["bench", "--sizes", 4, "--seed", -1], "--seed"),
+], ids=["group", "generate", "solve", "adversary-demo", "rip-build", "rip-isotropy",
+        "rip-opnorm", "rip-deviation", "rip-corrcount", "rip-corrcount-w-seed", "bench"])
+def test_negative_seed_exits_2(tmp_path, args, flag):
+    proc = run_cli(*(str(a).format(tmp=tmp_path) for a in args))
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert f"'{flag}'" in proc.stderr and ">=0" in proc.stderr, proc.stderr
+
+
+@pytest.mark.parametrize("args, flag", [
+    (["rip", "opnorm", *RIP_SHAPE, "--r", 2, "--base", "pbiased", "--p", "abc"], "--p"),
+    (["rip", "opnorm", *RIP_SHAPE, "--r", 2, "--base", "pbiased", "--p", "1/0"], "--p"),
+    (["rip", "isotropy", *RIP_SHAPE, "--base", "pbiased", "--p", "4//5"], "--p"),
+    (["bench", "--sizes", "a"], "--sizes"),
+    (["bench", "--sizes", "8,,16"], "--sizes"),
+    (["bench", "--sizes", "0"], "--sizes"),
+], ids=["p-not-a-number", "p-zero-denominator", "p-malformed-fraction", "sizes-not-a-number",
+        "sizes-empty-entry", "sizes-zero"])
+def test_bad_cli_value_exits_2_naming_the_flag(args, flag):
+    proc = run_cli(*args)
+    assert_input_error(proc)
+    assert flag in proc.stderr

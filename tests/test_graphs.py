@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from srpc import (PBiasedMatrix, SignedAdjacency, from_edge_list, hadamard_rows,
-                  p_biased_rescale, read_graph, restrict, write_graph)
+                  read_graph, write_graph)
 from srpc.errors import InputError, ParameterError
 from srpc.graphs import row_products
 
@@ -17,7 +17,7 @@ def random_graph(n, seed, p=0.5):
     signs = signs + signs.T
     signs[signs == 0] = -1
     np.fill_diagonal(signs, 1)
-    return SignedAdjacency.from_signs(signs)
+    return SignedAdjacency(signs)
 
 
 def test_empty_graph():
@@ -74,44 +74,72 @@ def test_constructor_invariants_on_random_inputs():
         assert np.all(np.abs(g.signs) == 1)
 
 
-def test_from_signs_rejects_asymmetry_and_bad_diagonal():
+def test_constructor_rejects_asymmetry_and_bad_diagonal():
     signs = -np.ones((3, 3), dtype=np.int8)
     np.fill_diagonal(signs, 1)
     signs[0, 1] = 1  # not mirrored
     with pytest.raises(InputError):
-        SignedAdjacency.from_signs(signs)
+        SignedAdjacency(signs)
     signs[1, 0] = 1
     signs[2, 2] = -1
     with pytest.raises(InputError):
-        SignedAdjacency.from_signs(signs)
+        SignedAdjacency(signs)
 
 
-def test_bitpack_roundtrip_via_accessors():
+def test_constructor_rejects_non_square_and_non_sign_entries():
+    with pytest.raises(InputError, match="square"):
+        SignedAdjacency(np.ones((2, 3), dtype=np.int8))
+    with pytest.raises(InputError, match="square"):
+        SignedAdjacency(np.ones(4, dtype=np.int8))
+    for bad in (0, 2, -128):
+        signs = np.ones((3, 3), dtype=np.int8)
+        signs[0, 2] = signs[2, 0] = bad
+        with pytest.raises(InputError, match=r"\+1 or -1"):
+            SignedAdjacency(signs)
+    with pytest.raises(InputError, match=r"\+1 or -1"):
+        SignedAdjacency(np.full((2, 2), 257, dtype=np.int16))
+
+
+def test_signs_are_read_only_int8_and_owned():
+    signs = np.where(np.eye(4, dtype=bool), 1, -1).astype(np.int8)
+    g = SignedAdjacency(signs)
+    assert g.signs is signs and g.signs.dtype == np.int8 and g.n == 4
+    with pytest.raises(ValueError):
+        g.signs[0, 1] = 1
+    # other dtypes are converted once
+    h = SignedAdjacency(signs.astype(np.float64))
+    assert h.signs.dtype == np.int8 and not h.signs.flags.writeable
+    assert h == g
+
+
+def test_signs_roundtrip_via_constructor():
     g = random_graph(77, 3)
-    rebuilt = SignedAdjacency.from_signs(g.signs.copy())
+    rebuilt = SignedAdjacency(g.signs.copy())
     assert rebuilt == g
+    assert rebuilt != from_edge_list(77, [])
+    assert rebuilt != from_edge_list(5, [])
 
 
 def test_p_biased_values():
     g = from_edge_list(2, [(0, 1)])
-    m = p_biased_rescale(g, 4 / 5)
+    m = PBiasedMatrix(g, 4 / 5)
     assert m.p_plus == pytest.approx(0.5, rel=1e-12)
     assert m.values[0, 1] == pytest.approx(0.5, rel=1e-12)
     empty = from_edge_list(2, [])
-    m2 = p_biased_rescale(empty, 4 / 5)
+    m2 = PBiasedMatrix(empty, 4 / 5)
     assert m2.values[0, 1] == pytest.approx(-2.0, rel=1e-12)
 
 
 def test_p_biased_constants_at_one_fifth():
     g = from_edge_list(3, [(0, 1)])
-    m = p_biased_rescale(g, 1 / 5)
+    m = PBiasedMatrix(g, 1 / 5)
     assert m.bound == pytest.approx(2.0, rel=1e-12)
     assert m.p_plus * m.p_minus == pytest.approx(1.0, abs=1e-12)
 
 
 def test_p_half_reduces_to_sign_matrix():
     g = random_graph(25, 9)
-    m = p_biased_rescale(g, 0.5)
+    m = PBiasedMatrix(g, 0.5)
     assert np.array_equal(m.values, g.signs.astype(np.float64))
 
 
@@ -128,27 +156,25 @@ def test_p_biased_rejects_bad_p():
     g = from_edge_list(2, [])
     for p in (0.0, 1.0, -0.3, 2.0):
         with pytest.raises(ParameterError):
-            p_biased_rescale(g, p)
+            PBiasedMatrix(g, p)
 
 
 def test_hadamard_rows_complete_graph():
     g = from_edge_list(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
-    rp = hadamard_rows(g, {0, 1, 2})
-    assert np.all(rp.values == 1)
+    assert np.all(hadamard_rows(g, {0, 1, 2}) == 1)
 
 
 def test_hadamard_single_row_is_verbatim():
     g = random_graph(19, 4)
     for i in (0, 7, 18):
-        assert np.array_equal(hadamard_rows(g, [i]).values, g.signs[i])
+        assert np.array_equal(hadamard_rows(g, [i]), g.signs[i])
 
 
 def test_hadamard_two_rows_hand_case():
     # n=2 empty graph: rows (+1,-1) and (-1,+1) multiply entrywise to (-1,-1)
     g = from_edge_list(2, [])
     assert np.array_equal(g.signs, np.array([[1, -1], [-1, 1]]))
-    rp = hadamard_rows(g, [0, 1])
-    assert np.array_equal(rp.values, np.array([-1, -1]))
+    assert np.array_equal(hadamard_rows(g, [0, 1]), np.array([-1, -1]))
 
 
 def test_hadamard_matches_dense_products_randomly():
@@ -159,22 +185,22 @@ def test_hadamard_matches_dense_products_randomly():
         alpha = rng.choice(33, size=size, replace=False)
         rp = hadamard_rows(g, alpha)
         expected = np.prod(g.signs[np.sort(alpha)].astype(np.int64), axis=0)
-        assert np.array_equal(rp.values, expected)
-        assert set(np.unique(rp.values)) <= {-1, 1}
+        assert np.array_equal(rp, expected)
+        assert set(np.unique(rp)) <= {-1, 1}
 
 
 def test_hadamard_on_p_biased_matrix():
     g = random_graph(15, 8)
-    m = p_biased_rescale(g, 0.3)
+    m = PBiasedMatrix(g, 0.3)
     rp = hadamard_rows(m, [2, 5, 9])
     expected = m.values[2] * m.values[5] * m.values[9]
-    assert np.allclose(rp.values, expected, rtol=1e-15)
+    assert np.allclose(rp, expected, rtol=1e-15)
 
 
 @pytest.mark.parametrize("s", [1, 2, 3])
 def test_row_products_match_per_alpha_products(s):
     g = random_graph(29, 12)
-    m = p_biased_rescale(g, 0.3)
+    m = PBiasedMatrix(g, 0.3)
     rng = np.random.default_rng(s)
     alphas = np.sort(np.array([rng.choice(29, size=s, replace=False) for _ in range(11)]),
                      axis=1)
@@ -203,37 +229,27 @@ def test_hadamard_validation():
         hadamard_rows(g, [6])
 
 
-def test_restrict():
-    g = random_graph(10, 2)
-    rp = hadamard_rows(g, [0])
-    assert np.array_equal(restrict(rp, range(10)), rp.values)
-    assert restrict(rp, []).size == 0
-    assert np.array_equal(restrict(rp, [7, 3]), rp.values[[3, 7]])
-    with pytest.raises(InputError):
-        restrict(rp, [10])
-
-
 def test_planted_inner_product_is_exactly_k():
     # for vertices inside a planted clique the restricted inner product is k
     from srpc import generate, strategy_erdos_renyi
     inst = generate(40, 9, 0.5, strategy_erdos_renyi(), seed=3)
     s = list(inst.planted)
     i, j = s[0], s[4]
-    vi = restrict(hadamard_rows(inst.graph, [i]), s)
-    vj = restrict(hadamard_rows(inst.graph, [j]), s)
+    vi = hadamard_rows(inst.graph, [i])[s]
+    vj = hadamard_rows(inst.graph, [j])[s]
     assert int(vi @ vj) == 9
 
 
 def test_planted_inner_product_p_biased_triple():
-    # <restrict(G_alpha, S*), restrict(G_j, S*)> = k * p_plus**4 exactly at p=4/5
+    # <G_alpha, G_j> restricted to S* is k * p_plus**4 exactly at p=4/5
     from srpc import generate, strategy_erdos_renyi
     inst = generate(40, 9, 0.8, strategy_erdos_renyi(), seed=4)
-    m = p_biased_rescale(inst.graph, 0.8)  # p_plus = 1/2 exactly
+    m = PBiasedMatrix(inst.graph, 0.8)  # p_plus = 1/2 exactly
     s = list(inst.planted)
     alpha = s[:3]
     j = s[5]
-    va = restrict(hadamard_rows(m, alpha), s)
-    vj = restrict(hadamard_rows(m, [j]), s)
+    va = hadamard_rows(m, alpha)[s]
+    vj = hadamard_rows(m, [j])[s]
     assert float(va @ vj) == 9 * 0.5**4
 
 
@@ -248,6 +264,21 @@ def test_graph_file_roundtrip(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
     header = path.read_text().splitlines()[0]
     assert header == "srpc-graph v1 n=30"
+
+
+def test_generate_write_read_roundtrip_never_packs(tmp_path, monkeypatch):
+    # graphs hold dense signs; the bit-packed layout is only a test reference
+    from srpc import bits, generate, strategy_erdos_renyi
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("graph code must not touch the packed layout")
+
+    monkeypatch.setattr(bits, "pack_sign_rows", refuse)
+    monkeypatch.setattr(bits, "unpack_sign_rows", refuse)
+    inst = generate(70, 12, 0.5, strategy_erdos_renyi(), seed=8)
+    path = tmp_path / "g.txt"
+    write_graph(inst.graph, path)
+    assert read_graph(path) == inst.graph
 
 
 def reference_graph_text(graph):
@@ -266,7 +297,7 @@ def test_graph_file_matches_reference_writer(tmp_path, n, kind):
         graph = random_graph(n, n)
     else:
         off_diagonal = 1 if kind == "complete" else -1
-        graph = SignedAdjacency.from_signs(np.where(np.eye(n, dtype=bool), 1, off_diagonal))
+        graph = SignedAdjacency(np.where(np.eye(n, dtype=bool), 1, off_diagonal))
     path = tmp_path / "g.txt"
     write_graph(graph, path)
     assert path.read_bytes() == reference_graph_text(graph).encode()

@@ -157,13 +157,14 @@ def test_majority_adversary_decoy_correlations():
 
 def test_majority_adversary_contaminates_naive_candidates():
     # every chosen planted vertex admits a decoy into its order-1 candidate set
-    from srpc import candidate_set, threshold_for
+    from srpc import threshold_for
+    from tests.test_solver import raw_members
     n, k, m = 400, 40, 21
     inst = generate(n, k, 0.5, strategy_majority_adversary(m), seed=10)
     tau = threshold_for(k, 0.5)
     decoys = set(inst.details["decoys"])
     for i in inst.details["chosen"]:
-        members = set(candidate_set(inst.graph, [(i,)], tau).members)
+        members = set(raw_members(inst.graph, [(i,)], tau))
         assert members & decoys
 
 

@@ -3,18 +3,29 @@ import math
 import numpy as np
 import pytest
 
-from srpc import (CandidateSet, SolverConfig, batched_inner_products,
-                  batched_membership_degrees, candidate_set, from_edge_list,
-                  generate, p_biased_rescale, refine, solve,
-                  strategy_clique_union, strategy_erdos_renyi, threshold_for,
-                  verify_clique)
-from srpc import linalg
+from srpc import (PBiasedMatrix, SolverConfig, batched_inner_products,
+                  batched_membership_degrees, from_edge_list, generate, solve,
+                  strategy_clique_union, strategy_erdos_renyi, threshold_for)
+from srpc import linalg, solver
 from srpc.errors import ParameterError
+from srpc.solver import MAX_ALPHA_ROWS, _is_clique, _refine_sets
 from tests.test_graphs import random_graph
 
 
 def complete_graph(n):
     return from_edge_list(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+def raw_members(graph, alphas, tau):
+    """A round's raw set: the vertices whose inner product with every product row is >= tau."""
+    table = batched_inner_products(graph, alphas)
+    return tuple(np.flatnonzero(np.all(table >= tau, axis=0)).tolist())
+
+
+def refined(graph, members, k):
+    """The single degree sweep that solve runs, on one set."""
+    (kept,) = _refine_sets(graph, [members], k)
+    return tuple(kept.tolist())
 
 
 def test_threshold_values():
@@ -29,9 +40,7 @@ def test_threshold_values():
 
 def test_candidate_set_complete_graph():
     g = complete_graph(9)
-    cand = candidate_set(g, [(0, 3, 5)], tau=threshold_for(4, 0.5))
-    assert cand.members == tuple(range(9))
-    assert cand.stage == "raw"
+    assert raw_members(g, [(0, 3, 5)], tau=threshold_for(4, 0.5)) == tuple(range(9))
 
 
 def test_candidate_set_empty_graph_oracle():
@@ -42,8 +51,7 @@ def test_candidate_set_empty_graph_oracle():
     row = np.prod(g.signs[list(alpha)].astype(np.int64), axis=0)
     direct = {j for j in range(6) if int(row @ g.signs[j].astype(np.int64)) >= 2}
     assert direct == {0, 1, 2}  # computed by hand: products are +-2
-    cand = candidate_set(g, [alpha], tau=2)
-    assert set(cand.members) == direct
+    assert set(raw_members(g, [alpha], tau=2)) == direct
 
 
 def test_candidate_set_contains_planted_for_planted_alpha():
@@ -52,8 +60,8 @@ def test_candidate_set_contains_planted_for_planted_alpha():
     for seed in range(20):
         inst = generate(300, 120, 0.5, strategy_erdos_renyi(), seed=seed)
         alpha = inst.planted[:3]
-        cand = candidate_set(inst.graph, [alpha], threshold_for(inst.k, 0.5))
-        if set(inst.planted) <= set(cand.members):
+        members = raw_members(inst.graph, [alpha], threshold_for(inst.k, 0.5))
+        if set(inst.planted) <= set(members):
             hits += 1
     assert hits >= 19
 
@@ -68,8 +76,7 @@ def test_candidate_completeness_matches_realized_inner_products():
     tau = threshold_for(60, 0.5)
     out = inst.graph.signs[:, rest].astype(np.int64)
     row_out = np.prod(out[alpha], axis=0)
-    cand = candidate_set(inst.graph, [alpha], tau)
-    captured = set(inst.planted) <= set(cand.members)
+    captured = set(inst.planted) <= set(raw_members(inst.graph, [alpha], tau))
     worst = min(int(row_out @ out[j]) for j in planted)
     assert captured == (60 + worst >= tau)
 
@@ -78,36 +85,37 @@ def test_monotone_in_tau():
     g = random_graph(40, 3)
     sizes = []
     for tau in (1, 5, 10, 20, 40):
-        sizes.append(len(candidate_set(g, [(0, 1)], tau).members))
+        sizes.append(len(raw_members(g, [(0, 1)], tau)))
     assert sizes == sorted(sizes, reverse=True)
 
 
 def test_refine_keeps_exact_clique():
     g = complete_graph(6)
-    cand = CandidateSet(((0, 1, 2),), tuple(range(6)), "raw")
-    refined = refine(g, cand, 6)
-    assert refined.members == tuple(range(6))
-    assert refined.stage == "refined"
+    assert refined(g, tuple(range(6)), 6) == tuple(range(6))
 
 
 def test_refine_drops_isolated_vertex():
     k = 5
     g = from_edge_list(6, [(i, j) for i in range(5) for j in range(i + 1, 5)])
-    cand = CandidateSet(((0, 1, 2),), tuple(range(6)), "raw")
-    refined = refine(g, cand, k)
-    assert refined.members == tuple(range(5))
+    assert refined(g, tuple(range(6)), k) == tuple(range(5))
 
 
 def test_refine_single_pass_against_original_members():
     # one sweep: degrees are counted against the incoming member set
     edges = [(0, 1), (1, 2), (0, 2), (2, 3)]
     g = from_edge_list(5, edges)
-    cand = CandidateSet(((0,),), (0, 1, 2, 3), "raw")
-    refined = refine(g, cand, 3)
     # degree-in-set: 0->2, 1->2, 2->3, 3->1; threshold k-1 = 2 removes only 3
-    assert refined.members == (0, 1, 2)
-    fixpoint = refine(g, cand, 3, iterate=True)
-    assert fixpoint.members == (0, 1, 2)  # already stable after one sweep
+    assert refined(g, (0, 1, 2, 3), 3) == (0, 1, 2)
+
+
+def test_refine_sweeps_many_sets_in_one_oracle_call():
+    g = from_edge_list(5, [(0, 1), (1, 2), (0, 2), (2, 3)])
+    counters = linalg.Counters()
+    kept = _refine_sets(g, [(0, 1, 2, 3), (2, 3), (0, 1, 2)], 3, counters=counters)
+    assert [k.tolist() for k in kept] == [[0, 1, 2], [], [0, 1, 2]]
+    assert counters.oracle_calls == 1
+    assert _refine_sets(g, [], 3, counters=counters) == []
+    assert counters.oracle_calls == 1
 
 
 def test_refine_never_removes_planted_with_small_contamination():
@@ -115,28 +123,24 @@ def test_refine_never_removes_planted_with_small_contamination():
     planted = set(inst.planted)
     extras = [v for v in range(240) if v not in planted][:5]
     members = tuple(sorted(planted | set(extras)))
-    cand = CandidateSet(((0, 1, 2),), members, "raw")
-    refined = refine(inst.graph, cand, 80)
-    assert planted <= set(refined.members)
+    kept = refined(inst.graph, members, 80)
+    assert planted <= set(kept)
     # spurious vertices with under-threshold degree are gone
     adj = inst.graph.adjacency01(np.int64)
     for j in extras:
         degree = sum(adj[j, v] for v in members)
         if degree < 79:
-            assert j not in refined.members
+            assert j not in kept
 
 
 def test_verify_accepts_planted_and_rejects_near_clique():
     inst = generate(60, 12, 0.5, strategy_erdos_renyi(), seed=7)
-    cand = CandidateSet(((0, 1, 2),), inst.planted, "refined")
-    accepted = verify_clique(inst.graph, cand, 12)
-    assert accepted is not None and accepted.stage == "verified-clique"
+    assert _is_clique(inst.graph, inst.planted, 12)
 
     # complete graph minus one edge fails
     edges = [(i, j) for i in range(12) for j in range(i + 1, 12) if (i, j) != (3, 7)]
     g = from_edge_list(12, edges)
-    cand = CandidateSet(((0,),), tuple(range(12)), "refined")
-    assert verify_clique(g, cand, 12) is None
+    assert not _is_clique(g, tuple(range(12)), 12)
 
 
 def test_batched_inner_products_matches_triple_loop():
@@ -155,8 +159,11 @@ def test_batched_inner_products_matches_triple_loop():
 def test_batched_inner_products_single_alpha_matches_candidate_path():
     g = random_graph(50, 11)
     table = batched_inner_products(g, [(2, 9)])
-    cand = candidate_set(g, [(2, 9)], tau=4)
-    assert set(cand.members) == set(np.nonzero(table[0] >= 4)[0])
+    assert set(raw_members(g, [(2, 9)], tau=4)) == set(np.nonzero(table[0] >= 4)[0])
+    # the solver's own round loop admits the same set for that alpha
+    cfg = SolverConfig(order=2, rounds=1, threshold=4.0, seed=0)
+    (_, alphas, members), = solver.iter_round_members(g, 5, 0.5, cfg)
+    assert tuple(members.tolist()) == raw_members(g, alphas, tau=4)
 
 
 def test_batched_inner_products_complete_graph():
@@ -167,7 +174,7 @@ def test_batched_inner_products_complete_graph():
 
 def test_batched_inner_products_float_path_close_to_direct():
     g = random_graph(48, 12)
-    m = p_biased_rescale(g, 0.3)
+    m = PBiasedMatrix(g, 0.3)
     alphas = [(0, 1, 2), (5, 9), (17,)]
     table = batched_inner_products(m, alphas)
     for a, alpha in enumerate(alphas):
@@ -323,6 +330,28 @@ def test_solver_config_validation():
             SolverConfig(c_rounds=c_rounds)
 
 
+def test_solver_config_bounds_the_alpha_rows():
+    assert MAX_ALPHA_ROWS == 2 ** 26
+    assert SolverConfig(rounds=MAX_ALPHA_ROWS).rounds == MAX_ALPHA_ROWS
+    SolverConfig(rounds=MAX_ALPHA_ROWS // 2, reps=2)
+    with pytest.raises(ParameterError, match="MAX_ALPHA_ROWS"):
+        SolverConfig(rounds=MAX_ALPHA_ROWS + 1)
+    with pytest.raises(ParameterError, match="MAX_ALPHA_ROWS"):
+        SolverConfig(rounds=MAX_ALPHA_ROWS // 2 + 1, reps=2)
+    # computed counts: 2**26 rounds exactly is allowed, one more is not
+    assert SolverConfig(order=1, c_rounds=float(MAX_ALPHA_ROWS)).num_rounds(8, 8) == 2 ** 26
+    with pytest.raises(ParameterError, match="MAX_ALPHA_ROWS"):
+        SolverConfig(order=1, c_rounds=float(MAX_ALPHA_ROWS) + 1).num_rounds(8, 8)
+    with pytest.raises(ParameterError, match="MAX_ALPHA_ROWS"):
+        SolverConfig(order=1, reps=2, c_rounds=float(MAX_ALPHA_ROWS)).num_rounds(8, 8)
+    with pytest.raises(ParameterError, match="not finite"):
+        SolverConfig(c_rounds=1e308).num_rounds(60, 10)
+    with pytest.raises(ParameterError, match="not finite"):
+        SolverConfig(reps=100000).num_rounds(300, 10)  # (n/k)**(s*t) overflows a float
+    # criterion 3's shape (n=4096, k=256, order 3) is far below the limit
+    assert SolverConfig().num_rounds(4096, 256) == 40960
+
+
 @pytest.mark.parametrize("field, value", [
     ("order", "3"), ("order", True), ("order", 3.0), ("reps", "1"), ("reps", False),
     ("rounds", "5"), ("rounds", True), ("seed", "0"), ("seed", 1.5), ("seed", None),
@@ -337,13 +366,3 @@ def test_solver_config_accepts_numpy_integers_and_integer_reals():
     cfg = SolverConfig(order=np.int64(2), reps=np.int32(1), seed=np.int64(4), c_rounds=3,
                        threshold=np.float64(2.5))
     assert cfg.num_rounds(10, 5) == math.ceil(3 * 2 ** 2)
-
-
-def test_stage_validation():
-    g = complete_graph(4)
-    refined = CandidateSet(((0,),), (0, 1, 2, 3), "refined")
-    with pytest.raises(ParameterError):
-        refine(g, refined, 3)
-    raw = CandidateSet(((0,),), (0, 1, 2, 3), "raw")
-    with pytest.raises(ParameterError):
-        verify_clique(g, raw, 3)
