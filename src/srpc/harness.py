@@ -16,14 +16,14 @@ import re
 import sys
 import traceback
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
 
 from . import linalg, solver
 from .cliquelist import CliqueList
-from .errors import InputError, ParameterError
+from .errors import InputError, InternalInvariantError, ParameterError
 from .instances import (Instance, generate, majority_vector, strategy_by_name,
                         strategy_majority_adversary)
 
@@ -53,10 +53,9 @@ def max_spurious_members(instance: Instance, cfg: solver.SolverConfig) -> int:
     planted = np.zeros(instance.n, dtype=bool)
     planted[list(instance.planted)] = True
     worst = 0
-    for _, _, members in solver.iter_round_members(instance.graph, instance.k,
-                                                   instance.p, cfg):
-        if members.size:
-            worst = max(worst, int((~planted[members]).sum()))
+    for _, members in solver.iter_round_members(instance.graph, instance.k,
+                                                instance.p, cfg):
+        worst = max(worst, int((members & ~planted).sum(axis=1).max()))
     return worst
 
 
@@ -121,6 +120,19 @@ def resolve_k_rule(rule: str, n: int) -> int:
     return max(1, min(n, math.ceil(k)))
 
 
+GRID_SOLVER_KEYS = ("order", "reps", "c_rounds", "backend")
+
+
+def _grid_solver(entry: dict) -> solver.SolverConfig:
+    """A grid config's solver entry; a key outside GRID_SOLVER_KEYS is refused."""
+    for key in entry:
+        if key not in GRID_SOLVER_KEYS:
+            raise ParameterError(f"grid solver entry has unknown key {key!r}")
+    if "backend" in entry:
+        entry = dict(entry, backend=linalg.parse_backend(entry["backend"]))
+    return solver.SolverConfig(**entry)
+
+
 @dataclass(frozen=True)
 class ExperimentGrid:
     ns: tuple[int, ...]
@@ -131,13 +143,13 @@ class ExperimentGrid:
     trials: int = 20
     seed: int = 0
 
+    def __post_init__(self):
+        if isinstance(self.trials, bool) or not isinstance(self.trials, int) or self.trials < 1:
+            raise ParameterError(f"trials must be a positive integer, got {self.trials!r}")
+
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentGrid":
-        solvers = tuple(
-            solver.SolverConfig(order=s.get("order", 3), reps=s.get("reps", 1),
-                                c_rounds=s.get("c_rounds", 10.0),
-                                backend=linalg.parse_backend(s.get("backend", "naive")))
-            for s in doc.get("solvers", [{}]))
+        solvers = tuple(_grid_solver(s) for s in doc.get("solvers", [{}]))
         adversaries = tuple(
             (a["name"], {k: v for k, v in a.items() if k != "name"})
             for a in doc.get("adversaries", [{"name": "erdos_renyi"}]))
@@ -172,9 +184,7 @@ def _run_trial(cell: dict, root_seed: int, cell_index: int,
         seed = _trial_seed(root_seed, cell_index, trial)
         strategy = strategy_by_name(cell["adversary"], **cell["adversary_params"])
         inst = generate(cell["n"], cell["k"], cell["p"], strategy, seed)
-        cfg_doc = cell["solver"].to_dict()
-        cfg_doc["seed"] = seed + 1
-        cfg = solver.SolverConfig.from_dict(cfg_doc)
+        cfg = replace(cell["solver"], seed=seed + 1)
         result = solver.solve(inst.graph, cell["k"], cell["p"], cfg)
         return evaluate(inst, result), None
     except Exception:
@@ -290,5 +300,11 @@ def adversary_demo(n: int, k: int, m: int, seed: int, p: float = 0.5,
 
 
 def report_json(doc) -> str:
-    """Canonical JSON used for every emitted document (byte-reproducible)."""
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """Canonical JSON used for every emitted document (byte-reproducible).
+
+    NaN or an infinity, which JSON cannot hold, raises InternalInvariantError.
+    """
+    try:
+        return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise InternalInvariantError(f"document is not valid JSON: {exc}") from None

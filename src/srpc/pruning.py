@@ -7,7 +7,8 @@ symmetric and evaluated in a single pass against the full deduplicated
 list, so two heavily-overlapping entries eliminate each other.
 
 `prune_fast` produces the identical output through blocked 0/1 Gram
-products instead of the quadratic set-intersection loop.
+products instead of the quadratic set-intersection loop, in one marking
+pass over all block pairs.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import linalg
 from .cliquelist import CliqueEntry, CliqueList
-from .errors import InputError, InternalInvariantError, ParameterError
+from .errors import InputError, ParameterError
 
 
 def intersection_threshold(n: int, p: float) -> int:
@@ -44,20 +45,13 @@ class PruneParams:
         return cls(n=n, p=p, delta=intersection_threshold(n, p), batch_size=batch_size)
 
 
-def _validate_entries(clique_list: CliqueList, params: PruneParams,
-                      graph=None, k: int | None = None) -> None:
+def _validate_entries(clique_list: CliqueList, params: PruneParams) -> None:
     for entry in clique_list.entries:
         verts = entry.vertices
         if len(set(verts)) != len(verts):
             raise InputError(f"entry has repeated vertices: {verts}")
         if verts and (verts[0] < 0 or verts[-1] >= params.n):
             raise InputError(f"entry has vertices outside [0,{params.n})")
-        if k is not None and len(verts) < k:
-            raise InputError(f"entry of size {len(verts)} is smaller than k={k}")
-        if graph is not None:
-            sub = graph.signs[np.ix_(verts, verts)]
-            if not np.all(sub == 1):
-                raise InputError(f"entry {verts[:8]}... is not a clique")
 
 
 def _dedup(clique_list: CliqueList) -> tuple[list[CliqueEntry], int]:
@@ -83,10 +77,9 @@ def _vacuous(entries: list[CliqueEntry], params: PruneParams) -> bool:
     return False
 
 
-def prune_naive(clique_list: CliqueList, params: PruneParams,
-                graph=None, k: int | None = None) -> CliqueList:
+def prune_naive(clique_list: CliqueList, params: PruneParams) -> CliqueList:
     """Reference quadratic implementation of the symmetric filter."""
-    _validate_entries(clique_list, params, graph=graph, k=k)
+    _validate_entries(clique_list, params)
     entries, duplicates = _dedup(clique_list)
     stats = {"input": len(clique_list.entries), "duplicates_removed": duplicates}
     if _vacuous(entries, params):
@@ -137,34 +130,23 @@ def _mark_violators(entries: list[CliqueEntry], n: int, batch: int,
 
 def prune_fast(clique_list: CliqueList, params: PruneParams,
                backend: linalg.Backend = linalg.NAIVE,
-               counters: linalg.Counters | None = None,
-               graph=None, k: int | None = None) -> CliqueList:
+               counters: linalg.Counters | None = None) -> CliqueList:
     """Blocked-Gram implementation; output is identical to :func:`prune_naive`.
 
     One marking pass over all block pairs reproduces the single-pass
-    symmetric filter exactly; the loop then re-runs on the survivors until
-    nothing shrinks (survivors are pairwise compatible, so the second pass
-    is the terminating check).
+    symmetric filter exactly: the survivors are the entries with no
+    conflict at all, so they are pairwise compatible and a second pass
+    would mark nothing.
     """
-    _validate_entries(clique_list, params, graph=graph, k=k)
+    _validate_entries(clique_list, params)
     entries, duplicates = _dedup(clique_list)
     stats = {"input": len(clique_list.entries), "duplicates_removed": duplicates}
     if _vacuous(entries, params):
         stats.update(removed=[], output=len(entries), vacuous=True)
         return CliqueList(entries, stats)
-    batch = params.batch_size or params.n
-    removed: list[dict] = []
-    first_pass = True
-    while entries:
-        marked = _mark_violators(entries, params.n, batch, params.delta,
-                                 backend, counters)
-        if not marked.any():
-            break
-        if not first_pass:  # pass one equals the single-pass filter already
-            raise InternalInvariantError("pruning did not stabilize")
-        removed.extend({"vertices": list(e.vertices)}
-                       for e, m in zip(entries, marked) if m)
-        entries = [e for e, m in zip(entries, marked) if not m]
-        first_pass = False
+    marked = _mark_violators(entries, params.n, params.batch_size or params.n,
+                             params.delta, backend, counters)
+    removed = [{"vertices": list(e.vertices)} for e, m in zip(entries, marked) if m]
+    entries = [e for e, m in zip(entries, marked) if not m]
     stats.update(removed=removed, output=len(entries), vacuous=False)
     return CliqueList(entries, stats)

@@ -174,8 +174,11 @@ def isotropy_check(h: TensoredMatrix, mode: str = "sampled",
     Exhaustive mode enumerates every base outcome with exact rational
     weights and reports exact deviations; sampled mode estimates the same
     moments from the realized rows and compares against ``tol``
-    (default 5/sqrt(q)).
+    (default 5/sqrt(q)).  A ``tol`` that is negative or not finite raises
+    :class:`ParameterError`.
     """
+    if tol is not None and not (math.isfinite(tol) and tol >= 0):
+        raise ParameterError(f"tol must be finite and >= 0, got {tol}")
     if mode == "exhaustive":
         return _exact_isotropy(h.k, h.t, h.base)
     if mode != "sampled":
@@ -339,7 +342,9 @@ def rip_deviation_sampled(h_normalized, r: int, trials: int, seed: int = 0) -> f
 
 
 def correlated_column_count(h, w: np.ndarray, tau: float) -> tuple[int, list[int]]:
-    """Columns of H whose inner product with w/||w|| is at least tau."""
+    """Columns of H whose inner product with w/||w|| is at least tau (a finite number)."""
+    if not math.isfinite(tau):
+        raise ParameterError(f"tau must be finite, got {tau}")
     mat = _as_matrix(h)
     w = np.asarray(w, dtype=np.float64)
     norm = np.linalg.norm(w)

@@ -2,11 +2,13 @@
 
 One round samples t index sets of size s, forms the entrywise row
 products, and keeps the vertices whose inner product with every product
-row clears the threshold k * p_plus**4 / 2.  A single degree sweep then
-drops vertices with fewer than k-1 neighbors inside the set, the sweep
-survivors are kept only if they form a clique of size >= k, and the
-accepted sets are deduplicated and pruned down by pairwise intersection.
-Oracle calls take at most n rows each and multiply only real rows.
+row clears the threshold k * p_plus**4 / 2, as one boolean member table
+per oracle batch; only rounds with >= k members become vertex sets.  A
+single degree sweep then drops vertices with fewer than k-1 neighbors
+inside the set, the sweep survivors are kept only if they form a clique of
+size >= k, and the accepted sets are deduplicated and pruned down by
+pairwise intersection.  Oracle calls take at most n rows each and multiply
+only real rows.
 
 The solver only ever sees the graph; nothing here reads a planted set.
 The round loop converts the graph once into a dense operand: at p = 1/2
@@ -27,7 +29,7 @@ import numpy as np
 
 from . import linalg, pruning
 from .cliquelist import CliqueEntry, CliqueList
-from .errors import InternalInvariantError, ParameterError
+from .errors import ParameterError
 from .graphs import PBiasedMatrix, SignedAdjacency, hadamard_rows, row_products
 
 FLOAT_THRESHOLD_TOL = 1e-9
@@ -228,11 +230,13 @@ def _sample_alphas(n: int, rounds: int, s: int, t: int,
 def iter_round_members(graph: SignedAdjacency, k: int, p: float,
                        cfg: SolverConfig,
                        counters: linalg.Counters | None = None
-                       ) -> Iterator[tuple[int, tuple[tuple[int, ...], ...], np.ndarray]]:
-    """Yield (round index, alphas, raw members) for every round of a solve.
+                       ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield (alphas, members) for each oracle batch of a solve, in round order.
 
-    Shared by :func:`solve` and by evaluation code that recomputes the raw
-    candidate sets against the hidden planted set.
+    ``alphas`` is the batch's (rounds, t, s) index array and ``members`` its
+    (rounds, n) boolean table of raw members.  Shared by :func:`solve` and by
+    evaluation code that recomputes the raw candidate sets against the
+    hidden planted set.
     """
     n = graph.n
     if not 1 <= k <= n:
@@ -244,23 +248,19 @@ def iter_round_members(graph: SignedAdjacency, k: int, p: float,
     rounds = cfg.num_rounds(n, k)
     tau = cfg.resolve_threshold(k, p)
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    alphas = _sample_alphas(n, rounds, cfg.order, cfg.reps, rng)
+    t, s = cfg.reps, cfg.order
+    alphas = _sample_alphas(n, rounds, s, t, rng).reshape(rounds, t, s)
 
     sign_path = p == 0.5
     values = _operand(graph if sign_path else PBiasedMatrix(graph, p))
     cutoff = tau if sign_path else tau - FLOAT_THRESHOLD_TOL
 
-    t = cfg.reps
     rounds_per_batch = n // t  # whole rounds per oracle call of at most n rows
     for r0 in range(0, rounds, rounds_per_batch):
-        r1 = min(r0 + rounds_per_batch, rounds)
-        rows = row_products(values, alphas[r0 * t:r1 * t])
+        batch = alphas[r0:r0 + rounds_per_batch]
+        rows = row_products(values, batch.reshape(-1, s))
         passes = _inner_table(values, rows, cfg.backend, counters) >= cutoff
-        for r in range(r0, r1):
-            mask = passes[(r - r0) * t:(r - r0 + 1) * t].all(axis=0)
-            members = np.nonzero(mask)[0]
-            yield (r, tuple(tuple(int(v) for v in alphas[r * t + i]) for i in range(t)),
-                   members)
+        yield batch, passes.reshape(-1, t, n).all(axis=1)
 
 
 def solve(graph: SignedAdjacency, k: int, p: float, cfg: SolverConfig,
@@ -280,60 +280,47 @@ def solve(graph: SignedAdjacency, k: int, p: float, cfg: SolverConfig,
     wall = {}
 
     t0 = time.perf_counter()
-    distinct: dict[bytes, dict] = {}
+    distinct: dict[bytes, tuple[np.ndarray, list]] = {}  # raw set -> (members, round alphas)
     rounds_nonempty = 0
     rounds_short = 0
-    for _, alphas, members in iter_round_members(graph, k, p, cfg,
-                                                 stage_counters["candidate"]):
-        if members.size == 0:
-            continue
-        rounds_nonempty += 1
-        if members.size < k:
-            # A degree sweep only removes vertices, so a short set can never
-            # verify at size >= k; skip the refine work.
-            rounds_short += 1
-            continue
-        key = members.tobytes()
-        rec = distinct.get(key)
-        if rec is None:
-            distinct[key] = {"members": members, "alphas": [alphas], "rounds": 1}
-        else:
-            rec["alphas"].append(alphas)
-            rec["rounds"] += 1
+    for alphas, members in iter_round_members(graph, k, p, cfg,
+                                              stage_counters["candidate"]):
+        sizes = members.sum(axis=1)
+        rounds_nonempty += int(np.count_nonzero(sizes))
+        # A degree sweep only removes vertices, so a short set can never
+        # verify at size >= k; skip the refine work.
+        rounds_short += int(np.count_nonzero((sizes > 0) & (sizes < k)))
+        for r in np.flatnonzero(sizes >= k):
+            verts = np.flatnonzero(members[r])
+            distinct.setdefault(verts.tobytes(), (verts, []))[1].append(
+                tuple(map(tuple, alphas[r].tolist())))
     wall["candidate"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     records = list(distinct.values())
-    kept_sets = _refine_sets(graph, [r["members"] for r in records], k,
+    kept_sets = _refine_sets(graph, [verts for verts, _ in records], k,
                              cfg.backend, stage_counters["refine"])
-    refined_records = [dict(rec, members=kept)
-                       for rec, kept in zip(records, kept_sets) if kept.size >= k]
+    refined = [(kept, round_alphas) for kept, (_, round_alphas) in zip(kept_sets, records)
+               if kept.size >= k]
     wall["refine"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    accepted: dict[tuple[int, ...], dict] = {}
+    accepted: dict[tuple[int, ...], list] = {}
     rounds_accepted = 0
-    for rec in refined_records:
-        if _is_clique(graph, rec["members"], k):
-            verts = tuple(int(v) for v in rec["members"])
-            rounds_accepted += rec["rounds"]
-            slot = accepted.setdefault(verts, {"alphas": []})
-            slot["alphas"].extend(rec["alphas"])
+    for verts, round_alphas in refined:
+        if _is_clique(graph, verts, k):
+            rounds_accepted += len(round_alphas)
+            accepted.setdefault(tuple(verts.tolist()), []).extend(round_alphas)
     wall["verify"] = time.perf_counter() - t0
 
-    for verts in accepted:  # independent re-check of every accepted entry
-        sub = graph.signs[np.ix_(verts, verts)]
-        if not np.all(sub == 1) or len(verts) < k:
-            raise InternalInvariantError(f"accepted set is not a k-clique: {verts[:8]}")
-
-    entries = [CliqueEntry(verts, tuple(tuple(a) for aa in slot["alphas"] for a in aa))
-               for verts, slot in sorted(accepted.items())]
+    entries = [CliqueEntry(verts, tuple(a for round_alphas in per_round for a in round_alphas))
+               for verts, per_round in sorted(accepted.items())]
 
     t0 = time.perf_counter()
     if n >= 2:
         params = pruning.PruneParams.for_model(n, p)
         pruned = pruning.prune_fast(CliqueList(entries), params, cfg.backend,
-                                    stage_counters["prune"], graph=graph, k=k)
+                                    stage_counters["prune"])
     else:  # the intersection threshold is undefined on a single vertex
         pruned = CliqueList(entries, {"input": len(entries), "output": len(entries)})
     wall["prune"] = time.perf_counter() - t0
@@ -346,7 +333,7 @@ def solve(graph: SignedAdjacency, k: int, p: float, cfg: SolverConfig,
         "rounds_nonempty": rounds_nonempty,
         "rounds_short_skipped": rounds_short,
         "distinct_raw": len(records),
-        "distinct_refined": len(refined_records),
+        "distinct_refined": len(refined),
         "rounds_accepted": rounds_accepted,
         "accepted_distinct": len(entries),
         "pruned_size": len(pruned.entries),

@@ -350,3 +350,33 @@ def test_bad_cli_value_exits_2_naming_the_flag(args, flag):
     proc = run_cli(*args)
     assert_input_error(proc)
     assert flag in proc.stderr
+
+
+@pytest.mark.parametrize("args, name", [
+    (["rip", "corrcount", *RIP_SHAPE, "--tau", "nan"], "tau"),
+    (["rip", "corrcount", *RIP_SHAPE, "--tau", "inf"], "tau"),
+    (["rip", "isotropy", *RIP_SHAPE, "--tol", "nan"], "tol"),
+    (["rip", "isotropy", *RIP_SHAPE, "--tol", "inf"], "tol"),
+    (["rip", "isotropy", *RIP_SHAPE, "--tol", "-1"], "tol"),
+], ids=["tau-nan", "tau-inf", "tol-nan", "tol-inf", "tol-negative"])
+def test_non_finite_rip_thresholds_exit_2(args, name):
+    proc = run_cli(*args)
+    assert_input_error(proc)
+    assert name in proc.stderr
+
+
+@pytest.mark.parametrize("extra, name", [
+    ({"trials": 0}, "trials"),
+    ({"trials": -2}, "trials"),
+    ({"trials": True}, "trials"),
+    ({"solvers": [{"rounds": 5}]}, "'rounds'"),
+    ({"solvers": [{"order": 3, "bogus": 1}]}, "'bogus'"),
+], ids=["trials-zero", "trials-negative", "trials-bool", "solver-rounds", "solver-bogus"])
+def test_bad_grid_config_exits_2(tmp_path, extra, name):
+    config = tmp_path / "grid.json"
+    config.write_text(json.dumps({"ns": [30], "k_rules": ["10"], **extra}))
+    out = tmp_path / "grid.csv"
+    proc = run_cli("grid", "--config", config, "--out-csv", out)
+    assert_input_error(proc)
+    assert name in proc.stderr
+    assert not out.exists()

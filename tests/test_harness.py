@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from srpc import CliqueEntry, CliqueList, SolverConfig, generate, solve
+from srpc import CliqueEntry, CliqueList, SolverConfig, generate, linalg, solve
 from srpc import strategy_clique_union, strategy_erdos_renyi
-from srpc.errors import ParameterError
+from srpc.errors import InternalInvariantError, ParameterError
 from srpc.harness import (ExperimentGrid, adversary_demo, evaluate, grid_csv,
-                          resolve_k_rule, run_grid)
+                          report_json, resolve_k_rule, run_grid)
 
 
 def solved_instance(n=200, k=70, p=0.5, seed=30):
@@ -41,8 +41,9 @@ def test_evaluate_spurious_replay_matches_planted_alpha_measurement():
     cfg = SolverConfig.from_dict(result.stats["config"])
     planted = set(inst.planted)
     direct = 0
-    for _, _, members in iter_round_members(inst.graph, inst.k, inst.p, cfg):
-        direct = max(direct, len(set(members.tolist()) - planted))
+    for _, members in iter_round_members(inst.graph, inst.k, inst.p, cfg):
+        for row in members:
+            direct = max(direct, len(set(np.flatnonzero(row).tolist()) - planted))
     assert ev.max_spurious == direct
 
 
@@ -120,6 +121,34 @@ def test_grid_from_dict_and_cells():
     cells = grid.cells()
     assert len(cells) == 8
     assert {c["k"] for c in cells if c["n"] == 100 and c["k_rule"] == "4*ceilsqrt"} == {40}
+    # unset solver keys take SolverConfig's own defaults
+    grid = ExperimentGrid.from_dict({"ns": [100], "k_rules": ["20"],
+                                     "solvers": [{}, {"reps": 2, "backend": "blocked"}]})
+    assert grid.solvers == (SolverConfig(), SolverConfig(reps=2, backend=linalg.BLOCKED))
+
+
+GRID_DOC = {"ns": [100], "k_rules": ["20"]}
+
+
+@pytest.mark.parametrize("trials", [0, -2, True, 2.0, "3"])
+def test_grid_from_dict_refuses_bad_trials(trials):
+    with pytest.raises(ParameterError, match="trials"):
+        ExperimentGrid.from_dict(dict(GRID_DOC, trials=trials))
+
+
+@pytest.mark.parametrize("entry, key", [({"rounds": 5}, "rounds"),
+                                        ({"order": 2, "bogus": 1}, "bogus"),
+                                        ({"seed": 3}, "seed")])
+def test_grid_from_dict_refuses_unknown_solver_keys(entry, key):
+    with pytest.raises(ParameterError, match=f"'{key}'"):
+        ExperimentGrid.from_dict(dict(GRID_DOC, solvers=[entry]))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_report_json_refuses_non_finite_numbers(value):
+    with pytest.raises(InternalInvariantError):
+        report_json({"stats": {"tau": value}})
+    assert report_json({"tau": 0.5}) == '{\n  "tau": 0.5\n}\n'
 
 
 def test_adversary_demo_m1_min_correlation_is_n():

@@ -74,8 +74,19 @@ def test_validation():
     params = params_with_delta(10, 3)
     with pytest.raises(InputError):
         prune_naive(entries_from_sets([(0, 1, 12)]), params)
-    with pytest.raises(InputError):
-        prune_naive(entries_from_sets([(0, 1, 2)]), params, k=5)
+
+
+def test_fast_marks_in_one_pass():
+    # the survivors of one marking pass are pairwise compatible, so a
+    # second pass would only repeat the Gram product
+    params = params_with_delta(40, 3)
+    counters = linalg.Counters()
+    sets = [range(0, 10), range(2, 12), range(20, 30)]
+    out = prune_fast(entries_from_sets(sets), params, counters=counters)
+    assert out.vertex_sets() == [tuple(range(20, 30))]
+    assert [r["vertices"] for r in out.stats["removed"]] == [list(range(0, 10)),
+                                                             list(range(2, 12))]
+    assert counters.oracle_calls == 1
 
 
 def random_list(rng, n, k, count, overlap_core=0):

@@ -222,6 +222,21 @@ def test_correlated_column_count():
         riplab.correlated_column_count(h, np.zeros(5), tau=0.1)
 
 
+@pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
+def test_correlated_column_count_refuses_non_finite_tau(tau):
+    h = np.eye(5)
+    with pytest.raises(ParameterError, match="tau"):
+        riplab.correlated_column_count(h, np.ones(5), tau=tau)
+
+
+@pytest.mark.parametrize("mode", ["sampled", "exhaustive"])
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -0.1])
+def test_isotropy_check_refuses_bad_tol(mode, tol):
+    h = riplab.build_tensored(4, 2, 8, riplab.RademacherBase(), seed=1)
+    with pytest.raises(ParameterError, match="tol"):
+        riplab.isotropy_check(h, mode=mode, tol=tol)
+
+
 def test_correlated_count_unit_column_hits_itself():
     rng = np.random.default_rng(15)
     h = rng.standard_normal((12, 6))

@@ -5,7 +5,8 @@ import pytest
 
 from srpc import (PBiasedMatrix, SolverConfig, batched_inner_products,
                   batched_membership_degrees, from_edge_list, generate, solve,
-                  strategy_clique_union, strategy_erdos_renyi, threshold_for)
+                  strategy_clique_union, strategy_erdos_renyi,
+                  strategy_majority_adversary, threshold_for)
 from srpc import linalg, solver
 from srpc.errors import ParameterError
 from srpc.solver import MAX_ALPHA_ROWS, _is_clique, _refine_sets
@@ -162,8 +163,25 @@ def test_batched_inner_products_single_alpha_matches_candidate_path():
     assert set(raw_members(g, [(2, 9)], tau=4)) == set(np.nonzero(table[0] >= 4)[0])
     # the solver's own round loop admits the same set for that alpha
     cfg = SolverConfig(order=2, rounds=1, threshold=4.0, seed=0)
-    (_, alphas, members), = solver.iter_round_members(g, 5, 0.5, cfg)
-    assert tuple(members.tolist()) == raw_members(g, alphas, tau=4)
+    (alphas, members), = solver.iter_round_members(g, 5, 0.5, cfg)
+    assert tuple(np.flatnonzero(members[0]).tolist()) == raw_members(g, alphas[0].tolist(), tau=4)
+
+
+def test_iter_round_members_yields_one_member_table_per_oracle_batch():
+    g = random_graph(40, 23)
+    cfg = SolverConfig(order=2, reps=2, rounds=50, threshold=3.0, seed=4)
+    counters = linalg.Counters()
+    batches = list(solver.iter_round_members(g, 5, 0.5, cfg, counters))
+    assert len(batches) == counters.oracle_calls == math.ceil(50 / (40 // 2))
+    sampled = solver._sample_alphas(40, 50, 2, 2, np.random.default_rng(np.random.SeedSequence(4)))
+    assert np.array_equal(np.concatenate([a for a, _ in batches]).reshape(-1, 2), sampled)
+    for alphas, members in batches:
+        assert len(alphas) <= 40 // 2
+        assert alphas.shape == (len(alphas), 2, 2)
+        assert members.shape == (len(alphas), 40) and members.dtype == bool
+        for round_alphas, row in zip(alphas, members):
+            assert tuple(np.flatnonzero(row).tolist()) == raw_members(g, round_alphas.tolist(),
+                                                                      tau=3)
 
 
 def test_batched_inner_products_complete_graph():
@@ -287,6 +305,19 @@ def test_solve_general_p_paths():
         inst = generate(300, k, p, strategy_erdos_renyi(), seed=20)
         result = solve(inst.graph, k, p, SolverConfig(seed=13))
         assert tuple(sorted(inst.planted)) in [e.vertices for e in result.entries]
+
+
+def test_solve_round_counts_match_brute_force_over_rounds():
+    inst = generate(150, 40, 0.5, strategy_majority_adversary(7), seed=3)
+    cfg = SolverConfig(order=1, reps=2, rounds=300, seed=3)
+    stats = solve(inst.graph, 40, 0.5, cfg).stats
+    rng = np.random.default_rng(np.random.SeedSequence(3))
+    alphas = solver._sample_alphas(150, 300, 1, 2, rng).reshape(300, 2, 1)
+    sizes = [len(raw_members(inst.graph, a.tolist(), threshold_for(40, 0.5))) for a in alphas]
+    assert stats["rounds_nonempty"] == sum(1 for size in sizes if size > 0)
+    assert stats["rounds_short_skipped"] == sum(1 for size in sizes if 0 < size < 40)
+    # the instance has empty, short and long rounds alike
+    assert 0 < stats["rounds_short_skipped"] < stats["rounds_nonempty"] < 300
 
 
 def test_solve_round_count_and_oracle_batches():
