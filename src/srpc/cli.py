@@ -50,9 +50,14 @@ def _read_doc(path, parse):
 SEED = click.IntRange(min=0)
 
 
+def _seed_option():
+    """A subcommand's --seed; unset, it falls back to the group's --seed."""
+    return click.option("--seed", type=SEED, default=None,
+                        callback=lambda ctx, _, seed: ctx.obj["seed"] if seed is None else seed)
+
+
 def _backend_from_ctx(ctx, override: str | None) -> linalg.Backend:
-    name = override or ctx.obj.get("backend") or "naive"
-    return linalg.parse_backend(name)
+    return linalg.Backend(override or ctx.obj.get("backend") or "naive")
 
 
 @click.group()
@@ -76,11 +81,10 @@ def cli(ctx, seed, threads, backend):
               default="erdos_renyi", show_default=True)
 @click.option("--m", type=int, default=None, help="Majority adversary row count (odd).")
 @click.option("--decoys", type=int, default=None, help="Majority adversary decoy count.")
-@click.option("--seed", type=SEED, default=None)
+@_seed_option()
 @click.option("--out-graph", required=True)
 @click.option("--out-meta", required=True)
-@click.pass_context
-def generate_cmd(ctx, n, k, p, adversary, m, decoys, seed, out_graph, out_meta):
+def generate_cmd(n, k, p, adversary, m, decoys, seed, out_graph, out_meta):
     """Generate an instance; the planted set goes only to the metadata sidecar."""
     params = {}
     if adversary == "majority":
@@ -88,7 +92,7 @@ def generate_cmd(ctx, n, k, p, adversary, m, decoys, seed, out_graph, out_meta):
             raise ParameterError("--m is required for the majority adversary")
         params = {"m": m, "decoy_count": decoys}
     strategy = strategy_by_name(adversary, **params)
-    inst = generate(n, k, p, strategy, seed if seed is not None else ctx.obj["seed"])
+    inst = generate(n, k, p, strategy, seed)
     write_instance(inst, out_graph, out_meta)
 
 
@@ -101,7 +105,7 @@ def generate_cmd(ctx, n, k, p, adversary, m, decoys, seed, out_graph, out_meta):
 @click.option("--reps", type=int, default=1, show_default=True)
 @click.option("--rounds-const", type=float, default=10.0, show_default=True)
 @click.option("--rounds", type=int, default=None, help="Override the round count.")
-@click.option("--seed", type=SEED, default=None)
+@_seed_option()
 @click.option("--backend", type=click.Choice(["naive", "blocked", "recursive"]),
               default=None)
 @click.option("--out", required=True)
@@ -113,8 +117,7 @@ def solve_cmd(ctx, graph_path, k, p, order, reps, rounds_const, rounds, seed,
     """List-decode cliques from a graph file (never reads the planted set)."""
     graph = read_graph(graph_path)
     cfg = solver.SolverConfig(order=int(order), reps=reps, c_rounds=rounds_const,
-                              rounds=rounds,
-                              seed=seed if seed is not None else ctx.obj["seed"],
+                              rounds=rounds, seed=seed,
                               backend=_backend_from_ctx(ctx, backend))
     result = solver.solve(graph, k, p, cfg)
     wall = result.stats.pop("wall_times")
@@ -193,15 +196,12 @@ def grid_cmd(ctx, config_path, out_csv, out_config, threads):
 @click.option("--n", type=int, required=True)
 @click.option("--k", type=int, required=True)
 @click.option("--m", type=int, required=True)
-@click.option("--seed", type=SEED, default=None)
+@_seed_option()
 @click.option("--rounds-const", type=float, default=10.0, show_default=True)
 @click.option("--out", default="-")
-@click.pass_context
-def adversary_demo_cmd(ctx, n, k, m, seed, rounds_const, out):
+def adversary_demo_cmd(n, k, m, seed, rounds_const, out):
     """Majority-adversary correlation study plus paired order-1/order-3 runs."""
-    report = harness.adversary_demo(
-        n, k, m, seed if seed is not None else ctx.obj["seed"],
-        c_rounds=rounds_const)
+    report = harness.adversary_demo(n, k, m, seed, c_rounds=rounds_const)
     report["format"] = "srpc-adversary-demo v1"
     _write(out, harness.report_json(report))
 
@@ -230,7 +230,7 @@ _shared_rip = [
     click.option("--base", type=click.Choice(["rademacher", "pbiased"]),
                  default="rademacher", show_default=True),
     click.option("--p", default=None, help="Base-law p as a fraction, e.g. 4/5."),
-    click.option("--seed", type=SEED, default=None),
+    _seed_option(),
     click.option("--out", default="-"),
 ]
 
@@ -245,11 +245,9 @@ def _with_options(options):
 
 @rip.command("build")
 @_with_options(_shared_rip)
-@click.pass_context
-def rip_build(ctx, k, t, q, base, p, seed, out):
+def rip_build(k, t, q, base, p, seed, out):
     """Build a tensored matrix and report its shape and entry bound."""
-    h = riplab.build_tensored(k, t, q, _base_dist(base, p),
-                              seed if seed is not None else ctx.obj["seed"])
+    h = riplab.build_tensored(k, t, q, _base_dist(base, p), seed)
     doc = {"format": "srpc-rip-build v1", "q": h.q, "k": h.k, "t": h.t,
            "columns": len(h.columns), "entry_bound": h.entry_bound,
            "base": h.base.name, "seed": h.seed}
@@ -261,11 +259,9 @@ def rip_build(ctx, k, t, q, base, p, seed, out):
 @click.option("--mode", type=click.Choice(["exhaustive", "sampled"]),
               default="sampled", show_default=True)
 @click.option("--tol", type=float, default=None)
-@click.pass_context
-def rip_isotropy(ctx, k, t, q, base, p, seed, out, mode, tol):
+def rip_isotropy(k, t, q, base, p, seed, out, mode, tol):
     """Check zero-mean / unit-variance / uncorrelated column moments."""
-    h = riplab.build_tensored(k, t, q, _base_dist(base, p),
-                              seed if seed is not None else ctx.obj["seed"])
+    h = riplab.build_tensored(k, t, q, _base_dist(base, p), seed)
     report = riplab.isotropy_check(h, mode=mode, tol=tol)
     doc = {"format": "srpc-rip-isotropy v1", "mode": report.mode, "ok": report.ok,
            "max_abs_mean": report.max_abs_mean, "max_abs_cross": report.max_abs_cross,
@@ -284,10 +280,8 @@ def rip_isotropy(ctx, k, t, q, base, p, seed, out, mode, tol):
               show_default=True)
 @click.option("--normalize/--no-normalize", default=True, show_default=True,
               help="Scale the matrix by 1/sqrt(q) first.")
-@click.pass_context
-def rip_opnorm(ctx, k, t, q, base, p, seed, out, r, method, trials, budget, normalize):
+def rip_opnorm(k, t, q, base, p, seed, out, r, method, trials, budget, normalize):
     """Sparse operator norm over all (or sampled) size-r supports."""
-    seed = seed if seed is not None else ctx.obj["seed"]
     h = riplab.build_tensored(k, t, q, _base_dist(base, p), seed)
     mat = h.values / np.sqrt(q) if normalize else h.values
     if method == "exhaustive":
@@ -305,10 +299,8 @@ def rip_opnorm(ctx, k, t, q, base, p, seed, out, r, method, trials, budget, norm
 @_with_options(_shared_rip)
 @click.option("--r", type=int, required=True)
 @click.option("--trials", type=int, default=10000, show_default=True)
-@click.pass_context
-def rip_deviation(ctx, k, t, q, base, p, seed, out, r, trials):
+def rip_deviation(k, t, q, base, p, seed, out, r, trials):
     """Sampled two-sided RIP deviation of H/sqrt(q)."""
-    seed = seed if seed is not None else ctx.obj["seed"]
     h = riplab.build_tensored(k, t, q, _base_dist(base, p), seed)
     deviation = riplab.rip_deviation_sampled(h.values / np.sqrt(q), r,
                                              trials=trials, seed=seed)
@@ -321,10 +313,8 @@ def rip_deviation(ctx, k, t, q, base, p, seed, out, r, trials):
 @_with_options(_shared_rip)
 @click.option("--tau", type=float, required=True)
 @click.option("--w-seed", type=SEED, default=0, show_default=True)
-@click.pass_context
-def rip_corrcount(ctx, k, t, q, base, p, seed, out, tau, w_seed):
+def rip_corrcount(k, t, q, base, p, seed, out, tau, w_seed):
     """Count columns correlated with a seeded random sign vector."""
-    seed = seed if seed is not None else ctx.obj["seed"]
     h = riplab.build_tensored(k, t, q, _base_dist(base, p), seed)
     rng = np.random.default_rng(np.random.SeedSequence(w_seed))
     w = rng.choice(np.array([-1.0, 1.0]), size=q)
@@ -340,13 +330,12 @@ def rip_corrcount(ctx, k, t, q, base, p, seed, out, tau, w_seed):
 @click.option("--backends", default="naive,blocked,recursive", show_default=True)
 @click.option("--kind", type=click.Choice(["int", "float"]), default="int",
               show_default=True)
-@click.option("--seed", type=SEED, default=None)
+@_seed_option()
 @click.option("--out", default="-",
               help="Deterministic counter report (wall times go to stderr).")
-@click.pass_context
-def bench(ctx, sizes, backends, kind, seed, out):
+def bench(sizes, backends, kind, seed, out):
     """Time the multiplication backends and report oracle counters."""
-    rng = np.random.default_rng(seed if seed is not None else ctx.obj["seed"])
+    rng = np.random.default_rng(seed)
     if not all(s.strip().isdecimal() and int(s) > 0 for s in sizes.split(",")):
         raise ParameterError(f"--sizes must be comma-separated positive integers, got {sizes!r}")
     report = []
@@ -359,7 +348,7 @@ def bench(ctx, sizes, backends, kind, seed, out):
             b = rng.standard_normal((size, size))
         for name in backends.split(","):
             counters = linalg.Counters()
-            linalg.matmul(a, b, linalg.parse_backend(name), counters)
+            linalg.matmul(a, b, linalg.Backend(name), counters)
             click.echo(f"n={size} backend={name}: {counters.seconds:.4f}s", err=True)
             report.append({"n": size, "backend": name, "kind": kind,
                            "oracle_calls": counters.oracle_calls,

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .errors import InputError
+
 
 @dataclass(frozen=True)
 class CliqueEntry:
@@ -35,6 +37,15 @@ class CliqueList:
 
     def vertex_sets(self) -> list[tuple[int, ...]]:
         return [e.vertices for e in self.entries]
+
+    def check_vertices(self, n: int) -> None:
+        """Raise :class:`InputError` if an entry repeats a vertex or has one outside [0, n)."""
+        for entry in self.entries:
+            verts = entry.vertices
+            if len(set(verts)) != len(verts):
+                raise InputError(f"entry has repeated vertices: {verts}")
+            if verts and (verts[0] < 0 or verts[-1] >= n):
+                raise InputError(f"entry has vertices outside [0,{n})")
 
     def to_dict(self) -> dict:
         return {"cliques": [e.to_dict() for e in self.entries],

@@ -52,6 +52,10 @@ class SignedAdjacency:
         np.fill_diagonal(a, 0)
         return a
 
+    def is_clique(self, vertices) -> bool:
+        """True when the submatrix induced on ``vertices`` is all +1; an empty set is a clique."""
+        return bool(np.all(self.signs[np.ix_(vertices, vertices)] == 1))
+
     def __eq__(self, other) -> bool:
         return isinstance(other, SignedAdjacency) and np.array_equal(self.signs, other.signs)
 

@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import math
+import numbers
 import re
 import sys
 import traceback
@@ -24,6 +25,7 @@ import numpy as np
 from . import linalg, solver
 from .cliquelist import CliqueList
 from .errors import InputError, InternalInvariantError, ParameterError
+from .graphs import MAX_N
 from .instances import (Instance, generate, majority_vector, strategy_by_name,
                         strategy_majority_adversary)
 
@@ -37,7 +39,6 @@ class EvalResult:
     entries_matching_planted: int
     all_entries_valid_cliques: bool
     oracle_calls: dict
-    wall_times: dict
 
     def to_dict(self) -> dict:
         return {"recovered": self.recovered, "list_size": self.list_size,
@@ -67,18 +68,11 @@ def evaluate(instance: Instance, clique_list: CliqueList,
     ``stats.config`` that lacks a key or holds a bad value, raises
     :class:`InputError`.
     """
+    clique_list.check_vertices(instance.n)
     planted = tuple(sorted(instance.planted))
     matching = sum(1 for e in clique_list.entries if e.vertices == planted)
-    valid = True
-    for entry in clique_list.entries:
-        verts = entry.vertices
-        if len(set(verts)) != len(verts):
-            raise InputError("entry has repeated vertices")
-        if verts and (verts[0] < 0 or verts[-1] >= instance.n):
-            raise InputError(f"entry has vertices outside [0,{instance.n})")
-        sub = instance.graph.signs[np.ix_(verts, verts)]
-        if len(verts) < instance.k or not np.all(sub == 1):
-            valid = False
+    valid = all(len(e.vertices) >= instance.k and instance.graph.is_clique(e.vertices)
+                for e in clique_list.entries)
     stats = clique_list.stats
     stage_counts = {key: stats.get(key) for key in
                     ("rounds", "rounds_nonempty", "rounds_short_skipped",
@@ -98,8 +92,7 @@ def evaluate(instance: Instance, clique_list: CliqueList,
                       stage_counts=stage_counts, max_spurious=spurious,
                       entries_matching_planted=matching,
                       all_entries_valid_cliques=valid,
-                      oracle_calls=dict(stats.get("oracle_calls", {})),
-                      wall_times=dict(stats.get("wall_times", {})))
+                      oracle_calls=dict(stats.get("oracle_calls", {})))
 
 
 _K_RULE_RE = re.compile(
@@ -125,12 +118,30 @@ GRID_SOLVER_KEYS = ("order", "reps", "c_rounds", "backend")
 
 def _grid_solver(entry: dict) -> solver.SolverConfig:
     """A grid config's solver entry; a key outside GRID_SOLVER_KEYS is refused."""
+    if not isinstance(entry, dict):
+        raise ParameterError(f"grid solvers entry must be an object, got {entry!r}")
     for key in entry:
         if key not in GRID_SOLVER_KEYS:
             raise ParameterError(f"grid solver entry has unknown key {key!r}")
     if "backend" in entry:
-        entry = dict(entry, backend=linalg.parse_backend(entry["backend"]))
+        entry = dict(entry, backend=linalg.Backend(entry["backend"]))
     return solver.SolverConfig(**entry)
+
+
+def _grid_adversary(entry: dict) -> tuple[str, dict]:
+    """A grid config's adversary entry as (name, params), built once to check its params."""
+    if not isinstance(entry, dict):
+        raise ParameterError(f"grid adversaries entry must be an object, got {entry!r}")
+    params = {k: v for k, v in entry.items() if k != "name"}
+    try:
+        strategy_by_name(entry["name"], **params)
+    except (TypeError, ParameterError) as exc:
+        raise ParameterError(f"grid adversaries entry {entry!r}: {exc}") from None
+    return entry["name"], params
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -144,19 +155,37 @@ class ExperimentGrid:
     seed: int = 0
 
     def __post_init__(self):
-        if isinstance(self.trials, bool) or not isinstance(self.trials, int) or self.trials < 1:
+        if not _is_int(self.trials) or self.trials < 1:
             raise ParameterError(f"trials must be a positive integer, got {self.trials!r}")
+        if not _is_int(self.seed) or self.seed < 0:
+            raise ParameterError(f"seed must be an integer >= 0, got {self.seed!r}")
+        for n in self.ns:
+            if not _is_int(n) or not 1 <= n <= MAX_N:
+                raise ParameterError(f"ns must hold integers in [1, {MAX_N}], got {n!r}")
+        for p in self.ps:
+            if isinstance(p, bool) or not isinstance(p, numbers.Real) or not 0.0 < p < 1.0:
+                raise ParameterError(f"ps must hold finite numbers in (0, 1), got {p!r}")
+        for rule in self.k_rules:
+            for n in self.ns:
+                k = resolve_k_rule(rule, n)
+                if not 1 <= k <= n:
+                    raise ParameterError(f"k_rules entry {rule!r} gives k={k} outside "
+                                         f"[1, {n}] at n={n}")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentGrid":
-        solvers = tuple(_grid_solver(s) for s in doc.get("solvers", [{}]))
-        adversaries = tuple(
-            (a["name"], {k: v for k, v in a.items() if k != "name"})
-            for a in doc.get("adversaries", [{"name": "erdos_renyi"}]))
-        return cls(ns=tuple(doc["ns"]), k_rules=tuple(str(r) for r in doc["k_rules"]),
-                   ps=tuple(doc.get("ps", [0.5])), solvers=solvers,
-                   adversaries=adversaries, trials=doc.get("trials", 20),
-                   seed=doc.get("seed", 0))
+        def listed(key, default=None):
+            value = doc[key] if default is None else doc.get(key, default)
+            if not isinstance(value, list):
+                raise ParameterError(f"grid field {key!r} must be a list, got {value!r}")
+            return value
+
+        return cls(ns=tuple(listed("ns")), k_rules=tuple(str(r) for r in listed("k_rules")),
+                   ps=tuple(listed("ps", [0.5])),
+                   solvers=tuple(_grid_solver(s) for s in listed("solvers", [{}])),
+                   adversaries=tuple(_grid_adversary(a) for a in
+                                     listed("adversaries", [{"name": "erdos_renyi"}])),
+                   trials=doc.get("trials", 20), seed=doc.get("seed", 0))
 
     def cells(self) -> list[dict]:
         out = []

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, ParameterError
-from .graphs import GRAPH_HEADER, SignedAdjacency, read_graph, write_graph
+from .graphs import MAX_N, SignedAdjacency, read_graph, write_graph
 
 INSTANCE_HEADER = "srpc-instance v1"
 
@@ -108,6 +108,8 @@ class MajorityAdversaryStrategy(AdversaryStrategy):
             raise ParameterError(f"m must be odd, got {m}")
         if m < 1:
             raise ParameterError("m must be >= 1")
+        if decoy_count is not None and decoy_count < 0:
+            raise ParameterError(f"decoy_count must be >= 0, got {decoy_count}")
         self.m = m
         self.decoy_count = decoy_count
 
@@ -176,14 +178,15 @@ class Instance:
     details: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        sub = self.graph.signs[np.ix_(self.planted, self.planted)]
-        if not np.all(sub == 1):
+        if not self.graph.is_clique(self.planted):
             raise InputError("planted set does not induce a complete subgraph")
 
 
 def generate(n: int, k: int, p: float, strategy: AdversaryStrategy,
              seed: int) -> Instance:
     """Draw an instance: plant a clique, randomize the cut, let the adversary fill the rest."""
+    if n > MAX_N:
+        raise ParameterError(f"n={n} exceeds the limit MAX_N={MAX_N}")
     if not 1 <= k <= n:
         raise ParameterError(f"need 1 <= k <= n, got k={k}, n={n}")
     if not 0.0 < p < 1.0:

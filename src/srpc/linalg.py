@@ -65,10 +65,6 @@ BLOCKED = Backend("blocked")
 RECURSIVE = Backend("recursive")
 
 
-def parse_backend(name: str, block_size: int = 64, cutoff: int = 128) -> Backend:
-    return Backend(name, block_size=block_size, cutoff=cutoff)
-
-
 def _check_operands(a: np.ndarray, b: np.ndarray) -> None:
     if a.ndim != 2 or b.ndim != 2:
         raise ParameterError("matmul operands must be 2-D")

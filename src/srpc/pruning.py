@@ -6,9 +6,10 @@ entry is at most Delta = floor(3 ln n / ln(1/p)).  The filter is
 symmetric and evaluated in a single pass against the full deduplicated
 list, so two heavily-overlapping entries eliminate each other.
 
-`prune_fast` produces the identical output through blocked 0/1 Gram
-products instead of the quadratic set-intersection loop, in one marking
-pass over all block pairs.
+`prune_fast` produces the identical output, each removed entry's
+``conflicts_with`` list included, through blocked 0/1 Gram products
+instead of the quadratic set-intersection loop, in one pass over all
+block pairs.
 """
 
 from __future__ import annotations
@@ -16,12 +17,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from . import linalg
 from .cliquelist import CliqueEntry, CliqueList
-from .errors import InputError, ParameterError
+from .errors import ParameterError
 
 
 def intersection_threshold(n: int, p: float) -> int:
@@ -45,15 +47,6 @@ class PruneParams:
         return cls(n=n, p=p, delta=intersection_threshold(n, p), batch_size=batch_size)
 
 
-def _validate_entries(clique_list: CliqueList, params: PruneParams) -> None:
-    for entry in clique_list.entries:
-        verts = entry.vertices
-        if len(set(verts)) != len(verts):
-            raise InputError(f"entry has repeated vertices: {verts}")
-        if verts and (verts[0] < 0 or verts[-1] >= params.n):
-            raise InputError(f"entry has vertices outside [0,{params.n})")
-
-
 def _dedup(clique_list: CliqueList) -> tuple[list[CliqueEntry], int]:
     """Merge duplicate vertex sets, pooling their provenance."""
     merged: dict[tuple[int, ...], list] = {}
@@ -67,47 +60,52 @@ def _dedup(clique_list: CliqueList) -> tuple[list[CliqueEntry], int]:
     return deduped, len(clique_list.entries) - len(deduped)
 
 
-def _vacuous(entries: list[CliqueEntry], params: PruneParams) -> bool:
+def _prune(clique_list: CliqueList, params: PruneParams,
+           conflicts_of: Callable[[list[CliqueEntry]], list[list[int]]]) -> CliqueList:
+    """Check and deduplicate the list, then drop every entry with a conflict.
+
+    ``conflicts_of(entries)`` lists, for each deduplicated entry, the
+    ascending indices of the other entries it meets in more than
+    ``params.delta`` vertices.  When delta is at least the smallest entry
+    size the filter is vacuous: it warns and keeps every entry.
+    """
+    clique_list.check_vertices(params.n)
+    entries, duplicates = _dedup(clique_list)
     min_size = min((len(e.vertices) for e in entries), default=None)
-    if min_size is not None and params.delta >= min_size:
+    vacuous = min_size is not None and params.delta >= min_size
+    if vacuous:
         warnings.warn(
             f"intersection threshold {params.delta} >= smallest clique size "
             f"{min_size}; pruning is vacuous", stacklevel=3)
-        return True
-    return False
+        conflicts = [[] for _ in entries]
+    else:
+        conflicts = conflicts_of(entries)
+    removed = [{"vertices": list(e.vertices), "conflicts_with": c}
+               for e, c in zip(entries, conflicts) if c]
+    kept = [e for e, c in zip(entries, conflicts) if not c]
+    return CliqueList(kept, {"input": len(clique_list.entries),
+                             "duplicates_removed": duplicates, "removed": removed,
+                             "output": len(kept), "vacuous": vacuous})
 
 
 def prune_naive(clique_list: CliqueList, params: PruneParams) -> CliqueList:
     """Reference quadratic implementation of the symmetric filter."""
-    _validate_entries(clique_list, params)
-    entries, duplicates = _dedup(clique_list)
-    stats = {"input": len(clique_list.entries), "duplicates_removed": duplicates}
-    if _vacuous(entries, params):
-        stats.update(removed=[], output=len(entries), vacuous=True)
-        return CliqueList(entries, stats)
-    sets = [set(e.vertices) for e in entries]
-    kept, removed = [], []
-    for i, entry in enumerate(entries):
-        conflicts = [j for j in range(len(entries)) if j != i
-                     and len(sets[i] & sets[j]) > params.delta]
-        if conflicts:
-            removed.append({"vertices": list(entry.vertices),
-                            "conflicts_with": conflicts})
-        else:
-            kept.append(entry)
-    stats.update(removed=removed, output=len(kept), vacuous=False)
-    return CliqueList(kept, stats)
+    def conflicts_of(entries):
+        sets = [set(e.vertices) for e in entries]
+        return [[j for j in range(len(sets)) if j != i and len(sets[i] & sets[j]) > params.delta]
+                for i in range(len(sets))]
+    return _prune(clique_list, params, conflicts_of)
 
 
-def _mark_violators(entries: list[CliqueEntry], n: int, batch: int,
+def _gram_conflicts(entries: list[CliqueEntry], n: int, batch: int,
                     delta: int, backend: linalg.Backend,
-                    counters: linalg.Counters | None) -> np.ndarray:
-    """Symmetric conflict marks from blocked Gram tables over all pairs."""
+                    counters: linalg.Counters | None) -> list[list[int]]:
+    """Each entry's conflicts, from blocked Gram tables over all block pairs."""
     m = len(entries)
     indicators = np.zeros((m, n), dtype=np.int64)
     for i, entry in enumerate(entries):
         indicators[i, list(entry.vertices)] = 1
-    marked = np.zeros(m, dtype=bool)
+    conflicts: list[list[int]] = [[] for _ in range(m)]
     starts = list(range(0, m, batch))
     for a in starts:
         ua = indicators[a:a + batch]
@@ -123,9 +121,11 @@ def _mark_violators(entries: list[CliqueEntry], n: int, batch: int,
             hits = table > delta
             if a == b:
                 np.fill_diagonal(hits, False)  # an entry does not conflict with itself
-            marked[a:a + hits.shape[0]] |= hits.any(axis=1)
-            marked[b:b + hits.shape[1]] |= hits.any(axis=0)
-    return marked
+            for i, j in zip(*(idx.tolist() for idx in np.nonzero(hits))):
+                conflicts[a + i].append(b + j)
+                if a != b:
+                    conflicts[b + j].append(a + i)
+    return [sorted(c) for c in conflicts]
 
 
 def prune_fast(clique_list: CliqueList, params: PruneParams,
@@ -133,20 +133,8 @@ def prune_fast(clique_list: CliqueList, params: PruneParams,
                counters: linalg.Counters | None = None) -> CliqueList:
     """Blocked-Gram implementation; output is identical to :func:`prune_naive`.
 
-    One marking pass over all block pairs reproduces the single-pass
-    symmetric filter exactly: the survivors are the entries with no
-    conflict at all, so they are pairwise compatible and a second pass
-    would mark nothing.
+    The upper block pairs of the Gram matrix give every conflicting pair
+    once, so one pass over them yields each entry's full conflict list.
     """
-    _validate_entries(clique_list, params)
-    entries, duplicates = _dedup(clique_list)
-    stats = {"input": len(clique_list.entries), "duplicates_removed": duplicates}
-    if _vacuous(entries, params):
-        stats.update(removed=[], output=len(entries), vacuous=True)
-        return CliqueList(entries, stats)
-    marked = _mark_violators(entries, params.n, params.batch_size or params.n,
-                             params.delta, backend, counters)
-    removed = [{"vertices": list(e.vertices)} for e, m in zip(entries, marked) if m]
-    entries = [e for e, m in zip(entries, marked) if not m]
-    stats.update(removed=removed, output=len(entries), vacuous=False)
-    return CliqueList(entries, stats)
+    return _prune(clique_list, params, lambda entries: _gram_conflicts(
+        entries, params.n, params.batch_size or params.n, params.delta, backend, counters))

@@ -30,7 +30,10 @@ import numpy as np
 from . import linalg, pruning
 from .cliquelist import CliqueEntry, CliqueList
 from .errors import ParameterError
-from .graphs import PBiasedMatrix, SignedAdjacency, hadamard_rows, row_products
+from .graphs import PBiasedMatrix, SignedAdjacency, _check_alpha, row_products
+# Unused here: perfbench's tracer wraps srpc.solver.hadamard_rows by name, and
+# tests/test_perfbench_targets.py guards that lookup.
+from .graphs import hadamard_rows  # noqa: F401
 
 FLOAT_THRESHOLD_TOL = 1e-9
 # Most rows (rounds * reps) a solve samples; its (rows, s) int64 alpha array
@@ -97,9 +100,11 @@ class SolverConfig:
     def num_rounds(self, n: int, k: int) -> int:
         """The explicit round count, else ceil(c_rounds * (n/k)**(s*t)), at least 1.
 
-        A computed count that is not finite, or whose rounds * reps exceeds
-        :data:`MAX_ALPHA_ROWS`, raises :class:`ParameterError`.
+        A k outside [1, n], or a computed count that is not finite or whose
+        rounds * reps exceeds :data:`MAX_ALPHA_ROWS`, raises :class:`ParameterError`.
         """
+        if not 1 <= k <= n:
+            raise ParameterError(f"need 1 <= k <= n, got k={k}, n={n}")
         if self.rounds is not None:
             return self.rounds
         try:
@@ -126,7 +131,7 @@ class SolverConfig:
         return cls(order=doc["order"], reps=doc["reps"], c_rounds=doc["c_rounds"],
                    rounds=doc.get("rounds"), threshold=doc.get("threshold"),
                    seed=doc["seed"],
-                   backend=linalg.parse_backend(doc.get("backend", "naive")))
+                   backend=linalg.Backend(doc.get("backend", "naive")))
 
 
 Matrix = Union[SignedAdjacency, PBiasedMatrix]
@@ -139,11 +144,20 @@ def _operand(matrix: Matrix) -> np.ndarray:
     return matrix.values
 
 
-def _inner_table(values: np.ndarray, rows: np.ndarray, backend: linalg.Backend,
-                 counters: linalg.Counters | None) -> np.ndarray:
-    if values.dtype == np.float32:
-        return linalg.sign_matmul(rows, values, values.shape[0], counters)
-    return linalg.matmul(rows, np.ascontiguousarray(values.T), backend, counters)
+def _inner_tables(values: np.ndarray, alpha_rows: np.ndarray, batch: int,
+                  backend: linalg.Backend,
+                  counters: linalg.Counters | None) -> Iterator[np.ndarray]:
+    """Yield <product row of alpha_rows[b], values[j]> tables, one oracle call per ``batch`` rows.
+
+    float32 operands are signs and go through the exact :func:`linalg.sign_matmul`;
+    float64 operands go through :func:`linalg.matmul` with ``backend``.
+    """
+    for start in range(0, len(alpha_rows), batch):
+        rows = row_products(values, alpha_rows[start:start + batch])
+        if values.dtype == np.float32:
+            yield linalg.sign_matmul(rows, values, values.shape[0], counters)
+        else:
+            yield linalg.matmul(rows, np.ascontiguousarray(values.T), backend, counters)
 
 
 def batched_inner_products(matrix: Matrix, alphas: Sequence[Sequence[int]],
@@ -152,18 +166,17 @@ def batched_inner_products(matrix: Matrix, alphas: Sequence[Sequence[int]],
     """Table T[a, j] = <M_alpha_a, M_j>, one oracle call per n-row batch.
 
     There are ceil(len(alphas) / n) calls; the last batch holds only the
-    remaining rows.  Alphas may mix orders.
+    remaining rows.  All alphas must have one order; mixed orders raise
+    :class:`ParameterError`.
     """
     if not alphas:
         raise ParameterError("alphas must be nonempty")
-    n = matrix.n
-    values = _operand(matrix)
-    rows = np.vstack([hadamard_rows(matrix, a) for a in alphas]).astype(values.dtype)
-    out = np.empty((len(alphas), n),
-                   dtype=np.int64 if isinstance(matrix, SignedAdjacency) else np.float64)
-    for start in range(0, len(alphas), n):
-        out[start:start + n] = _inner_table(values, rows[start:start + n], backend, counters)
-    return out
+    idx = [_check_alpha(alpha, matrix.n) for alpha in alphas]
+    orders = sorted({len(alpha) for alpha in idx})
+    if len(orders) > 1:
+        raise ParameterError(f"alphas must have one order per call, got orders {orders}")
+    return np.concatenate(list(_inner_tables(_operand(matrix), np.array(idx), matrix.n,
+                                             backend, counters)))
 
 
 def _refine_sets(graph: SignedAdjacency, sets: Sequence[Sequence[int]], k: int,
@@ -179,12 +192,6 @@ def _refine_sets(graph: SignedAdjacency, sets: Sequence[Sequence[int]], k: int,
         return kept
     degrees = batched_membership_degrees(graph, kept, backend, counters)
     return [members[deg[members] >= k - 1] for members, deg in zip(kept, degrees)]
-
-
-def _is_clique(graph: SignedAdjacency, members: Sequence[int], k: int) -> bool:
-    """True when ``members`` has size >= k and its induced submatrix is all +1."""
-    return (len(members) >= k
-            and bool(np.all(graph.signs[np.ix_(members, members)] == 1)))
 
 
 def batched_membership_degrees(graph: SignedAdjacency,
@@ -239,13 +246,11 @@ def iter_round_members(graph: SignedAdjacency, k: int, p: float,
     hidden planted set.
     """
     n = graph.n
-    if not 1 <= k <= n:
-        raise ParameterError(f"need 1 <= k <= n, got k={k}, n={n}")
+    rounds = cfg.num_rounds(n, k)
     if cfg.order > n:
         raise ParameterError(f"order {cfg.order} exceeds vertex count {n}")
     if cfg.reps > n:
         raise ParameterError(f"reps {cfg.reps} exceeds the oracle batch size {n}")
-    rounds = cfg.num_rounds(n, k)
     tau = cfg.resolve_threshold(k, p)
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     t, s = cfg.reps, cfg.order
@@ -256,11 +261,11 @@ def iter_round_members(graph: SignedAdjacency, k: int, p: float,
     cutoff = tau if sign_path else tau - FLOAT_THRESHOLD_TOL
 
     rounds_per_batch = n // t  # whole rounds per oracle call of at most n rows
-    for r0 in range(0, rounds, rounds_per_batch):
-        batch = alphas[r0:r0 + rounds_per_batch]
-        rows = row_products(values, batch.reshape(-1, s))
-        passes = _inner_table(values, rows, cfg.backend, counters) >= cutoff
-        yield batch, passes.reshape(-1, t, n).all(axis=1)
+    batches = (alphas[r0:r0 + rounds_per_batch] for r0 in range(0, rounds, rounds_per_batch))
+    tables = _inner_tables(values, alphas.reshape(-1, s), rounds_per_batch * t,
+                           cfg.backend, counters)
+    for batch, table in zip(batches, tables):
+        yield batch, (table >= cutoff).reshape(-1, t, n).all(axis=1)
 
 
 def solve(graph: SignedAdjacency, k: int, p: float, cfg: SolverConfig,
@@ -308,7 +313,7 @@ def solve(graph: SignedAdjacency, k: int, p: float, cfg: SolverConfig,
     accepted: dict[tuple[int, ...], list] = {}
     rounds_accepted = 0
     for verts, round_alphas in refined:
-        if _is_clique(graph, verts, k):
+        if verts.size >= k and graph.is_clique(verts):
             rounds_accepted += len(round_alphas)
             accepted.setdefault(tuple(verts.tolist()), []).extend(round_alphas)
     wall["verify"] = time.perf_counter() - t0

@@ -293,6 +293,18 @@ def test_malformed_json_input_exits_2(instance_files, tmp_path, command, text):
     assert str(doc) in proc.stderr
 
 
+@pytest.mark.parametrize("args", [
+    ["solve", "--graph", "{graph}", "--k", 0, "--out", "{tmp}/s.json"],
+    ["solve", "--graph", "{graph}", "--k", 61, "--out", "{tmp}/s.json"],
+    ["generate", "--n", 100000, "--k", 10, "--out-graph", "{tmp}/g", "--out-meta", "{tmp}/m"],
+    ["generate", "--n", 50, "--k", 10, "--adversary", "majority", "--m", 3, "--decoys", -1,
+     "--out-graph", "{tmp}/g", "--out-meta", "{tmp}/m"],
+], ids=["solve-k-zero", "solve-k-above-n", "generate-n-above-max", "generate-negative-decoys"])
+def test_bad_size_exits_2(instance_files, tmp_path, args):
+    graph = instance_files[0]
+    assert_input_error(run_cli(*(str(a).format(graph=graph, tmp=tmp_path) for a in args)))
+
+
 @pytest.mark.parametrize("const", ["0", "-1", "nan"])
 def test_non_positive_rounds_const_exits_2(instance_files, tmp_path, const):
     graph = instance_files[0]
@@ -371,7 +383,32 @@ def test_non_finite_rip_thresholds_exit_2(args, name):
     ({"trials": True}, "trials"),
     ({"solvers": [{"rounds": 5}]}, "'rounds'"),
     ({"solvers": [{"order": 3, "bogus": 1}]}, "'bogus'"),
-], ids=["trials-zero", "trials-negative", "trials-bool", "solver-rounds", "solver-bogus"])
+    ({"solvers": [3]}, "solvers"),
+    ({"ns": 60}, "'ns'"),
+    ({"k_rules": "10"}, "'k_rules'"),
+    ({"ps": 0.5}, "'ps'"),
+    ({"ps": [float("nan")]}, "ps"),
+    ({"ps": [1.5]}, "ps"),
+    ({"ps": [0]}, "ps"),
+    ({"ns": ["a"]}, "ns"),
+    ({"ns": [0]}, "ns"),
+    ({"ns": [30.0]}, "ns"),
+    ({"ns": [100000]}, "ns"),
+    ({"adversaries": [{"name": "bogus"}]}, "adversaries"),
+    ({"adversaries": [{"name": "majority"}]}, "adversaries"),
+    ({"adversaries": [{"name": "majority", "m": 3, "decoy_count": -1}]}, "adversaries"),
+    ({"adversaries": [{"name": "erdos_renyi", "m": 3}]}, "adversaries"),
+    ({"adversaries": ["erdos_renyi"]}, "adversaries"),
+    ({"seed": -1}, "seed"),
+    ({"seed": 1.5}, "seed"),
+    ({"k_rules": ["0"]}, "k_rules"),
+    ({"k_rules": ["31"]}, "k_rules"),
+], ids=["trials-zero", "trials-negative", "trials-bool", "solver-rounds", "solver-bogus",
+        "solvers-not-objects", "ns-not-a-list", "k-rules-not-a-list", "ps-not-a-list",
+        "p-nan", "p-above-one", "p-zero", "n-string", "n-zero", "n-float", "n-above-max",
+        "adversary-unknown", "majority-without-m", "majority-negative-decoys",
+        "adversary-bad-param", "adversary-not-an-object", "seed-negative", "seed-float",
+        "k-zero", "k-above-n"])
 def test_bad_grid_config_exits_2(tmp_path, extra, name):
     config = tmp_path / "grid.json"
     config.write_text(json.dumps({"ns": [30], "k_rules": ["10"], **extra}))
@@ -380,3 +417,33 @@ def test_bad_grid_config_exits_2(tmp_path, extra, name):
     assert_input_error(proc)
     assert name in proc.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["generate", "--n", 40, "--k", 10, "--adversary", "majority", "--m", 3,
+     "--out-graph", "{out}", "--out-meta", "{out}.meta"],
+    ["solve", "--graph", "{graph}", "--k", 10, "--order", 1, "--out", "{out}"],
+    ["adversary-demo", "--n", 64, "--k", 16, "--m", 3, "--rounds-const", 1, "--out", "{out}"],
+    ["rip", "build", *RIP_SHAPE, "--out", "{out}"],
+    ["rip", "isotropy", *RIP_SHAPE, "--out", "{out}"],
+    ["rip", "opnorm", *RIP_SHAPE, "--r", 2, "--method", "sampled", "--trials", 20,
+     "--out", "{out}"],
+    ["rip", "deviation", *RIP_SHAPE, "--r", 2, "--trials", 20, "--out", "{out}"],
+    ["rip", "corrcount", *RIP_SHAPE, "--tau", 0.5, "--out", "{out}"],
+    ["bench", "--sizes", 8, "--out", "{out}"],
+], ids=["generate", "solve", "adversary-demo", "rip-build", "rip-isotropy", "rip-opnorm",
+        "rip-deviation", "rip-corrcount", "bench"])
+def test_group_seed_is_the_subcommand_default(runner, instance_files, tmp_path, args):
+    # `srpc --seed 7 <cmd>` writes what `srpc <cmd> --seed 7` writes; where the
+    # seed shows in the output, another seed changes it, so neither side ignores it
+    outputs = {}
+    for tag, before, after in (("group", ["--seed", 7], []), ("flag", [], ["--seed", 7]),
+                               ("other", [], ["--seed", 8])):
+        out = tmp_path / tag
+        fields = {"graph": instance_files[0], "out": out}
+        invoke(runner, [*map(str, before), *(str(a).format(**fields) for a in args),
+                        *map(str, after)])
+        outputs[tag] = out.read_bytes()
+    assert outputs["group"] == outputs["flag"]
+    if args[0] != "bench":  # bench reports only counters, which no seed moves
+        assert outputs["flag"] != outputs["other"]

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -76,6 +77,21 @@ def test_validation():
         prune_naive(entries_from_sets([(0, 1, 12)]), params)
 
 
+@pytest.mark.parametrize("sets, message", [
+    ([(0, 1, 2), (3, 3, 4)], "repeated vertices"),
+    ([(0, 1, 2), (5, 10)], r"outside \[0,10\)"),
+    ([(-1, 2)], r"outside \[0,10\)"),
+], ids=["repeat", "above-range", "negative"])
+def test_check_vertices_refuses_repeats_and_out_of_range(sets, message):
+    lst = CliqueList([CliqueEntry(s) for s in sets])
+    for check in (lambda: lst.check_vertices(10),
+                  lambda: prune_naive(lst, params_with_delta(10, 1)),
+                  lambda: prune_fast(lst, params_with_delta(10, 1))):
+        with pytest.raises(InputError, match=message):
+            check()
+    entries_from_sets([(0, 9), (), (3,)]).check_vertices(10)  # in range: no error
+
+
 def test_fast_marks_in_one_pass():
     # the survivors of one marking pass are pairwise compatible, so a
     # second pass would only repeat the Gram product
@@ -122,6 +138,21 @@ def test_fast_equals_naive_randomized(mode):
             naive = prune_naive(lst, params)
             fast = prune_fast(lst, params)
         assert fast.vertex_sets() == naive.vertex_sets()
+
+
+def test_fast_and_naive_documents_are_identical():
+    # the whole document, removed entries' conflicts_with included
+    from tests.test_acceptance import _random_prune_list
+    rng = np.random.default_rng(44)
+    removals = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for _ in range(300):
+            lst, params = _random_prune_list(rng)
+            naive = prune_naive(lst, params).to_dict()
+            assert prune_fast(lst, params).to_dict() == naive
+            removals += bool(naive["stats"]["removed"])
+    assert removals > 50
 
 
 def test_fast_equals_naive_across_backends():

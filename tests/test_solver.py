@@ -8,8 +8,8 @@ from srpc import (PBiasedMatrix, SolverConfig, batched_inner_products,
                   strategy_clique_union, strategy_erdos_renyi,
                   strategy_majority_adversary, threshold_for)
 from srpc import linalg, solver
-from srpc.errors import ParameterError
-from srpc.solver import MAX_ALPHA_ROWS, _is_clique, _refine_sets
+from srpc.errors import InputError, ParameterError
+from srpc.solver import MAX_ALPHA_ROWS, _refine_sets
 from tests.test_graphs import random_graph
 
 
@@ -136,12 +136,20 @@ def test_refine_never_removes_planted_with_small_contamination():
 
 def test_verify_accepts_planted_and_rejects_near_clique():
     inst = generate(60, 12, 0.5, strategy_erdos_renyi(), seed=7)
-    assert _is_clique(inst.graph, inst.planted, 12)
+    assert inst.graph.is_clique(inst.planted)
 
     # complete graph minus one edge fails
     edges = [(i, j) for i in range(12) for j in range(i + 1, 12) if (i, j) != (3, 7)]
     g = from_edge_list(12, edges)
-    assert not _is_clique(g, tuple(range(12)), 12)
+    assert not g.is_clique(tuple(range(12)))
+    assert g.is_clique(tuple(range(7)))  # the missing edge (3, 7) lies outside
+
+
+def test_is_clique_on_empty_and_single_vertex_sets():
+    g = from_edge_list(5, [(0, 1)])
+    assert g.is_clique(()) and g.is_clique(np.empty(0, dtype=np.int64))
+    assert all(g.is_clique((v,)) for v in range(5))
+    assert g.is_clique((0, 1)) and not g.is_clique((0, 2))
 
 
 def test_batched_inner_products_matches_triple_loop():
@@ -186,19 +194,29 @@ def test_iter_round_members_yields_one_member_table_per_oracle_batch():
 
 def test_batched_inner_products_complete_graph():
     g = complete_graph(17)
-    table = batched_inner_products(g, [(0, 1, 2), (3, 4)])
-    assert np.all(table == 17)
+    for alphas in ([(0, 1, 2)], [(3, 4)]):
+        assert np.all(batched_inner_products(g, alphas) == 17)
 
 
 def test_batched_inner_products_float_path_close_to_direct():
     g = random_graph(48, 12)
     m = PBiasedMatrix(g, 0.3)
-    alphas = [(0, 1, 2), (5, 9), (17,)]
-    table = batched_inner_products(m, alphas)
-    for a, alpha in enumerate(alphas):
-        row = np.prod(m.values[list(alpha)], axis=0)
-        direct = row @ m.values.T
-        assert np.allclose(table[a], direct, rtol=1e-9, atol=1e-9)
+    for alpha in [(0, 1, 2), (5, 9), (17,)]:
+        (row,) = batched_inner_products(m, [alpha])
+        direct = np.prod(m.values[list(alpha)], axis=0) @ m.values.T
+        assert np.allclose(row, direct, rtol=1e-9, atol=1e-9)
+
+
+def test_batched_inner_products_refuses_mixed_orders_and_bad_alphas():
+    g = complete_graph(8)
+    with pytest.raises(ParameterError, match="one order"):
+        batched_inner_products(g, [(0, 1, 2), (3, 4)])
+    with pytest.raises(ParameterError, match="nonempty"):
+        batched_inner_products(g, [])
+    with pytest.raises(InputError, match="outside"):
+        batched_inner_products(g, [(0, 8)])
+    with pytest.raises(InputError, match="duplicate"):
+        batched_inner_products(g, [(1, 1)])
 
 
 def test_batched_membership_degrees_cases():
