@@ -44,6 +44,8 @@ def _read_doc(path, parse):
         return parse(doc)
     except KeyError as exc:
         raise InputError(f"{path}: missing key {exc}") from None
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
 
 
 # Seeds feed np.random.SeedSequence, which takes only non-negative integers.

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 from .errors import InputError
@@ -23,7 +24,14 @@ class CliqueEntry:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "CliqueEntry":
-        return cls(vertices=tuple(doc["vertices"]),
+        """The entry of a document; a vertex that is not an integer raises :class:`InputError`."""
+        vertices = doc["vertices"]
+        if not isinstance(vertices, list):
+            raise InputError(f"entry vertices must be a list, got {vertices!r}")
+        for v in vertices:
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+                raise InputError(f"entry has a vertex that is not an integer: {v!r}")
+        return cls(vertices=tuple(vertices),
                    alphas=tuple(tuple(a) for a in doc.get("alphas", [])))
 
 

@@ -11,8 +11,8 @@ appear with probability p.
 
 from __future__ import annotations
 
-import io
 import re
+import warnings
 from typing import Iterable, Union
 
 import numpy as np
@@ -79,11 +79,21 @@ def from_edge_list(n: int, edges: np.ndarray | Iterable[tuple[int, int]]) -> Sig
         if not (0 <= a < n and 0 <= b < n):
             raise InputError(f"edge ({a},{b}) has an endpoint outside [0,{n})")
         raise InputError(f"self-loop ({a},{a}) is not allowed")
-    signs = -np.ones((n, n), dtype=np.int8)
-    np.fill_diagonal(signs, 1)
-    signs[i, j] = 1
-    signs[j, i] = 1
-    return SignedAdjacency(signs)
+    return _signs_from_edges(n, [pairs.T.astype(np.int64)])
+
+
+def _signs_from_edges(n: int, edge_batches: Iterable[tuple[np.ndarray, np.ndarray]]
+                      ) -> SignedAdjacency:
+    """The sign matrix with +1 on each edge (i[e], j[e]) of every batch, filled by flat index.
+
+    Endpoints must already lie in [0, n) (int64, so i*n + j cannot wrap).
+    """
+    flat = np.full(n * n, -1, dtype=np.int8)
+    flat[::n + 1] = 1
+    for i, j in edge_batches:
+        flat[i * n + j] = 1
+        flat[j * n + i] = 1
+    return SignedAdjacency(flat.reshape(n, n))
 
 
 class PBiasedMatrix:
@@ -157,35 +167,77 @@ def write_graph(graph: SignedAdjacency, path) -> None:
 
 # A body line: blank, or two ASCII-decimal vertex indices; spaces and tabs around them.
 _EDGE_LINE = re.compile(r"[ \t]*(?:([0-9]+)[ \t]+([0-9]+)[ \t]*)?")
+# Body bytes that read_graph scans per step (rounded up to the next line end).
+_CHUNK_BYTES = 1 << 20
 
 
-def _edge_array(body: str, n: int) -> np.ndarray | None:
-    """The (m, 2) edges of a v1 body from one C-level parse; None if a line breaks the format."""
-    raw = body.encode("utf-8")
-    if raw.translate(None, b"0123456789 \t\n"):
+def _chunk_edges(chunk: bytes, n: int, prev: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """The (i, j) endpoint arrays of one newline-aligned body chunk; None if a line breaks the format.
+
+    ``prev`` is the key i*n + j of the last edge before the chunk, or -1.
+    """
+    if chunk.translate(None, b"0123456789 \t\n"):
         return None
-    if not raw.strip():
-        return np.empty((0, 2), dtype=np.int64)
-    try:
-        edges = np.loadtxt(io.BytesIO(raw), dtype=np.int64, comments=None, ndmin=2)
-    except ValueError:
+    codes = np.frombuffer(chunk, dtype=np.uint8)
+    digit = codes >= ord("0")
+    event = codes == ord("\n")
+    event[0] |= digit[0]
+    event[1:] |= digit[1:] > digit[:-1]
+    # In the ordered stream of digit-run starts and newlines, tokens 2m and 2m+1
+    # are adjacent and a newline separates consecutive pairs: two tokens or none per line.
+    tokens = np.flatnonzero(codes[np.flatnonzero(event)] != ord("\n"))
+    first, second = tokens[0::2], tokens[1::2]
+    if (tokens.size % 2 or np.any(second - first != 1)
+            or np.any(first[1:] - second[:-1] < 2)):
         return None
-    if edges.shape[1] != 2:
+    if tokens.size == 0:
+        return first, second
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a partial parse only warns
+        try:
+            values = np.fromstring(chunk, dtype=np.int64, sep=" ")
+        except DeprecationWarning:
+            return None
+    if values.size != tokens.size:
         return None
-    i, j = edges[:, 0], edges[:, 1]
-    if not (np.all(i < j) and j.max() < n and np.all(np.diff(i * n + j) > 0)):
+    i, j = values[0::2], values[1::2]
+    if not (np.all(i < j) and j.max() < n):
         return None
-    return edges
+    keys = i * n + j
+    if keys[0] <= prev or np.any(keys[1:] <= keys[:-1]):
+        return None
+    return i, j
+
+
+def _body_edges(data: bytes, start: int, n: int):
+    """Yield the (i, j) endpoint arrays of the v1 body ``data[start:]``, a chunk at a time.
+
+    Chunks end at a newline.  A chunk that breaks the format raises
+    :func:`_bad_line`'s error for the whole body.
+    """
+    body_start, prev = start, -1
+    while start < len(data):
+        stop = data.find(b"\n", start + _CHUNK_BYTES - 1)
+        stop = len(data) if stop < 0 else stop + 1
+        edges = _chunk_edges(data[start:stop], n, prev)
+        if edges is None:
+            raise _bad_line(data[body_start:].decode("utf-8", errors="replace"), n)
+        start = stop
+        i, j = edges
+        if i.size:
+            prev = int(i[-1]) * n + int(j[-1])
+        yield i, j
 
 
 def _bad_line(body: str, n: int) -> InputError:
-    """The error naming the first body line that :func:`_edge_array` rejects."""
+    """The error naming the first body line that :func:`_chunk_edges` rejects."""
     prev = -1
     for lineno, line in enumerate(body.split("\n"), start=2):
         match = _EDGE_LINE.fullmatch(line)
         if match is None:
+            shown = line.strip(" \t")  # a form feed or other odd byte stays visible
             return InputError(f"line {lineno}: expected two integer vertex indices, "
-                              f"got {line.strip()!r}")
+                              f"got {shown!r}")
         if match.group(1) is None:
             continue
         i, j = int(match.group(1)), int(match.group(2))
@@ -208,21 +260,33 @@ def read_graph(path) -> SignedAdjacency:
 
     Each non-blank body line holds one edge ``i j`` in plain ASCII decimal,
     with 0 <= i < j < n; edges are sorted by (i, j) with no duplicates.
-    Blank lines, spaces and tabs around the indices, and CRLF line ends are
-    accepted.  Any other line, or a header ``n`` above :data:`MAX_N`, raises
-    :class:`InputError` naming its line.
+    Blank lines, spaces and tabs around the indices, and CRLF or CR line ends
+    are accepted.  Any other line, or a header ``n`` above :data:`MAX_N`,
+    raises :class:`InputError` naming its line.
+
+    The body stays bytes.  It is scanned in newline-aligned chunks of about
+    a MiB: ``bytes.translate`` refuses any other byte, array scans check the
+    two-tokens-per-line shape, ``np.fromstring`` parses the values and array
+    reductions check the order, and the chunk's edges go straight into the
+    sign matrix.  No Python code runs per edge and no whole-file edge array is
+    built.  Only a failed chunk runs the per-line scan that names the line.
     """
-    with open(path, encoding="utf-8", errors="replace") as fh:
-        header = fh.readline().strip()
-        parts = header.split()
-        if (parts[:2] != ["srpc-graph", "v1"] or not parts[-1].startswith("n=")
-                or not parts[-1][2:].isdecimal()):
-            raise InputError(f"line 1: unrecognized graph header: {header!r}")
-        n = int(parts[-1][2:])
-        if n > MAX_N:
-            raise InputError(f"line 1: n={n} exceeds the limit MAX_N={MAX_N}")
-        body = fh.read()
-    edges = _edge_array(body, n)
-    if edges is None:
-        raise _bad_line(body, n)
-    return from_edge_list(n, edges)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if b"\r" in data:  # universal newlines, as a text-mode read would give
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    cut = data.find(b"\n")
+    cut = len(data) if cut < 0 else cut
+    header = data[:cut].decode("utf-8", errors="replace").strip()
+    parts = header.split()
+    if (parts[:2] != ["srpc-graph", "v1"] or not parts[-1].startswith("n=")
+            or not parts[-1][2:].isdecimal()):
+        raise InputError(f"line 1: unrecognized graph header: {header!r}")
+    n = int(parts[-1][2:])
+    if n > MAX_N:
+        raise InputError(f"line 1: n={n} exceeds the limit MAX_N={MAX_N}")
+    edges = _body_edges(data, cut + 1, n)
+    if n < 1:  # no edge fits: a body line is reported first, else n itself
+        next(edges, None)
+        raise ParameterError("n must be >= 1")
+    return _signs_from_edges(n, edges)

@@ -171,6 +171,21 @@ class ExperimentGrid:
                 if not 1 <= k <= n:
                     raise ParameterError(f"k_rules entry {rule!r} gives k={k} outside "
                                          f"[1, {n}] at n={n}")
+        for index, cell in enumerate(self.cells()):
+            n, k, cfg = cell["n"], cell["k"], cell["solver"]
+            try:
+                strategy = strategy_by_name(cell["adversary"], **cell["adversary_params"])
+            except (TypeError, ParameterError):
+                strategy = None  # from_dict refuses the entry; built directly, each trial raises
+            try:
+                cfg.num_rounds(n, k)
+                if strategy is not None:
+                    strategy.check(n, k)
+            except ParameterError as exc:
+                raise ParameterError(
+                    f"grid cell {index} (n={n}, k={k}, p={cell['p']}, "
+                    f"adversary {cell['adversary']}, order={cfg.order}, reps={cfg.reps}): "
+                    f"{exc}") from None
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentGrid":

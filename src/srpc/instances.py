@@ -12,6 +12,7 @@ writes the block outside the planted set.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,6 +52,9 @@ class AdversaryStrategy:
 
     def params(self) -> dict:
         return {}
+
+    def check(self, n: int, k: int) -> None:
+        """Raise :class:`ParameterError` if this strategy cannot fill an (n, k) instance."""
 
     def fill(self, rng: np.random.Generator, n: int, k: int, p: float,
              cut_block: np.ndarray) -> tuple[np.ndarray, dict]:
@@ -104,21 +108,27 @@ class MajorityAdversaryStrategy(AdversaryStrategy):
     name = "majority"
 
     def __init__(self, m: int, decoy_count: int | None = None):
+        if isinstance(m, bool) or not isinstance(m, numbers.Integral):
+            raise ParameterError(f"m must be an integer, got {m!r}")
         if m % 2 == 0:
             raise ParameterError(f"m must be odd, got {m}")
         if m < 1:
             raise ParameterError("m must be >= 1")
-        if decoy_count is not None and decoy_count < 0:
-            raise ParameterError(f"decoy_count must be >= 0, got {decoy_count}")
+        if decoy_count is not None and (isinstance(decoy_count, bool)
+                                        or not isinstance(decoy_count, numbers.Integral)
+                                        or decoy_count < 0):
+            raise ParameterError(f"decoy_count must be an integer >= 0, got {decoy_count!r}")
         self.m = m
         self.decoy_count = decoy_count
 
     def params(self) -> dict:
         return {"m": self.m, "decoy_count": self.decoy_count}
 
-    def fill(self, rng, n, k, p, cut_block):
+    def check(self, n, k):
         if self.m > k:
             raise ParameterError(f"m={self.m} exceeds clique size k={k}")
+
+    def fill(self, rng, n, k, p, cut_block):
         size = n - k
         block = _iid_block(rng, size, p)
         decoys = self.decoy_count if self.decoy_count is not None else math.ceil(n / k)
@@ -191,6 +201,7 @@ def generate(n: int, k: int, p: float, strategy: AdversaryStrategy,
         raise ParameterError(f"need 1 <= k <= n, got k={k}, n={n}")
     if not 0.0 < p < 1.0:
         raise ParameterError(f"p must lie in (0,1), got {p}")
+    strategy.check(n, k)
 
     planted = np.sort(_substream(seed, _STREAM_PLANTED).choice(n, size=k, replace=False))
     complement = np.setdiff1d(np.arange(n), planted)

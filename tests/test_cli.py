@@ -273,6 +273,13 @@ def test_malformed_instance_meta_exits_2(instance_files, key, edit):
                  '"c_rounds": 1e12, "seed": 0}}}'),
     ("evaluate", '{"cliques": [], "stats": {"config": {"order": 3, "reps": 2, '
                  '"c_rounds": 10.0, "rounds": 33554433, "seed": 0}}}'),
+    ("evaluate", '{"cliques": [{"vertices": [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, '
+                 '9.0]}]}'),
+    ("prune", '{"cliques": [{"vertices": [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]}, '
+              '{"vertices": [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 8.0]}]}'),
+    ("evaluate", '{"cliques": [{"vertices": [1, "a"]}]}'),
+    ("prune", '{"cliques": [{"vertices": [1, "a"]}]}'),
+    ("evaluate", '{"cliques": [{"vertices": [true, 2]}]}'),
 ], ids=["evaluate-not-json", "evaluate-no-vertices", "prune-not-json",
         "prune-no-vertices", "prune-not-an-object", "grid-no-ns",
         "evaluate-vertex-out-of-range", "evaluate-repeated-vertex",
@@ -280,7 +287,9 @@ def test_malformed_instance_meta_exits_2(instance_files, key, edit):
         "evaluate-config-string-reps", "evaluate-config-bool-order",
         "evaluate-config-string-c-rounds", "evaluate-config-bool-threshold",
         "evaluate-config-negative-seed", "evaluate-config-infinite-rounds",
-        "evaluate-config-rounds-past-limit", "evaluate-config-explicit-rounds-past-limit"])
+        "evaluate-config-rounds-past-limit", "evaluate-config-explicit-rounds-past-limit",
+        "evaluate-float-vertices", "prune-float-vertices", "evaluate-string-vertex",
+        "prune-string-vertex", "evaluate-bool-vertex"])
 def test_malformed_json_input_exits_2(instance_files, tmp_path, command, text):
     graph, meta, _ = instance_files
     doc = tmp_path / "doc.json"
@@ -403,12 +412,17 @@ def test_non_finite_rip_thresholds_exit_2(args, name):
     ({"seed": 1.5}, "seed"),
     ({"k_rules": ["0"]}, "k_rules"),
     ({"k_rules": ["31"]}, "k_rules"),
+    ({"adversaries": [{"name": "majority", "m": 3.0}]}, "adversaries"),
+    ({"adversaries": [{"name": "majority", "m": 3, "decoy_count": 1.5}]}, "adversaries"),
+    ({"adversaries": [{"name": "majority", "m": 11}]}, "grid cell 0"),
+    ({"solvers": [{"reps": 40}]}, "grid cell 0"),
 ], ids=["trials-zero", "trials-negative", "trials-bool", "solver-rounds", "solver-bogus",
         "solvers-not-objects", "ns-not-a-list", "k-rules-not-a-list", "ps-not-a-list",
         "p-nan", "p-above-one", "p-zero", "n-string", "n-zero", "n-float", "n-above-max",
         "adversary-unknown", "majority-without-m", "majority-negative-decoys",
         "adversary-bad-param", "adversary-not-an-object", "seed-negative", "seed-float",
-        "k-zero", "k-above-n"])
+        "k-zero", "k-above-n", "majority-float-m", "majority-float-decoys", "majority-m-above-k",
+        "solver-rounds-past-limit"])
 def test_bad_grid_config_exits_2(tmp_path, extra, name):
     config = tmp_path / "grid.json"
     config.write_text(json.dumps({"ns": [30], "k_rules": ["10"], **extra}))

@@ -5,6 +5,7 @@ import pytest
 
 from srpc import (PBiasedMatrix, SignedAdjacency, from_edge_list, hadamard_rows,
                   read_graph, write_graph)
+from srpc import graphs
 from srpc.errors import InputError, ParameterError
 from srpc.graphs import row_products
 
@@ -314,3 +315,85 @@ def test_read_graph_accepts_blank_lines_tabs_and_crlf(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert read_graph(path) == from_edge_list(5, [])
+
+
+def _read_body(tmp_path, body, n=6):
+    path = tmp_path / "g.txt"
+    path.write_bytes(f"srpc-graph v1 n={n}\n".encode() + body)
+    return read_graph(path)
+
+
+@pytest.mark.parametrize("body, edges", [
+    (b"0 1\n2 3", [(0, 1), (2, 3)]),
+    (b"0 1\r2 3\r", [(0, 1), (2, 3)]),
+    (b"00 0005\n001 2\n", [(0, 5), (1, 2)]),
+    (b"0 " + b"0" * 24 + b"1\n", [(0, 1)]),
+], ids=["no-final-newline", "lone-cr", "leading-zeros", "25-digit-padded-one"])
+def test_read_graph_accepts(tmp_path, body, edges):
+    assert _read_body(tmp_path, body) == from_edge_list(6, edges)
+
+
+@pytest.mark.parametrize("body, message", [
+    (b"0 1 2\n3", "line 2: expected two integer vertex indices, got '0 1 2'"),
+    (b"0\n1 2 3", "line 2: expected two integer vertex indices, got '0'"),
+    (b"0\n1\n", "line 2: expected two integer vertex indices, got '0'"),
+    (b"0 1 2 3\n", "line 2: expected two integer vertex indices, got '0 1 2 3'"),
+    (b"0 " + b"9" * 25 + b"\n",
+     f"line 2: edge (0,{'9' * 25}) has an endpoint outside [0,6)"),
+    (b"+0 1\n", "line 2: expected two integer vertex indices, got '+0 1'"),
+    (b"0 -1\n", "line 2: expected two integer vertex indices, got '0 -1'"),
+    (b"0 1\n\x00\n", "line 3: expected two integer vertex indices, got '\\x00'"),
+    (b"0 1\n\x0b\n", "line 3: expected two integer vertex indices, got '\\x0b'"),
+    (b"0 1\n\t\x0c \n", "line 3: expected two integer vertex indices, got '\\x0c'"),
+    (b"0 1\n\xff 2\n", "line 3: expected two integer vertex indices, got '� 2'"),
+    (b"0 1\n0 1\n", "line 3: edge (0,1) is a duplicate"),
+    (b"1 2\n0 3\n", "line 3: edge (0,3) is out of order; edges must be sorted by (i, j)"),
+    (b"2 1\n", "line 2: edge (2,1) is not written with i < j"),
+    (b"3 3\n", "line 2: edge (3,3) is not written with i < j"),
+    (b"0 6\n", "line 2: edge (0,6) has an endpoint outside [0,6)"),
+], ids=["three-tokens", "one-token", "one-token-per-line", "four-tokens", "25-digit-endpoint",
+        "plus-sign", "minus-sign", "nul", "vertical-tab", "form-feed", "not-utf-8", "duplicate",
+        "out-of-order", "i-above-j", "self-loop", "endpoint-at-n"])
+def test_read_graph_refuses_with_exact_message(tmp_path, body, message):
+    with pytest.raises(InputError) as info:
+        _read_body(tmp_path, body)
+    assert str(info.value) == message
+
+
+def test_read_graph_across_chunks(tmp_path, monkeypatch):
+    # every line is 4 bytes ("i j\n"), so 16-byte chunks hold lines 4c .. 4c+3
+    monkeypatch.setattr(graphs, "_CHUNK_BYTES", 16)
+    edges = [(i, j) for i in range(6) for j in range(i + 1, 10)]
+    lines = [f"{i} {j}\n".encode() for i, j in edges]
+    assert _read_body(tmp_path, b"".join(lines), n=10) == from_edge_list(10, edges)
+    # (0,5) ends the first chunk and (0,4) starts the second
+    swapped = lines[:3] + [lines[4], lines[3]] + lines[5:]
+    with pytest.raises(InputError) as info:
+        _read_body(tmp_path, b"".join(swapped), n=10)
+    assert str(info.value) == "line 6: edge (0,4) is out of order; edges must be sorted by (i, j)"
+    with pytest.raises(InputError) as info:
+        _read_body(tmp_path, b"".join(lines) + b"7\n", n=10)
+    assert str(info.value) == (f"line {len(lines) + 2}: expected two integer vertex indices, "
+                               f"got '7'")
+
+
+def test_read_graph_round_trip_fuzz(tmp_path):
+    # write_graph output with blank lines, tabs and CRLF inserted reads back equal
+    rng = np.random.default_rng(2024)
+    for trial in range(40):
+        graph = random_graph(int(rng.integers(1, 30)), trial, p=float(rng.random()))
+        path = tmp_path / "g.txt"
+        write_graph(graph, path)
+        header, *lines = path.read_bytes().decode().split("\n")
+        noisy = [header]
+        for line in lines:
+            if rng.random() < 0.2:
+                noisy.append(str(rng.choice(["", " ", "\t", " \t "])))
+            if line:
+                i, j = line.split()
+                lead, gap = rng.choice(["", "\t", " "]), rng.choice([" ", "\t", " \t"])
+                line = f"{lead}{i}{gap}{j}"
+            noisy.append(line)
+        newline = str(rng.choice(["\n", "\r\n"]))
+        path.write_bytes(newline.join(noisy).encode())
+        assert read_graph(path) == graph
