@@ -24,15 +24,20 @@ class CliqueEntry:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "CliqueEntry":
-        """The entry of a document; a vertex that is not an integer raises :class:`InputError`."""
+        """The entry of a document; a malformed shape or a vertex that is not an
+        integer raises :class:`InputError`."""
+        if not isinstance(doc, dict):
+            raise InputError(f"entry must be an object, got {doc!r}")
         vertices = doc["vertices"]
         if not isinstance(vertices, list):
             raise InputError(f"entry vertices must be a list, got {vertices!r}")
         for v in vertices:
             if isinstance(v, bool) or not isinstance(v, numbers.Integral):
                 raise InputError(f"entry has a vertex that is not an integer: {v!r}")
-        return cls(vertices=tuple(vertices),
-                   alphas=tuple(tuple(a) for a in doc.get("alphas", [])))
+        alphas = doc.get("alphas", [])
+        if not isinstance(alphas, list) or not all(isinstance(a, list) for a in alphas):
+            raise InputError(f"entry alphas must be a list of lists, got {alphas!r}")
+        return cls(vertices=tuple(vertices), alphas=tuple(tuple(a) for a in alphas))
 
 
 @dataclass
@@ -61,5 +66,11 @@ class CliqueList:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "CliqueList":
-        return cls(entries=[CliqueEntry.from_dict(e) for e in doc.get("cliques", [])],
-                   stats=dict(doc.get("stats", {})))
+        """The list of a document; a ``cliques`` that is not a list, or a
+        ``stats`` that is not an object, raises :class:`InputError`."""
+        cliques, stats = doc.get("cliques", []), doc.get("stats", {})
+        if not isinstance(cliques, list):
+            raise InputError(f"cliques must be a list, got {cliques!r}")
+        if not isinstance(stats, dict):
+            raise InputError(f"stats must be an object, got {stats!r}")
+        return cls(entries=[CliqueEntry.from_dict(e) for e in cliques], stats=dict(stats))

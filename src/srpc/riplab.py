@@ -4,7 +4,10 @@ Builds tensored matrices whose columns are entrywise products of t base
 coordinates, verifies that their columns are uncorrelated with unit second
 moment (exactly, by enumerating the base distribution, or by sampling),
 and measures sparse operator norms either exhaustively over all supports
-or as a certified lower bound from sampled supports.
+or as a certified lower bound from sampled supports.  Both rank supports
+by a certified upper bound on each r x r Gram block's top eigenvalue and
+run exact ``eigvalsh`` only on the supports that can still win, so the
+result is the one a full ``eigvalsh`` ranking gives.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -22,7 +25,9 @@ from .errors import (BudgetExceededError, InternalInvariantError,
 DEFAULT_SUPPORT_BUDGET = 1_000_000
 _ENUM_OUTCOME_LIMIT = 20  # 2**k outcomes must stay enumerable
 _ISO_BLOCK_ENTRIES = 2 ** 16  # integer table entries per block of outcomes
-_CHUNK_FLOATS = 2 ** 18  # float64 entries in one chunk of gathered r x r Gram blocks
+_CHUNK_FLOATS = 2 ** 16  # float64 entries in one chunk of gathered r x r Gram blocks
+_SEED_ROWS = 32  # highest-bound supports ranked first, to set the pruning threshold
+_BOUND_MARGIN = 1e-9  # relative inflation of each eigenvalue bound, far above its rounding
 
 
 class RademacherBase:
@@ -206,17 +211,30 @@ class OpNormReport:
     method: str  # exhaustive | sampled
     supports_checked: int
     residual: float  # | ||H w|| - value | after re-verification
+    eig_ranked: int  # eigvalsh evaluations the ranking made (the rest were pruned by bound)
 
 
 def _as_matrix(h) -> np.ndarray:
     values = h.values if isinstance(h, TensoredMatrix) else np.asarray(h, dtype=np.float64)
     if values.ndim != 2:
         raise ParameterError("expected a 2-D matrix")
-    return np.asarray(values, dtype=np.float64)
+    values = np.asarray(values, dtype=np.float64)
+    if not np.isfinite(values).all():
+        raise ParameterError("matrix has NaN or infinite entries")
+    return values
+
+
+def _gram(mat: np.ndarray) -> np.ndarray:
+    """H^T H; a product that overflows float64 raises :class:`ParameterError`."""
+    with np.errstate(over="ignore"):
+        gram = mat.T @ mat
+    if not np.isfinite(gram).all():
+        raise ParameterError("the Gram matrix H^T H overflows float64")
+    return gram
 
 
 def _chunks(rows: int, r: int) -> list[slice]:
-    """Row slices of a support array; each slice's r x r Gram blocks hold <= 2**18 float64."""
+    """Row slices of a support array; each slice's r x r Gram blocks hold <= 2**16 float64."""
     step = max(1, _CHUNK_FLOATS // (r * r))
     return [slice(start, start + step) for start in range(0, rows, step)]
 
@@ -241,23 +259,62 @@ def _draw_supports(rng: np.random.Generator, d: int, r: int, trials: int) -> np.
     return out
 
 
-def _opnorm_over_supports(mat: np.ndarray, supports: np.ndarray) -> int:
+def _eig_bounds(gram: np.ndarray, supports: np.ndarray) -> np.ndarray:
+    """Certified upper bound on the top eigenvalue of each row's r x r Gram block.
+
+    For symmetric B and any s > 0, lambda_max(B) <= rho(B) <= s tr((B/s)^8)^(1/8),
+    and tr(C^8) = ||C^4||_F^2 for symmetric C, so two batched squarings give
+    it.  s is the block's largest diagonal entry, which for a Gram block is
+    its largest entry: (B/s)^4 stays within r^3 and rho(B/s) >= 1, so nothing
+    overflows or underflows.  An all-zero block (s = 0) gets 0.  Every bound
+    is inflated by the relative margin 1e-9, far above the rounding of both
+    this pass and ``eigvalsh``.
+    """
+    diag = np.diag(gram)
+    bound = np.empty(len(supports))
+    for c in _chunks(*supports.shape):
+        blocks = _gram_blocks(gram, supports[c])
+        scale = diag[supports[c]].max(axis=1)
+        blocks /= np.where(scale > 0, scale, 1.0)[:, None, None]
+        square = np.matmul(blocks, blocks)
+        np.matmul(square, square, out=blocks)
+        bound[c] = scale * np.einsum("nij,nij->n", blocks, blocks) ** 0.125
+    return bound * (1 + _BOUND_MARGIN)
+
+
+def _opnorm_over_supports(mat: np.ndarray, supports: np.ndarray) -> tuple[int, int]:
     """Row of ``supports`` whose column submatrix has the largest top singular value.
 
-    Each chunk of r x r Gram submatrices is ranked by batched ``eigvalsh``,
-    which is exact to rounding.  Ties within a relative 1e-12 of the maximum
-    go to the first row.
+    Returns the row and the number of ``eigvalsh`` evaluations made.  Every
+    row first gets a certified bound on its Gram block's top eigenvalue
+    (:func:`_eig_bounds`).  The 32 highest-bound rows are ranked with
+    ``eigvalsh``; their maximum ``best`` is exact and at most the overall
+    maximum ``top``.  Then only rows whose bound is >= best - 1e-12|best| are
+    ranked with batched ``eigvalsh``: a pruned row's top eigenvalue lies
+    strictly below top - 1e-12|top|, so it could never be chosen, and every
+    other row gets the value a full ranking would give it.  Ties within a
+    relative 1e-12 of the maximum go to the first row.
     """
-    gram = mat.T @ mat
-    lam = np.concatenate([np.linalg.eigvalsh(_gram_blocks(gram, supports[c]))[:, -1]
-                          for c in _chunks(*supports.shape)])
+    gram = _gram(mat)
+    bound = _eig_bounds(gram, supports)
+
+    def top_eig(rows: np.ndarray) -> np.ndarray:
+        return np.concatenate([np.linalg.eigvalsh(_gram_blocks(gram, supports[rows[c]]))[:, -1]
+                               for c in _chunks(len(rows), supports.shape[1])])
+
+    seeds = min(_SEED_ROWS, len(bound))
+    best = top_eig(np.argpartition(bound, -seeds)[-seeds:]).max()
+    rows = np.flatnonzero(bound >= best - 1e-12 * abs(best))
+    lam = top_eig(rows)
     top = lam.max()
-    return int(np.argmax(lam >= top - 1e-12 * abs(top)))
+    return int(rows[np.argmax(lam >= top - 1e-12 * abs(top))]), seeds + len(rows)
 
 
-def _finish_report(mat: np.ndarray, support: tuple[int, ...], method: str,
-                   r: int, checked: int) -> OpNormReport:
-    """Witness of the chosen support: the top eigenpair of its r x r Gram, re-verified."""
+def _rank_and_report(mat: np.ndarray, supports: np.ndarray, method: str,
+                     checked: int) -> OpNormReport:
+    """Rank ``supports``; the winner's witness is the top eigenpair of its r x r Gram, re-verified."""
+    best_idx, eig_ranked = _opnorm_over_supports(mat, supports)
+    support = tuple(int(c) for c in supports[best_idx])
     sub = mat[:, list(support)]
     lam, vecs = np.linalg.eigh(sub.T @ sub)
     value = math.sqrt(max(float(lam[-1]), 0.0))
@@ -265,19 +322,23 @@ def _finish_report(mat: np.ndarray, support: tuple[int, ...], method: str,
     residual = abs(float(np.linalg.norm(sub @ coeff)) - value)
     if residual > 1e-9 * max(value, 1.0):
         raise InternalInvariantError(f"witness re-verification failed: {residual}")
-    return OpNormReport(r=r, value=value, support=support, coefficients=coeff,
-                        method=method, supports_checked=checked, residual=residual)
+    return OpNormReport(r=len(support), value=value, support=support, coefficients=coeff,
+                        method=method, supports_checked=checked, residual=residual,
+                        eig_ranked=eig_ranked)
 
 
 def sparse_opnorm_exhaustive(h, r: int, budget: int = DEFAULT_SUPPORT_BUDGET,
                              seed: int = 0) -> OpNormReport:
     """Max top singular value over every size-r column support.
 
-    Supports are ranked exactly (batched ``eigvalsh`` of their Gram
-    submatrices); of those within a relative 1e-12 of the maximum, the
-    lexicographically first is reported, with its witness from ``eigh``.
-    ``seed`` has no effect; it is accepted so that both opnorm methods share
-    one call form.
+    Supports are ranked by :func:`_opnorm_over_supports`: a certified bound
+    on each Gram submatrix's top eigenvalue prunes every support that cannot
+    win, and batched ``eigvalsh`` ranks the rest exactly.  Of the supports
+    within a relative 1e-12 of the maximum, the lexicographically first is
+    reported, with its witness from ``eigh``.  ``supports_checked`` counts
+    every support, pruned ones included; ``eig_ranked`` counts the
+    ``eigvalsh`` evaluations.  ``seed`` has no effect; it is accepted so that
+    both opnorm methods share one call form.
     """
     mat = _as_matrix(h)
     d = mat.shape[1]
@@ -287,18 +348,19 @@ def sparse_opnorm_exhaustive(h, r: int, budget: int = DEFAULT_SUPPORT_BUDGET,
     if total > budget:
         raise BudgetExceededError(
             f"C({d},{r}) = {total} supports exceed the budget {budget}")
-    supports = np.array(list(combinations(range(d), r)))
-    best_idx = _opnorm_over_supports(mat, supports)
-    support = tuple(int(c) for c in supports[best_idx])
-    return _finish_report(mat, support, "exhaustive", r, total)
+    supports = np.fromiter(chain.from_iterable(combinations(range(d), r)),
+                           dtype=np.int64, count=total * r).reshape(total, r)
+    return _rank_and_report(mat, supports, "exhaustive", total)
 
 
 def sparse_opnorm_sampled(h, r: int, trials: int, seed: int = 0) -> OpNormReport:
     """Certified lower bound: max over ``trials`` uniformly sampled supports.
 
     ``seed`` draws the supports (:func:`_draw_supports`).  They are ranked
-    exactly (batched ``eigvalsh``); of those within a relative 1e-12 of the
+    as in :func:`sparse_opnorm_exhaustive` (bound, then exact ``eigvalsh`` of
+    the supports that can still win); of those within a relative 1e-12 of the
     maximum, the first drawn is reported, with its witness from ``eigh``.
+    ``supports_checked`` is ``trials``, pruned supports included.
     """
     mat = _as_matrix(h)
     d = mat.shape[1]
@@ -309,9 +371,7 @@ def sparse_opnorm_sampled(h, r: int, trials: int, seed: int = 0) -> OpNormReport
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     supports = _draw_supports(rng, d, r, trials)
     supports.sort(axis=1)
-    best_idx = _opnorm_over_supports(mat, supports)
-    support = tuple(int(c) for c in supports[best_idx])
-    return _finish_report(mat, support, "sampled", r, trials)
+    return _rank_and_report(mat, supports, "sampled", trials)
 
 
 def rip_deviation_sampled(h_normalized, r: int, trials: int, seed: int = 0) -> float:
@@ -330,7 +390,7 @@ def rip_deviation_sampled(h_normalized, r: int, trials: int, seed: int = 0) -> f
         raise ParameterError("trials must be >= 1")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     supports = _draw_supports(rng, d, r, trials)
-    gram = mat.T @ mat
+    gram = _gram(mat)
     worst = 0.0
     for c in _chunks(trials, r):
         sup = supports[c]

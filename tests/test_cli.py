@@ -280,6 +280,13 @@ def test_malformed_instance_meta_exits_2(instance_files, key, edit):
     ("evaluate", '{"cliques": [{"vertices": [1, "a"]}]}'),
     ("prune", '{"cliques": [{"vertices": [1, "a"]}]}'),
     ("evaluate", '{"cliques": [{"vertices": [true, 2]}]}'),
+    ("prune", '{"cliques": [3]}'),
+    ("prune", '{"cliques": 5}'),
+    ("prune", '{"cliques": [{"vertices": [1, 2], "alphas": [1]}]}'),
+    ("prune", '{"cliques": [], "stats": [1]}'),
+    ("evaluate", '{"cliques": [3]}'),
+    ("evaluate", '{"cliques": 5}'),
+    ("evaluate", '{"cliques": [{"vertices": [1, 2], "alphas": [1]}]}'),
 ], ids=["evaluate-not-json", "evaluate-no-vertices", "prune-not-json",
         "prune-no-vertices", "prune-not-an-object", "grid-no-ns",
         "evaluate-vertex-out-of-range", "evaluate-repeated-vertex",
@@ -289,7 +296,10 @@ def test_malformed_instance_meta_exits_2(instance_files, key, edit):
         "evaluate-config-negative-seed", "evaluate-config-infinite-rounds",
         "evaluate-config-rounds-past-limit", "evaluate-config-explicit-rounds-past-limit",
         "evaluate-float-vertices", "prune-float-vertices", "evaluate-string-vertex",
-        "prune-string-vertex", "evaluate-bool-vertex"])
+        "prune-string-vertex", "evaluate-bool-vertex", "prune-entry-not-object",
+        "prune-cliques-not-list", "prune-alphas-not-lists", "prune-stats-not-object",
+        "evaluate-entry-not-object", "evaluate-cliques-not-list",
+        "evaluate-alphas-not-lists"])
 def test_malformed_json_input_exits_2(instance_files, tmp_path, command, text):
     graph, meta, _ = instance_files
     doc = tmp_path / "doc.json"

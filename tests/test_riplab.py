@@ -160,7 +160,7 @@ def test_sampled_estimates_refuse_zero_trials():
 
 def test_rip_deviation_matches_direct_loop():
     # Reference: the draw rule replayed row by row, with one (trials, r)
-    # coefficient block and ||H v|| taken directly.  r=12 gives two chunks.
+    # coefficient block and ||H v|| taken directly.  r=12 gives six chunks.
     q, r, trials = 128, 12, 2500
     h = riplab.build_tensored(10, 3, q, riplab.RademacherBase(), seed=23).values / math.sqrt(q)
     rows = floyd_rows(24, h.shape[1], r, trials)
@@ -458,3 +458,90 @@ def test_exact_isotropy_matches_fraction_loop(k, t, base):
     expected = fraction_isotropy(k, t, base)
     assert (report.max_abs_mean, report.max_abs_cross, report.max_diag_err) == expected
     assert report.ok == (expected == (0.0, 0.0, 0.0))
+
+
+def full_ranking(mat, supports):
+    """The ranking without pruning: batched eigvalsh of every support's Gram block (the reference)."""
+    gram = mat.T @ mat
+    lam = np.concatenate([np.linalg.eigvalsh(riplab._gram_blocks(gram, supports[c]))[:, -1]
+                          for c in riplab._chunks(*supports.shape)])
+    top = lam.max()
+    return int(np.argmax(lam >= top - 1e-12 * abs(top)))
+
+
+def ranking_matrices():
+    q = 64
+    mats = {}
+    for base in (riplab.RademacherBase(), riplab.PBiasedBase(Fraction(4, 5))):
+        h = riplab.build_tensored(10, 3, q, base, seed=41).values
+        mats[f"{base.name}-normalized"] = h / math.sqrt(q)
+        mats[f"{base.name}-not-normalized"] = h
+    rng = np.random.default_rng(42)
+    dup = rng.standard_normal((q, 40))
+    dup[:, 2] *= 3.0  # the largest column, repeated three times
+    dup[:, [5, 11, 14]] = dup[:, [2]]
+    mats["duplicated"] = dup
+    mats["zero"] = np.zeros((q, 40))
+    mats["rank-1"] = np.outer(rng.standard_normal(q), rng.standard_normal(40))
+    return mats
+
+
+RANKING_MATRICES = ranking_matrices()
+
+
+@pytest.mark.parametrize("name", list(RANKING_MATRICES))
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 8, 16])
+def test_pruned_ranking_matches_full_ranking(name, r):
+    mat = RANKING_MATRICES[name]
+    for seed in range(3):
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        supports = np.sort(riplab._draw_supports(rng, mat.shape[1], r, 2000), axis=1)
+        best, eig_ranked = riplab._opnorm_over_supports(mat, supports)
+        assert best == full_ranking(mat, supports)
+        assert 1 <= eig_ranked <= len(supports) + riplab._SEED_ROWS
+    supports = np.array(list(combinations(range(16), r)))  # every support of the first 16 columns
+    assert riplab._opnorm_over_supports(mat[:, :16], supports)[0] == full_ranking(mat[:, :16], supports)
+
+
+def test_exact_ties_go_to_first_support():
+    mat = RANKING_MATRICES["duplicated"]
+    assert riplab.sparse_opnorm_exhaustive(mat, r=1).support == (2,)
+    assert riplab.sparse_opnorm_exhaustive(RANKING_MATRICES["zero"], r=3).support == (0, 1, 2)
+
+
+def test_eig_bounds_are_certified_upper_bounds():
+    for name, mat in RANKING_MATRICES.items():
+        rng = np.random.default_rng(np.random.SeedSequence(7))
+        supports = np.sort(riplab._draw_supports(rng, mat.shape[1], 8, 500), axis=1)
+        gram = mat.T @ mat
+        lam = np.linalg.eigvalsh(riplab._gram_blocks(gram, supports))[:, -1]
+        bound = riplab._eig_bounds(gram, supports)
+        assert np.all(bound >= lam), name
+        assert np.all(bound <= 8 ** 0.125 * (1 + 1e-8) * np.maximum(lam, 0)), name
+
+
+@pytest.mark.parametrize("seed", range(1, 9))
+def test_ranking_prunes_at_workload_shape(seed):
+    q, trials = 256, 20_000
+    h = riplab.build_tensored(12, 3, q, riplab.RademacherBase(), seed)
+    report = riplab.sparse_opnorm_sampled(h.values / math.sqrt(q), r=8, trials=trials, seed=seed)
+    assert report.supports_checked == trials
+    assert report.eig_ranked < 0.02 * trials
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("estimate", [
+    lambda m: riplab.sparse_opnorm_exhaustive(m, r=2),
+    lambda m: riplab.sparse_opnorm_sampled(m, r=2, trials=50),
+    lambda m: riplab.rip_deviation_sampled(m, r=2, trials=50),
+], ids=["exhaustive", "sampled", "deviation"])
+def test_estimates_refuse_non_finite_matrix(estimate, bad):
+    mat = np.ones((4, 5))
+    mat[1, 2] = bad
+    with pytest.raises(ParameterError, match="NaN or infinite"):
+        estimate(mat)
+
+
+def test_estimates_refuse_overflowing_gram():
+    with pytest.raises(ParameterError, match="overflows"):
+        riplab.sparse_opnorm_sampled(np.full((4, 5), 1e200), r=2, trials=50)
