@@ -17,7 +17,7 @@ import re
 import sys
 import traceback
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -41,12 +41,7 @@ class EvalResult:
     oracle_calls: dict
 
     def to_dict(self) -> dict:
-        return {"recovered": self.recovered, "list_size": self.list_size,
-                "stage_counts": self.stage_counts,
-                "max_spurious": self.max_spurious,
-                "entries_matching_planted": self.entries_matching_planted,
-                "all_entries_valid_cliques": self.all_entries_valid_cliques,
-                "oracle_calls": self.oracle_calls}
+        return asdict(self)
 
 
 def max_spurious_members(instance: Instance, cfg: solver.SolverConfig) -> int:
@@ -296,10 +291,8 @@ def adversary_demo(n: int, k: int, m: int, seed: int, p: float = 0.5,
     checks each chosen planted vertex's raw order-1 candidate set for
     decoy contamination.
     """
-    if m % 2 == 0 or m < 1:
-        raise ParameterError(f"m must be odd and positive, got {m}")
-    if m > k:
-        raise ParameterError(f"m={m} exceeds k={k}")
+    strategy = strategy_majority_adversary(m)
+    strategy.check(n, k)
 
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1000,)))
     vectors = rng.choice(np.array([-1, 1], dtype=np.int64), size=(m, n))
@@ -308,7 +301,7 @@ def adversary_demo(n: int, k: int, m: int, seed: int, p: float = 0.5,
     scale = n / math.sqrt(m)
     min_corr = int(corrs.min())
 
-    inst = generate(n, k, p, strategy_majority_adversary(m), seed)
+    inst = generate(n, k, p, strategy, seed)
     decoys = set(inst.details.get("decoys", []))
     chosen = inst.details.get("chosen", [])
     tau = solver.threshold_for(k, p)

@@ -13,11 +13,12 @@ therefore get call counts proportional to the number of chunks.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import InternalInvariantError, NonConvergenceError, ParameterError
+from .errors import NonConvergenceError, ParameterError
 
 INT64_MAX = np.iinfo(np.int64).max
 
@@ -142,10 +143,12 @@ def _strassen(a: np.ndarray, b: np.ndarray, cutoff: int) -> np.ndarray:
     return out[:m, :n]
 
 
-def _strassen_levels(a: np.ndarray, b: np.ndarray, cutoff: int) -> int:
+def _strassen_levels(a: np.ndarray, b: np.ndarray, backend: Backend) -> int:
+    if backend.kind != "recursive":
+        return 0
     levels = 0
     dims = max(a.shape[0], a.shape[1], b.shape[1])
-    while dims > cutoff:
+    while dims > backend.cutoff:
         dims = (dims + 1) // 2
         levels += 1
     return levels
@@ -163,8 +166,7 @@ def matmul(a: np.ndarray, b: np.ndarray, backend: Backend = NAIVE,
     b = np.ascontiguousarray(b)
     _check_operands(a, b)
     if a.dtype == np.int64:
-        levels = _strassen_levels(a, b, backend.cutoff) if backend.kind == "recursive" else 0
-        _check_int_overflow(a, b, levels)
+        _check_int_overflow(a, b, _strassen_levels(a, b, backend))
     start = time.perf_counter()
     if backend.kind == "naive":
         out = a @ b
@@ -197,13 +199,31 @@ def sign_matmul(a: np.ndarray, b: np.ndarray, n: int,
     return out
 
 
-def gram(u: np.ndarray, backend: Backend = NAIVE,
-         counters: Counters | None = None) -> np.ndarray:
-    """U @ U.T with a symmetry check on the result."""
-    out = matmul(u, np.ascontiguousarray(u.T), backend, counters)
-    if not np.array_equal(out, out.T):
-        raise InternalInvariantError("gram product is not symmetric")
+def indicator_rows(sets: Sequence[Sequence[int]], n: int) -> np.ndarray:
+    """float64 0/1 table whose row a marks the vertices of sets[a] in [0, n)."""
+    cols = [np.asarray(members, dtype=np.int64) for members in sets]
+    out = np.zeros((len(sets), n), dtype=np.float64)
+    out[np.repeat(np.arange(len(sets)), [len(c) for c in cols]),
+        np.concatenate([np.empty(0, dtype=np.int64), *cols])] = 1.0
     return out
+
+
+def count_products(left: np.ndarray, right: np.ndarray, batch: int,
+                   backend: Backend = NAIVE,
+                   counters: Counters | None = None) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (start, left[start:start + batch] @ right), one oracle call per batch.
+
+    On float64 0/1 tables every entry is an exact integer count while
+    inner * 8**levels < 2**53, levels being the Strassen depth that
+    :func:`_check_int_overflow` also inflates by; a product past that
+    raises :class:`ParameterError` before any multiplication.
+    """
+    inflation = 8 ** _strassen_levels(left[:batch], right, backend)
+    if left.shape[1] * inflation >= 2 ** 53:
+        raise ParameterError(f"0/1 count product with inner={left.shape[1]} and inflation "
+                             f"{inflation} exceeds the exact float64 range (< 2**53)")
+    for start in range(0, left.shape[0], batch):
+        yield start, matmul(left[start:start + batch], right, backend, counters)
 
 
 def power_iteration(m: np.ndarray, tol: float = 1e-9, cap: int = 10_000,

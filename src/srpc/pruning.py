@@ -7,9 +7,9 @@ symmetric and evaluated in a single pass against the full deduplicated
 list, so two heavily-overlapping entries eliminate each other.
 
 `prune_fast` produces the identical output, each removed entry's
-``conflicts_with`` list included, through blocked 0/1 Gram products
-instead of the quadratic set-intersection loop, in one pass over all
-block pairs.
+``conflicts_with`` list included, through exact 0/1 Gram products
+instead of the quadratic set-intersection loop: each batch of entries gets
+its full rows of intersection counts from one :func:`linalg.count_products` call.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 from . import linalg
 from .cliquelist import CliqueEntry, CliqueList
-from .errors import ParameterError
+from .errors import InternalInvariantError, ParameterError
 
 
 def intersection_threshold(n: int, p: float) -> int:
@@ -43,8 +43,8 @@ class PruneParams:
     batch_size: int | None = None
 
     @classmethod
-    def for_model(cls, n: int, p: float, batch_size: int | None = None) -> "PruneParams":
-        return cls(n=n, p=p, delta=intersection_threshold(n, p), batch_size=batch_size)
+    def for_model(cls, n: int, p: float) -> "PruneParams":
+        return cls(n=n, p=p, delta=intersection_threshold(n, p))
 
 
 def _dedup(clique_list: CliqueList) -> tuple[list[CliqueEntry], int]:
@@ -97,44 +97,35 @@ def prune_naive(clique_list: CliqueList, params: PruneParams) -> CliqueList:
     return _prune(clique_list, params, conflicts_of)
 
 
-def _gram_conflicts(entries: list[CliqueEntry], n: int, batch: int,
-                    delta: int, backend: linalg.Backend,
+def _gram_conflicts(entries: list[CliqueEntry], params: PruneParams, backend: linalg.Backend,
                     counters: linalg.Counters | None) -> list[list[int]]:
-    """Each entry's conflicts, from blocked Gram tables over all block pairs."""
-    m = len(entries)
-    indicators = np.zeros((m, n), dtype=np.int64)
-    for i, entry in enumerate(entries):
-        indicators[i, list(entry.vertices)] = 1
-    conflicts: list[list[int]] = [[] for _ in range(m)]
-    starts = list(range(0, m, batch))
-    for a in starts:
-        ua = indicators[a:a + batch]
-        for b in starts:
-            if b < a:
-                continue
-            if a == b:
-                table = linalg.gram(ua, backend, counters)
-            else:
-                ub = indicators[b:b + batch]
-                table = linalg.matmul(ua, np.ascontiguousarray(ub.T),
-                                      backend, counters)
-            hits = table > delta
-            if a == b:
-                np.fill_diagonal(hits, False)  # an entry does not conflict with itself
-            for i, j in zip(*(idx.tolist() for idx in np.nonzero(hits))):
-                conflicts[a + i].append(b + j)
-                if a != b:
-                    conflicts[b + j].append(a + i)
-    return [sorted(c) for c in conflicts]
+    """Each entry's ascending conflicts, from full Gram rows, one oracle call per batch.
+
+    An asymmetric conflict relation is a fault in the product and raises
+    :class:`InternalInvariantError`.
+    """
+    u = linalg.indicator_rows([entry.vertices for entry in entries], params.n)
+    hits = np.zeros((len(entries), len(entries)), dtype=bool)
+    for start, table in linalg.count_products(u, np.ascontiguousarray(u.T),
+                                              params.batch_size or params.n,
+                                              backend, counters):
+        hits[start:start + len(table)] = table > params.delta
+    np.fill_diagonal(hits, False)  # an entry does not conflict with itself
+    if not np.array_equal(hits, hits.T):
+        raise InternalInvariantError("conflict relation is not symmetric")
+    return [np.flatnonzero(row).tolist() for row in hits]
 
 
 def prune_fast(clique_list: CliqueList, params: PruneParams,
                backend: linalg.Backend = linalg.NAIVE,
                counters: linalg.Counters | None = None) -> CliqueList:
-    """Blocked-Gram implementation; output is identical to :func:`prune_naive`.
+    """Gram-product implementation; output is identical to :func:`prune_naive`.
 
-    The upper block pairs of the Gram matrix give every conflicting pair
-    once, so one pass over them yields each entry's full conflict list.
+    Each batch of ``params.batch_size`` (default n) of the m deduplicated
+    entries gets its full conflict rows from one 0/1 count product against
+    all m: ceil(m / batch) oracle calls, m * n * m multiply-adds.
+    :func:`linalg.count_products` keeps the intersection counts exact:
+    n * 8**levels < 2**53 (levels: the recursive backend's Strassen depth, else 0).
     """
-    return _prune(clique_list, params, lambda entries: _gram_conflicts(
-        entries, params.n, params.batch_size or params.n, params.delta, backend, counters))
+    return _prune(clique_list, params,
+                  lambda entries: _gram_conflicts(entries, params, backend, counters))

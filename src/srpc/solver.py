@@ -188,8 +188,6 @@ def _refine_sets(graph: SignedAdjacency, sets: Sequence[Sequence[int]], k: int,
     each incoming set.
     """
     kept = [np.asarray(members, dtype=np.int64) for members in sets]
-    if not kept:
-        return kept
     degrees = batched_membership_degrees(graph, kept, backend, counters)
     return [members[deg[members] >= k - 1] for members, deg in zip(kept, degrees)]
 
@@ -200,18 +198,15 @@ def batched_membership_degrees(graph: SignedAdjacency,
                                counters: linalg.Counters | None = None) -> np.ndarray:
     """D[a, j] = number of neighbors of j inside sets[a].
 
-    0/1 indicator times 0/1 adjacency, one oracle call per n-set batch;
-    counts stay below 2**53 so the float64 product is exact and the int64
-    cast loses nothing.
+    0/1 indicator times 0/1 adjacency, one oracle call per n-set batch.
+    :func:`linalg.count_products` keeps the counts exact: n * 8**levels
+    < 2**53 (levels: the recursive backend's Strassen depth, else 0).
     """
     n = graph.n
-    adj = graph.adjacency01(np.float64)
     out = np.empty((len(sets), n), dtype=np.int64)
-    indicators = np.zeros((len(sets), n), dtype=np.float64)
-    for a, members in enumerate(sets):
-        indicators[a, list(members)] = 1.0
-    for start in range(0, len(sets), n):
-        table = linalg.matmul(indicators[start:start + n], adj, backend, counters)
+    for start, table in linalg.count_products(linalg.indicator_rows(sets, n),
+                                              graph.adjacency01(np.float64), n,
+                                              backend, counters):
         out[start:start + n] = np.rint(table).astype(np.int64)
     return out
 
@@ -313,7 +308,7 @@ def solve(graph: SignedAdjacency, k: int, p: float, cfg: SolverConfig,
     accepted: dict[tuple[int, ...], list] = {}
     rounds_accepted = 0
     for verts, round_alphas in refined:
-        if verts.size >= k and graph.is_clique(verts):
+        if graph.is_clique(verts):
             rounds_accepted += len(round_alphas)
             accepted.setdefault(tuple(verts.tolist()), []).extend(round_alphas)
     wall["verify"] = time.perf_counter() - t0

@@ -172,3 +172,5 @@ def test_adversary_demo_validation():
         adversary_demo(n=64, k=16, m=2, seed=0)
     with pytest.raises(ParameterError):
         adversary_demo(n=64, k=3, m=5, seed=0)
+    with pytest.raises(ParameterError):
+        adversary_demo(n=64, k=16, m=3.0, seed=0)

@@ -115,35 +115,33 @@ def test_sign_matmul_refuses_non_float32_operands():
         linalg.sign_matmul(signs.astype(np.float32), signs.astype(np.float64), 200)
 
 
-def test_gram_counts_intersections():
-    u = np.zeros((2, 10), dtype=np.int64)
-    u[0, [1, 2, 3]] = 1
-    u[1, [2, 3, 4, 5]] = 1
-    g = linalg.gram(u)
-    assert g[0, 0] == 3 and g[1, 1] == 4
-    assert g[0, 1] == g[1, 0] == 2
-
-
-def test_gram_matches_direct_intersection_counting():
+@pytest.mark.parametrize("backend", BACKENDS, ids=lambda backend: backend.kind)
+def test_count_products_match_direct_intersection_counting(backend):
     rng = np.random.default_rng(6)
-    u = (rng.random((64, 100)) < 0.3).astype(np.int64)
-    g = linalg.gram(u, linalg.BLOCKED)
-    sets = [set(np.nonzero(row)[0]) for row in u]
-    for i in range(0, 64, 7):
-        for j in range(0, 64, 11):
-            assert g[i, j] == len(sets[i] & sets[j])
+    sets = [tuple(np.flatnonzero(rng.random(101) < 0.3)) for _ in range(67)] + [()]
+    u = linalg.indicator_rows(sets, 101)
+    assert u.dtype == np.float64 and set(np.unique(u)) <= {0.0, 1.0}
+    counters = linalg.Counters()
+    right = np.ascontiguousarray(u[:29].T)
+    tables = list(linalg.count_products(u, right, 10, backend, counters))
+    assert [start for start, _ in tables] == list(range(0, 68, 10))
+    assert (counters.oracle_calls, counters.madds) == (7, 68 * 101 * 29)
+    table = np.concatenate([t for _, t in tables])
+    direct = [[len(set(a) & set(b)) for b in sets[:29]] for a in sets]
+    assert np.array_equal(table, direct)
 
 
-def test_gram_is_positive_semidefinite_via_negation_shift():
-    # top eigenvalue of (c I - G) is c - lambda_min(G); PSD means it stays <= c
-    rng = np.random.default_rng(7)
-    u = rng.standard_normal((6, 9))
-    g = linalg.gram(u)
-    c = float(np.trace(g)) + 1.0  # safely above lambda_max
-    shifted = c * np.eye(6) - g   # symmetric PSD iff g's spectrum <= c
-    top, _ = linalg.power_iteration(shifted)
-    lambda_min = c - top
-    assert lambda_min >= -1e-8
+def test_count_products_refuse_inexact_range_before_multiplying():
+    # cutoff 1 on a 16384-long inner dimension: 14 Strassen levels, and
+    # 2**14 * 8**14 >= 2**53; no oracle call may be counted
+    left, right = np.ones((1, 16384)), np.ones((16384, 1))
+    counters = linalg.Counters()
+    with pytest.raises(ParameterError, match="exact float64 range"):
+        next(linalg.count_products(left, right, 1, linalg.Backend("recursive", cutoff=1),
+                                   counters))
+    assert counters.oracle_calls == 0
+    for backend in (linalg.NAIVE, linalg.RECURSIVE):
+        assert [t.item() for _, t in linalg.count_products(left, right, 1, backend)] == [16384.0]
 
 
 def test_counters_track_calls_and_madds():

@@ -7,7 +7,7 @@ import pytest
 from srpc import (CliqueEntry, CliqueList, PruneParams, intersection_threshold,
                   prune_fast, prune_naive)
 from srpc import linalg
-from srpc.errors import InputError, ParameterError
+from srpc.errors import InputError, InternalInvariantError, ParameterError
 
 
 def entries_from_sets(sets):
@@ -103,6 +103,31 @@ def test_fast_marks_in_one_pass():
     assert [r["vertices"] for r in out.stats["removed"]] == [list(range(0, 10)),
                                                              list(range(2, 12))]
     assert counters.oracle_calls == 1
+
+
+def test_fast_makes_one_oracle_call_per_batch_of_full_rows():
+    # m entries in batches of b: ceil(m / b) calls of b rows against all m
+    rng = np.random.default_rng(9)
+    n, m, batch = 50, 23, 5
+    sets = [tuple(sorted(rng.choice(n, size=12, replace=False))) for _ in range(m)]
+    params = PruneParams(n=n, p=0.5, delta=3, batch_size=batch)
+    counters = linalg.Counters()
+    fast = prune_fast(entries_from_sets(sets), params, counters=counters)
+    assert (counters.oracle_calls, counters.madds) == (math.ceil(m / batch), m * n * m)
+    assert fast.to_dict() == prune_naive(entries_from_sets(sets), params).to_dict()
+
+
+def test_fast_refuses_an_asymmetric_conflict_relation(monkeypatch):
+    # a product fault that raises one entry's count against another
+    def faulty(left, right, batch, backend, counters):
+        for start, table in count_products(left, right, batch, backend, counters):
+            table[0, 1] += 5
+            yield start, table
+
+    count_products = linalg.count_products
+    monkeypatch.setattr(linalg, "count_products", faulty)
+    with pytest.raises(InternalInvariantError, match="not symmetric"):
+        prune_fast(entries_from_sets([range(0, 10), range(7, 17)]), params_with_delta(40, 3))
 
 
 def random_list(rng, n, k, count, overlap_core=0):
