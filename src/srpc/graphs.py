@@ -154,7 +154,7 @@ def write_graph(graph: SignedAdjacency, path) -> None:
     no Python code runs per edge; the output is byte-reproducible.
     """
     n = graph.n
-    iu, ju = np.nonzero(np.triu(graph.signs, 1) > 0)
+    iu, ju = np.divmod(np.flatnonzero(np.triu(graph.signs > 0, 1)), n)
     names = np.array([str(v) for v in range(n)], dtype=object)
     bounds = np.searchsorted(iu, np.arange(n + 1))
     lines = [f"{GRAPH_HEADER} n={n}"]

@@ -62,15 +62,18 @@ class AdversaryStrategy:
 
 
 def _iid_block(rng: np.random.Generator, size: int, p: float) -> np.ndarray:
-    """Symmetric +-1 block with i.i.d. upper-triangle edges and +1 diagonal."""
-    block = np.ones((size, size), dtype=np.int8)
-    if size > 1:
-        iu = np.triu_indices(size, 1)
-        edges = rng.random(len(iu[0])) < p
-        vals = np.where(edges, 1, -1).astype(np.int8)
-        block[iu] = vals
-        block[(iu[1], iu[0])] = vals
-    return block
+    """Symmetric +-1 block with i.i.d. upper-triangle edges and +1 diagonal.
+
+    The draws fill a boolean strict-upper-triangle mask in row-major order,
+    which is ``np.triu_indices`` order, then the block is mirrored.
+    """
+    vertices = np.arange(size)
+    upper = vertices[:, None] < vertices
+    edges = np.zeros((size, size), dtype=bool)
+    edges[upper] = rng.random(size * (size - 1) // 2) < p
+    edges |= edges.T
+    np.fill_diagonal(edges, True)
+    return np.where(edges, np.int8(1), np.int8(-1))
 
 
 class ErdosRenyiStrategy(AdversaryStrategy):
@@ -212,11 +215,16 @@ def generate(n: int, k: int, p: float, strategy: AdversaryStrategy,
     outside, details = strategy.fill(_substream(seed, _STREAM_ADVERSARY),
                                      n, k, p, cut_block)
 
-    signs = np.empty((n, n), dtype=np.int8)
-    signs[np.ix_(planted, planted)] = 1
-    signs[np.ix_(planted, complement)] = cut_block
-    signs[np.ix_(complement, planted)] = cut_block.T
-    signs[np.ix_(complement, complement)] = outside
+    # Planted-first block matrix, then one row and one column permutation
+    # back to vertex order: vertex v sits at position position[v].
+    block = np.empty((n, n), dtype=np.int8)
+    block[:k, :k] = 1
+    block[:k, k:] = cut_block
+    block[k:, :k] = cut_block.T
+    block[k:, k:] = outside
+    position = np.empty(n, dtype=np.intp)
+    position[np.concatenate((planted, complement))] = np.arange(n)
+    signs = block.take(position, axis=0).take(position, axis=1)
 
     # Translate complement-local detail positions to vertex ids.
     resolved = dict(details)

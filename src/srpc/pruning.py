@@ -26,21 +26,34 @@ from .cliquelist import CliqueEntry, CliqueList
 from .errors import InternalInvariantError, ParameterError
 
 
-def intersection_threshold(n: int, p: float) -> int:
-    """Delta = floor(3 ln n / ln(1/p)); the log base cancels in the ratio."""
+def _check_model(n: int, p: float) -> None:
     if n < 2:
         raise ParameterError(f"n must be >= 2, got {n}")
     if not 0.0 < p < 1.0:
         raise ParameterError(f"p must lie in (0,1), got {p}")
+
+
+def intersection_threshold(n: int, p: float) -> int:
+    """Delta = floor(3 ln n / ln(1/p)); the log base cancels in the ratio."""
+    _check_model(n, p)
     return math.floor(3.0 * math.log(n) / math.log(1.0 / p))
 
 
 @dataclass(frozen=True)
 class PruneParams:
+    """Pruning parameters; a field out of range raises :class:`ParameterError`."""
+
     n: int
     p: float
     delta: int
     batch_size: int | None = None
+
+    def __post_init__(self):
+        _check_model(self.n, self.p)
+        if self.delta < 0:
+            raise ParameterError(f"delta must be >= 0, got {self.delta}")
+        if self.batch_size is not None and self.batch_size < 1:
+            raise ParameterError(f"batch_size must be >= 1, got {self.batch_size}")
 
     @classmethod
     def for_model(cls, n: int, p: float) -> "PruneParams":

@@ -25,9 +25,14 @@ from .errors import (BudgetExceededError, InternalInvariantError,
 DEFAULT_SUPPORT_BUDGET = 1_000_000
 _ENUM_OUTCOME_LIMIT = 20  # 2**k outcomes must stay enumerable
 _ISO_BLOCK_ENTRIES = 2 ** 16  # integer table entries per block of outcomes
-_CHUNK_FLOATS = 2 ** 16  # float64 entries in one chunk of gathered r x r Gram blocks
+# float64 entries in one chunk of gathered r x r Gram blocks; the flat gather
+# also holds an intp index of the same size while it runs.
+_CHUNK_FLOATS = 2 ** 15
 _SEED_ROWS = 32  # highest-bound supports ranked first, to set the pruning threshold
 _BOUND_MARGIN = 1e-9  # relative inflation of each eigenvalue bound, far above its rounding
+# Most support entries (trials * r) one sampled estimate draws; its int32
+# support array then stays within 256 MiB.
+MAX_SAMPLED_ENTRIES = 1 << 26
 
 
 class RademacherBase:
@@ -234,29 +239,39 @@ def _gram(mat: np.ndarray) -> np.ndarray:
 
 
 def _chunks(rows: int, r: int) -> list[slice]:
-    """Row slices of a support array; each slice's r x r Gram blocks hold <= 2**16 float64."""
+    """Row slices of a support array; each slice's r x r Gram blocks hold <= 2**15 float64."""
     step = max(1, _CHUNK_FLOATS // (r * r))
     return [slice(start, start + step) for start in range(0, rows, step)]
 
 
 def _gram_blocks(gram: np.ndarray, supports: np.ndarray) -> np.ndarray:
-    """The r x r Gram submatrix of each row of ``supports``."""
-    return gram[supports[:, :, None], supports[:, None, :]]
+    """The r x r Gram submatrix of each row of ``supports``, gathered by flat index.
+
+    Supports are cast to C-ordered intp first, so i * d + j cannot wrap for
+    int32 rows and the index array is C-ordered, which ``np.take`` needs to
+    use it without a copy.
+    """
+    s = np.ascontiguousarray(supports, dtype=np.intp)
+    return np.take(gram.ravel(), s[:, :, None] * gram.shape[1] + s[:, None, :])
 
 
 def _draw_supports(rng: np.random.Generator, d: int, r: int, trials: int) -> np.ndarray:
     """``trials`` uniform size-r subsets of range(d), one per row (Floyd's sampler).
 
     For each slot j in d-r .. d-1, every row draws t uniform in [0, j] and
-    takes t, or j if t is already in the row.  Rows are int32, which halves
-    the largest array a sampled estimate holds.
+    takes t, or j if t is already in the row.  Picks are held slot by slot,
+    as an (r, trials) int32 array whose transpose is returned, so each
+    membership test compares two contiguous slot rows.  Rows are int32,
+    which halves the largest array a sampled estimate holds.
     """
-    out = np.empty((trials, r), dtype=np.int32)
+    picks = np.empty((r, trials), dtype=np.int32)
     for slot, j in enumerate(range(d - r, d)):
-        t = rng.integers(0, j + 1, size=trials)
-        seen = (out[:, :slot] == t[:, None]).any(axis=1)
-        out[:, slot] = np.where(seen, j, t)
-    return out
+        t = rng.integers(0, j + 1, size=trials).astype(np.int32)
+        seen = np.zeros(trials, dtype=bool)
+        for prev in picks[:slot]:
+            seen |= prev == t
+        picks[slot] = np.where(seen, j, t)
+    return picks.T
 
 
 def _eig_bounds(gram: np.ndarray, supports: np.ndarray) -> np.ndarray:
@@ -279,6 +294,7 @@ def _eig_bounds(gram: np.ndarray, supports: np.ndarray) -> np.ndarray:
         square = np.matmul(blocks, blocks)
         np.matmul(square, square, out=blocks)
         bound[c] = scale * np.einsum("nij,nij->n", blocks, blocks) ** 0.125
+        del blocks, square  # free them before the next chunk's gather allocates its own
     return bound * (1 + _BOUND_MARGIN)
 
 
@@ -353,6 +369,16 @@ def sparse_opnorm_exhaustive(h, r: int, budget: int = DEFAULT_SUPPORT_BUDGET,
     return _rank_and_report(mat, supports, "exhaustive", total)
 
 
+def _check_sampled(d: int, r: int, trials: int) -> None:
+    if not 1 <= r <= d:
+        raise ParameterError(f"need 1 <= r <= {d}, got r={r}")
+    if trials < 1:
+        raise ParameterError("trials must be >= 1")
+    if trials * r > MAX_SAMPLED_ENTRIES:
+        raise ParameterError(f"trials * r = {trials} * {r} exceeds the limit "
+                             f"MAX_SAMPLED_ENTRIES={MAX_SAMPLED_ENTRIES}")
+
+
 def sparse_opnorm_sampled(h, r: int, trials: int, seed: int = 0) -> OpNormReport:
     """Certified lower bound: max over ``trials`` uniformly sampled supports.
 
@@ -360,14 +386,12 @@ def sparse_opnorm_sampled(h, r: int, trials: int, seed: int = 0) -> OpNormReport
     as in :func:`sparse_opnorm_exhaustive` (bound, then exact ``eigvalsh`` of
     the supports that can still win); of those within a relative 1e-12 of the
     maximum, the first drawn is reported, with its witness from ``eigh``.
-    ``supports_checked`` is ``trials``, pruned supports included.
+    ``supports_checked`` is ``trials``, pruned supports included.  A
+    ``trials * r`` above :data:`MAX_SAMPLED_ENTRIES` raises :class:`ParameterError`.
     """
     mat = _as_matrix(h)
     d = mat.shape[1]
-    if not 1 <= r <= d:
-        raise ParameterError(f"need 1 <= r <= {d}, got r={r}")
-    if trials < 1:
-        raise ParameterError("trials must be >= 1")
+    _check_sampled(d, r, trials)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     supports = _draw_supports(rng, d, r, trials)
     supports.sort(axis=1)
@@ -381,13 +405,11 @@ def rip_deviation_sampled(h_normalized, r: int, trials: int, seed: int = 0) -> f
     normal coefficient row per support, in support order and scaled to unit
     norm.  The rows are drawn chunk by chunk, which gives the same stream as
     one (trials, r) block; ||H v|| is sqrt(c^T G_S c) with G = H^T H.
+    ``trials * r`` is limited as in :func:`sparse_opnorm_sampled`.
     """
     mat = _as_matrix(h_normalized)
     d = mat.shape[1]
-    if not 1 <= r <= d:
-        raise ParameterError(f"need 1 <= r <= {d}, got r={r}")
-    if trials < 1:
-        raise ParameterError("trials must be >= 1")
+    _check_sampled(d, r, trials)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     supports = _draw_supports(rng, d, r, trials)
     gram = _gram(mat)

@@ -396,6 +396,17 @@ def test_non_finite_rip_thresholds_exit_2(args, name):
     assert name in proc.stderr
 
 
+@pytest.mark.parametrize("args", [
+    ["rip", "deviation", "--k", 6, "--t", 3, "--q", 8, "--r", 2, "--trials", 3_000_000_000],
+    ["rip", "opnorm", "--k", 6, "--t", 3, "--q", 8, "--r", 2, "--method", "sampled",
+     "--trials", 3_000_000_000],
+], ids=["deviation", "opnorm-sampled"])
+def test_oversized_sampled_rip_run_exits_2(args):
+    proc = run_cli(*args)
+    assert_input_error(proc)
+    assert "MAX_SAMPLED_ENTRIES" in proc.stderr
+
+
 @pytest.mark.parametrize("extra, name", [
     ({"trials": 0}, "trials"),
     ({"trials": -2}, "trials"),

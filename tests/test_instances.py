@@ -6,6 +6,7 @@ import pytest
 from srpc import (generate, majority_vector, read_instance,
                   strategy_clique_union, strategy_erdos_renyi,
                   strategy_majority_adversary, write_instance)
+from srpc import instances
 from srpc.errors import ParameterError
 from srpc.instances import strategy_by_name
 
@@ -184,3 +185,52 @@ def test_instance_file_roundtrip(tmp_path):
     assert loaded.planted == inst.planted
     assert loaded.details["chosen"] == inst.details["chosen"]
     assert loaded.details["decoys"] == inst.details["decoys"]
+
+
+def triu_iid_block(rng, size, p):
+    """The triu_indices fill that instances._iid_block replaced: the reference."""
+    block = np.ones((size, size), dtype=np.int8)
+    if size > 1:
+        iu = np.triu_indices(size, 1)
+        vals = np.where(rng.random(len(iu[0])) < p, 1, -1).astype(np.int8)
+        block[iu] = vals
+        block[(iu[1], iu[0])] = vals
+    return block
+
+
+def ix_signs(n, k, p, strategy, seed):
+    """The np.ix_ assembly that generate replaced, on the reference block fill."""
+    planted = np.sort(instances._substream(seed, instances._STREAM_PLANTED)
+                      .choice(n, size=k, replace=False))
+    complement = np.setdiff1d(np.arange(n), planted)
+    cut_edges = instances._substream(seed, instances._STREAM_CUT).random((k, n - k)) < p
+    cut_block = np.where(cut_edges, 1, -1).astype(np.int8)
+    outside, _ = strategy.fill(instances._substream(seed, instances._STREAM_ADVERSARY),
+                               n, k, p, cut_block)
+    signs = np.empty((n, n), dtype=np.int8)
+    signs[np.ix_(planted, planted)] = 1
+    signs[np.ix_(planted, complement)] = cut_block
+    signs[np.ix_(complement, planted)] = cut_block.T
+    signs[np.ix_(complement, complement)] = outside
+    return signs
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 5, 300])
+@pytest.mark.parametrize("p", [0.5, 0.3])
+def test_iid_block_matches_triu_indices_reference(size, p):
+    block = instances._iid_block(np.random.default_rng(12), size, p)
+    assert block.dtype == np.int8
+    assert np.array_equal(block, triu_iid_block(np.random.default_rng(12), size, p))
+
+
+@pytest.mark.parametrize("n, k", [(8, 8), (9, 8), (300, 60), (301, 60)],
+                         ids=["n-equals-k", "complement-1", "n-300", "n-301"])
+@pytest.mark.parametrize("make", [
+    strategy_erdos_renyi, strategy_clique_union,
+    lambda: strategy_majority_adversary(3),
+    lambda: strategy_majority_adversary(3, decoy_count=0),
+], ids=["erdos_renyi", "clique_union", "majority", "majority-no-decoys"])
+def test_generate_matches_ix_reference(monkeypatch, n, k, make):
+    inst = generate(n, k, 0.5, make(), seed=13)
+    monkeypatch.setattr(instances, "_iid_block", triu_iid_block)
+    assert np.array_equal(inst.graph.signs, ix_signs(n, k, 0.5, make(), seed=13))

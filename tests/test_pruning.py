@@ -105,6 +105,31 @@ def test_fast_marks_in_one_pass():
     assert counters.oracle_calls == 1
 
 
+@pytest.mark.parametrize("fields, name", [
+    ({"batch_size": -1}, "batch_size"),
+    ({"batch_size": 0}, "batch_size"),
+    ({"delta": -1}, "delta"),
+    ({"n": 1}, "n"),
+    ({"p": 0.0}, "p"),
+    ({"p": 1.0}, "p"),
+    ({"p": float("nan")}, "p"),
+], ids=["batch-negative", "batch-zero", "delta-negative", "n-one", "p-zero", "p-one", "p-nan"])
+def test_prune_params_refuse_out_of_range_fields(fields, name):
+    with pytest.raises(ParameterError, match=name):
+        PruneParams(**{"n": 40, "p": 0.5, "delta": 3, **fields})
+
+
+def test_fast_removes_overlapping_pair_at_every_batch_size():
+    # with batch_size=-1 allowed, prune_fast ran no batch and kept both
+    # entries, which meet in 8 > delta vertices; naive removes both
+    sets = [range(0, 10), range(2, 12)]
+    for batch in (None, 1, 2, 3):
+        params = PruneParams(n=40, p=0.5, delta=3, batch_size=batch)
+        fast = prune_fast(entries_from_sets(sets), params)
+        assert fast.vertex_sets() == []
+        assert fast.to_dict() == prune_naive(entries_from_sets(sets), params).to_dict()
+
+
 def test_fast_makes_one_oracle_call_per_batch_of_full_rows():
     # m entries in batches of b: ceil(m / b) calls of b rows against all m
     rng = np.random.default_rng(9)

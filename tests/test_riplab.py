@@ -158,9 +158,17 @@ def test_sampled_estimates_refuse_zero_trials():
         riplab.sparse_opnorm_sampled(np.eye(4), r=2, trials=0)
 
 
+def test_sampled_estimates_refuse_more_entries_than_the_limit():
+    # trials * r one past the limit is refused before anything is drawn
+    trials = riplab.MAX_SAMPLED_ENTRIES // 2 + 1
+    for estimate in (riplab.rip_deviation_sampled, riplab.sparse_opnorm_sampled):
+        with pytest.raises(ParameterError, match="MAX_SAMPLED_ENTRIES"):
+            estimate(np.eye(4), r=2, trials=trials)
+
+
 def test_rip_deviation_matches_direct_loop():
     # Reference: the draw rule replayed row by row, with one (trials, r)
-    # coefficient block and ||H v|| taken directly.  r=12 gives six chunks.
+    # coefficient block and ||H v|| taken directly.  r=12 gives twelve chunks.
     q, r, trials = 128, 12, 2500
     h = riplab.build_tensored(10, 3, q, riplab.RademacherBase(), seed=23).values / math.sqrt(q)
     rows = floyd_rows(24, h.shape[1], r, trials)
@@ -320,11 +328,33 @@ def floyd_rows(seed, d, r, trials):
 
 
 def test_draw_supports_matches_floyd_reference():
-    rng = np.random.default_rng(np.random.SeedSequence(21))
-    drawn = riplab._draw_supports(rng, 12, 5, 300)
-    assert drawn.tolist() == floyd_rows(21, 12, 5, 300)
-    assert drawn.min() >= 0 and drawn.max() < 12
-    assert all(len(set(row)) == 5 for row in drawn.tolist())
+    # r = 1, r = d and the deviation workload's r = 16 at d = 220 included
+    for d, r, trials in ((12, 5, 300), (12, 1, 300), (12, 12, 50), (220, 16, 10_000)):
+        rng = np.random.default_rng(np.random.SeedSequence(21))
+        drawn = riplab._draw_supports(rng, d, r, trials)
+        assert drawn.shape == (trials, r) and drawn.dtype == np.int32
+        assert drawn.tolist() == floyd_rows(21, d, r, trials)
+        assert drawn.min() >= 0 and drawn.max() < d
+        assert all(len(set(row)) == r for row in drawn.tolist())
+
+
+def paired_gram_blocks(gram, supports):
+    """The paired-index gather that riplab._gram_blocks replaced: the reference."""
+    return gram[supports[:, :, None], supports[:, None, :]]
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+@pytest.mark.parametrize("d, r, trials", [(12, 1, 300), (12, 12, 50), (220, 16, 10_000)],
+                         ids=["r-1", "r-d", "r-16-d-220"])
+def test_gram_blocks_match_paired_index_reference(dtype, d, r, trials):
+    rng = np.random.default_rng(np.random.SeedSequence(32))
+    drawn = riplab._draw_supports(rng, d, r, trials)  # a transposed, non-C-ordered view
+    mat = rng.standard_normal((40, d))
+    gram = mat.T @ mat
+    for supports in (drawn.astype(dtype, order="K"), np.sort(drawn, axis=1).astype(dtype)):
+        blocks = riplab._gram_blocks(gram, supports)
+        assert blocks.shape == (trials, r, r)
+        assert np.array_equal(blocks, paired_gram_blocks(gram, supports))
 
 
 def test_draw_supports_pairs_are_uniform():
