@@ -150,19 +150,18 @@ def hadamard_rows(matrix: Union[SignedAdjacency, PBiasedMatrix],
 def write_graph(graph: SignedAdjacency, path) -> None:
     """Write the v1 edge list: the header, then ``i j`` per edge, i < j, sorted by (i, j).
 
-    Lines are built a row at a time from a table of decimal vertex names, so
-    no Python code runs per edge; the output is byte-reproducible.
+    Each row's lines are joined from a table of decimal vertex names and
+    written at once, so no Python code runs per edge and no whole-file string
+    is built; the output is byte-reproducible.
     """
     n = graph.n
-    iu, ju = np.divmod(np.flatnonzero(np.triu(graph.signs > 0, 1)), n)
+    upper = np.triu(graph.signs > 0, 1)
     names = np.array([str(v) for v in range(n)], dtype=object)
-    bounds = np.searchsorted(iu, np.arange(n + 1))
-    lines = [f"{GRAPH_HEADER} n={n}"]
-    for i in np.flatnonzero(np.diff(bounds)):
-        prefix = names[i] + " "
-        lines.append(prefix + ("\n" + prefix).join(names[ju[bounds[i]:bounds[i + 1]]]))
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"{GRAPH_HEADER} n={n}\n")
+        for i in np.flatnonzero(upper.any(axis=1)):
+            prefix = names[i] + " "
+            fh.write(prefix + ("\n" + prefix).join(names[np.flatnonzero(upper[i])]) + "\n")
 
 
 # A body line: blank, or two ASCII-decimal vertex indices; spaces and tabs around them.

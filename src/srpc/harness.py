@@ -2,8 +2,8 @@
 
 Evaluation owns the hidden planted set; the solver never sees it.  The
 spurious-membership statistic is recomputed by replaying the solver's
-round sampling (a pure function of the echoed config) against the
-instance, so the solver output document stays small and planted-free.
+round sampling (a pure function of the echoed n, k, p and config) against
+the instance, so the solver output document stays small and planted-free.
 """
 
 from __future__ import annotations
@@ -44,13 +44,12 @@ class EvalResult:
         return asdict(self)
 
 
-def max_spurious_members(instance: Instance, cfg: solver.SolverConfig) -> int:
-    """max over rounds of |S_alpha \\ S*|, replayed from the solve config."""
+def max_spurious_members(instance: Instance, cfg: solver.SolverConfig, k: int, p: float) -> int:
+    """max over rounds of |S_alpha \\ S*|, replayed at the solve's k, p and config."""
     planted = np.zeros(instance.n, dtype=bool)
     planted[list(instance.planted)] = True
     worst = 0
-    for _, members in solver.iter_round_members(instance.graph, instance.k,
-                                                instance.p, cfg):
+    for _, members in solver.iter_round_members(instance.graph, k, p, cfg):
         worst = max(worst, int((members & ~planted).sum(axis=1).max()))
     return worst
 
@@ -59,9 +58,10 @@ def evaluate(instance: Instance, clique_list: CliqueList,
              compute_spurious: bool = True) -> EvalResult:
     """Score a solve output against the instance's hidden planted set.
 
-    An entry with a repeated vertex or a vertex outside [0, n), or a
-    ``stats.config`` that lacks a key or holds a bad value, raises
-    :class:`InputError`.
+    The replay takes n, k and p from ``stats``, or from the instance where a
+    key is absent.  An entry with a repeated vertex or a vertex outside
+    [0, n), a ``stats.config`` that lacks a key or holds a bad value, or a
+    ``stats`` n, k or p that does not fit the graph, raises :class:`InputError`.
     """
     clique_list.check_vertices(instance.n)
     planted = tuple(sorted(instance.planted))
@@ -75,14 +75,21 @@ def evaluate(instance: Instance, clique_list: CliqueList,
                      "accepted_distinct", "pruned_size")}
     spurious = 0
     if compute_spurious and "config" in stats:
+        n, k, p = (stats.get(key, getattr(instance, key)) for key in ("n", "k", "p"))
+        if not _is_int(n) or n != instance.n:
+            raise InputError(f"stats.n = {n!r}, but the graph has n = {instance.n}")
+        if not _is_int(k) or not 1 <= k <= n:
+            raise InputError(f"stats.k must be an integer in [1, {n}], got {k!r}")
+        if isinstance(p, bool) or not isinstance(p, numbers.Real) or not 0.0 < p < 1.0:
+            raise InputError(f"stats.p must be a number in (0, 1), got {p!r}")
         try:
             config = solver.SolverConfig.from_dict(stats["config"])
-            config.num_rounds(instance.n, instance.k)  # refuses a round count past the limit
+            config.num_rounds(n, k)  # refuses a round count past the limit
         except KeyError as exc:
             raise InputError(f"stats.config is missing key {exc}") from None
         except ParameterError as exc:
             raise InputError(f"stats.config: {exc}") from None
-        spurious = max_spurious_members(instance, config)
+        spurious = max_spurious_members(instance, config, k, p)
     return EvalResult(recovered=matching > 0, list_size=len(clique_list.entries),
                       stage_counts=stage_counts, max_spurious=spurious,
                       entries_matching_planted=matching,
@@ -281,16 +288,17 @@ def grid_csv(rows: list[dict]) -> str:
     return buf.getvalue()
 
 
-def adversary_demo(n: int, k: int, m: int, seed: int, p: float = 0.5,
-                   c_rounds: float = 10.0) -> dict:
+def adversary_demo(n: int, k: int, m: int, seed: int, c_rounds: float = 10.0) -> dict:
     """Majority-adversary study: correlation constants plus paired solver runs.
 
     The correlation half follows the abstract construction (m random sign
     vectors of length n, w their coordinate-wise majority); the instance
     half builds the actual adversarial graph, runs order 3 end to end, and
     checks each chosen planted vertex's raw order-1 candidate set for
-    decoy contamination.
+    decoy contamination.  Edges have p = 1/2, where the order-1 sign inner
+    products are the ones the solver thresholds.
     """
+    p = 0.5
     strategy = strategy_majority_adversary(m)
     strategy.check(n, k)
 

@@ -43,9 +43,11 @@ def majority_vector(rows) -> np.ndarray:
 class AdversaryStrategy:
     """Fills the induced +-1 block on the non-planted vertices.
 
-    ``fill`` receives the realized cut rows (planted x complement, in sorted
-    vertex order) and must return a symmetric +-1 block with +1 diagonal for
-    the complement, plus a detail dict for evaluation-side bookkeeping.
+    ``fill`` receives the sorted vertex ids of the planted set and of its
+    complement, and the realized cut rows (planted x complement, in that
+    order).  It returns a symmetric +-1 block with +1 diagonal for the
+    complement, plus a detail dict for evaluation-side bookkeeping whose
+    values are vertex ids.
     """
 
     name = "base"
@@ -56,8 +58,8 @@ class AdversaryStrategy:
     def check(self, n: int, k: int) -> None:
         """Raise :class:`ParameterError` if this strategy cannot fill an (n, k) instance."""
 
-    def fill(self, rng: np.random.Generator, n: int, k: int, p: float,
-             cut_block: np.ndarray) -> tuple[np.ndarray, dict]:
+    def fill(self, rng: np.random.Generator, p: float, planted: np.ndarray,
+             complement: np.ndarray, cut_block: np.ndarray) -> tuple[np.ndarray, dict]:
         raise NotImplementedError
 
 
@@ -79,8 +81,8 @@ def _iid_block(rng: np.random.Generator, size: int, p: float) -> np.ndarray:
 class ErdosRenyiStrategy(AdversaryStrategy):
     name = "erdos_renyi"
 
-    def fill(self, rng, n, k, p, cut_block):
-        return _iid_block(rng, n - k, p), {}
+    def fill(self, rng, p, planted, complement, cut_block):
+        return _iid_block(rng, len(complement), p), {}
 
 
 class CliqueUnionStrategy(AdversaryStrategy):
@@ -88,14 +90,13 @@ class CliqueUnionStrategy(AdversaryStrategy):
 
     name = "clique_union"
 
-    def fill(self, rng, n, k, p, cut_block):
-        size = n - k
+    def fill(self, rng, p, planted, complement, cut_block):
+        k, size = len(planted), len(complement)
         block = _iid_block(rng, size, p)
         cliques = []
         for start in range(0, size, k):
-            stop = min(start + k, size)
-            block[start:stop, start:stop] = 1
-            cliques.append((start, stop))
+            block[start:start + k, start:start + k] = 1
+            cliques.append(complement[start:start + k].tolist())
         return block, {"decoy_cliques": cliques}
 
 
@@ -131,10 +132,10 @@ class MajorityAdversaryStrategy(AdversaryStrategy):
         if self.m > k:
             raise ParameterError(f"m={self.m} exceeds clique size k={k}")
 
-    def fill(self, rng, n, k, p, cut_block):
-        size = n - k
+    def fill(self, rng, p, planted, complement, cut_block):
+        k, size = len(planted), len(complement)
         block = _iid_block(rng, size, p)
-        decoys = self.decoy_count if self.decoy_count is not None else math.ceil(n / k)
+        decoys = self.decoy_count if self.decoy_count is not None else math.ceil((k + size) / k)
         decoys = min(decoys, size)
         chosen = np.sort(rng.choice(k, size=self.m, replace=False))
         decoy_idx = np.sort(rng.choice(size, size=decoys, replace=False)) if decoys else \
@@ -145,8 +146,8 @@ class MajorityAdversaryStrategy(AdversaryStrategy):
             for d in decoy_idx:
                 block[d, others] = w[others]
                 block[others, d] = w[others]
-        return block, {"chosen_planted_positions": chosen.tolist(),
-                       "decoy_positions": decoy_idx.tolist()}
+        return block, {"chosen": planted[chosen].tolist(),
+                       "decoys": complement[decoy_idx].tolist()}
 
 
 def strategy_erdos_renyi() -> AdversaryStrategy:
@@ -213,7 +214,7 @@ def generate(n: int, k: int, p: float, strategy: AdversaryStrategy,
     cut_block = np.where(cut_edges, 1, -1).astype(np.int8)
 
     outside, details = strategy.fill(_substream(seed, _STREAM_ADVERSARY),
-                                     n, k, p, cut_block)
+                                     p, planted, complement, cut_block)
 
     # Planted-first block matrix, then one row and one column permutation
     # back to vertex order: vertex v sits at position position[v].
@@ -226,20 +227,10 @@ def generate(n: int, k: int, p: float, strategy: AdversaryStrategy,
     position[np.concatenate((planted, complement))] = np.arange(n)
     signs = block.take(position, axis=0).take(position, axis=1)
 
-    # Translate complement-local detail positions to vertex ids.
-    resolved = dict(details)
-    if "chosen_planted_positions" in details:
-        resolved["chosen"] = [int(planted[i]) for i in details["chosen_planted_positions"]]
-        resolved["decoys"] = [int(complement[i]) for i in details["decoy_positions"]]
-    if "decoy_cliques" in details:
-        resolved["decoy_cliques"] = [
-            [int(v) for v in complement[start:stop]]
-            for start, stop in details["decoy_cliques"]]
-
     return Instance(graph=SignedAdjacency(signs), n=n, k=k, p=p,
                     planted=tuple(int(v) for v in planted),
                     adversary=strategy.name, adversary_params=strategy.params(),
-                    seed=seed, details=resolved)
+                    seed=seed, details=details)
 
 
 def write_instance(inst: Instance, graph_path, meta_path) -> None:

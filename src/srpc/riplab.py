@@ -35,22 +35,6 @@ _BOUND_MARGIN = 1e-9  # relative inflation of each eigenvalue bound, far above i
 MAX_SAMPLED_ENTRIES = 1 << 26
 
 
-class RademacherBase:
-    """Uniform +-1 base coordinates."""
-
-    name = "rademacher"
-    bound = 1.0
-
-    def sample(self, rng: np.random.Generator, shape) -> np.ndarray:
-        return rng.choice(np.array([-1.0, 1.0]), size=shape)
-
-    def exact_values(self) -> tuple[Fraction, Fraction]:
-        return Fraction(1), Fraction(-1)
-
-    def exact_probs(self) -> tuple[Fraction, Fraction]:
-        return Fraction(1, 2), Fraction(1, 2)
-
-
 class PBiasedBase:
     """Two-point base law: p_plus with probability p, else -p_minus.
 
@@ -92,6 +76,19 @@ class PBiasedBase:
 
     def exact_probs(self) -> tuple[Fraction, Fraction]:
         return self.p, 1 - self.p
+
+
+class RademacherBase(PBiasedBase):
+    """Uniform +-1 base coordinates: the p = 1/2 law, with its own sampler."""
+
+    name = "rademacher"
+
+    def __init__(self):
+        super().__init__(Fraction(1, 2))
+
+    def sample(self, rng: np.random.Generator, shape) -> np.ndarray:
+        # This draw stream fixes the matrix in every Rademacher document.
+        return rng.choice(np.array([-1.0, 1.0]), size=shape)
 
 
 @dataclass(frozen=True)

@@ -157,7 +157,8 @@ def _inner_tables(values: np.ndarray, alpha_rows: np.ndarray, batch: int,
         if values.dtype == np.float32:
             yield linalg.sign_matmul(rows, values, values.shape[0], counters)
         else:
-            yield linalg.matmul(rows, np.ascontiguousarray(values.T), backend, counters)
+            # values is symmetric (SignedAdjacency checks it), so it is its own transpose.
+            yield linalg.matmul(rows, values, backend, counters)
 
 
 def batched_inner_products(matrix: Matrix, alphas: Sequence[Sequence[int]],

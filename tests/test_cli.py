@@ -2,11 +2,13 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from srpc import generate, strategy_erdos_renyi, write_instance
+from srpc import SolverConfig, generate, read_instance, strategy_erdos_renyi, write_instance
 from srpc.cli import cli
+from srpc.solver import iter_round_members
 
 
 @pytest.fixture
@@ -37,6 +39,25 @@ def test_generate_solve_evaluate_pipeline(runner, tmp_path):
                     "--result", str(out), "--out", str(ev)])
     ev_doc = json.loads(ev.read_text())
     assert ev_doc["recovered"] is True
+
+
+def test_evaluate_replays_at_the_solve_p(runner, tmp_path):
+    # An instance drawn at p = 0.3 but solved at p = 0.5: the spurious-membership
+    # replay must rerun the solve's own rounds, at its k and p.
+    g, meta, out, ev = (tmp_path / name for name in ("g.txt", "m.txt", "s.json", "e.json"))
+    invoke(runner, ["generate", "--n", "300", "--k", "120", "--p", "0.3", "--seed", "1",
+                    "--out-graph", str(g), "--out-meta", str(meta)])
+    invoke(runner, ["solve", "--graph", str(g), "--k", "120", "--p", "0.5", "--seed", "2",
+                    "--out", str(out)])
+    invoke(runner, ["evaluate", "--graph", str(g), "--meta", str(meta),
+                    "--result", str(out), "--out", str(ev)])
+    inst = read_instance(g, meta)
+    cfg = SolverConfig.from_dict(json.loads(out.read_text())["stats"]["config"])
+    outside = np.ones(300, dtype=bool)
+    outside[list(inst.planted)] = False
+    spurious = [int((members & outside).sum(axis=1).max())
+                for _, members in iter_round_members(inst.graph, 120, 0.5, cfg)]
+    assert json.loads(ev.read_text())["max_spurious"] == max(spurious) == 16
 
 
 def test_solve_output_has_no_wall_times(runner, tmp_path):
@@ -273,6 +294,14 @@ def test_malformed_instance_meta_exits_2(instance_files, key, edit):
                  '"c_rounds": 1e12, "seed": 0}}}'),
     ("evaluate", '{"cliques": [], "stats": {"config": {"order": 3, "reps": 2, '
                  '"c_rounds": 10.0, "rounds": 33554433, "seed": 0}}}'),
+    ("evaluate", '{"cliques": [], "stats": {"n": 61, "config": {"order": 3, "reps": 1, '
+                 '"c_rounds": 10.0, "seed": 0}}}'),
+    ("evaluate", '{"cliques": [], "stats": {"k": 0, "config": {"order": 3, "reps": 1, '
+                 '"c_rounds": 10.0, "seed": 0}}}'),
+    ("evaluate", '{"cliques": [], "stats": {"k": 10.5, "config": {"order": 3, "reps": 1, '
+                 '"c_rounds": 10.0, "seed": 0}}}'),
+    ("evaluate", '{"cliques": [], "stats": {"p": 1.0, "config": {"order": 3, "reps": 1, '
+                 '"c_rounds": 10.0, "seed": 0}}}'),
     ("evaluate", '{"cliques": [{"vertices": [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, '
                  '9.0]}]}'),
     ("prune", '{"cliques": [{"vertices": [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]}, '
@@ -295,6 +324,8 @@ def test_malformed_instance_meta_exits_2(instance_files, key, edit):
         "evaluate-config-string-c-rounds", "evaluate-config-bool-threshold",
         "evaluate-config-negative-seed", "evaluate-config-infinite-rounds",
         "evaluate-config-rounds-past-limit", "evaluate-config-explicit-rounds-past-limit",
+        "evaluate-stats-n-differs", "evaluate-stats-k-zero", "evaluate-stats-k-not-integer",
+        "evaluate-stats-p-one",
         "evaluate-float-vertices", "prune-float-vertices", "evaluate-string-vertex",
         "prune-string-vertex", "evaluate-bool-vertex", "prune-entry-not-object",
         "prune-cliques-not-list", "prune-alphas-not-lists", "prune-stats-not-object",

@@ -291,17 +291,46 @@ def reference_graph_text(graph):
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("kind", ["edgeless", "complete", "random"])
+def join_all_graph_text(graph):
+    """The whole-file join writer that write_graph replaced: the second byte reference."""
+    n = graph.n
+    iu, ju = np.divmod(np.flatnonzero(np.triu(graph.signs > 0, 1)), n)
+    names = np.array([str(v) for v in range(n)], dtype=object)
+    bounds = np.searchsorted(iu, np.arange(n + 1))
+    lines = [f"srpc-graph v1 n={n}"]
+    for i in np.flatnonzero(np.diff(bounds)):
+        prefix = names[i] + " "
+        lines.append(prefix + ("\n" + prefix).join(names[ju[bounds[i]:bounds[i + 1]]]))
+    return "\n".join(lines) + "\n"
+
+
+def isolated_graph(n, seed):
+    """A random graph where every third vertex, and the last, has no edges."""
+    signs = random_graph(n, seed).signs.copy()
+    lonely = np.r_[np.arange(0, n, 3), n - 1]
+    signs[lonely] = -1
+    signs[:, lonely] = -1
+    np.fill_diagonal(signs, 1)
+    return SignedAdjacency(signs)
+
+
+@pytest.mark.parametrize("kind", ["edgeless", "complete", "random", "sparse", "isolated"])
 @pytest.mark.parametrize("n", [1, 2, 9, 10, 11, 100, 101, 300])
 def test_graph_file_matches_reference_writer(tmp_path, n, kind):
     if kind == "random":
         graph = random_graph(n, n)
+    elif kind == "sparse":
+        graph = random_graph(n, n + 1, p=0.05)
+    elif kind == "isolated":
+        graph = isolated_graph(n, n)
     else:
         off_diagonal = 1 if kind == "complete" else -1
         graph = SignedAdjacency(np.where(np.eye(n, dtype=bool), 1, off_diagonal))
     path = tmp_path / "g.txt"
     write_graph(graph, path)
-    assert path.read_bytes() == reference_graph_text(graph).encode()
+    text = reference_graph_text(graph)
+    assert text == join_all_graph_text(graph)
+    assert path.read_bytes() == text.encode()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert read_graph(path) == graph

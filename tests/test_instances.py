@@ -95,6 +95,26 @@ def test_clique_union_remainder():
     assert sizes == [5, 10]
 
 
+@pytest.mark.parametrize("n, k", [(8, 8), (25, 10), (301, 60)])
+@pytest.mark.parametrize("make, keys", [
+    (strategy_erdos_renyi, set()),
+    (strategy_clique_union, {"decoy_cliques"}),
+    (lambda: strategy_majority_adversary(3), {"chosen", "decoys"}),
+    (lambda: strategy_majority_adversary(3, decoy_count=0), {"chosen", "decoys"}),
+], ids=["erdos_renyi", "clique_union", "majority", "majority-no-decoys"])
+def test_details_hold_only_vertex_ids(n, k, make, keys):
+    inst = generate(n, k, 0.5, make(), seed=14)
+    assert set(inst.details) == keys
+    planted = set(inst.planted)
+    complement = sorted(set(range(n)) - planted)
+    ids = inst.details.get("chosen", []) + inst.details.get("decoys", [])
+    assert all(type(v) is int for v in ids)
+    assert set(inst.details.get("chosen", [])) <= planted
+    assert set(inst.details.get("decoys", [])) <= set(complement)
+    for index, clique in enumerate(inst.details.get("decoy_cliques", [])):
+        assert clique == complement[index * k:(index + 1) * k]
+
+
 def test_majority_vector_basics():
     assert np.array_equal(majority_vector([[1, -1, 1]]), [1, -1, 1])
     rows = [[1, 1, -1], [1, -1, -1], [-1, 1, -1]]
@@ -206,7 +226,7 @@ def ix_signs(n, k, p, strategy, seed):
     cut_edges = instances._substream(seed, instances._STREAM_CUT).random((k, n - k)) < p
     cut_block = np.where(cut_edges, 1, -1).astype(np.int8)
     outside, _ = strategy.fill(instances._substream(seed, instances._STREAM_ADVERSARY),
-                               n, k, p, cut_block)
+                               p, planted, complement, cut_block)
     signs = np.empty((n, n), dtype=np.int8)
     signs[np.ix_(planted, planted)] = 1
     signs[np.ix_(planted, complement)] = cut_block

@@ -43,6 +43,14 @@ def test_tensored_entry_bound_pbiased():
     assert h.entry_bound == pytest.approx(4.0)  # (p_minus = 2)**2
 
 
+def test_rademacher_is_the_half_pbiased_law_with_its_own_sampler():
+    rademacher, half = riplab.RademacherBase(), riplab.PBiasedBase(Fraction(1, 2))
+    laws = [(base.bound, base.exact_values(), base.exact_probs()) for base in (rademacher, half)]
+    assert laws[0] == laws[1] == (1.0, (1, -1), (Fraction(1, 2), Fraction(1, 2)))
+    draws = rademacher.sample(np.random.default_rng(9), (7, 5))
+    assert np.array_equal(draws, np.random.default_rng(9).choice([-1.0, 1.0], size=(7, 5)))
+
+
 def test_build_validation():
     with pytest.raises(ParameterError):
         riplab.build_tensored(2, 3, 10, riplab.RademacherBase(), seed=0)

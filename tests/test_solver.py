@@ -9,6 +9,7 @@ from srpc import (PBiasedMatrix, SolverConfig, batched_inner_products,
                   strategy_majority_adversary, threshold_for)
 from srpc import linalg, solver
 from srpc.errors import InputError, ParameterError
+from srpc.graphs import row_products
 from srpc.solver import MAX_ALPHA_ROWS, _refine_sets
 from tests.test_graphs import random_graph
 
@@ -205,6 +206,22 @@ def test_batched_inner_products_float_path_close_to_direct():
         (row,) = batched_inner_products(m, [alpha])
         direct = np.prod(m.values[list(alpha)], axis=0) @ m.values.T
         assert np.allclose(row, direct, rtol=1e-9, atol=1e-9)
+
+
+@pytest.mark.parametrize("backend", [linalg.NAIVE, linalg.Backend("blocked", block_size=16),
+                                     linalg.Backend("recursive", cutoff=16)],
+                         ids=["naive", "blocked", "recursive"])
+def test_float_inner_tables_match_transposed_copy_reference(backend):
+    # The p != 1/2 operand goes in as it is; the transposed copy it replaced is the reference.
+    n = 70
+    values = PBiasedMatrix(random_graph(n, 21), 0.3).values
+    alphas = solver._sample_alphas(n, 150, 3, 1, np.random.default_rng(4))
+    tables = list(solver._inner_tables(values, alphas, n, backend, None))
+    reference = [linalg.matmul(row_products(values, alphas[start:start + n]),
+                               np.ascontiguousarray(values.T), backend)
+                 for start in range(0, len(alphas), n)]
+    assert len(tables) == len(reference) == 3
+    assert all(np.array_equal(a, b) for a, b in zip(tables, reference))
 
 
 def test_batched_inner_products_refuses_mixed_orders_and_bad_alphas():
