@@ -215,6 +215,9 @@ def rip():
 
 def _base_dist(base: str, p: str | None):
     if base == "rademacher":
+        if p is not None:
+            raise ParameterError(f"--p {p} applies only to --base pbiased; "
+                                 "the Rademacher base has p = 1/2")
         return riplab.RademacherBase()
     if p is None:
         raise ParameterError("--p is required for the p-biased base")

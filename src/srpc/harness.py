@@ -45,7 +45,11 @@ class EvalResult:
 
 
 def max_spurious_members(instance: Instance, cfg: solver.SolverConfig, k: int, p: float) -> int:
-    """max over rounds of |S_alpha \\ S*|, replayed at the solve's k, p and config."""
+    """max over rounds of |S_alpha \\ S*|, replayed at the solve's k, p and config.
+
+    The maximum ranges over the rounds whose sampled index set is a clique;
+    the solve skips every other round, and a skipped round has no members.
+    """
     planted = np.zeros(instance.n, dtype=bool)
     planted[list(instance.planted)] = True
     worst = 0
@@ -70,9 +74,9 @@ def evaluate(instance: Instance, clique_list: CliqueList,
                 for e in clique_list.entries)
     stats = clique_list.stats
     stage_counts = {key: stats.get(key) for key in
-                    ("rounds", "rounds_nonempty", "rounds_short_skipped",
-                     "distinct_raw", "distinct_refined", "rounds_accepted",
-                     "accepted_distinct", "pruned_size")}
+                    ("rounds", "rounds_index_not_clique", "rounds_nonempty",
+                     "rounds_short_skipped", "distinct_raw", "distinct_refined",
+                     "rounds_accepted", "accepted_distinct", "pruned_size")}
     spurious = 0
     if compute_spurious and "config" in stats:
         n, k, p = (stats.get(key, getattr(instance, key)) for key in ("n", "k", "p"))

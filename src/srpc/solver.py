@@ -4,11 +4,15 @@ One round samples t index sets of size s, forms the entrywise row
 products, and keeps the vertices whose inner product with every product
 row clears the threshold k * p_plus**4 / 2, as one boolean member table
 per oracle batch; only rounds with >= k members become vertex sets.  A
-single degree sweep then drops vertices with fewer than k-1 neighbors
-inside the set, the sweep survivors are kept only if they form a clique of
-size >= k, and the accepted sets are deduplicated and pruned down by
-pairwise intersection.  Oracle calls take at most n rows each and multiply
-only real rows.
+round whose t*s sampled vertices are not pairwise adjacent is skipped
+before any row product: the rounds the list-decoding argument relies on
+sample inside the planted clique, so their index sets are cliques.  A
+skipped round gets an empty member row and is counted as
+``rounds_index_not_clique``.  A single degree sweep then drops vertices
+with fewer than k-1 neighbors inside the set, the sweep survivors are
+kept only if they form a clique of size >= k, and the accepted sets are
+deduplicated and pruned down by pairwise intersection.  Oracle calls take
+at most n rows each and multiply only real rows.
 
 The solver only ever sees the graph; nothing here reads a planted set.
 The round loop converts the graph once into a dense operand: at p = 1/2
@@ -19,6 +23,7 @@ against the threshold with a 1e-9 absolute tolerance.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 import time
@@ -144,21 +149,19 @@ def _operand(matrix: Matrix) -> np.ndarray:
     return matrix.values
 
 
-def _inner_tables(values: np.ndarray, alpha_rows: np.ndarray, batch: int,
-                  backend: linalg.Backend,
-                  counters: linalg.Counters | None) -> Iterator[np.ndarray]:
-    """Yield <product row of alpha_rows[b], values[j]> tables, one oracle call per ``batch`` rows.
+def _inner_table(values: np.ndarray, alpha_rows: np.ndarray, backend: linalg.Backend,
+                 counters: linalg.Counters | None) -> np.ndarray:
+    """Table <product row of alpha_rows[b], values[j]> from one oracle call.
 
     float32 operands are signs and go through the exact :func:`linalg.sign_matmul`;
-    float64 operands go through :func:`linalg.matmul` with ``backend``.
+    float64 operands go through :func:`linalg.matmul` with ``backend``.  An
+    empty ``alpha_rows`` still makes its (zero-row) call.
     """
-    for start in range(0, len(alpha_rows), batch):
-        rows = row_products(values, alpha_rows[start:start + batch])
-        if values.dtype == np.float32:
-            yield linalg.sign_matmul(rows, values, values.shape[0], counters)
-        else:
-            # values is symmetric (SignedAdjacency checks it), so it is its own transpose.
-            yield linalg.matmul(rows, values, backend, counters)
+    rows = row_products(values, alpha_rows)
+    if values.dtype == np.float32:
+        return linalg.sign_matmul(rows, values, values.shape[0], counters)
+    # values is symmetric (SignedAdjacency checks it), so it is its own transpose.
+    return linalg.matmul(rows, values, backend, counters)
 
 
 def batched_inner_products(matrix: Matrix, alphas: Sequence[Sequence[int]],
@@ -176,8 +179,9 @@ def batched_inner_products(matrix: Matrix, alphas: Sequence[Sequence[int]],
     orders = sorted({len(alpha) for alpha in idx})
     if len(orders) > 1:
         raise ParameterError(f"alphas must have one order per call, got orders {orders}")
-    return np.concatenate(list(_inner_tables(_operand(matrix), np.array(idx), matrix.n,
-                                             backend, counters)))
+    values, rows = _operand(matrix), np.array(idx)
+    return np.concatenate([_inner_table(values, rows[start:start + matrix.n], backend, counters)
+                           for start in range(0, len(rows), matrix.n)])
 
 
 def _refine_sets(graph: SignedAdjacency, sets: Sequence[Sequence[int]], k: int,
@@ -230,6 +234,19 @@ def _sample_alphas(n: int, rounds: int, s: int, t: int,
     return out
 
 
+def _index_cliques(signs: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+    """Per round of a (rounds, t, s) index array: are its t*s vertices pairwise adjacent?
+
+    One vectorised lookup per vertex pair; a vertex drawn twice is adjacent
+    to itself (the diagonal is +1).
+    """
+    verts = alphas.reshape(len(alphas), -1)
+    ok = np.ones(len(verts), dtype=bool)
+    for a, b in itertools.combinations(range(verts.shape[1]), 2):
+        ok &= signs[verts[:, a], verts[:, b]] > 0
+    return ok
+
+
 def iter_round_members(graph: SignedAdjacency, k: int, p: float,
                        cfg: SolverConfig,
                        counters: linalg.Counters | None = None
@@ -237,9 +254,14 @@ def iter_round_members(graph: SignedAdjacency, k: int, p: float,
     """Yield (alphas, members) for each oracle batch of a solve, in round order.
 
     ``alphas`` is the batch's (rounds, t, s) index array and ``members`` its
-    (rounds, n) boolean table of raw members.  Shared by :func:`solve` and by
-    evaluation code that recomputes the raw candidate sets against the
-    hidden planted set.
+    (rounds, n) boolean table of raw members.  A round whose t*s sampled
+    vertices are not pairwise adjacent is never multiplied and gets an
+    all-False row.  Each batch of n // t sampled rounds makes one oracle
+    call over the t product rows of each of its clique rounds (a zero-row
+    call when it has none), so a solve makes ceil(rounds / (n // t)) calls
+    and (clique rounds) * t * n**2 multiply-adds.  Shared by :func:`solve`
+    and by evaluation code that recomputes the raw candidate sets against
+    the hidden planted set.
     """
     n = graph.n
     rounds = cfg.num_rounds(n, k)
@@ -251,17 +273,20 @@ def iter_round_members(graph: SignedAdjacency, k: int, p: float,
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     t, s = cfg.reps, cfg.order
     alphas = _sample_alphas(n, rounds, s, t, rng).reshape(rounds, t, s)
+    clique = _index_cliques(graph.signs, alphas)
 
     sign_path = p == 0.5
     values = _operand(graph if sign_path else PBiasedMatrix(graph, p))
     cutoff = tau if sign_path else tau - FLOAT_THRESHOLD_TOL
 
     rounds_per_batch = n // t  # whole rounds per oracle call of at most n rows
-    batches = (alphas[r0:r0 + rounds_per_batch] for r0 in range(0, rounds, rounds_per_batch))
-    tables = _inner_tables(values, alphas.reshape(-1, s), rounds_per_batch * t,
-                           cfg.backend, counters)
-    for batch, table in zip(batches, tables):
-        yield batch, (table >= cutoff).reshape(-1, t, n).all(axis=1)
+    for r0 in range(0, rounds, rounds_per_batch):
+        batch = alphas[r0:r0 + rounds_per_batch]
+        keep = clique[r0:r0 + rounds_per_batch]
+        table = _inner_table(values, batch[keep].reshape(-1, s), cfg.backend, counters)
+        members = np.zeros((len(batch), n), dtype=bool)
+        members[keep] = (table >= cutoff).reshape(-1, t, n).all(axis=1)
+        yield batch, members
 
 
 def solve(graph: SignedAdjacency, k: int, p: float, cfg: SolverConfig,
@@ -284,8 +309,11 @@ def solve(graph: SignedAdjacency, k: int, p: float, cfg: SolverConfig,
     distinct: dict[bytes, tuple[np.ndarray, list]] = {}  # raw set -> (members, round alphas)
     rounds_nonempty = 0
     rounds_short = 0
+    rounds_not_clique = 0
     for alphas, members in iter_round_members(graph, k, p, cfg,
                                               stage_counters["candidate"]):
+        rounds_not_clique += len(alphas) - int(np.count_nonzero(
+            _index_cliques(graph.signs, alphas)))
         sizes = members.sum(axis=1)
         rounds_nonempty += int(np.count_nonzero(sizes))
         # A degree sweep only removes vertices, so a short set can never
@@ -331,6 +359,7 @@ def solve(graph: SignedAdjacency, k: int, p: float, cfg: SolverConfig,
         "config": replace(cfg, rounds=rounds, threshold=tau).to_dict(),
         "rounds": rounds,
         "threshold": tau,
+        "rounds_index_not_clique": rounds_not_clique,
         "rounds_nonempty": rounds_nonempty,
         "rounds_short_skipped": rounds_short,
         "distinct_raw": len(records),

@@ -55,9 +55,12 @@ def test_evaluate_replays_at_the_solve_p(runner, tmp_path):
     cfg = SolverConfig.from_dict(json.loads(out.read_text())["stats"]["config"])
     outside = np.ones(300, dtype=bool)
     outside[list(inst.planted)] = False
-    spurious = [int((members & outside).sum(axis=1).max())
-                for _, members in iter_round_members(inst.graph, 120, 0.5, cfg)]
-    assert json.loads(ev.read_text())["max_spurious"] == max(spurious) == 16
+
+    def replay(p):
+        return max(int((members & outside).sum(axis=1).max())
+                   for _, members in iter_round_members(inst.graph, 120, p, cfg))
+    assert json.loads(ev.read_text())["max_spurious"] == replay(0.5) == 2
+    assert replay(0.3) == 10  # a replay at the instance's p reads otherwise
 
 
 def test_solve_output_has_no_wall_times(runner, tmp_path):
@@ -87,9 +90,9 @@ def test_solve_document_bytes_do_not_depend_on_timings(runner, tmp_path):
         docs.append(out.read_bytes())
     assert docs[0] == docs[1]
     assert set(json.loads(docs[0])["stats"]) == {
-        "n", "k", "p", "config", "rounds", "threshold", "rounds_nonempty",
-        "rounds_short_skipped", "distinct_raw", "distinct_refined", "rounds_accepted",
-        "accepted_distinct", "pruned_size", "prune", "oracle_calls", "madds"}
+        "n", "k", "p", "config", "rounds", "threshold", "rounds_index_not_clique",
+        "rounds_nonempty", "rounds_short_skipped", "distinct_raw", "distinct_refined",
+        "rounds_accepted", "accepted_distinct", "pruned_size", "prune", "oracle_calls", "madds"}
 
 
 def test_prune_command_modes_agree(runner, tmp_path):
@@ -403,10 +406,17 @@ def test_negative_seed_exits_2(tmp_path, args, flag):
     (["rip", "opnorm", *RIP_SHAPE, "--r", 2, "--base", "pbiased", "--p", "abc"], "--p"),
     (["rip", "opnorm", *RIP_SHAPE, "--r", 2, "--base", "pbiased", "--p", "1/0"], "--p"),
     (["rip", "isotropy", *RIP_SHAPE, "--base", "pbiased", "--p", "4//5"], "--p"),
+    (["rip", "build", *RIP_SHAPE, "--p", "4/5"], "--p"),
+    (["rip", "isotropy", *RIP_SHAPE, "--base", "rademacher", "--p", "4/5"], "--p"),
+    (["rip", "opnorm", *RIP_SHAPE, "--r", 2, "--p", "1/2"], "--p"),
+    (["rip", "deviation", *RIP_SHAPE, "--r", 2, "--p", "4/5"], "--p"),
+    (["rip", "corrcount", *RIP_SHAPE, "--tau", 0.5, "--p", "4/5"], "--p"),
     (["bench", "--sizes", "a"], "--sizes"),
     (["bench", "--sizes", "8,,16"], "--sizes"),
     (["bench", "--sizes", "0"], "--sizes"),
-], ids=["p-not-a-number", "p-zero-denominator", "p-malformed-fraction", "sizes-not-a-number",
+], ids=["p-not-a-number", "p-zero-denominator", "p-malformed-fraction",
+        "p-with-rademacher-build", "p-with-rademacher-isotropy", "p-with-rademacher-opnorm",
+        "p-with-rademacher-deviation", "p-with-rademacher-corrcount", "sizes-not-a-number",
         "sizes-empty-entry", "sizes-zero"])
 def test_bad_cli_value_exits_2_naming_the_flag(args, flag):
     proc = run_cli(*args)

@@ -24,6 +24,10 @@ def test_evaluate_recovered():
     assert ev.list_size == len(result.entries)
     assert ev.all_entries_valid_cliques
     assert ev.stage_counts["rounds"] == result.stats["rounds"]
+    # skipped rounds are told apart from rounds that ran and came up empty
+    skipped = ev.stage_counts["rounds_index_not_clique"]
+    assert skipped == result.stats["rounds_index_not_clique"]
+    assert 0 < skipped and ev.stage_counts["rounds_nonempty"] <= ev.stage_counts["rounds"] - skipped
 
 
 def test_evaluate_empty_list():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -170,10 +171,19 @@ def test_batched_inner_products_single_alpha_matches_candidate_path():
     g = random_graph(50, 11)
     table = batched_inner_products(g, [(2, 9)])
     assert set(raw_members(g, [(2, 9)], tau=4)) == set(np.nonzero(table[0] >= 4)[0])
-    # the solver's own round loop admits the same set for that alpha
-    cfg = SolverConfig(order=2, rounds=1, threshold=4.0, seed=0)
-    (alphas, members), = solver.iter_round_members(g, 5, 0.5, cfg)
-    assert tuple(np.flatnonzero(members[0]).tolist()) == raw_members(g, alphas[0].tolist(), tau=4)
+    # the solver's own round loop admits the same set for a sampled alpha that is an
+    # edge, and multiplies no row for one that is not
+    kinds = set()
+    for seed in range(10):
+        cfg = SolverConfig(order=2, rounds=1, threshold=4.0, seed=seed)
+        counters = linalg.Counters()
+        (alphas, members), = solver.iter_round_members(g, 5, 0.5, cfg, counters)
+        edge = g.is_clique(alphas[0, 0])
+        expected = raw_members(g, alphas[0].tolist(), tau=4) if edge else ()
+        assert tuple(np.flatnonzero(members[0]).tolist()) == expected
+        assert (counters.oracle_calls, counters.madds) == (1, edge * 50 * 50)
+        kinds.add((edge, bool(expected)))
+    assert kinds == {(True, True), (False, False)}
 
 
 def test_iter_round_members_yields_one_member_table_per_oracle_batch():
@@ -189,8 +199,11 @@ def test_iter_round_members_yields_one_member_table_per_oracle_batch():
         assert alphas.shape == (len(alphas), 2, 2)
         assert members.shape == (len(alphas), 40) and members.dtype == bool
         for round_alphas, row in zip(alphas, members):
-            assert tuple(np.flatnonzero(row).tolist()) == raw_members(g, round_alphas.tolist(),
-                                                                      tau=3)
+            # a round whose 4 sampled vertices are not a clique is never multiplied
+            expected = (raw_members(g, round_alphas.tolist(), tau=3)
+                        if g.is_clique(round_alphas.reshape(-1)) else ())
+            assert tuple(np.flatnonzero(row).tolist()) == expected
+    assert 0 < sum(members.any(axis=1).sum() for _, members in batches) < 50
 
 
 def test_batched_inner_products_complete_graph():
@@ -216,7 +229,8 @@ def test_float_inner_tables_match_transposed_copy_reference(backend):
     n = 70
     values = PBiasedMatrix(random_graph(n, 21), 0.3).values
     alphas = solver._sample_alphas(n, 150, 3, 1, np.random.default_rng(4))
-    tables = list(solver._inner_tables(values, alphas, n, backend, None))
+    tables = [solver._inner_table(values, alphas[start:start + n], backend, None)
+              for start in range(0, len(alphas), n)]
     reference = [linalg.matmul(row_products(values, alphas[start:start + n]),
                                np.ascontiguousarray(values.T), backend)
                  for start in range(0, len(alphas), n)]
@@ -348,7 +362,10 @@ def test_solve_round_counts_match_brute_force_over_rounds():
     stats = solve(inst.graph, 40, 0.5, cfg).stats
     rng = np.random.default_rng(np.random.SeedSequence(3))
     alphas = solver._sample_alphas(150, 300, 1, 2, rng).reshape(300, 2, 1)
-    sizes = [len(raw_members(inst.graph, a.tolist(), threshold_for(40, 0.5))) for a in alphas]
+    clique = [inst.graph.is_clique(a.reshape(-1)) for a in alphas]
+    sizes = [len(raw_members(inst.graph, a.tolist(), threshold_for(40, 0.5))) if ok else 0
+             for a, ok in zip(alphas, clique)]
+    assert stats["rounds_index_not_clique"] == clique.count(False)
     assert stats["rounds_nonempty"] == sum(1 for size in sizes if size > 0)
     assert stats["rounds_short_skipped"] == sum(1 for size in sizes if 0 < size < 40)
     # the instance has empty, short and long rounds alike
@@ -368,10 +385,64 @@ def test_solve_reports_stage_madds():
     inst = generate(128, 64, 0.5, strategy_erdos_renyi(), seed=21)
     result = solve(inst.graph, 64, 0.5, SolverConfig(order=3, reps=1, seed=14))
     stats = result.stats
-    assert stats["madds"]["candidate"] == stats["rounds"] * 128 ** 2
+    # only the rounds whose sampled triple is a clique are multiplied
+    surviving = stats["rounds"] - stats["rounds_index_not_clique"]
+    assert 0 < surviving < stats["rounds"]
+    assert stats["madds"]["candidate"] == surviving * 128 ** 2
     assert stats["madds"]["refine"] == stats["distinct_raw"] * 128 ** 2
     # verify checks induced submatrices without the oracle
     assert stats["oracle_calls"]["verify"] == stats["madds"]["verify"] == 0
+
+
+def test_edgeless_graph_keeps_one_oracle_call_per_batch_and_multiplies_no_row():
+    # order 2 samples two distinct vertices, which are never adjacent here
+    g = from_edge_list(20, [])
+    cfg = SolverConfig(order=2, rounds=100, seed=1)
+    counters = linalg.Counters()
+    batches = list(solver.iter_round_members(g, 2, 0.5, cfg, counters))
+    assert len(batches) == counters.oracle_calls == math.ceil(100 / 20)
+    assert counters.madds == 0 and not any(members.any() for _, members in batches)
+    result = solve(g, 2, 0.5, cfg)
+    assert result.entries == []
+    stats = result.stats
+    assert (stats["oracle_calls"]["candidate"], stats["madds"]["candidate"]) == (5, 0)
+    assert stats["rounds_index_not_clique"] == stats["rounds"] == 100
+    # the float64 path makes the same zero-row calls under every backend
+    for backend in (linalg.NAIVE, linalg.BLOCKED, linalg.RECURSIVE):
+        counters = linalg.Counters()
+        batches = list(solver.iter_round_members(g, 2, 0.3, replace(cfg, backend=backend),
+                                                 counters))
+        assert (len(batches), counters.oracle_calls, counters.madds) == (5, 5, 0)
+
+
+@pytest.mark.parametrize("reps", [1, 2])
+@pytest.mark.parametrize("p", [0.5, 0.3])
+def test_rounds_inside_the_planted_set_survive_and_match_brute_force(p, reps):
+    n, k, rounds = 80, 40, 160
+    inst = generate(n, k, p, strategy_erdos_renyi(), seed=30 + reps)
+    values = (inst.graph.signs.astype(np.float64) if p == 0.5
+              else PBiasedMatrix(inst.graph, p).values)
+    cutoff = threshold_for(k, p) - 1e-9
+    planted = set(inst.planted)
+    counters = linalg.Counters()
+    kinds = {}
+    cfg = SolverConfig(order=2, reps=reps, rounds=rounds, seed=31)
+    for alphas, members in solver.iter_round_members(inst.graph, k, p, cfg, counters):
+        for round_alphas, row in zip(alphas, members):
+            verts = round_alphas.reshape(-1)
+            inside = planted.issuperset(verts.tolist())
+            clique = inst.graph.is_clique(verts)
+            assert clique or not inside
+            # brute force: the t product rows against every row, each cleared by all t
+            scores = np.prod(values[round_alphas], axis=1) @ values
+            expected = np.all(scores >= cutoff, axis=0) if clique else np.zeros(n, dtype=bool)
+            assert np.array_equal(row, expected)
+            assert expected.any() or not inside
+            kinds[inside, clique] = kinds.get((inside, clique), 0) + 1
+    # a surviving round is one whose t rows were multiplied
+    survived = kinds.get((True, True), 0) + kinds.get((False, True), 0)
+    assert counters.madds == survived * reps * n * n
+    assert kinds.get((True, True), 0) > 0 and kinds.get((False, False), 0) > 0
 
 
 def test_solver_config_loads_documents_with_iterate_refine():
