@@ -22,6 +22,11 @@ from .errors import InputError, InternalInvariantError, ParameterError
 GRAPH_HEADER = "srpc-graph v1"
 # Largest n that read_graph accepts; its dense int8 sign matrix is then at most 1 GiB.
 MAX_N = 1 << 15
+# Side of the square tiles in which the constructor compares signs with signs.T.
+_TILE = 256
+# Body bytes that read_graph scans per step (rounded up to the next line end),
+# and sign bytes that write_graph takes per block of rows.
+_CHUNK_BYTES = 1 << 20
 
 
 class SignedAdjacency:
@@ -35,15 +40,19 @@ class SignedAdjacency:
         signs = np.asarray(signs)
         if signs.ndim != 2 or signs.shape[0] != signs.shape[1]:
             raise InputError("sign matrix must be square")
-        if not np.all(np.abs(signs) == 1):
+        n = signs.shape[0]
+        # strips and tiles keep every temporary small enough to stay in cache
+        if not all(np.all(np.abs(signs[r:r + _TILE]) == 1) for r in range(0, n, _TILE)):
             raise InputError("entries must be +1 or -1")
         signs = np.ascontiguousarray(signs, dtype=np.int8)
-        if not np.array_equal(signs, signs.T):
+        if not all(np.array_equal(signs[r:r + _TILE, c:c + _TILE],
+                                  signs[c:c + _TILE, r:r + _TILE].T)
+                   for r in range(0, n, _TILE) for c in range(r, n, _TILE)):
             raise InputError("adjacency matrix is not symmetric")
         if not np.all(np.diag(signs) == 1):
             raise InputError("diagonal entries must be +1")
         signs.setflags(write=False)
-        self.n = signs.shape[0]
+        self.n = n
         self.signs = signs
 
     def adjacency01(self, dtype=np.float64) -> np.ndarray:
@@ -79,20 +88,21 @@ def from_edge_list(n: int, edges: np.ndarray | Iterable[tuple[int, int]]) -> Sig
         if not (0 <= a < n and 0 <= b < n):
             raise InputError(f"edge ({a},{b}) has an endpoint outside [0,{n})")
         raise InputError(f"self-loop ({a},{a}) is not allowed")
-    return _signs_from_edges(n, [pairs.T.astype(np.int64)])
+    i, j = pairs.T.astype(np.int64)
+    return _signs_from_edges(n, [(i * n + j, j * n + i)])
 
 
-def _signs_from_edges(n: int, edge_batches: Iterable[tuple[np.ndarray, np.ndarray]]
+def _signs_from_edges(n: int, key_batches: Iterable[tuple[np.ndarray, np.ndarray]]
                       ) -> SignedAdjacency:
-    """The sign matrix with +1 on each edge (i[e], j[e]) of every batch, filled by flat index.
+    """The sign matrix with +1 at both flat indices i*n + j and j*n + i of every edge.
 
-    Endpoints must already lie in [0, n) (int64, so i*n + j cannot wrap).
+    Each batch holds the two flat-index arrays of its edges; they must lie in [0, n*n).
     """
     flat = np.full(n * n, -1, dtype=np.int8)
     flat[::n + 1] = 1
-    for i, j in edge_batches:
-        flat[i * n + j] = 1
-        flat[j * n + i] = 1
+    for keys, mirrored in key_batches:
+        flat[keys] = 1
+        flat[mirrored] = 1
     return SignedAdjacency(flat.reshape(n, n))
 
 
@@ -150,30 +160,38 @@ def hadamard_rows(matrix: Union[SignedAdjacency, PBiasedMatrix],
 def write_graph(graph: SignedAdjacency, path) -> None:
     """Write the v1 edge list: the header, then ``i j`` per edge, i < j, sorted by (i, j).
 
-    Each row's lines are joined from a table of decimal vertex names and
-    written at once, so no Python code runs per edge and no whole-file string
-    is built; the output is byte-reproducible.
+    Rows are taken a block at a time: one ``flatnonzero`` finds the block's
+    edges and ``searchsorted`` splits them by row, keeping j > i.  Each row's
+    lines are joined from a table of decimal vertex names and written at
+    once.  No Python code runs per edge and no whole-file string is built;
+    the output is byte-reproducible.
     """
     n = graph.n
-    upper = np.triu(graph.signs > 0, 1)
     names = np.array([str(v) for v in range(n)], dtype=object)
+    rows_per_block = max(1, _CHUNK_BYTES // max(n, 1))
     with open(path, "w") as fh:
         fh.write(f"{GRAPH_HEADER} n={n}\n")
-        for i in np.flatnonzero(upper.any(axis=1)):
-            prefix = names[i] + " "
-            fh.write(prefix + ("\n" + prefix).join(names[np.flatnonzero(upper[i])]) + "\n")
+        for start in range(0, n, rows_per_block):
+            keys = np.flatnonzero(graph.signs[start:start + rows_per_block] > 0)
+            rows = np.arange(min(rows_per_block, n - start))
+            # row r's edges with j > i: its keys past the diagonal's, before row r + 1's
+            lo = np.searchsorted(keys, rows * (n + 1) + start, side="right").tolist()
+            hi = np.searchsorted(keys, (rows + 1) * n).tolist()
+            for r in rows[np.greater(hi, lo)].tolist():
+                prefix = names[start + r] + " "
+                cols = keys[lo[r]:hi[r]] - r * n
+                fh.write(prefix + ("\n" + prefix).join(names[cols]) + "\n")
 
 
 # A body line: blank, or two ASCII-decimal vertex indices; spaces and tabs around them.
 _EDGE_LINE = re.compile(r"[ \t]*(?:([0-9]+)[ \t]+([0-9]+)[ \t]*)?")
-# Body bytes that read_graph scans per step (rounded up to the next line end).
-_CHUNK_BYTES = 1 << 20
 
 
 def _chunk_edges(chunk: bytes, n: int, prev: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """The (i, j) endpoint arrays of one newline-aligned body chunk; None if a line breaks the format.
+    """The flat indices (i*n + j, j*n + i) of one newline-aligned body chunk's edges.
 
     ``prev`` is the key i*n + j of the last edge before the chunk, or -1.
+    Returns None if a line breaks the format.
     """
     if chunk.translate(None, b"0123456789 \t\n"):
         return None
@@ -182,22 +200,24 @@ def _chunk_edges(chunk: bytes, n: int, prev: int) -> tuple[np.ndarray, np.ndarra
     event = codes == ord("\n")
     event[0] |= digit[0]
     event[1:] |= digit[1:] > digit[:-1]
-    # In the ordered stream of digit-run starts and newlines, tokens 2m and 2m+1
-    # are adjacent and a newline separates consecutive pairs: two tokens or none per line.
-    tokens = np.flatnonzero(codes[np.flatnonzero(event)] != ord("\n"))
-    first, second = tokens[0::2], tokens[1::2]
-    if (tokens.size % 2 or np.any(second - first != 1)
-            or np.any(first[1:] - second[:-1] < 2)):
+    # In the ordered stream of digit-run starts (tokens) and newlines, two tokens
+    # or none per line means every run of tokens has length exactly 2: no token
+    # has a token on both sides or on neither side.
+    token = np.zeros(np.count_nonzero(event) + 2, dtype=bool)
+    token[1:-1] = np.compress(event, codes) != ord("\n")
+    if np.any(token[1:-1] & (token[:-2] == token[2:])):
         return None
-    if tokens.size == 0:
-        return first, second
+    tokens = np.count_nonzero(token)
+    if tokens == 0:
+        none = np.empty(0, dtype=np.int64)
+        return none, none
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a partial parse only warns
         try:
             values = np.fromstring(chunk, dtype=np.int64, sep=" ")
         except DeprecationWarning:
             return None
-    if values.size != tokens.size:
+    if values.size != tokens:
         return None
     i, j = values[0::2], values[1::2]
     if not (np.all(i < j) and j.max() < n):
@@ -205,11 +225,11 @@ def _chunk_edges(chunk: bytes, n: int, prev: int) -> tuple[np.ndarray, np.ndarra
     keys = i * n + j
     if keys[0] <= prev or np.any(keys[1:] <= keys[:-1]):
         return None
-    return i, j
+    return keys, j * n + i
 
 
 def _body_edges(data: bytes, start: int, n: int):
-    """Yield the (i, j) endpoint arrays of the v1 body ``data[start:]``, a chunk at a time.
+    """Yield the :func:`_chunk_edges` flat indices of the v1 body ``data[start:]``, chunk by chunk.
 
     Chunks end at a newline.  A chunk that breaks the format raises
     :func:`_bad_line`'s error for the whole body.
@@ -222,10 +242,9 @@ def _body_edges(data: bytes, start: int, n: int):
         if edges is None:
             raise _bad_line(data[body_start:].decode("utf-8", errors="replace"), n)
         start = stop
-        i, j = edges
-        if i.size:
-            prev = int(i[-1]) * n + int(j[-1])
-        yield i, j
+        if edges[0].size:
+            prev = int(edges[0][-1])
+        yield edges
 
 
 def _bad_line(body: str, n: int) -> InputError:

@@ -75,7 +75,7 @@ def _iid_block(rng: np.random.Generator, size: int, p: float) -> np.ndarray:
     edges[upper] = rng.random(size * (size - 1) // 2) < p
     edges |= edges.T
     np.fill_diagonal(edges, True)
-    return np.where(edges, np.int8(1), np.int8(-1))
+    return edges.view(np.int8) * 2 - 1
 
 
 class ErdosRenyiStrategy(AdversaryStrategy):
@@ -211,7 +211,7 @@ def generate(n: int, k: int, p: float, strategy: AdversaryStrategy,
     complement = np.setdiff1d(np.arange(n), planted)
 
     cut_edges = _substream(seed, _STREAM_CUT).random((k, n - k)) < p
-    cut_block = np.where(cut_edges, 1, -1).astype(np.int8)
+    cut_block = cut_edges.view(np.int8) * 2 - 1
 
     outside, details = strategy.fill(_substream(seed, _STREAM_ADVERSARY),
                                      p, planted, complement, cut_block)
@@ -286,15 +286,25 @@ def read_instance(graph_path, meta_path) -> Instance:
 
 
 def read_instance_meta(meta_path) -> dict:
+    """The sidecar's ``key = value`` lines as a dict; blank lines are skipped.
+
+    A line without `` = `` or a key given twice raises :class:`InputError`
+    naming the file and the line.
+    """
     with open(meta_path) as fh:
         header = fh.readline().strip()
         if header != INSTANCE_HEADER:
             raise InputError(f"{meta_path}: unrecognized instance header: {header!r}")
         meta = {}
-        for line in fh:
-            line = line.strip()
-            if not line:
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
                 continue
-            key, _, value = line.partition(" = ")
-            meta[key] = value
+            key, sep, value = line.partition(" = ")
+            key = key.lstrip()
+            if not sep:
+                raise InputError(f"{meta_path}: line {lineno}: expected 'key = value', "
+                                 f"got {line.strip()!r}")
+            if key in meta:
+                raise InputError(f"{meta_path}: line {lineno}: key {key!r} is given twice")
+            meta[key] = value.rstrip()
     return meta

@@ -268,6 +268,20 @@ def test_malformed_instance_meta_exits_2(instance_files, key, edit):
                                "--result", result))
 
 
+@pytest.mark.parametrize("extra, message", [
+    ("garbage line", "line 9: expected 'key = value', got 'garbage line'"),
+    ("seed = 1", "line 9: key 'seed' is given twice"),
+], ids=["line-without-separator", "repeated-key"])
+def test_strict_instance_meta_exits_2(instance_files, extra, message):
+    graph, meta, result = instance_files
+    lines = meta.read_text().splitlines()
+    assert len(lines) == 7  # header, n, k, p, adversary, seed, planted
+    meta.write_text("\n".join(lines + ["", extra]) + "\n")
+    proc = run_cli("evaluate", "--graph", graph, "--meta", meta, "--result", result)
+    assert_input_error(proc)
+    assert proc.stderr == f"error: {meta}: {message}\n"
+
+
 @pytest.mark.parametrize("command, text", [
     ("evaluate", "not json"),
     ("evaluate", '{"cliques": [{"alphas": []}]}'),

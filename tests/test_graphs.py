@@ -101,6 +101,37 @@ def test_constructor_rejects_non_square_and_non_sign_entries():
         SignedAdjacency(np.full((2, 2), 257, dtype=np.int16))
 
 
+SYMMETRY = "adjacency matrix is not symmetric"
+ENTRIES = "entries must be +1 or -1"
+DIAGONAL = "diagonal entries must be +1"
+
+
+@pytest.mark.parametrize("n", [1, 255, 256, 257, 600])
+def test_constructor_checks_every_tile(n):
+    # 256 x 256 tiles: (1, 2) is in a diagonal tile, (0, n-1) in an off-diagonal
+    # tile once n > 256, and (n-1, n-2) in the last, possibly partial, tile
+    good = random_graph(n, n).signs
+    assert SignedAdjacency(good.copy()) == SignedAdjacency(good.astype(np.int64))
+    cases = [((i, j), -good[i, j], SYMMETRY)
+             for i, j in {(1, 2), (2, 1), (0, n - 1), (n - 1, 0), (n - 1, n - 2), (n - 2, n - 1)}
+             if 0 <= min(i, j) and i != j and max(i, j) < n]
+    cases += [((i, j), 0, ENTRIES) for i, j in {(0, 0), (0, n - 1), (n - 1, n // 2)}]
+    cases += [((i, i), -1, DIAGONAL) for i in {0, n // 2, n - 1}]
+    for (i, j), value, message in cases:
+        signs = good.copy()
+        signs[i, j] = value
+        with pytest.raises(InputError) as info:
+            SignedAdjacency(signs)
+        assert str(info.value) == message, (i, j, value)
+    # a 0 entry is reported before the asymmetry it also causes
+    if n > 1:
+        signs = good.copy()
+        signs[n - 1, 0] = -signs[n - 1, 0]
+        signs[0, 1] = signs[1, 0] = 0
+        with pytest.raises(InputError, match=r"\+1 or -1"):
+            SignedAdjacency(signs)
+
+
 def test_signs_are_read_only_int8_and_owned():
     signs = np.where(np.eye(4, dtype=bool), 1, -1).astype(np.int8)
     g = SignedAdjacency(signs)
@@ -304,6 +335,18 @@ def join_all_graph_text(graph):
     return "\n".join(lines) + "\n"
 
 
+def row_join_graph_text(graph):
+    """The per-row join writer that the block writer replaced: the third byte reference."""
+    n = graph.n
+    upper = np.triu(graph.signs > 0, 1)
+    names = np.array([str(v) for v in range(n)], dtype=object)
+    lines = [f"srpc-graph v1 n={n}\n"]
+    for i in np.flatnonzero(upper.any(axis=1)):
+        prefix = names[i] + " "
+        lines.append(prefix + ("\n" + prefix).join(names[np.flatnonzero(upper[i])]) + "\n")
+    return "".join(lines)
+
+
 def isolated_graph(n, seed):
     """A random graph where every third vertex, and the last, has no edges."""
     signs = random_graph(n, seed).signs.copy()
@@ -314,23 +357,31 @@ def isolated_graph(n, seed):
     return SignedAdjacency(signs)
 
 
-@pytest.mark.parametrize("kind", ["edgeless", "complete", "random", "sparse", "isolated"])
-@pytest.mark.parametrize("n", [1, 2, 9, 10, 11, 100, 101, 300])
-def test_graph_file_matches_reference_writer(tmp_path, n, kind):
+@pytest.mark.parametrize("kind", ["edgeless", "complete", "random", "sparse", "isolated",
+                                  "clique_union"])
+@pytest.mark.parametrize("n", [1, 2, 9, 10, 11, 100, 101, 129, 300])
+def test_graph_file_matches_reference_writer(tmp_path, monkeypatch, n, kind):
     if kind == "random":
         graph = random_graph(n, n)
     elif kind == "sparse":
         graph = random_graph(n, n + 1, p=0.05)
     elif kind == "isolated":
         graph = isolated_graph(n, n)
+    elif kind == "clique_union":
+        from srpc import generate, strategy_clique_union
+        graph = generate(n, max(1, n // 5), 0.3, strategy_clique_union(), seed=n).graph
     else:
         off_diagonal = 1 if kind == "complete" else -1
         graph = SignedAdjacency(np.where(np.eye(n, dtype=bool), 1, off_diagonal))
     path = tmp_path / "g.txt"
-    write_graph(graph, path)
     text = reference_graph_text(graph)
-    assert text == join_all_graph_text(graph)
-    assert path.read_bytes() == text.encode()
+    assert text == join_all_graph_text(graph) == row_join_graph_text(graph)
+    # the default block of rows, one row per block, and a block that ends mid-graph
+    for chunk in (graphs._CHUNK_BYTES, 7, 40 * n):
+        monkeypatch.setattr(graphs, "_CHUNK_BYTES", chunk)
+        write_graph(graph, path)
+        assert path.read_bytes() == text.encode(), chunk
+    monkeypatch.undo()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert read_graph(path) == graph
@@ -357,7 +408,9 @@ def _read_body(tmp_path, body, n=6):
     (b"0 1\r2 3\r", [(0, 1), (2, 3)]),
     (b"00 0005\n001 2\n", [(0, 5), (1, 2)]),
     (b"0 " + b"0" * 24 + b"1\n", [(0, 1)]),
-], ids=["no-final-newline", "lone-cr", "leading-zeros", "25-digit-padded-one"])
+    (b"0" * 20 + b" " + b"0" * 19 + b"5\n", [(0, 5)]),
+], ids=["no-final-newline", "lone-cr", "leading-zeros", "25-digit-padded-one",
+        "20-digit-padded-tokens"])
 def test_read_graph_accepts(tmp_path, body, edges):
     assert _read_body(tmp_path, body) == from_edge_list(6, edges)
 
@@ -369,6 +422,8 @@ def test_read_graph_accepts(tmp_path, body, edges):
     (b"0 1 2 3\n", "line 2: expected two integer vertex indices, got '0 1 2 3'"),
     (b"0 " + b"9" * 25 + b"\n",
      f"line 2: edge (0,{'9' * 25}) has an endpoint outside [0,6)"),
+    (b"0 1\n1 1" + b"0" * 19 + b"\n",
+     f"line 3: edge (1,1{'0' * 19}) has an endpoint outside [0,6)"),
     (b"+0 1\n", "line 2: expected two integer vertex indices, got '+0 1'"),
     (b"0 -1\n", "line 2: expected two integer vertex indices, got '0 -1'"),
     (b"0 1\n\x00\n", "line 3: expected two integer vertex indices, got '\\x00'"),
@@ -381,6 +436,7 @@ def test_read_graph_accepts(tmp_path, body, edges):
     (b"3 3\n", "line 2: edge (3,3) is not written with i < j"),
     (b"0 6\n", "line 2: edge (0,6) has an endpoint outside [0,6)"),
 ], ids=["three-tokens", "one-token", "one-token-per-line", "four-tokens", "25-digit-endpoint",
+        "20-digit-endpoint",
         "plus-sign", "minus-sign", "nul", "vertical-tab", "form-feed", "not-utf-8", "duplicate",
         "out-of-order", "i-above-j", "self-loop", "endpoint-at-n"])
 def test_read_graph_refuses_with_exact_message(tmp_path, body, message):
@@ -406,23 +462,56 @@ def test_read_graph_across_chunks(tmp_path, monkeypatch):
                                f"got '7'")
 
 
+@pytest.mark.parametrize("chunk", [7, 16, 64])
+def test_read_graph_bad_line_at_every_chunk_boundary(tmp_path, monkeypatch, chunk):
+    # 4-byte lines, so a bad line lands first in, last in and inside chunks
+    monkeypatch.setattr(graphs, "_CHUNK_BYTES", chunk)
+    lines = [f"{i} {j}\n".encode() for i in range(4) for j in range(i + 1, 10)]
+    for bad, shown in ((b"7\n", "7"), (b"1 2 3\n", "1 2 3"), (b"\t5 \n", "5")):
+        for pos in range(len(lines) + 1):
+            body = b"".join(lines[:pos]) + bad + b"".join(lines[pos:])
+            with pytest.raises(InputError) as info:
+                _read_body(tmp_path, body, n=10)
+            assert str(info.value) == (f"line {pos + 2}: expected two integer vertex "
+                                       f"indices, got {shown!r}"), (bad, pos)
+
+
+def noisy_graph_bytes(graph, path, rng):
+    """write_graph's file for ``graph`` with blank lines, tabs and CRLF or lone-CR ends inserted."""
+    write_graph(graph, path)
+    header, *lines = path.read_bytes().decode().split("\n")
+    noisy = [header]
+    for line in lines:
+        if rng.random() < 0.2:
+            noisy.append(str(rng.choice(["", " ", "\t", " \t "])))
+        if line:
+            i, j = line.split()
+            lead, gap = rng.choice(["", "\t", " "]), rng.choice([" ", "\t", " \t"])
+            line = f"{lead}{i}{gap}{j}"
+        noisy.append(line)
+    newline = str(rng.choice(["\n", "\r\n", "\r"]))
+    return newline.join(noisy).encode()
+
+
 def test_read_graph_round_trip_fuzz(tmp_path):
-    # write_graph output with blank lines, tabs and CRLF inserted reads back equal
+    # write_graph output with blank lines, tabs and CRLF or CR ends inserted reads back equal
     rng = np.random.default_rng(2024)
     for trial in range(40):
         graph = random_graph(int(rng.integers(1, 30)), trial, p=float(rng.random()))
         path = tmp_path / "g.txt"
-        write_graph(graph, path)
-        header, *lines = path.read_bytes().decode().split("\n")
-        noisy = [header]
-        for line in lines:
-            if rng.random() < 0.2:
-                noisy.append(str(rng.choice(["", " ", "\t", " \t "])))
-            if line:
-                i, j = line.split()
-                lead, gap = rng.choice(["", "\t", " "]), rng.choice([" ", "\t", " \t"])
-                line = f"{lead}{i}{gap}{j}"
-            noisy.append(line)
-        newline = str(rng.choice(["\n", "\r\n"]))
-        path.write_bytes(newline.join(noisy).encode())
+        path.write_bytes(noisy_graph_bytes(graph, path, rng))
         assert read_graph(path) == graph
+
+
+@pytest.mark.parametrize("chunk", [7, 16, 64])
+def test_read_graph_small_chunks_match_default_read(tmp_path, monkeypatch, chunk):
+    rng = np.random.default_rng(chunk)
+    paths = []
+    for trial in range(12):
+        graph = random_graph(int(rng.integers(1, 40)), trial, p=float(rng.random()))
+        path = tmp_path / f"g{trial}.txt"
+        path.write_bytes(noisy_graph_bytes(graph, path, rng))
+        paths.append((path, graph, read_graph(path)))
+    monkeypatch.setattr(graphs, "_CHUNK_BYTES", chunk)
+    for path, graph, default in paths:
+        assert read_graph(path) == default == graph

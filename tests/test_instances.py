@@ -207,6 +207,15 @@ def test_instance_file_roundtrip(tmp_path):
     assert loaded.details["decoys"] == inst.details["decoys"]
 
 
+def test_instance_file_roundtrip_keeps_empty_decoy_list(tmp_path):
+    # the sidecar line "decoys = " has an empty value, not a missing separator
+    inst = generate(40, 8, 0.5, strategy_majority_adversary(3, decoy_count=0), seed=11)
+    gpath, mpath = tmp_path / "g.txt", tmp_path / "meta.txt"
+    write_instance(inst, gpath, mpath)
+    assert read_instance(gpath, mpath).details == {"chosen": inst.details["chosen"],
+                                                   "decoys": []}
+
+
 def triu_iid_block(rng, size, p):
     """The triu_indices fill that instances._iid_block replaced: the reference."""
     block = np.ones((size, size), dtype=np.int8)
@@ -251,6 +260,8 @@ def test_iid_block_matches_triu_indices_reference(size, p):
     lambda: strategy_majority_adversary(3, decoy_count=0),
 ], ids=["erdos_renyi", "clique_union", "majority", "majority-no-decoys"])
 def test_generate_matches_ix_reference(monkeypatch, n, k, make):
-    inst = generate(n, k, 0.5, make(), seed=13)
-    monkeypatch.setattr(instances, "_iid_block", triu_iid_block)
-    assert np.array_equal(inst.graph.signs, ix_signs(n, k, 0.5, make(), seed=13))
+    for p in (0.5, 0.3):
+        inst = generate(n, k, p, make(), seed=13)
+        with monkeypatch.context() as patched:
+            patched.setattr(instances, "_iid_block", triu_iid_block)
+            assert np.array_equal(inst.graph.signs, ix_signs(n, k, p, make(), seed=13)), p
