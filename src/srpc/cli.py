@@ -290,7 +290,7 @@ def rip_opnorm(k, t, q, base, p, seed, out, r, method, trials, budget, normalize
     h = riplab.build_tensored(k, t, q, _base_dist(base, p), seed)
     mat = h.values / np.sqrt(q) if normalize else h.values
     if method == "exhaustive":
-        report = riplab.sparse_opnorm_exhaustive(mat, r, budget=budget, seed=seed)
+        report = riplab.sparse_opnorm_exhaustive(mat, r, budget=budget)
     else:
         report = riplab.sparse_opnorm_sampled(mat, r, trials=trials, seed=seed)
     doc = {"format": "srpc-rip-opnorm v1", "r": report.r, "value": report.value,

@@ -63,7 +63,8 @@ class SignedAdjacency:
 
     def is_clique(self, vertices) -> bool:
         """True when the submatrix induced on ``vertices`` is all +1; an empty set is a clique."""
-        return bool(np.all(self.signs[np.ix_(vertices, vertices)] == 1))
+        v = np.asarray(vertices, dtype=np.intp)  # a tuple would index as rows and columns
+        return bool(np.all(self.signs[v][:, v] == 1))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SignedAdjacency) and np.array_equal(self.signs, other.signs)
@@ -231,8 +232,8 @@ def _chunk_edges(chunk: bytes, n: int, prev: int) -> tuple[np.ndarray, np.ndarra
 def _body_edges(data: bytes, start: int, n: int):
     """Yield the :func:`_chunk_edges` flat indices of the v1 body ``data[start:]``, chunk by chunk.
 
-    Chunks end at a newline.  A chunk that breaks the format raises
-    :func:`_bad_line`'s error for the whole body.
+    Chunks end at a newline.  A chunk that breaks the format holds the body's
+    first bad line (every earlier chunk passed) and raises :func:`_bad_line`'s error.
     """
     body_start, prev = start, -1
     while start < len(data):
@@ -240,17 +241,17 @@ def _body_edges(data: bytes, start: int, n: int):
         stop = len(data) if stop < 0 else stop + 1
         edges = _chunk_edges(data[start:stop], n, prev)
         if edges is None:
-            raise _bad_line(data[body_start:].decode("utf-8", errors="replace"), n)
+            raise _bad_line(data[start:stop].decode("utf-8", errors="replace"), n,
+                            data.count(b"\n", body_start, start) + 2, prev)
         start = stop
         if edges[0].size:
             prev = int(edges[0][-1])
         yield edges
 
 
-def _bad_line(body: str, n: int) -> InputError:
-    """The error naming the first body line that :func:`_chunk_edges` rejects."""
-    prev = -1
-    for lineno, line in enumerate(body.split("\n"), start=2):
+def _bad_line(chunk: str, n: int, first_lineno: int, prev: int) -> InputError:
+    """The error naming the first bad line of a chunk that starts at line ``first_lineno``."""
+    for lineno, line in enumerate(chunk.split("\n"), start=first_lineno):
         match = _EDGE_LINE.fullmatch(line)
         if match is None:
             shown = line.strip(" \t")  # a form feed or other odd byte stays visible

@@ -54,7 +54,7 @@ def max_spurious_members(instance: Instance, cfg: solver.SolverConfig, k: int, p
     planted[list(instance.planted)] = True
     worst = 0
     for _, members in solver.iter_round_members(instance.graph, k, p, cfg):
-        worst = max(worst, int((members & ~planted).sum(axis=1).max()))
+        worst = max(worst, int((members & ~planted).sum(axis=1).max(initial=0)))
     return worst
 
 

@@ -213,6 +213,7 @@ def count_products(left: np.ndarray, right: np.ndarray, batch: int,
                    counters: Counters | None = None) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (start, left[start:start + batch] @ right), one oracle call per batch.
 
+    Used by prune and ``solver.batched_membership_degrees``, not by refine.
     On float64 0/1 tables every entry is an exact integer count while
     inner * 8**levels < 2**53, levels being the Strassen depth that
     :func:`_check_int_overflow` also inflates by; a product past that

@@ -9,7 +9,8 @@ list, so two heavily-overlapping entries eliminate each other.
 `prune_fast` produces the identical output, each removed entry's
 ``conflicts_with`` list included, through exact 0/1 Gram products
 instead of the quadratic set-intersection loop: each batch of entries gets
-its full rows of intersection counts from one :func:`linalg.count_products` call.
+its full rows of intersection counts from one :func:`linalg.count_products` call,
+the only count product left on the solve path (refine reads induced submatrices).
 """
 
 from __future__ import annotations

@@ -340,8 +340,7 @@ def _rank_and_report(mat: np.ndarray, supports: np.ndarray, method: str,
                         eig_ranked=eig_ranked)
 
 
-def sparse_opnorm_exhaustive(h, r: int, budget: int = DEFAULT_SUPPORT_BUDGET,
-                             seed: int = 0) -> OpNormReport:
+def sparse_opnorm_exhaustive(h, r: int, budget: int = DEFAULT_SUPPORT_BUDGET) -> OpNormReport:
     """Max top singular value over every size-r column support.
 
     Supports are ranked by :func:`_opnorm_over_supports`: a certified bound
@@ -350,8 +349,7 @@ def sparse_opnorm_exhaustive(h, r: int, budget: int = DEFAULT_SUPPORT_BUDGET,
     within a relative 1e-12 of the maximum, the lexicographically first is
     reported, with its witness from ``eigh``.  ``supports_checked`` counts
     every support, pruned ones included; ``eig_ranked`` counts the
-    ``eigvalsh`` evaluations.  ``seed`` has no effect; it is accepted so that
-    both opnorm methods share one call form.
+    ``eigvalsh`` evaluations.
     """
     mat = _as_matrix(h)
     d = mat.shape[1]

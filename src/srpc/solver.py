@@ -7,12 +7,14 @@ per oracle batch; only rounds with >= k members become vertex sets.  A
 round whose t*s sampled vertices are not pairwise adjacent is skipped
 before any row product: the rounds the list-decoding argument relies on
 sample inside the planted clique, so their index sets are cliques.  A
-skipped round gets an empty member row and is counted as
-``rounds_index_not_clique``.  A single degree sweep then drops vertices
-with fewer than k-1 neighbors inside the set, the sweep survivors are
-kept only if they form a clique of size >= k, and the accepted sets are
-deduplicated and pruned down by pairwise intersection.  Oracle calls take
-at most n rows each and multiply only real rows.
+skipped round is not yielded, and ``solve`` counts it as
+``rounds_index_not_clique``.  Refine and verify read the induced
+submatrix of each set, rows first and then columns, without the oracle:
+one degree sweep drops vertices with fewer than k-1 neighbors inside the
+set, the sweep survivors are kept only if they form a clique of size
+>= k, and the accepted sets are deduplicated and pruned down by pairwise
+intersection.  Oracle calls take at most n rows each and multiply only
+real rows.
 
 The solver only ever sees the graph; nothing here reads a planted set.
 The round loop converts the graph once into a dense operand: at p = 1/2
@@ -184,17 +186,17 @@ def batched_inner_products(matrix: Matrix, alphas: Sequence[Sequence[int]],
                            for start in range(0, len(rows), matrix.n)])
 
 
-def _refine_sets(graph: SignedAdjacency, sets: Sequence[Sequence[int]], k: int,
-                 backend: linalg.Backend = linalg.NAIVE,
-                 counters: linalg.Counters | None = None) -> list[np.ndarray]:
+def _refine_sets(graph: SignedAdjacency, sets: Sequence[Sequence[int]],
+                 k: int) -> list[np.ndarray]:
     """Keep the members of every set that have >= k-1 neighbors inside it.
 
-    One batched degree product sweeps all sets once; degrees count against
-    each incoming set.
+    One degree sweep per set over its induced submatrix, gathered rows first
+    and then columns; the +1 diagonal counts each member once, so the cut
+    is >= k.  Degrees count against each incoming set; no oracle call.
     """
-    kept = [np.asarray(members, dtype=np.int64) for members in sets]
-    degrees = batched_membership_degrees(graph, kept, backend, counters)
-    return [members[deg[members] >= k - 1] for members, deg in zip(kept, degrees)]
+    kept = [np.asarray(members, dtype=np.intp) for members in sets]
+    return [members[(graph.signs[members][:, members] > 0).sum(axis=1) >= k]
+            for members in kept]
 
 
 def batched_membership_degrees(graph: SignedAdjacency,
@@ -253,15 +255,15 @@ def iter_round_members(graph: SignedAdjacency, k: int, p: float,
                        ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield (alphas, members) for each oracle batch of a solve, in round order.
 
-    ``alphas`` is the batch's (rounds, t, s) index array and ``members`` its
-    (rounds, n) boolean table of raw members.  A round whose t*s sampled
-    vertices are not pairwise adjacent is never multiplied and gets an
-    all-False row.  Each batch of n // t sampled rounds makes one oracle
-    call over the t product rows of each of its clique rounds (a zero-row
-    call when it has none), so a solve makes ceil(rounds / (n // t)) calls
-    and (clique rounds) * t * n**2 multiply-adds.  Shared by :func:`solve`
-    and by evaluation code that recomputes the raw candidate sets against
-    the hidden planted set.
+    ``alphas`` is the (rounds, t, s) index array of the batch's multiplied
+    rounds and ``members`` their (rounds, n) boolean table of raw members.
+    A round whose t*s sampled vertices are not pairwise adjacent is never
+    multiplied and is not yielded.  Each batch of n // t sampled rounds
+    makes one oracle call over the t product rows of each of its clique
+    rounds (a zero-row call, yielding no rounds, when it has none), so a
+    solve makes ceil(rounds / (n // t)) calls and (clique rounds) * t * n**2
+    multiply-adds.  Shared by :func:`solve` and by evaluation code that
+    recomputes the raw candidate sets against the hidden planted set.
     """
     n = graph.n
     rounds = cfg.num_rounds(n, k)
@@ -281,12 +283,9 @@ def iter_round_members(graph: SignedAdjacency, k: int, p: float,
 
     rounds_per_batch = n // t  # whole rounds per oracle call of at most n rows
     for r0 in range(0, rounds, rounds_per_batch):
-        batch = alphas[r0:r0 + rounds_per_batch]
-        keep = clique[r0:r0 + rounds_per_batch]
-        table = _inner_table(values, batch[keep].reshape(-1, s), cfg.backend, counters)
-        members = np.zeros((len(batch), n), dtype=bool)
-        members[keep] = (table >= cutoff).reshape(-1, t, n).all(axis=1)
-        yield batch, members
+        batch = alphas[r0:r0 + rounds_per_batch][clique[r0:r0 + rounds_per_batch]]
+        table = _inner_table(values, batch.reshape(-1, s), cfg.backend, counters)
+        yield batch, (table >= cutoff).reshape(-1, t, n).all(axis=1)
 
 
 def solve(graph: SignedAdjacency, k: int, p: float, cfg: SolverConfig,
@@ -296,7 +295,7 @@ def solve(graph: SignedAdjacency, k: int, p: float, cfg: SolverConfig,
     Returns the pruned clique list; ``stats`` carries per-stage counts,
     per-stage oracle calls, multiply-adds and oracle seconds, wall times, and
     an echo of the resolved configuration (enough to replay the round
-    sampling).  Verify checks induced submatrices and makes no oracle call.
+    sampling).  Refine and verify read induced submatrices and make no oracle call.
     """
     n = graph.n
     rounds = cfg.num_rounds(n, k)
@@ -309,11 +308,10 @@ def solve(graph: SignedAdjacency, k: int, p: float, cfg: SolverConfig,
     distinct: dict[bytes, tuple[np.ndarray, list]] = {}  # raw set -> (members, round alphas)
     rounds_nonempty = 0
     rounds_short = 0
-    rounds_not_clique = 0
+    rounds_multiplied = 0
     for alphas, members in iter_round_members(graph, k, p, cfg,
                                               stage_counters["candidate"]):
-        rounds_not_clique += len(alphas) - int(np.count_nonzero(
-            _index_cliques(graph.signs, alphas)))
+        rounds_multiplied += len(alphas)
         sizes = members.sum(axis=1)
         rounds_nonempty += int(np.count_nonzero(sizes))
         # A degree sweep only removes vertices, so a short set can never
@@ -327,8 +325,7 @@ def solve(graph: SignedAdjacency, k: int, p: float, cfg: SolverConfig,
 
     t0 = time.perf_counter()
     records = list(distinct.values())
-    kept_sets = _refine_sets(graph, [verts for verts, _ in records], k,
-                             cfg.backend, stage_counters["refine"])
+    kept_sets = _refine_sets(graph, [verts for verts, _ in records], k)
     refined = [(kept, round_alphas) for kept, (_, round_alphas) in zip(kept_sets, records)
                if kept.size >= k]
     wall["refine"] = time.perf_counter() - t0
@@ -359,7 +356,7 @@ def solve(graph: SignedAdjacency, k: int, p: float, cfg: SolverConfig,
         "config": replace(cfg, rounds=rounds, threshold=tau).to_dict(),
         "rounds": rounds,
         "threshold": tau,
-        "rounds_index_not_clique": rounds_not_clique,
+        "rounds_index_not_clique": rounds - rounds_multiplied,
         "rounds_nonempty": rounds_nonempty,
         "rounds_short_skipped": rounds_short,
         "distinct_raw": len(records),

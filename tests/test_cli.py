@@ -57,7 +57,7 @@ def test_evaluate_replays_at_the_solve_p(runner, tmp_path):
     outside[list(inst.planted)] = False
 
     def replay(p):
-        return max(int((members & outside).sum(axis=1).max())
+        return max(int((members & outside).sum(axis=1).max(initial=0))
                    for _, members in iter_round_members(inst.graph, 120, p, cfg))
     assert json.loads(ev.read_text())["max_spurious"] == replay(0.5) == 2
     assert replay(0.3) == 10  # a replay at the instance's p reads otherwise

@@ -476,6 +476,30 @@ def test_read_graph_bad_line_at_every_chunk_boundary(tmp_path, monkeypatch, chun
                                        f"indices, got {shown!r}"), (bad, pos)
 
 
+@pytest.mark.parametrize("chunk", [7, 16, 64])
+def test_read_graph_order_and_range_errors_at_every_chunk_boundary(tmp_path, monkeypatch,
+                                                                    chunk):
+    # The failed chunk alone is rescanned, from its own first line number and with the
+    # key of the last edge before it; the 4-byte lines put the predecessor of a
+    # duplicate or swapped edge both in the same chunk and in an earlier one.
+    monkeypatch.setattr(graphs, "_CHUNK_BYTES", chunk)
+    edges = [(i, j) for i in range(4) for j in range(i + 1, 10)]
+    lines = [f"{i} {j}\n".encode() for i, j in edges]
+    for pos in range(1, len(lines)):
+        i, j = edges[pos - 1]
+        cases = [
+            (lines[:pos] + [lines[pos - 1]] + lines[pos:], f"edge ({i},{j}) is a duplicate"),
+            (lines[:pos - 1] + [lines[pos], lines[pos - 1]] + lines[pos + 1:],
+             f"edge ({i},{j}) is out of order; edges must be sorted by (i, j)"),
+            (lines[:pos] + [f"{i} {j + 10}\n".encode()] + lines[pos + 1:],
+             f"edge ({i},{j + 10}) has an endpoint outside [0,10)"),
+        ]
+        for body, what in cases:
+            with pytest.raises(InputError) as info:
+                _read_body(tmp_path, b"".join(body), n=10)
+            assert str(info.value) == f"line {pos + 2}: {what}", (pos, what)
+
+
 def noisy_graph_bytes(graph, path, rng):
     """write_graph's file for ``graph`` with blank lines, tabs and CRLF or lone-CR ends inserted."""
     write_graph(graph, path)

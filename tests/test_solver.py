@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -111,14 +112,35 @@ def test_refine_single_pass_against_original_members():
     assert refined(g, (0, 1, 2, 3), 3) == (0, 1, 2)
 
 
-def test_refine_sweeps_many_sets_in_one_oracle_call():
+def test_refine_sweeps_many_sets_without_the_oracle(monkeypatch):
     g = from_edge_list(5, [(0, 1), (1, 2), (0, 2), (2, 3)])
-    counters = linalg.Counters()
-    kept = _refine_sets(g, [(0, 1, 2, 3), (2, 3), (0, 1, 2)], 3, counters=counters)
+
+    def no_oracle(*args, **kwargs):
+        raise AssertionError("refine must not call the oracle")
+
+    for name in ("matmul", "sign_matmul", "count_products"):
+        monkeypatch.setattr(linalg, name, no_oracle)
+    kept = _refine_sets(g, [(0, 1, 2, 3), (2, 3), (0, 1, 2)], 3)
     assert [k.tolist() for k in kept] == [[0, 1, 2], [], [0, 1, 2]]
-    assert counters.oracle_calls == 1
-    assert _refine_sets(g, [], 3, counters=counters) == []
-    assert counters.oracle_calls == 1
+    assert _refine_sets(g, [], 3) == []
+
+
+def test_refine_matches_batched_membership_degrees():
+    # the induced-submatrix sweep against the 0/1 degree product it replaced
+    n = 90
+    rng = np.random.default_rng(0)
+    for seed in range(3):
+        g = random_graph(n, 40 + seed, p=float(rng.uniform(0.3, 0.9)))
+        sets = [(), (int(rng.integers(n)),), tuple(range(n)),
+                tuple(np.sort(rng.choice(n, size=n - 2, replace=False)).tolist())]
+        sets += [tuple(np.sort(rng.choice(n, size=int(rng.integers(2, n)),
+                                          replace=False)).tolist()) for _ in range(6)]
+        degrees = batched_membership_degrees(g, sets)
+        for k in (1, 2, 10, 40, 60, n):
+            kept = _refine_sets(g, sets, k)
+            for members, deg, got in zip(sets, degrees, kept):
+                members = np.asarray(members, dtype=np.int64)
+                assert np.array_equal(got, members[deg[members] >= k - 1])
 
 
 def test_refine_never_removes_planted_with_small_contamination():
@@ -148,10 +170,13 @@ def test_verify_accepts_planted_and_rejects_near_clique():
 
 
 def test_is_clique_on_empty_and_single_vertex_sets():
-    g = from_edge_list(5, [(0, 1)])
-    assert g.is_clique(()) and g.is_clique(np.empty(0, dtype=np.int64))
-    assert all(g.is_clique((v,)) for v in range(5))
-    assert g.is_clique((0, 1)) and not g.is_clique((0, 2))
+    g = from_edge_list(5, [(0, 1), (1, 2), (0, 2)])
+    assert g.is_clique(np.empty(0, dtype=np.int64))
+    # tuples, lists and arrays are vertex sets; a 2-tuple is a pair, not a 2-D index
+    for form in (tuple, list, np.array):
+        assert g.is_clique(form(())) and all(g.is_clique(form((v,))) for v in range(5))
+        assert g.is_clique(form((0, 1))) and not g.is_clique(form((0, 3)))
+        assert g.is_clique(form((0, 1, 2))) and not g.is_clique(form((0, 1, 2, 3)))
 
 
 def test_batched_inner_products_matches_triple_loop():
@@ -178,9 +203,13 @@ def test_batched_inner_products_single_alpha_matches_candidate_path():
         cfg = SolverConfig(order=2, rounds=1, threshold=4.0, seed=seed)
         counters = linalg.Counters()
         (alphas, members), = solver.iter_round_members(g, 5, 0.5, cfg, counters)
-        edge = g.is_clique(alphas[0, 0])
-        expected = raw_members(g, alphas[0].tolist(), tau=4) if edge else ()
-        assert tuple(np.flatnonzero(members[0]).tolist()) == expected
+        sampled = solver._sample_alphas(50, 1, 2, 1,
+                                        np.random.default_rng(np.random.SeedSequence(seed)))
+        edge = g.is_clique(sampled[0])
+        # a round that is not an edge is neither multiplied nor yielded
+        assert np.array_equal(alphas.reshape(-1, 2), sampled[:edge]) and len(members) == edge
+        expected = raw_members(g, sampled.tolist(), tau=4) if edge else ()
+        assert tuple(np.flatnonzero(members[:1]).tolist()) == expected
         assert (counters.oracle_calls, counters.madds) == (1, edge * 50 * 50)
         kinds.add((edge, bool(expected)))
     assert kinds == {(True, True), (False, False)}
@@ -192,18 +221,22 @@ def test_iter_round_members_yields_one_member_table_per_oracle_batch():
     counters = linalg.Counters()
     batches = list(solver.iter_round_members(g, 5, 0.5, cfg, counters))
     assert len(batches) == counters.oracle_calls == math.ceil(50 / (40 // 2))
-    sampled = solver._sample_alphas(40, 50, 2, 2, np.random.default_rng(np.random.SeedSequence(4)))
-    assert np.array_equal(np.concatenate([a for a, _ in batches]).reshape(-1, 2), sampled)
-    for alphas, members in batches:
-        assert len(alphas) <= 40 // 2
+    sampled = solver._sample_alphas(40, 50, 2, 2,
+                                    np.random.default_rng(np.random.SeedSequence(4)))
+    sampled = sampled.reshape(50, 2, 2)
+    # the yielded rounds are exactly the sampled rounds whose 4 vertices form a clique,
+    # in order; a round that is not a clique is never multiplied
+    clique = np.array([g.is_clique(a.reshape(-1)) for a in sampled])
+    assert 0 < clique.sum() < 50
+    assert np.array_equal(np.concatenate([a for a, _ in batches]), sampled[clique])
+    for b, (alphas, members) in enumerate(batches):
+        assert np.array_equal(alphas, sampled[20 * b:20 * b + 20][clique[20 * b:20 * b + 20]])
         assert alphas.shape == (len(alphas), 2, 2)
         assert members.shape == (len(alphas), 40) and members.dtype == bool
         for round_alphas, row in zip(alphas, members):
-            # a round whose 4 sampled vertices are not a clique is never multiplied
-            expected = (raw_members(g, round_alphas.tolist(), tau=3)
-                        if g.is_clique(round_alphas.reshape(-1)) else ())
+            expected = raw_members(g, round_alphas.tolist(), tau=3)
             assert tuple(np.flatnonzero(row).tolist()) == expected
-    assert 0 < sum(members.any(axis=1).sum() for _, members in batches) < 50
+    assert counters.madds == clique.sum() * 2 * 40 ** 2
 
 
 def test_batched_inner_products_complete_graph():
@@ -381,6 +414,22 @@ def test_solve_round_count_and_oracle_batches():
     assert result.stats["oracle_calls"]["candidate"] == math.ceil(rounds / 128)
 
 
+def test_solve_peak_memory_stays_below_seven_bytes_per_matrix_entry():
+    # the float32 oracle operand takes 4 bytes per entry; an n x n float64 copy
+    # of the graph anywhere on the solve path would add 8 more
+    n = 1024
+    inst = generate(n, 256, 0.5, strategy_erdos_renyi(), seed=3)
+    tracemalloc.start()
+    try:
+        result = solve(inst.graph, 256, 0.5, SolverConfig(seed=5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tuple(sorted(inst.planted)) in [e.vertices for e in result.entries]
+    assert result.stats["distinct_raw"] > 0
+    assert peak < 7 * n * n
+
+
 def test_solve_reports_stage_madds():
     inst = generate(128, 64, 0.5, strategy_erdos_renyi(), seed=21)
     result = solve(inst.graph, 64, 0.5, SolverConfig(order=3, reps=1, seed=14))
@@ -389,9 +438,13 @@ def test_solve_reports_stage_madds():
     surviving = stats["rounds"] - stats["rounds_index_not_clique"]
     assert 0 < surviving < stats["rounds"]
     assert stats["madds"]["candidate"] == surviving * 128 ** 2
-    assert stats["madds"]["refine"] == stats["distinct_raw"] * 128 ** 2
-    # verify checks induced submatrices without the oracle
-    assert stats["oracle_calls"]["verify"] == stats["madds"]["verify"] == 0
+    assert stats["oracle_calls"]["candidate"] == math.ceil(stats["rounds"] / 128)
+    assert stats["distinct_raw"] > 0
+    # refine and verify read induced submatrices without the oracle
+    for stage in ("refine", "verify"):
+        assert stats["oracle_calls"][stage] == stats["madds"][stage] == 0
+    assert set(stats["oracle_calls"]) == set(stats["madds"]) == set(stats["wall_times"]) \
+        == {"candidate", "refine", "verify", "prune"}
 
 
 def test_edgeless_graph_keeps_one_oracle_call_per_batch_and_multiplies_no_row():
@@ -425,24 +478,26 @@ def test_rounds_inside_the_planted_set_survive_and_match_brute_force(p, reps):
     cutoff = threshold_for(k, p) - 1e-9
     planted = set(inst.planted)
     counters = linalg.Counters()
-    kinds = {}
     cfg = SolverConfig(order=2, reps=reps, rounds=rounds, seed=31)
-    for alphas, members in solver.iter_round_members(inst.graph, k, p, cfg, counters):
+    yielded = list(solver.iter_round_members(inst.graph, k, p, cfg, counters))
+    sampled = solver._sample_alphas(n, rounds, 2, reps,
+                                    np.random.default_rng(np.random.SeedSequence(31)))
+    sampled = sampled.reshape(rounds, reps, 2)
+    clique = np.array([inst.graph.is_clique(a.reshape(-1)) for a in sampled])
+    inside = np.array([planted.issuperset(a.reshape(-1).tolist()) for a in sampled])
+    assert inside.any() and not clique.all() and not np.any(inside & ~clique)
+    # the yielded rounds are the clique rounds, in order, so every planted round survives
+    assert np.array_equal(np.concatenate([a for a, _ in yielded]), sampled[clique])
+    assert counters.oracle_calls == len(yielded) == math.ceil(rounds / (n // reps))
+    for alphas, members in yielded:
         for round_alphas, row in zip(alphas, members):
-            verts = round_alphas.reshape(-1)
-            inside = planted.issuperset(verts.tolist())
-            clique = inst.graph.is_clique(verts)
-            assert clique or not inside
             # brute force: the t product rows against every row, each cleared by all t
             scores = np.prod(values[round_alphas], axis=1) @ values
-            expected = np.all(scores >= cutoff, axis=0) if clique else np.zeros(n, dtype=bool)
+            expected = np.all(scores >= cutoff, axis=0)
             assert np.array_equal(row, expected)
-            assert expected.any() or not inside
-            kinds[inside, clique] = kinds.get((inside, clique), 0) + 1
+            assert expected.any() or not planted.issuperset(round_alphas.reshape(-1).tolist())
     # a surviving round is one whose t rows were multiplied
-    survived = kinds.get((True, True), 0) + kinds.get((False, True), 0)
-    assert counters.madds == survived * reps * n * n
-    assert kinds.get((True, True), 0) > 0 and kinds.get((False, False), 0) > 0
+    assert counters.madds == clique.sum() * reps * n * n
 
 
 def test_solver_config_loads_documents_with_iterate_refine():
