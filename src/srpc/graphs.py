@@ -24,9 +24,10 @@ GRAPH_HEADER = "srpc-graph v1"
 MAX_N = 1 << 15
 # Side of the square tiles in which the constructor compares signs with signs.T.
 _TILE = 256
-# Body bytes that read_graph scans per step (rounded up to the next line end),
-# and sign bytes that write_graph takes per block of rows.
+# Body bytes that read_graph scans per step (rounded up to the next line end).
 _CHUNK_BYTES = 1 << 20
+# Sign bytes that write_graph takes per block of rows.
+_WRITE_BLOCK_BYTES = 1 << 18
 
 
 class SignedAdjacency:
@@ -158,32 +159,52 @@ def hadamard_rows(matrix: Union[SignedAdjacency, PBiasedMatrix],
     return row_products(dense, np.array([idx]))[0]
 
 
+def _vertex_names(n: int) -> np.ndarray:
+    """The decimal names of 0..n-1 as bytes of one width, right-aligned behind NUL padding."""
+    width = len(str(max(n - 1, 0)))
+    vertices = np.arange(n)[:, None]
+    place = 10 ** np.arange(width - 1, -1, -1)
+    digits = (vertices // place % 10 + ord("0")).astype(np.uint8)
+    digits[:, :-1][vertices < place[:-1]] = 0  # leading zeros become padding
+    return digits.view(f"S{width}").ravel()
+
+
 def write_graph(graph: SignedAdjacency, path) -> None:
     """Write the v1 edge list: the header, then ``i j`` per edge, i < j, sorted by (i, j).
 
-    Rows are taken a block at a time: one ``flatnonzero`` finds the block's
-    edges and ``searchsorted`` splits them by row, keeping j > i.  Each row's
-    lines are joined from a table of decimal vertex names and written at
-    once.  No Python code runs per edge and no whole-file string is built;
-    the output is byte-reproducible.
+    Rows are taken a block of about 256 KiB of signs at a time.  The block's
+    edges with j > i are found in (i, j) order, and each becomes one
+    fixed-width record ``(name of i, " ", name of j, "\n")`` from a table of
+    vertex names padded with leading NULs.  Deleting the NULs from the
+    block's records gives its lines, written at once.  No Python code runs
+    per row or per edge and no whole-file string is built; line ends are
+    ``\n`` on every platform and the output is byte-reproducible.
     """
     n = graph.n
-    names = np.array([str(v) for v in range(n)], dtype=object)
-    rows_per_block = max(1, _CHUNK_BYTES // max(n, 1))
-    with open(path, "w") as fh:
-        fh.write(f"{GRAPH_HEADER} n={n}\n")
+    names = _vertex_names(n)
+    record = np.dtype([("i", names.dtype), ("space", "S1"), ("j", names.dtype),
+                       ("newline", "S1")])
+    rows_per_block = max(1, _WRITE_BLOCK_BYTES // max(n, 1))
+    with open(path, "wb") as fh:
+        fh.write(f"{GRAPH_HEADER} n={n}\n".encode())
         for start in range(0, n, rows_per_block):
-            keys = np.flatnonzero(graph.signs[start:start + rows_per_block] > 0)
-            rows = np.arange(min(rows_per_block, n - start))
-            # row r's edges with j > i: its keys past the diagonal's, before row r + 1's
-            lo = np.searchsorted(keys, rows * (n + 1) + start, side="right").tolist()
-            hi = np.searchsorted(keys, (rows + 1) * n).tolist()
-            for r in rows[np.greater(hi, lo)].tolist():
-                prefix = names[start + r] + " "
-                cols = keys[lo[r]:hi[r]] - r * n
-                fh.write(prefix + ("\n" + prefix).join(names[cols]) + "\n")
+            stop = min(start + rows_per_block, n)
+            # row start + r keeps the columns past its diagonal: c >= r in the block
+            upper = graph.signs[start:stop, start + 1:] > 0
+            corner = upper[:, :stop - start]
+            corner &= ~np.tri(*corner.shape, -1, dtype=bool)
+            cols = np.flatnonzero(upper)
+            records = np.empty(cols.size, dtype=record)
+            records["i"] = np.repeat(names[start:stop], np.count_nonzero(upper, axis=1))
+            records["space"] = b" "
+            # one copy of the column names per row, so flat indices need no division
+            records["j"] = np.tile(names[start + 1:], stop - start)[cols]
+            records["newline"] = b"\n"
+            fh.write(records.tobytes().translate(None, b"\0"))
 
 
+# The header line, stripped: exactly three fields, n in ASCII decimal.
+_HEADER_LINE = re.compile(r"srpc-graph\s+v1\s+n=([0-9]+)")
 # A body line: blank, or two ASCII-decimal vertex indices; spaces and tabs around them.
 _EDGE_LINE = re.compile(r"[ \t]*(?:([0-9]+)[ \t]+([0-9]+)[ \t]*)?")
 
@@ -297,11 +318,10 @@ def read_graph(path) -> SignedAdjacency:
     cut = data.find(b"\n")
     cut = len(data) if cut < 0 else cut
     header = data[:cut].decode("utf-8", errors="replace").strip()
-    parts = header.split()
-    if (parts[:2] != ["srpc-graph", "v1"] or not parts[-1].startswith("n=")
-            or not parts[-1][2:].isdecimal()):
+    match = _HEADER_LINE.fullmatch(header)
+    if match is None:
         raise InputError(f"line 1: unrecognized graph header: {header!r}")
-    n = int(parts[-1][2:])
+    n = int(match.group(1))
     if n > MAX_N:
         raise InputError(f"line 1: n={n} exceeds the limit MAX_N={MAX_N}")
     edges = _body_edges(data, cut + 1, n)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, ParameterError
-from .graphs import MAX_N, SignedAdjacency, read_graph, write_graph
+from .graphs import _TILE, MAX_N, SignedAdjacency, read_graph, write_graph
 
 INSTANCE_HEADER = "srpc-instance v1"
 
@@ -66,16 +66,26 @@ class AdversaryStrategy:
 def _iid_block(rng: np.random.Generator, size: int, p: float) -> np.ndarray:
     """Symmetric +-1 block with i.i.d. upper-triangle edges and +1 diagonal.
 
-    The draws fill a boolean strict-upper-triangle mask in row-major order,
-    which is ``np.triu_indices`` order, then the block is mirrored.
+    The strict upper triangle is drawn one block of ``_TILE`` rows at a
+    time, in row-major order: the split draws are the one-shot stream of
+    ``np.triu_indices`` order.  The block is then mirrored tile by tile and
+    turned into signs in place, so no temporary is larger than a row block.
     """
     vertices = np.arange(size)
-    upper = vertices[:, None] < vertices
     edges = np.zeros((size, size), dtype=bool)
-    edges[upper] = rng.random(size * (size - 1) // 2) < p
-    edges |= edges.T
+    for r in range(0, size, _TILE):
+        upper = vertices[r:r + _TILE, None] < vertices
+        edges[r:r + _TILE][upper] = rng.random(np.count_nonzero(upper)) < p
+    for r in range(0, size, _TILE):
+        rows = slice(r, r + _TILE)
+        edges[rows, rows] |= edges[rows, rows].T
+        for c in range(r + _TILE, size, _TILE):
+            edges[c:c + _TILE, rows] = edges[rows, c:c + _TILE].T
     np.fill_diagonal(edges, True)
-    return edges.view(np.int8) * 2 - 1
+    signs = edges.view(np.int8)
+    signs *= 2
+    signs -= 1
+    return signs
 
 
 class ErdosRenyiStrategy(AdversaryStrategy):
@@ -254,8 +264,24 @@ def write_instance(inst: Instance, graph_path, meta_path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _natural(text: str) -> int:
+    """A non-negative integer in ASCII decimal; any other text raises ValueError."""
+    text = text.strip()
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(text)
+    return int(text)
+
+
 def _ints(text: str) -> list[int]:
-    return [int(v) for v in text.split()]
+    return [_natural(v) for v in text.split()]
+
+
+def _probability(text: str) -> float:
+    """An ASCII float strictly inside (0, 1); any other text raises ValueError."""
+    p = float(text) if text.isascii() and "_" not in text else math.nan
+    if not 0.0 < p < 1.0:
+        raise ValueError(text)
+    return p
 
 
 def read_instance(graph_path, meta_path) -> Instance:
@@ -271,16 +297,16 @@ def read_instance(graph_path, meta_path) -> Instance:
         except ValueError:
             raise InputError(f"{meta_path}: cannot parse {key} = {meta[key]!r}") from None
 
-    n, k, seed = (parsed(key, int) for key in ("n", "k", "seed"))
+    n, k, seed = (parsed(key, _natural) for key in ("n", "k", "seed"))
     planted = parsed("planted", _ints)
     if n != graph.n:
         raise InputError(f"{meta_path}: n = {n}, but the graph has n = {graph.n}")
     if len(planted) != k or len(set(planted) & set(range(n))) != k:
         raise InputError(f"{meta_path}: planted set is not {k} distinct vertices in [0,{n})")
-    params = {key[len("param_"):]: parsed(key, int) for key in meta
+    params = {key[len("param_"):]: parsed(key, _natural) for key in meta
               if key.startswith("param_")}
     details = {key: parsed(key, _ints) for key in ("chosen", "decoys") if key in meta}
-    return Instance(graph=graph, n=n, k=k, p=parsed("p", float), planted=tuple(planted),
+    return Instance(graph=graph, n=n, k=k, p=parsed("p", _probability), planted=tuple(planted),
                     adversary=parsed("adversary", str), adversary_params=params,
                     seed=seed, details=details)
 

@@ -190,9 +190,13 @@ def test_bench_command(runner, tmp_path):
     ("srpc-graph v1 n=4\n0 1\n99999999999999999999 1\n", 3),
     ("srpc-graph v1 n=4\n0 1\n\udcff 1\n", 3),
     ("srpc-graph v1 n=100000000\n0 1\n", 1),
+    ("srpc-graph v1 n=\u0663\n0 1\n", 1),
+    ("srpc-graph v1 extra n=3\n0 1\n", 1),
+    ("srpc-graph v1 n=3 n=4\n0 1\n", 1),
 ], ids=["three-fields", "non-integer-n", "non-integer-vertex", "duplicate", "reversed",
         "unsorted", "underscore", "plus-sign", "non-ascii-digit", "out-of-range",
-        "self-loop", "past-int64", "not-utf-8", "n-above-limit"])
+        "self-loop", "past-int64", "not-utf-8", "n-above-limit", "header-non-ascii-n",
+        "header-extra-field", "header-repeated-n"])
 def test_malformed_graph_file_exits_2(tmp_path, text, line):
     graph = tmp_path / "bad.txt"
     graph.write_bytes(text.encode("utf-8", "surrogateescape"))
@@ -244,6 +248,10 @@ def instance_files(tmp_path):
     return graph, meta, result
 
 
+ARABIC_INDIC_DIGITS = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
+                                   "\u0665\u0666\u0667\u0668\u0669")
+
+
 @pytest.mark.parametrize("key, edit", [
     ("k", lambda v: None),
     ("k", lambda v: "x"),
@@ -252,8 +260,20 @@ def instance_files(tmp_path):
     ("n", lambda v: "100"),
     ("planted", lambda v: " ".join(v.split()[:9] + v.split()[:1])),
     ("planted", lambda v: " ".join(v.split()[:9])),
+    ("planted", lambda v: " ".join(t[:1] + "_" + t[1:] if t[1:] else t for t in v.split())),
+    ("planted", lambda v: v.translate(ARABIC_INDIC_DIGITS)),
+    ("planted", lambda v: "+" + v),
+    ("k", lambda v: v.translate(ARABIC_INDIC_DIGITS)),
+    ("seed", lambda v: "+" + v),
+    ("p", lambda v: "nan"),
+    ("p", lambda v: "inf"),
+    ("p", lambda v: "1.5"),
+    ("p", lambda v: v.translate(ARABIC_INDIC_DIGITS)),
 ], ids=["missing-k", "non-integer-k", "non-float-p", "planted-out-of-range",
-        "n-differs-from-graph", "planted-repeated", "planted-not-size-k"])
+        "n-differs-from-graph", "planted-repeated", "planted-not-size-k",
+        "planted-underscore", "planted-non-ascii-digits", "planted-plus-sign",
+        "k-non-ascii-digits", "seed-plus-sign", "p-nan", "p-infinite", "p-above-one",
+        "p-non-ascii-digits"])
 def test_malformed_instance_meta_exits_2(instance_files, key, edit):
     graph, meta, result = instance_files
     header, *lines = meta.read_text().splitlines()

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -347,6 +348,24 @@ def row_join_graph_text(graph):
     return "".join(lines)
 
 
+def row_block_write_graph(graph, path):
+    """The per-row block writer that the record writer replaced: the byte reference."""
+    n = graph.n
+    names = np.array([str(v) for v in range(n)], dtype=object)
+    rows_per_block = max(1, (1 << 20) // max(n, 1))
+    with open(path, "w") as fh:
+        fh.write(f"srpc-graph v1 n={n}\n")
+        for start in range(0, n, rows_per_block):
+            keys = np.flatnonzero(graph.signs[start:start + rows_per_block] > 0)
+            rows = np.arange(min(rows_per_block, n - start))
+            lo = np.searchsorted(keys, rows * (n + 1) + start, side="right").tolist()
+            hi = np.searchsorted(keys, (rows + 1) * n).tolist()
+            for r in rows[np.greater(hi, lo)].tolist():
+                prefix = names[start + r] + " "
+                cols = keys[lo[r]:hi[r]] - r * n
+                fh.write(prefix + ("\n" + prefix).join(names[cols]) + "\n")
+
+
 def isolated_graph(n, seed):
     """A random graph where every third vertex, and the last, has no edges."""
     signs = random_graph(n, seed).signs.copy()
@@ -359,7 +378,7 @@ def isolated_graph(n, seed):
 
 @pytest.mark.parametrize("kind", ["edgeless", "complete", "random", "sparse", "isolated",
                                   "clique_union"])
-@pytest.mark.parametrize("n", [1, 2, 9, 10, 11, 100, 101, 129, 300])
+@pytest.mark.parametrize("n", [1, 2, 9, 10, 11, 99, 100, 101, 129, 300, 1000, 1001])
 def test_graph_file_matches_reference_writer(tmp_path, monkeypatch, n, kind):
     if kind == "random":
         graph = random_graph(n, n)
@@ -376,15 +395,32 @@ def test_graph_file_matches_reference_writer(tmp_path, monkeypatch, n, kind):
     path = tmp_path / "g.txt"
     text = reference_graph_text(graph)
     assert text == join_all_graph_text(graph) == row_join_graph_text(graph)
-    # the default block of rows, one row per block, and a block that ends mid-graph
-    for chunk in (graphs._CHUNK_BYTES, 7, 40 * n):
-        monkeypatch.setattr(graphs, "_CHUNK_BYTES", chunk)
+    row_block_write_graph(graph, path)
+    assert path.read_bytes() == text.encode()
+    # the default block of rows, one row per block, and blocks that end mid-graph;
+    # n crosses every change of the vertex names' width
+    for chunk in (graphs._WRITE_BLOCK_BYTES, 7, 7 * n, 40 * n):
+        monkeypatch.setattr(graphs, "_WRITE_BLOCK_BYTES", chunk)
         write_graph(graph, path)
         assert path.read_bytes() == text.encode(), chunk
     monkeypatch.undo()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert read_graph(path) == graph
+
+
+def test_write_graph_peak_memory_stays_below_two_bytes_per_matrix_entry(tmp_path):
+    # the records of one block of rows are alive at a time, never the whole file
+    n = 2048
+    graph = random_graph(n, 4)
+    tracemalloc.start()
+    try:
+        write_graph(graph, tmp_path / "g.txt")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert read_graph(tmp_path / "g.txt") == graph
+    assert peak < 2 * n * n
 
 
 def test_read_graph_accepts_blank_lines_tabs_and_crlf(tmp_path):

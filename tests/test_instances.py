@@ -1,4 +1,6 @@
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -227,6 +229,17 @@ def triu_iid_block(rng, size, p):
     return block
 
 
+def whole_triangle_iid_block(rng, size, p):
+    """The whole-matrix mask fill that the row-block fill replaced: the reference."""
+    vertices = np.arange(size)
+    upper = vertices[:, None] < vertices
+    edges = np.zeros((size, size), dtype=bool)
+    edges[upper] = rng.random(size * (size - 1) // 2) < p
+    edges |= edges.T
+    np.fill_diagonal(edges, True)
+    return edges.view(np.int8) * 2 - 1
+
+
 def ix_signs(n, k, p, strategy, seed):
     """The np.ix_ assembly that generate replaced, on the reference block fill."""
     planted = np.sort(instances._substream(seed, instances._STREAM_PLANTED)
@@ -244,12 +257,63 @@ def ix_signs(n, k, p, strategy, seed):
     return signs
 
 
-@pytest.mark.parametrize("size", [0, 1, 2, 5, 300])
-@pytest.mark.parametrize("p", [0.5, 0.3])
+@pytest.mark.parametrize("size", [0, 1, 2, 5, 255, 256, 257, 300, 513])
+@pytest.mark.parametrize("p", [0.5, 0.3, 0.7])
 def test_iid_block_matches_triu_indices_reference(size, p):
+    # sizes on both sides of one and two row blocks
     block = instances._iid_block(np.random.default_rng(12), size, p)
     assert block.dtype == np.int8
     assert np.array_equal(block, triu_iid_block(np.random.default_rng(12), size, p))
+    assert np.array_equal(block, whole_triangle_iid_block(np.random.default_rng(12), size, p))
+
+
+def test_generate_peak_memory_stays_below_four_and_a_half_bytes_per_matrix_entry():
+    # the i.i.d. block draws one row block of uniforms at a time
+    n = 2048
+    tracemalloc.start()
+    try:
+        inst = generate(n, 64, 0.5, strategy_erdos_renyi(), seed=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert inst.graph.n == n
+    assert peak < 4.5 * n * n
+
+
+# SHA-256 of the graph and meta files that write_instance writes, pinned so
+# that a change to generation or to the writers cannot change instance bytes.
+# n = 11, 257 and 1001 cross name-width and tile boundaries.
+GOLDEN_INSTANCES = [
+    (("erdos_renyi", {}, 11, 4, 0.5, 1),
+     "4525a2965200ee52948b1650b36a4aa7636f7a4ee8de69f4b4cdc8f2d20858f2",
+     "fb7b5c945a6b46ae3da8bdd9212b9ecfe5aee0237de5c9cd715604edd9bc81db"),
+    (("clique_union", {}, 11, 3, 0.3, 2),
+     "066a8ed374682a341464bec86135a3cc1800dfd47ba9d3d309fd95be62033235",
+     "7e41b348c029321898e26a46821113eb35d539cdbda57ef5c2e1f34d49042255"),
+    (("erdos_renyi", {}, 257, 1, 0.3, 3),
+     "bbe1ed4a2a7922c96ed1930d356cff363ae94a296b602da156e6f5dc63e050cd",
+     "f98b16059ea8c521c836055d46bf9fdb4338bc0106125599638ca1c31d425a90"),
+    (("majority", {"m": 5}, 257, 8, 0.7, 4),
+     "776b60f9e7e09b29446dd302919e892cd2eb5c51488ba57c478701e1f7488a9d",
+     "ba09564cad52eb882ab5595a5e59c7b4fff87163fd2b74ecec55a9cc7f905dfd"),
+    (("clique_union", {}, 1001, 90, 0.7, 5),
+     "0e9ab0fc1ee9d77476bab64f5a4c11f52718af30a7763310cc8b4df02ddcad13",
+     "74bdf2a8d0e544ba7be3c7a2e370e1b492eb87180009059c603af2d531723449"),
+    (("majority", {"m": 5}, 1001, 120, 0.5, 6),
+     "6b4c7182f52d0a17fabe403afe4ed8874d58b7732b17c21bae402f24d4efc6d2",
+     "f1561d9ef63767d1b1e5348dbd964af8fdfa1ad8dda51db9778ea22dd5ebc0d6"),
+]
+
+
+@pytest.mark.parametrize("case, graph_digest, meta_digest", GOLDEN_INSTANCES,
+                         ids=[f"{c[0][0]}-n{c[0][2]}-p{c[0][4]}" for c in GOLDEN_INSTANCES])
+def test_instance_files_match_golden_digests(tmp_path, case, graph_digest, meta_digest):
+    name, params, n, k, p, seed = case
+    inst = generate(n, k, p, strategy_by_name(name, **params), seed=seed)
+    gpath, mpath = tmp_path / "g.txt", tmp_path / "meta.txt"
+    write_instance(inst, gpath, mpath)
+    assert hashlib.sha256(gpath.read_bytes()).hexdigest() == graph_digest
+    assert hashlib.sha256(mpath.read_bytes()).hexdigest() == meta_digest
 
 
 @pytest.mark.parametrize("n, k", [(8, 8), (9, 8), (300, 60), (301, 60)],
