@@ -9,6 +9,7 @@ sidecar), never inside the result documents.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -31,12 +32,24 @@ def _write(path, text: str) -> None:
             fh.write(text)
 
 
+def _finite_object(pairs: list) -> dict:
+    """json object hook that refuses ``NaN``, ``Infinity`` and overflows like ``1e999``."""
+    def finite(value):  # nested objects went through this hook already
+        return (all(map(finite, value)) if isinstance(value, list)
+                else not isinstance(value, float) or math.isfinite(value))
+    for key, value in pairs:
+        if not finite(value):
+            raise InputError(f"{key!r} holds NaN or an infinity, which is not a JSON number")
+    return dict(pairs)
+
+
 def _read_doc(path, parse):
-    """parse() of a file's JSON object; malformed content raises InputError naming the file."""
+    """parse() of a file's JSON object; malformed content, a non-finite number or
+    a bad parameter raises InputError naming the file."""
     with open(path) as fh:
         try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+            doc = json.load(fh, object_pairs_hook=_finite_object)
+        except (json.JSONDecodeError, InputError) as exc:
             raise InputError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(doc, dict):
         raise InputError(f"{path}: expected a JSON object, got {type(doc).__name__}")
@@ -44,7 +57,7 @@ def _read_doc(path, parse):
         return parse(doc)
     except KeyError as exc:
         raise InputError(f"{path}: missing key {exc}") from None
-    except InputError as exc:
+    except (InputError, ParameterError) as exc:
         raise InputError(f"{path}: {exc}") from None
 
 

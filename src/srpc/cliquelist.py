@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
-from .errors import InputError
+from .errors import InputError, check_int
 
 
 @dataclass(frozen=True)
@@ -24,16 +23,15 @@ class CliqueEntry:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "CliqueEntry":
-        """The entry of a document; a malformed shape or a vertex that is not an
-        integer raises :class:`InputError`."""
+        """The entry of a document; a malformed shape raises :class:`InputError`,
+        a vertex that is not an integer >= 0 :class:`ParameterError`."""
         if not isinstance(doc, dict):
             raise InputError(f"entry must be an object, got {doc!r}")
         vertices = doc["vertices"]
         if not isinstance(vertices, list):
             raise InputError(f"entry vertices must be a list, got {vertices!r}")
         for v in vertices:
-            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
-                raise InputError(f"entry has a vertex that is not an integer: {v!r}")
+            check_int("entry vertex", v, 0)
         alphas = doc.get("alphas", [])
         if not isinstance(alphas, list) or not all(isinstance(a, list) for a in alphas):
             raise InputError(f"entry alphas must be a list of lists, got {alphas!r}")

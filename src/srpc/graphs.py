@@ -17,7 +17,8 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .errors import InputError, InternalInvariantError, ParameterError
+from .errors import (InputError, InternalInvariantError, ParameterError, check_int,
+                     check_probability)
 
 GRAPH_HEADER = "srpc-graph v1"
 # Largest n that read_graph accepts; its dense int8 sign matrix is then at most 1 GiB.
@@ -76,8 +77,7 @@ def from_edge_list(n: int, edges: np.ndarray | Iterable[tuple[int, int]]) -> Sig
 
     ``edges`` is an (m, 2) integer array or any iterable of vertex pairs.
     """
-    if n < 1:
-        raise ParameterError("n must be >= 1")
+    check_int("n", n, 1)
     pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
     if pairs.size == 0:
         pairs = np.empty((0, 2), dtype=np.int64)
@@ -112,8 +112,7 @@ class PBiasedMatrix:
     """Real rescaling of a sign matrix with entries in {p_plus, -p_minus}."""
 
     def __init__(self, graph: SignedAdjacency, p: float):
-        if not 0.0 < p < 1.0:
-            raise ParameterError(f"p must lie in (0,1), got {p}")
+        check_probability("p", p)
         self.n = graph.n
         self.p = float(p)
         # 1/p - 1 == (1-p)/p but stays exact at p = 4/5, 1/5, ... in binary

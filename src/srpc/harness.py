@@ -12,7 +12,6 @@ import csv
 import io
 import json
 import math
-import numbers
 import re
 import sys
 import traceback
@@ -24,7 +23,8 @@ import numpy as np
 
 from . import linalg, solver
 from .cliquelist import CliqueList
-from .errors import InputError, InternalInvariantError, ParameterError
+from .errors import (InputError, InternalInvariantError, ParameterError, check_int,
+                     check_probability)
 from .graphs import MAX_N
 from .instances import (Instance, generate, majority_vector, strategy_by_name,
                         strategy_majority_adversary)
@@ -75,24 +75,21 @@ def evaluate(instance: Instance, clique_list: CliqueList,
     stats = clique_list.stats
     stage_counts = {key: stats.get(key) for key in
                     ("rounds", "rounds_index_not_clique", "rounds_nonempty",
-                     "rounds_short_skipped", "distinct_raw", "distinct_refined",
-                     "rounds_accepted", "accepted_distinct", "pruned_size")}
+                     "rounds_short_skipped", "raw_size_max", "distinct_raw",
+                     "refined_size_max", "distinct_refined", "rounds_accepted",
+                     "accepted_distinct", "pruned_size")}
     spurious = 0
     if compute_spurious and "config" in stats:
         n, k, p = (stats.get(key, getattr(instance, key)) for key in ("n", "k", "p"))
-        if not _is_int(n) or n != instance.n:
-            raise InputError(f"stats.n = {n!r}, but the graph has n = {instance.n}")
-        if not _is_int(k) or not 1 <= k <= n:
-            raise InputError(f"stats.k must be an integer in [1, {n}], got {k!r}")
-        if isinstance(p, bool) or not isinstance(p, numbers.Real) or not 0.0 < p < 1.0:
-            raise InputError(f"stats.p must be a number in (0, 1), got {p!r}")
         try:
+            check_int("n", n, instance.n, instance.n)
+            check_probability("p", p)
             config = solver.SolverConfig.from_dict(stats["config"])
-            config.num_rounds(n, k)  # refuses a round count past the limit
+            config.num_rounds(n, k)  # refuses a k outside [1, n] and a round count past the limit
         except KeyError as exc:
             raise InputError(f"stats.config is missing key {exc}") from None
         except ParameterError as exc:
-            raise InputError(f"stats.config: {exc}") from None
+            raise InputError(f"stats: {exc}") from None
         spurious = max_spurious_members(instance, config, k, p)
     return EvalResult(recovered=matching > 0, list_size=len(clique_list.entries),
                       stage_counts=stage_counts, max_spurious=spurious,
@@ -146,10 +143,6 @@ def _grid_adversary(entry: dict) -> tuple[str, dict]:
     return entry["name"], params
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class ExperimentGrid:
     ns: tuple[int, ...]
@@ -161,22 +154,15 @@ class ExperimentGrid:
     seed: int = 0
 
     def __post_init__(self):
-        if not _is_int(self.trials) or self.trials < 1:
-            raise ParameterError(f"trials must be a positive integer, got {self.trials!r}")
-        if not _is_int(self.seed) or self.seed < 0:
-            raise ParameterError(f"seed must be an integer >= 0, got {self.seed!r}")
+        check_int("trials", self.trials, 1)
+        check_int("seed", self.seed, 0)
         for n in self.ns:
-            if not _is_int(n) or not 1 <= n <= MAX_N:
-                raise ParameterError(f"ns must hold integers in [1, {MAX_N}], got {n!r}")
+            check_int("ns entry", n, 1, MAX_N)
         for p in self.ps:
-            if isinstance(p, bool) or not isinstance(p, numbers.Real) or not 0.0 < p < 1.0:
-                raise ParameterError(f"ps must hold finite numbers in (0, 1), got {p!r}")
+            check_probability("ps entry", p)
         for rule in self.k_rules:
             for n in self.ns:
-                k = resolve_k_rule(rule, n)
-                if not 1 <= k <= n:
-                    raise ParameterError(f"k_rules entry {rule!r} gives k={k} outside "
-                                         f"[1, {n}] at n={n}")
+                check_int(f"k from k_rules entry {rule!r} at n={n}", resolve_k_rule(rule, n), 1, n)
         for index, cell in enumerate(self.cells()):
             n, k, cfg = cell["n"], cell["k"], cell["solver"]
             try:

@@ -12,12 +12,11 @@ writes the block outside the planted set.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, ParameterError
+from .errors import InputError, ParameterError, check_int, check_probability
 from .graphs import _TILE, MAX_N, SignedAdjacency, read_graph, write_graph
 
 INSTANCE_HEADER = "srpc-instance v1"
@@ -122,16 +121,10 @@ class MajorityAdversaryStrategy(AdversaryStrategy):
     name = "majority"
 
     def __init__(self, m: int, decoy_count: int | None = None):
-        if isinstance(m, bool) or not isinstance(m, numbers.Integral):
-            raise ParameterError(f"m must be an integer, got {m!r}")
-        if m % 2 == 0:
+        if check_int("m", m, 1) % 2 == 0:
             raise ParameterError(f"m must be odd, got {m}")
-        if m < 1:
-            raise ParameterError("m must be >= 1")
-        if decoy_count is not None and (isinstance(decoy_count, bool)
-                                        or not isinstance(decoy_count, numbers.Integral)
-                                        or decoy_count < 0):
-            raise ParameterError(f"decoy_count must be an integer >= 0, got {decoy_count!r}")
+        if decoy_count is not None:
+            check_int("decoy_count", decoy_count, 0)
         self.m = m
         self.decoy_count = decoy_count
 
@@ -209,12 +202,10 @@ class Instance:
 def generate(n: int, k: int, p: float, strategy: AdversaryStrategy,
              seed: int) -> Instance:
     """Draw an instance: plant a clique, randomize the cut, let the adversary fill the rest."""
-    if n > MAX_N:
-        raise ParameterError(f"n={n} exceeds the limit MAX_N={MAX_N}")
-    if not 1 <= k <= n:
-        raise ParameterError(f"need 1 <= k <= n, got k={k}, n={n}")
-    if not 0.0 < p < 1.0:
-        raise ParameterError(f"p must lie in (0,1), got {p}")
+    check_int("n", n, 1, MAX_N)
+    check_int("k", k, 1, n)
+    check_probability("p", p)
+    check_int("seed", seed, 0)
     strategy.check(n, k)
 
     planted = np.sort(_substream(seed, _STREAM_PLANTED).choice(n, size=k, replace=False))

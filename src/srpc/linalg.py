@@ -18,7 +18,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import NonConvergenceError, ParameterError
+from .errors import NonConvergenceError, ParameterError, check_int
 
 INT64_MAX = np.iinfo(np.int64).max
 
@@ -57,8 +57,8 @@ class Backend:
     def __post_init__(self):
         if self.kind not in ("naive", "blocked", "recursive"):
             raise ParameterError(f"unknown backend kind {self.kind!r}")
-        if self.block_size < 1 or self.cutoff < 1:
-            raise ParameterError("block size and cutoff must be >= 1")
+        check_int("block_size", self.block_size, 1)
+        check_int("cutoff", self.cutoff, 1)
 
 
 NAIVE = Backend("naive")

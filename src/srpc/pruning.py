@@ -24,14 +24,12 @@ import numpy as np
 
 from . import linalg
 from .cliquelist import CliqueEntry, CliqueList
-from .errors import InternalInvariantError, ParameterError
+from .errors import InternalInvariantError, check_int, check_probability
 
 
 def _check_model(n: int, p: float) -> None:
-    if n < 2:
-        raise ParameterError(f"n must be >= 2, got {n}")
-    if not 0.0 < p < 1.0:
-        raise ParameterError(f"p must lie in (0,1), got {p}")
+    check_int("n", n, 2)
+    check_probability("p", p)
 
 
 def intersection_threshold(n: int, p: float) -> int:
@@ -51,10 +49,9 @@ class PruneParams:
 
     def __post_init__(self):
         _check_model(self.n, self.p)
-        if self.delta < 0:
-            raise ParameterError(f"delta must be >= 0, got {self.delta}")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ParameterError(f"batch_size must be >= 1, got {self.batch_size}")
+        check_int("delta", self.delta, 0)
+        if self.batch_size is not None:
+            check_int("batch_size", self.batch_size, 1)
 
     @classmethod
     def for_model(cls, n: int, p: float) -> "PruneParams":

@@ -19,8 +19,7 @@ from itertools import chain, combinations
 
 import numpy as np
 
-from .errors import (BudgetExceededError, InternalInvariantError,
-                     ParameterError)
+from .errors import BudgetExceededError, InternalInvariantError, ParameterError, check_int
 
 DEFAULT_SUPPORT_BUDGET = 1_000_000
 _ENUM_OUTCOME_LIMIT = 20  # 2**k outcomes must stay enumerable
@@ -109,10 +108,10 @@ class TensoredMatrix:
 
 
 def build_tensored(k: int, t: int, q: int, base_dist, seed: int) -> TensoredMatrix:
-    if not 1 <= t <= 3 <= k or t > k:
-        raise ParameterError(f"need 1 <= t <= 3 <= k, got t={t}, k={k}")
-    if q < 1:
-        raise ParameterError(f"q must be >= 1, got {q}")
+    check_int("t", t, 1, 3)
+    check_int("k", k, 3)
+    check_int("q", q, 1)
+    check_int("seed", seed, 0)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     x = base_dist.sample(rng, (q, k))
     cols = tuple(combinations(range(k), t))
@@ -353,9 +352,7 @@ def sparse_opnorm_exhaustive(h, r: int, budget: int = DEFAULT_SUPPORT_BUDGET) ->
     """
     mat = _as_matrix(h)
     d = mat.shape[1]
-    if not 1 <= r <= d:
-        raise ParameterError(f"need 1 <= r <= {d}, got r={r}")
-    total = math.comb(d, r)
+    total = math.comb(d, check_int("r", r, 1, d))
     if total > budget:
         raise BudgetExceededError(
             f"C({d},{r}) = {total} supports exceed the budget {budget}")
@@ -364,11 +361,10 @@ def sparse_opnorm_exhaustive(h, r: int, budget: int = DEFAULT_SUPPORT_BUDGET) ->
     return _rank_and_report(mat, supports, "exhaustive", total)
 
 
-def _check_sampled(d: int, r: int, trials: int) -> None:
-    if not 1 <= r <= d:
-        raise ParameterError(f"need 1 <= r <= {d}, got r={r}")
-    if trials < 1:
-        raise ParameterError("trials must be >= 1")
+def _check_sampled(d: int, r: int, trials: int, seed: int) -> None:
+    check_int("r", r, 1, d)
+    check_int("trials", trials, 1)
+    check_int("seed", seed, 0)
     if trials * r > MAX_SAMPLED_ENTRIES:
         raise ParameterError(f"trials * r = {trials} * {r} exceeds the limit "
                              f"MAX_SAMPLED_ENTRIES={MAX_SAMPLED_ENTRIES}")
@@ -386,7 +382,7 @@ def sparse_opnorm_sampled(h, r: int, trials: int, seed: int = 0) -> OpNormReport
     """
     mat = _as_matrix(h)
     d = mat.shape[1]
-    _check_sampled(d, r, trials)
+    _check_sampled(d, r, trials, seed)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     supports = _draw_supports(rng, d, r, trials)
     supports.sort(axis=1)
@@ -404,7 +400,7 @@ def rip_deviation_sampled(h_normalized, r: int, trials: int, seed: int = 0) -> f
     """
     mat = _as_matrix(h_normalized)
     d = mat.shape[1]
-    _check_sampled(d, r, trials)
+    _check_sampled(d, r, trials, seed)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     supports = _draw_supports(rng, d, r, trials)
     gram = _gram(mat)

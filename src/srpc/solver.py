@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 import time
 from dataclasses import dataclass, replace
 from typing import Iterator, Sequence, Union
@@ -36,7 +35,7 @@ import numpy as np
 
 from . import linalg, pruning
 from .cliquelist import CliqueEntry, CliqueList
-from .errors import ParameterError
+from .errors import ParameterError, check_int, check_positive, check_probability
 from .graphs import PBiasedMatrix, SignedAdjacency, _check_alpha, row_products
 # Unused here: perfbench's tracer wraps srpc.solver.hadamard_rows by name, and
 # tests/test_perfbench_targets.py guards that lookup.
@@ -49,12 +48,14 @@ MAX_ALPHA_ROWS = 1 << 26
 
 
 def threshold_for(k: int, p: float) -> float:
-    """Inner-product cutoff k * p_plus**4 / 2 (k/2 at p = 1/2)."""
-    if k < 1:
-        raise ParameterError(f"k must be >= 1, got {k}")
-    if not 0.0 < p < 1.0:
-        raise ParameterError(f"p must lie in (0,1), got {p}")
-    return k * (1.0 / p - 1.0) ** 2 / 2.0
+    """Inner-product cutoff k * p_plus**4 / 2 (k/2 at p = 1/2); it must be finite."""
+    check_int("k", k, 1)
+    check_probability("p", p)
+    try:
+        tau = k * (1.0 / p - 1.0) ** 2 / 2.0
+    except OverflowError:  # (1/p - 1)**2 past the float range
+        tau = math.inf
+    return check_positive(f"threshold at p={p}", tau)
 
 
 def _check_alpha_rows(rounds: int, reps: int) -> None:
@@ -80,38 +81,23 @@ class SolverConfig:
     backend: linalg.Backend = linalg.NAIVE
 
     def __post_init__(self):
-        for names, kind, what in ((("order", "reps", "rounds", "seed"), numbers.Integral,
-                                   "an integer"),
-                                  (("c_rounds", "threshold"), numbers.Real, "a real number")):
-            for name in names:
-                value = getattr(self, name)
-                if value is None and name in ("rounds", "threshold"):
-                    continue
-                if isinstance(value, bool) or not isinstance(value, kind):
-                    raise ParameterError(f"{name} must be {what}, got {value!r}")
-        if self.order not in (1, 2, 3):
-            raise ParameterError(f"order must be 1, 2 or 3, got {self.order}")
-        if self.reps < 1:
-            raise ParameterError(f"reps must be >= 1, got {self.reps}")
-        if not (math.isfinite(self.c_rounds) and self.c_rounds > 0):
-            raise ParameterError(f"c_rounds must be finite and > 0, got {self.c_rounds}")
+        check_int("order", self.order, 1, 3)
+        check_int("reps", self.reps, 1)
+        check_positive("c_rounds", self.c_rounds)
         if self.rounds is not None:
-            if self.rounds < 1:
-                raise ParameterError("rounds must be >= 1")
-            _check_alpha_rows(self.rounds, self.reps)
-        if self.threshold is not None and self.threshold <= 0:
-            raise ParameterError("threshold must be positive")
-        if self.seed < 0:
-            raise ParameterError(f"seed must be >= 0, got {self.seed}")
+            _check_alpha_rows(check_int("rounds", self.rounds, 1), self.reps)
+        if self.threshold is not None:
+            check_positive("threshold", self.threshold)
+        check_int("seed", self.seed, 0)
 
     def num_rounds(self, n: int, k: int) -> int:
         """The explicit round count, else ceil(c_rounds * (n/k)**(s*t)), at least 1.
 
-        A k outside [1, n], or a computed count that is not finite or whose
-        rounds * reps exceeds :data:`MAX_ALPHA_ROWS`, raises :class:`ParameterError`.
+        A k that is not an integer in [1, n], or a computed count that is not
+        finite or whose rounds * reps exceeds :data:`MAX_ALPHA_ROWS`, raises
+        :class:`ParameterError`.
         """
-        if not 1 <= k <= n:
-            raise ParameterError(f"need 1 <= k <= n, got k={k}, n={n}")
+        check_int("k", k, 1, n)
         if self.rounds is not None:
             return self.rounds
         try:
@@ -267,10 +253,8 @@ def iter_round_members(graph: SignedAdjacency, k: int, p: float,
     """
     n = graph.n
     rounds = cfg.num_rounds(n, k)
-    if cfg.order > n:
-        raise ParameterError(f"order {cfg.order} exceeds vertex count {n}")
-    if cfg.reps > n:
-        raise ParameterError(f"reps {cfg.reps} exceeds the oracle batch size {n}")
+    check_int("order", cfg.order, 1, n)
+    check_int("reps", cfg.reps, 1, n)  # t product rows of a round share one batch of n
     tau = cfg.resolve_threshold(k, p)
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     t, s = cfg.reps, cfg.order
@@ -292,10 +276,11 @@ def solve(graph: SignedAdjacency, k: int, p: float, cfg: SolverConfig,
           counters: linalg.Counters | None = None) -> CliqueList:
     """Run all rounds, refine, verify, deduplicate and prune.
 
-    Returns the pruned clique list; ``stats`` carries per-stage counts,
-    per-stage oracle calls, multiply-adds and oracle seconds, wall times, and
-    an echo of the resolved configuration (enough to replay the round
-    sampling).  Refine and verify read induced submatrices and make no oracle call.
+    Returns the pruned clique list; ``stats`` carries per-stage counts, the
+    largest raw and refined set sizes (``raw_size_max``; ``refined_size_max``,
+    before the size-k cut), per-stage oracle calls, multiply-adds and oracle
+    seconds, wall times, and an echo of the resolved configuration (enough to
+    replay the round sampling).  Refine and verify make no oracle call.
     """
     n = graph.n
     rounds = cfg.num_rounds(n, k)
@@ -308,11 +293,12 @@ def solve(graph: SignedAdjacency, k: int, p: float, cfg: SolverConfig,
     distinct: dict[bytes, tuple[np.ndarray, list]] = {}  # raw set -> (members, round alphas)
     rounds_nonempty = 0
     rounds_short = 0
-    rounds_multiplied = 0
+    rounds_multiplied = raw_size_max = 0
     for alphas, members in iter_round_members(graph, k, p, cfg,
                                               stage_counters["candidate"]):
         rounds_multiplied += len(alphas)
         sizes = members.sum(axis=1)
+        raw_size_max = max(raw_size_max, int(sizes.max(initial=0)))
         rounds_nonempty += int(np.count_nonzero(sizes))
         # A degree sweep only removes vertices, so a short set can never
         # verify at size >= k; skip the refine work.
@@ -360,6 +346,8 @@ def solve(graph: SignedAdjacency, k: int, p: float, cfg: SolverConfig,
         "rounds_nonempty": rounds_nonempty,
         "rounds_short_skipped": rounds_short,
         "distinct_raw": len(records),
+        "raw_size_max": raw_size_max,
+        "refined_size_max": max((kept.size for kept in kept_sets), default=0),
         "distinct_refined": len(refined),
         "rounds_accepted": rounds_accepted,
         "accepted_distinct": len(entries),

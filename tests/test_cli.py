@@ -1,6 +1,8 @@
+import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -78,6 +80,55 @@ def test_solve_output_has_no_wall_times(runner, tmp_path):
     assert all(seconds >= 0 for seconds in timings["oracle_seconds"].values())
 
 
+# (adversary, extra generate flags, n, k, p, order, reps, seed): generate at the
+# seed, solve at seed + 1, prune at the instance's n and p, evaluate the solve.
+# SHA-256 of the solve, prune and evaluate documents.
+GOLDEN_DOCUMENTS = [
+    (("erdos_renyi", [], 150, 50, 0.5, 3, 1, 11),
+     "d7c0ba5d29ded52e6fc2d90e66609d0512cf5ecce50f2d798e4ba879512a2649",
+     "bfdb2cffd248401f9ac67455202bb02ae862dab674b56258e639069e19b54b68",
+     "20d0d44cbd48c851ea9b4b9383bb6a5b9b9ef004ccdcbc03dc4c1abbe9079c05"),
+    (("erdos_renyi", [], 150, 50, 0.5, 1, 2, 12),
+     "919c4b6236be711cbc293aa6943161d3226deef06a0cb123bd89312a96b3cb58",
+     "1f68e634fe7905b5095a831766f38ee6b8262eb3d33711c316bdb04598457d20",
+     "8b989216b8055094891f6fea0e5bbbda7c9304871835b7fc36cb637e507f1c08"),
+    (("erdos_renyi", [], 300, 120, 0.3, 2, 1, 13),
+     "99f037eb4f56fe3257ce45cfe9dfb60ecb6f1ac0155bf03bc4f0db8e5c9dca9d",
+     "a81b2dc673eddf5923f6bd80a4469167fad43e98b8e0e09775493f0725d208fd",
+     "8beef0f3c3d935f7a2acd05229eba5977ea4f9b765489043307a07f6143c18dd"),
+    (("clique_union", [], 300, 100, 0.7, 1, 2, 14),
+     "6c9070fd11ab72c079984c3313c027aab18245b3bf4ef7fdaa3f126049d901ae",
+     "ecd1c72f4a351e8414b3d44673d0cc13d73f465587489dd2b3691483d0ce4333",
+     "b5e33c6aa0d86801804d56b32cd539551aa5396e51ed254ee18c36f28be1e060"),
+    (("clique_union", [], 300, 100, 0.7, 3, 1, 15),
+     "25bb4dbb56b9fac510fe57d0df9ba69399eebf8724cdca8dcdbaef1faa9cba3b",
+     "332717e9211ca862fcb3715ecac9eceefd969edcb6259fbb117f74d1e224482a",
+     "cbaa86dbfabbba7b8a4f6921bb6cfcdf57a1c04aa1e124081264ac9a01afa697"),
+    (("majority", ["--m", 5], 120, 24, 0.5, 2, 2, 16),
+     "ce059156e94b13a220cd06c36fd3a9ed99c61aed10db0715c97180ec75cfca13",
+     "332717e9211ca862fcb3715ecac9eceefd969edcb6259fbb117f74d1e224482a",
+     "d0153fd90c6d811b98a5966be1341b6f945a0a1736e8d48c5ebfa3b37f358475"),
+]
+
+
+@pytest.mark.parametrize("case, solve_digest, prune_digest, eval_digest", GOLDEN_DOCUMENTS,
+                         ids=[f"{c[0][0]}-p{c[0][4]}-order{c[0][5]}-reps{c[0][6]}"
+                              for c in GOLDEN_DOCUMENTS])
+def test_cli_documents_match_golden_digests(runner, tmp_path, case, solve_digest,
+                                            prune_digest, eval_digest):
+    adversary, flags, n, k, p, order, reps, seed = case
+    g, m, s, pr, ev = (str(tmp_path / name) for name in ("g", "m", "s", "pr", "ev"))
+    for args in (["generate", "--n", n, "--k", k, "--p", p, "--adversary", adversary, *flags,
+                  "--seed", seed, "--out-graph", g, "--out-meta", m],
+                 ["solve", "--graph", g, "--k", k, "--p", p, "--order", order, "--reps", reps,
+                  "--seed", seed + 1, "--out", s],
+                 ["prune", "--list", s, "--n", n, "--p", p, "--out", pr],
+                 ["evaluate", "--graph", g, "--meta", m, "--result", s, "--out", ev]):
+        invoke(runner, [str(a) for a in args])
+    digests = [hashlib.sha256(Path(path).read_bytes()).hexdigest() for path in (s, pr, ev)]
+    assert digests == [solve_digest, prune_digest, eval_digest]
+
+
 def test_solve_document_bytes_do_not_depend_on_timings(runner, tmp_path):
     g, meta = tmp_path / "g.txt", tmp_path / "m.txt"
     invoke(runner, ["generate", "--n", "80", "--k", "40", "--seed", "3",
@@ -91,8 +142,9 @@ def test_solve_document_bytes_do_not_depend_on_timings(runner, tmp_path):
     assert docs[0] == docs[1]
     assert set(json.loads(docs[0])["stats"]) == {
         "n", "k", "p", "config", "rounds", "threshold", "rounds_index_not_clique",
-        "rounds_nonempty", "rounds_short_skipped", "distinct_raw", "distinct_refined",
-        "rounds_accepted", "accepted_distinct", "pruned_size", "prune", "oracle_calls", "madds"}
+        "rounds_nonempty", "rounds_short_skipped", "raw_size_max", "distinct_raw",
+        "refined_size_max", "distinct_refined", "rounds_accepted", "accepted_distinct",
+        "pruned_size", "prune", "oracle_calls", "madds"}
 
 
 def test_prune_command_modes_agree(runner, tmp_path):
@@ -353,6 +405,14 @@ def test_strict_instance_meta_exits_2(instance_files, extra, message):
     ("evaluate", '{"cliques": [3]}'),
     ("evaluate", '{"cliques": 5}'),
     ("evaluate", '{"cliques": [{"vertices": [1, 2], "alphas": [1]}]}'),
+    ("evaluate", '{"cliques": [], "stats": {"config": {"order": 3, "reps": 1, '
+                 '"c_rounds": 10.0, "threshold": Infinity, "seed": 0}}}'),
+    ("evaluate", '{"cliques": [], "stats": {"config": {"order": 3, "reps": 1, '
+                 '"c_rounds": 10.0, "threshold": NaN, "seed": 0}}}'),
+    ("evaluate", '{"cliques": [], "stats": {"config": {"order": 3, "reps": 1, '
+                 '"c_rounds": 10.0, "threshold": 1e999, "seed": 0}}}'),
+    ("evaluate", '{"cliques": [], "stats": {"rounds": -Infinity}}'),
+    ("prune", '{"cliques": [{"vertices": [1, NaN]}]}'),
 ], ids=["evaluate-not-json", "evaluate-no-vertices", "prune-not-json",
         "prune-no-vertices", "prune-not-an-object", "grid-no-ns",
         "evaluate-vertex-out-of-range", "evaluate-repeated-vertex",
@@ -367,7 +427,9 @@ def test_strict_instance_meta_exits_2(instance_files, extra, message):
         "prune-string-vertex", "evaluate-bool-vertex", "prune-entry-not-object",
         "prune-cliques-not-list", "prune-alphas-not-lists", "prune-stats-not-object",
         "evaluate-entry-not-object", "evaluate-cliques-not-list",
-        "evaluate-alphas-not-lists"])
+        "evaluate-alphas-not-lists", "evaluate-config-infinite-threshold",
+        "evaluate-config-nan-threshold", "evaluate-config-overflowing-threshold",
+        "evaluate-stats-infinite-echo", "prune-nan-vertex"])
 def test_malformed_json_input_exits_2(instance_files, tmp_path, command, text):
     graph, meta, _ = instance_files
     doc = tmp_path / "doc.json"

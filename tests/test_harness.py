@@ -1,9 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from srpc import CliqueEntry, CliqueList, SolverConfig, generate, linalg, solve
+from srpc import (CliqueEntry, CliqueList, Instance, SolverConfig, from_edge_list, generate,
+                  linalg, solve)
 from srpc import strategy_clique_union, strategy_erdos_renyi
 from srpc.errors import InternalInvariantError, ParameterError
 from srpc.harness import (ExperimentGrid, adversary_demo, evaluate, grid_csv,
@@ -28,6 +30,37 @@ def test_evaluate_recovered():
     skipped = ev.stage_counts["rounds_index_not_clique"]
     assert skipped == result.stats["rounds_index_not_clique"]
     assert 0 < skipped and ev.stage_counts["rounds_nonempty"] <= ev.stage_counts["rounds"] - skipped
+
+
+# K6 on 0..5 plus vertex 6 adjacent to 0..3, vertex 7 isolated.  At p = 1/2 and
+# order 1, the round of vertex i admits j when <s_i, s_j> >= k/2: rounds 0..3
+# admit 0..6 (7 members) at k = 6 and 7, rounds 4 and 5 admit 0..5, round 6
+# admits 0..3 and 6, round 7 only 7.  Refine keeps 0..5 of 0..6 at k = 6, but
+# only 0..3 at k = 7, where 4, 5 and 6 have fewer than 6 neighbors in 0..6.
+SIZES_GRAPH = from_edge_list(8, list(itertools.combinations(range(6), 2))
+                             + [(v, 6) for v in range(4)])
+
+
+@pytest.mark.filterwarnings("ignore:intersection threshold:UserWarning")
+@pytest.mark.parametrize("k, raw, refined, entries", [
+    (6, 7, 6, [tuple(range(6))]),
+    (7, 7, 4, []),
+])
+def test_solve_and_evaluate_report_raw_and_refined_size_maxima(k, raw, refined, entries):
+    result = solve(SIZES_GRAPH, k, 0.5, SolverConfig(order=1, rounds=40, seed=0))
+    assert result.vertex_sets() == entries
+    assert (result.stats["raw_size_max"], result.stats["refined_size_max"]) == (raw, refined)
+    inst = Instance(graph=SIZES_GRAPH, n=8, k=k, p=0.5, planted=tuple(range(6)),
+                    adversary="erdos_renyi")
+    counts = evaluate(inst, result).stage_counts
+    assert (counts["raw_size_max"], counts["refined_size_max"]) == (raw, refined)
+
+
+def test_size_maxima_are_zero_when_no_round_is_multiplied():
+    # no edges: every order-2 round samples a non-adjacent pair and is skipped
+    result = solve(from_edge_list(8, []), 2, 0.5, SolverConfig(order=2, rounds=10))
+    assert result.stats["rounds_index_not_clique"] == 10
+    assert result.stats["raw_size_max"] == result.stats["refined_size_max"] == 0
 
 
 def test_evaluate_empty_list():
