@@ -63,29 +63,16 @@ def _read_doc(path, parse):
 
 # Seeds feed np.random.SeedSequence, which takes only non-negative integers.
 SEED = click.IntRange(min=0)
-
-
-def _seed_option():
-    """A subcommand's --seed; unset, it falls back to the group's --seed."""
-    return click.option("--seed", type=SEED, default=None,
-                        callback=lambda ctx, _, seed: ctx.obj["seed"] if seed is None else seed)
-
-
-def _backend_from_ctx(ctx, override: str | None) -> linalg.Backend:
-    return linalg.Backend(override or ctx.obj.get("backend") or "naive")
+_seed_option = click.option("--seed", type=SEED, default=0, show_default=True)
 
 
 @click.group()
-@click.option("--seed", type=SEED, default=0, show_default=True,
-              help="Default seed for subcommands that do not set their own.")
 @click.option("--threads", type=int, default=1, show_default=True,
-              help="Worker threads for independent trials.")
-@click.option("--backend", type=click.Choice(["naive", "blocked", "recursive"]),
-              default=None, help="Default matrix-multiplication backend.")
+              help="Worker threads for the independent trials of `grid`.")
 @click.pass_context
-def cli(ctx, seed, threads, backend):
+def cli(ctx, threads):
     """Planted-clique list decoding, adversarial instances, and the RIP lab."""
-    ctx.obj = {"seed": seed, "threads": threads, "backend": backend}
+    ctx.obj = {"threads": threads}
 
 
 @cli.command("generate")
@@ -96,7 +83,7 @@ def cli(ctx, seed, threads, backend):
               default="erdos_renyi", show_default=True)
 @click.option("--m", type=int, default=None, help="Majority adversary row count (odd).")
 @click.option("--decoys", type=int, default=None, help="Majority adversary decoy count.")
-@_seed_option()
+@_seed_option
 @click.option("--out-graph", required=True)
 @click.option("--out-meta", required=True)
 def generate_cmd(n, k, p, adversary, m, decoys, seed, out_graph, out_meta):
@@ -120,20 +107,19 @@ def generate_cmd(n, k, p, adversary, m, decoys, seed, out_graph, out_meta):
 @click.option("--reps", type=int, default=1, show_default=True)
 @click.option("--rounds-const", type=float, default=10.0, show_default=True)
 @click.option("--rounds", type=int, default=None, help="Override the round count.")
-@_seed_option()
+@_seed_option
 @click.option("--backend", type=click.Choice(["naive", "blocked", "recursive"]),
-              default=None)
+              default="naive", show_default=True,
+              help="Matrix-multiplication backend of the oracle; echoed in stats.config.")
 @click.option("--out", required=True)
 @click.option("--timings", default=None,
               help="Optional sidecar path for stage wall times and oracle seconds.")
-@click.pass_context
-def solve_cmd(ctx, graph_path, k, p, order, reps, rounds_const, rounds, seed,
-              backend, out, timings):
+def solve_cmd(graph_path, k, p, order, reps, rounds_const, rounds, seed, backend, out,
+              timings):
     """List-decode cliques from a graph file (never reads the planted set)."""
     graph = read_graph(graph_path)
     cfg = solver.SolverConfig(order=int(order), reps=reps, c_rounds=rounds_const,
-                              rounds=rounds, seed=seed,
-                              backend=_backend_from_ctx(ctx, backend))
+                              rounds=rounds, seed=seed, backend=linalg.Backend(backend))
     result = solver.solve(graph, k, p, cfg)
     wall = result.stats.pop("wall_times")
     oracle = result.stats.pop("oracle_seconds")
@@ -150,19 +136,15 @@ def solve_cmd(ctx, graph_path, k, p, order, reps, rounds_const, rounds, seed,
 @click.option("--list", "list_path", required=True)
 @click.option("--n", type=int, required=True)
 @click.option("--p", type=float, required=True)
-@click.option("--mode", type=click.Choice(["naive", "fast"]), default="fast",
-              show_default=True)
 @click.option("--out", default="-")
-@click.pass_context
-def prune_cmd(ctx, list_path, n, p, mode, out):
-    """Prune a clique-list document by pairwise intersection."""
+def prune_cmd(list_path, n, p, out):
+    """Prune a clique-list document by pairwise intersection.
+
+    Intersection counts come from exact 0/1 Gram products; the document is
+    the one the reference set-intersection filter writes.
+    """
     clique_list = _read_doc(list_path, CliqueList.from_dict)
-    params = pruning.PruneParams.for_model(n, p)
-    if mode == "naive":
-        pruned = pruning.prune_naive(clique_list, params)
-    else:
-        pruned = pruning.prune_fast(clique_list, params,
-                                    backend=_backend_from_ctx(ctx, None))
+    pruned = pruning.prune_fast(clique_list, pruning.PruneParams.for_model(n, p))
     doc = pruned.to_dict()
     doc["format"] = "srpc-prune v1"
     _write(out, harness.report_json(doc))
@@ -192,12 +174,15 @@ def evaluate_cmd(graph_path, meta_path, result_path, out):
 @click.option("--out-csv", required=True)
 @click.option("--out-config", default=None,
               help="Optional JSON sidecar echoing the resolved grid.")
-@click.option("--threads", type=int, default=None)
 @click.pass_context
-def grid_cmd(ctx, config_path, out_csv, out_config, threads):
-    """Run a Monte-Carlo grid of generate -> solve -> evaluate trials."""
+def grid_cmd(ctx, config_path, out_csv, out_config):
+    """Run a Monte-Carlo grid of generate -> solve -> evaluate trials.
+
+    The group's --threads (`srpc --threads 4 grid ...`) sets how many trials
+    run at once; the CSV and the echo are the same for every thread count.
+    """
     doc, grid = _read_doc(config_path, lambda d: (d, harness.ExperimentGrid.from_dict(d)))
-    rows = harness.run_grid(grid, threads=threads or ctx.obj["threads"])
+    rows = harness.run_grid(grid, threads=ctx.obj["threads"])
     _write(out_csv, harness.grid_csv(rows))
     if out_config:
         echo = dict(doc)
@@ -211,7 +196,7 @@ def grid_cmd(ctx, config_path, out_csv, out_config, threads):
 @click.option("--n", type=int, required=True)
 @click.option("--k", type=int, required=True)
 @click.option("--m", type=int, required=True)
-@_seed_option()
+@_seed_option
 @click.option("--rounds-const", type=float, default=10.0, show_default=True)
 @click.option("--out", default="-")
 def adversary_demo_cmd(n, k, m, seed, rounds_const, out):
@@ -248,7 +233,7 @@ _shared_rip = [
     click.option("--base", type=click.Choice(["rademacher", "pbiased"]),
                  default="rademacher", show_default=True),
     click.option("--p", default=None, help="Base-law p as a fraction, e.g. 4/5."),
-    _seed_option(),
+    _seed_option,
     click.option("--out", default="-"),
 ]
 
@@ -348,7 +333,7 @@ def rip_corrcount(k, t, q, base, p, seed, out, tau, w_seed):
 @click.option("--backends", default="naive,blocked,recursive", show_default=True)
 @click.option("--kind", type=click.Choice(["int", "float"]), default="int",
               show_default=True)
-@_seed_option()
+@_seed_option
 @click.option("--out", default="-",
               help="Deterministic counter report (wall times go to stderr).")
 def bench(sizes, backends, kind, seed, out):

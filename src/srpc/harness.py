@@ -16,7 +16,7 @@ import re
 import sys
 import traceback
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -26,8 +26,8 @@ from .cliquelist import CliqueList
 from .errors import (InputError, InternalInvariantError, ParameterError, check_int,
                      check_probability)
 from .graphs import MAX_N
-from .instances import (Instance, generate, majority_vector, strategy_by_name,
-                        strategy_majority_adversary)
+from .instances import (AdversaryStrategy, Instance, generate, majority_vector,
+                        strategy_by_name, strategy_majority_adversary)
 
 
 @dataclass(frozen=True)
@@ -132,15 +132,10 @@ def _grid_solver(entry: dict) -> solver.SolverConfig:
 
 
 def _grid_adversary(entry: dict) -> tuple[str, dict]:
-    """A grid config's adversary entry as (name, params), built once to check its params."""
+    """A grid config's adversary entry as (name, params)."""
     if not isinstance(entry, dict):
         raise ParameterError(f"grid adversaries entry must be an object, got {entry!r}")
-    params = {k: v for k, v in entry.items() if k != "name"}
-    try:
-        strategy_by_name(entry["name"], **params)
-    except (TypeError, ParameterError) as exc:
-        raise ParameterError(f"grid adversaries entry {entry!r}: {exc}") from None
-    return entry["name"], params
+    return entry["name"], {k: v for k, v in entry.items() if k != "name"}
 
 
 @dataclass(frozen=True)
@@ -152,6 +147,8 @@ class ExperimentGrid:
     adversaries: tuple[tuple[str, dict], ...]  # (name, params)
     trials: int = 20
     seed: int = 0
+    # The adversaries built once, in order; every trial of a cell shares its strategy.
+    strategies: tuple[AdversaryStrategy, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_int("trials", self.trials, 1)
@@ -163,16 +160,19 @@ class ExperimentGrid:
         for rule in self.k_rules:
             for n in self.ns:
                 check_int(f"k from k_rules entry {rule!r} at n={n}", resolve_k_rule(rule, n), 1, n)
-        for index, cell in enumerate(self.cells()):
+        strategies = []
+        for name, params in self.adversaries:
+            try:
+                strategies.append(strategy_by_name(name, **params))
+            except (TypeError, ParameterError) as exc:  # TypeError: a missing or unknown parameter
+                raise ParameterError(
+                    f"grid adversaries entry {name!r} with {params!r}: {exc}") from None
+        object.__setattr__(self, "strategies", tuple(strategies))
+        for index, (cell, strategy) in enumerate(self._cells()):
             n, k, cfg = cell["n"], cell["k"], cell["solver"]
             try:
-                strategy = strategy_by_name(cell["adversary"], **cell["adversary_params"])
-            except (TypeError, ParameterError):
-                strategy = None  # from_dict refuses the entry; built directly, each trial raises
-            try:
                 cfg.num_rounds(n, k)
-                if strategy is not None:
-                    strategy.check(n, k)
+                strategy.check(n, k)
             except ParameterError as exc:
                 raise ParameterError(
                     f"grid cell {index} (n={n}, k={k}, p={cell['p']}, "
@@ -195,16 +195,21 @@ class ExperimentGrid:
                    trials=doc.get("trials", 20), seed=doc.get("seed", 0))
 
     def cells(self) -> list[dict]:
+        return [cell for cell, _ in self._cells()]
+
+    def _cells(self) -> list[tuple[dict, AdversaryStrategy]]:
+        """Each cell with its adversary's built strategy."""
         out = []
         for n in self.ns:
             for rule in self.k_rules:
                 for p in self.ps:
                     for cfg in self.solvers:
-                        for name, params in self.adversaries:
-                            out.append({"n": n, "k_rule": rule,
-                                        "k": resolve_k_rule(rule, n), "p": p,
-                                        "solver": cfg, "adversary": name,
-                                        "adversary_params": params})
+                        for (name, params), strategy in zip(self.adversaries,
+                                                            self.strategies):
+                            out.append(({"n": n, "k_rule": rule,
+                                         "k": resolve_k_rule(rule, n), "p": p,
+                                         "solver": cfg, "adversary": name,
+                                         "adversary_params": params}, strategy))
         return out
 
 
@@ -213,12 +218,11 @@ def _trial_seed(root: int, cell_index: int, trial: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
-def _run_trial(cell: dict, root_seed: int, cell_index: int,
+def _run_trial(cell: dict, strategy: AdversaryStrategy, root_seed: int, cell_index: int,
                trial: int) -> tuple[EvalResult | None, str | None]:
     """(result, None), or (None, formatted traceback) when the trial raises."""
     try:
         seed = _trial_seed(root_seed, cell_index, trial)
-        strategy = strategy_by_name(cell["adversary"], **cell["adversary_params"])
         inst = generate(cell["n"], cell["k"], cell["p"], strategy, seed)
         cfg = replace(cell["solver"], seed=seed + 1)
         result = solver.solve(inst.graph, cell["k"], cell["p"], cfg)
@@ -239,10 +243,9 @@ def run_grid(grid: ExperimentGrid, threads: int = 1) -> list[dict]:
     column rather than aborting the grid; the first traceback of each such
     cell goes to stderr.
     """
-    cells = grid.cells()
     rows = []
-    for index, cell in enumerate(cells):
-        trial = partial(_run_trial, cell, grid.seed, index)
+    for index, (cell, strategy) in enumerate(grid._cells()):
+        trial = partial(_run_trial, cell, strategy, grid.seed, index)
         with ThreadPoolExecutor(max_workers=max(threads, 1)) as pool:
             outcomes = list(pool.map(trial, range(grid.trials)))
         done = [r for r, _ in outcomes if r is not None]

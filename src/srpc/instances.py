@@ -204,7 +204,7 @@ def generate(n: int, k: int, p: float, strategy: AdversaryStrategy,
     """Draw an instance: plant a clique, randomize the cut, let the adversary fill the rest."""
     check_int("n", n, 1, MAX_N)
     check_int("k", k, 1, n)
-    check_probability("p", p)
+    p = float(check_probability("p", p))  # the edge draws and the sidecar see one float
     check_int("seed", seed, 0)
     strategy.check(n, k)
 

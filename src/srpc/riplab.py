@@ -47,8 +47,10 @@ class PBiasedBase:
         self.p = Fraction(p)
         if not 0 < self.p < 1:
             raise ParameterError(f"p must lie in (0,1), got {p}")
-        self.bound = float(max(self._sqrt_or_none((1 - self.p) / self.p, approx=True),
-                               self._sqrt_or_none(self.p / (1 - self.p), approx=True)))
+        # Sampled values, rounded once from the exact odds as exact_values() is.
+        self._plus, self._minus = (float(self._sqrt_or_none(odds, approx=True))
+                                   for odds in ((1 - self.p) / self.p, self.p / (1 - self.p)))
+        self.bound = max(self._plus, self._minus)
 
     @staticmethod
     def _sqrt_or_none(value: Fraction, approx: bool = False):
@@ -59,10 +61,7 @@ class PBiasedBase:
         return math.sqrt(num / den) if approx else None
 
     def sample(self, rng: np.random.Generator, shape) -> np.ndarray:
-        p = float(self.p)
-        p_plus = math.sqrt((1 - p) / p)
-        p_minus = math.sqrt(p / (1 - p))
-        return np.where(rng.random(shape) < p, p_plus, -p_minus)
+        return np.where(rng.random(shape) < float(self.p), self._plus, -self._minus)
 
     def exact_values(self) -> tuple[Fraction, Fraction]:
         plus = self._sqrt_or_none((1 - self.p) / self.p)

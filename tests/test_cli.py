@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from srpc import SolverConfig, generate, read_instance, strategy_erdos_renyi, write_instance
+from srpc import (CliqueList, PruneParams, SolverConfig, generate, prune_naive, read_instance,
+                  strategy_erdos_renyi, write_instance)
 from srpc.cli import cli
+from srpc.harness import report_json
 from srpc.solver import iter_round_members
 
 
@@ -147,21 +149,18 @@ def test_solve_document_bytes_do_not_depend_on_timings(runner, tmp_path):
         "pruned_size", "prune", "oracle_calls", "madds"}
 
 
-def test_prune_command_modes_agree(runner, tmp_path):
+def test_prune_command_matches_prune_naive(runner, tmp_path):
     doc = {"cliques": [{"vertices": list(range(10)), "alphas": []},
                        {"vertices": list(range(4, 14)), "alphas": []},
                        {"vertices": list(range(20, 30)), "alphas": []}]}
     src = tmp_path / "list.json"
     src.write_text(json.dumps(doc))
-    outs = []
-    for mode in ("naive", "fast"):
-        out = tmp_path / f"{mode}.json"
-        # p = 0.01 gives Delta = 2 < |overlap| = 6 so the filter is active
-        invoke(runner, ["prune", "--list", str(src), "--n", "64", "--p", "0.01",
-                        "--mode", mode, "--out", str(out)])
-        outs.append(json.loads(out.read_text()))
-    assert outs[0]["cliques"] == outs[1]["cliques"]
-    kept = [tuple(c["vertices"]) for c in outs[0]["cliques"]]
+    out = tmp_path / "pruned.json"
+    # p = 0.01 gives Delta = 2 < |overlap| = 6 so the filter is active
+    invoke(runner, ["prune", "--list", str(src), "--n", "64", "--p", "0.01", "--out", str(out)])
+    reference = prune_naive(CliqueList.from_dict(doc), PruneParams.for_model(64, 0.01)).to_dict()
+    assert out.read_text() == report_json(dict(reference, format="srpc-prune v1"))
+    kept = [tuple(c["vertices"]) for c in reference["cliques"]]
     assert kept == [tuple(range(20, 30))]  # the overlapping pair removed itself
 
 
@@ -476,8 +475,6 @@ RIP_SHAPE = ["--k", 4, "--t", 2, "--q", 8]
 
 
 @pytest.mark.parametrize("args, flag", [
-    (["--seed", -1, "generate", "--n", 50, "--k", 10, "--out-graph", "{tmp}/g", "--out-meta", "{tmp}/m"],
-     "--seed"),
     (["generate", "--n", 50, "--k", 10, "--seed", -1, "--out-graph", "{tmp}/g", "--out-meta", "{tmp}/m"],
      "--seed"),
     (["solve", "--graph", "{tmp}/g", "--k", 10, "--seed", -1, "--out", "{tmp}/s"], "--seed"),
@@ -489,7 +486,7 @@ RIP_SHAPE = ["--k", 4, "--t", 2, "--q", 8]
     (["rip", "corrcount", *RIP_SHAPE, "--tau", 0.5, "--seed", -1], "--seed"),
     (["rip", "corrcount", *RIP_SHAPE, "--tau", 0.5, "--w-seed", -1], "--w-seed"),
     (["bench", "--sizes", 4, "--seed", -1], "--seed"),
-], ids=["group", "generate", "solve", "adversary-demo", "rip-build", "rip-isotropy",
+], ids=["generate", "solve", "adversary-demo", "rip-build", "rip-isotropy",
         "rip-opnorm", "rip-deviation", "rip-corrcount", "rip-corrcount-w-seed", "bench"])
 def test_negative_seed_exits_2(tmp_path, args, flag):
     proc = run_cli(*(str(a).format(tmp=tmp_path) for a in args))
@@ -602,20 +599,67 @@ def test_bad_grid_config_exits_2(tmp_path, extra, name):
      "--out", "{out}"],
     ["rip", "deviation", *RIP_SHAPE, "--r", 2, "--trials", 20, "--out", "{out}"],
     ["rip", "corrcount", *RIP_SHAPE, "--tau", 0.5, "--out", "{out}"],
-    ["bench", "--sizes", 8, "--out", "{out}"],
 ], ids=["generate", "solve", "adversary-demo", "rip-build", "rip-isotropy", "rip-opnorm",
-        "rip-deviation", "rip-corrcount", "bench"])
-def test_group_seed_is_the_subcommand_default(runner, instance_files, tmp_path, args):
-    # `srpc --seed 7 <cmd>` writes what `srpc <cmd> --seed 7` writes; where the
-    # seed shows in the output, another seed changes it, so neither side ignores it
-    outputs = {}
-    for tag, before, after in (("group", ["--seed", 7], []), ("flag", [], ["--seed", 7]),
-                               ("other", [], ["--seed", 8])):
-        out = tmp_path / tag
+        "rip-deviation", "rip-corrcount"])
+def test_seed_changes_the_output(runner, instance_files, tmp_path, args):
+    # bench is left out: it reports only counters, which no seed moves
+    outputs = []
+    for seed in (7, 8):
+        out = tmp_path / f"seed{seed}"
         fields = {"graph": instance_files[0], "out": out}
-        invoke(runner, [*map(str, before), *(str(a).format(**fields) for a in args),
-                        *map(str, after)])
-        outputs[tag] = out.read_bytes()
-    assert outputs["group"] == outputs["flag"]
-    if args[0] != "bench":  # bench reports only counters, which no seed moves
-        assert outputs["flag"] != outputs["other"]
+        invoke(runner, [*(str(a).format(**fields) for a in args), "--seed", str(seed)])
+        outputs.append(out.read_bytes())
+    assert outputs[0] != outputs[1]
+
+
+# Every option of every command, as `srpc <command> --help` lists them.
+OPTION_SURFACE = {
+    "": ["--threads"],
+    "adversary-demo": ["--n", "--k", "--m", "--seed", "--rounds-const", "--out"],
+    "bench": ["--sizes", "--backends", "--kind", "--seed", "--out"],
+    "evaluate": ["--graph", "--meta", "--result", "--out"],
+    "generate": ["--n", "--k", "--p", "--adversary", "--m", "--decoys", "--seed",
+                 "--out-graph", "--out-meta"],
+    "grid": ["--config", "--out-csv", "--out-config"],
+    "prune": ["--list", "--n", "--p", "--out"],
+    "rip": [],
+    "rip build": ["--k", "--t", "--q", "--base", "--p", "--seed", "--out"],
+    "rip corrcount": ["--k", "--t", "--q", "--base", "--p", "--seed", "--out", "--tau",
+                      "--w-seed"],
+    "rip deviation": ["--k", "--t", "--q", "--base", "--p", "--seed", "--out", "--r",
+                      "--trials"],
+    "rip isotropy": ["--k", "--t", "--q", "--base", "--p", "--seed", "--out", "--mode",
+                     "--tol"],
+    "rip opnorm": ["--k", "--t", "--q", "--base", "--p", "--seed", "--out", "--r", "--method",
+                   "--trials", "--budget", "--normalize", "--no-normalize"],
+    "solve": ["--graph", "--k", "--p", "--order", "--reps", "--rounds-const", "--rounds",
+              "--seed", "--backend", "--out", "--timings"],
+}
+
+
+def test_option_surface():
+    def walk(command, path):
+        yield path, command
+        for name, sub in getattr(command, "commands", {}).items():
+            yield from walk(sub, f"{path} {name}".strip())
+    commands = dict(walk(cli, ""))
+    assert {path: [opt for param in command.params for opt in param.opts + param.secondary_opts]
+            for path, command in commands.items()} == OPTION_SURFACE
+    seeds = [param.default for command in commands.values() for param in command.params
+             if param.name == "seed"]
+    assert seeds == [0] * 9
+
+
+@pytest.mark.parametrize("args, option", [
+    (["--seed", 1, "generate", "--n", 50, "--k", 10, "--out-graph", "{tmp}/g",
+      "--out-meta", "{tmp}/m"], "--seed"),
+    (["--backend", "blocked", "prune", "--list", "{tmp}/l", "--n", 50, "--p", 0.5], "--backend"),
+    (["grid", "--threads", 2, "--config", "{tmp}/c", "--out-csv", "{tmp}/o"], "--threads"),
+    (["prune", "--mode", "naive", "--list", "{tmp}/l", "--n", 50, "--p", 0.5], "--mode"),
+], ids=["group-seed", "group-backend", "grid-threads", "prune-mode"])
+def test_removed_spelling_is_a_usage_error(tmp_path, args, option):
+    proc = run_cli(*(str(a).format(tmp=tmp_path) for a in args))
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("Usage: ")
+    assert proc.stderr.endswith(f"Error: No such option '{option}'.\n"), proc.stderr

@@ -7,6 +7,7 @@ import pytest
 from srpc import (CliqueEntry, CliqueList, Instance, SolverConfig, from_edge_list, generate,
                   linalg, solve)
 from srpc import strategy_clique_union, strategy_erdos_renyi
+from srpc import harness
 from srpc.errors import InternalInvariantError, ParameterError
 from srpc.harness import (ExperimentGrid, adversary_demo, evaluate, grid_csv,
                           report_json, resolve_k_rule, run_grid)
@@ -125,10 +126,15 @@ def test_grid_reruns_are_byte_identical_and_thread_invariant():
     assert a == b == c
 
 
-def test_grid_counts_errored_trials_apart(capsys):
+def test_grid_counts_errored_trials_apart(capsys, monkeypatch):
+    def generate_or_raise(n, k, p, strategy, seed):
+        if strategy.name == "clique_union":
+            raise RuntimeError("the adversary failed")
+        return generate(n, k, p, strategy, seed)
+    monkeypatch.setattr(harness, "generate", generate_or_raise)
     grid = ExperimentGrid(ns=(40,), k_rules=("20",), ps=(0.5,),
                           solvers=(SolverConfig(),),
-                          adversaries=(("erdos_renyi", {}), ("majority", {"m": 4})),
+                          adversaries=(("erdos_renyi", {}), ("clique_union", {})),
                           trials=3, seed=4)
     rows = run_grid(grid, threads=1)
     assert [row["errors"] for row in rows] == [0, 3]
@@ -137,6 +143,20 @@ def test_grid_counts_errored_trials_apart(capsys):
     assert "grid cell 1: 3 of 3 trials raised" in err
     assert err.count("Traceback") == 1  # the first traceback of the cell only
     assert grid_csv(run_grid(grid, threads=2)) == grid_csv(rows)
+
+
+@pytest.mark.parametrize("adversary", [("majority", {"m": 4}), ("majority", {}),
+                                       ("erdos_renyi", {"m": 3}), ("bogus", {})],
+                         ids=["even-m", "missing-m", "unknown-key", "unknown-name"])
+def test_grid_built_directly_refuses_a_bad_adversary(adversary):
+    # the error from_dict gives for the same entry, before any trial runs
+    with pytest.raises(ParameterError, match="grid adversaries entry"):
+        ExperimentGrid(ns=(40,), k_rules=("20",), ps=(0.5,), solvers=(SolverConfig(),),
+                       adversaries=(("erdos_renyi", {}), adversary), trials=3)
+    name, params = adversary
+    with pytest.raises(ParameterError, match="grid adversaries entry"):
+        ExperimentGrid.from_dict({"ns": [40], "k_rules": ["20"],
+                                  "adversaries": [{"name": name, **params}]})
 
 
 def test_grid_success_monotone_in_k():

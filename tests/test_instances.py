@@ -1,6 +1,7 @@
 import hashlib
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -216,6 +217,18 @@ def test_instance_file_roundtrip_keeps_empty_decoy_list(tmp_path):
     write_instance(inst, gpath, mpath)
     assert read_instance(gpath, mpath).details == {"chosen": inst.details["chosen"],
                                                    "decoys": []}
+
+
+@pytest.mark.parametrize("p", [Fraction(1, 2), np.float64(0.5), np.float32(0.5)],
+                         ids=["fraction", "float64", "float32"])
+def test_non_float_p_round_trips_through_the_sidecar(tmp_path, p):
+    paths = {tag: (tmp_path / f"{tag}.g", tmp_path / f"{tag}.m") for tag in ("p", "float")}
+    write_instance(generate(30, 6, p, strategy_erdos_renyi(), seed=3), *paths["p"])
+    write_instance(generate(30, 6, 0.5, strategy_erdos_renyi(), seed=3), *paths["float"])
+    loaded = read_instance(*paths["p"])
+    assert type(loaded.p) is float and loaded.p == 0.5
+    assert [path.read_bytes() for path in paths["p"]] == \
+        [path.read_bytes() for path in paths["float"]]
 
 
 def triu_iid_block(rng, size, p):

@@ -51,6 +51,20 @@ def test_rademacher_is_the_half_pbiased_law_with_its_own_sampler():
     assert np.array_equal(draws, np.random.default_rng(9).choice([-1.0, 1.0], size=(7, 5)))
 
 
+@pytest.mark.parametrize("p", [Fraction(4, 5), Fraction(1, 5)], ids=["4/5", "1/5"])
+def test_pbiased_sample_takes_the_exact_values(p):
+    base = riplab.PBiasedBase(p)
+    draws = base.sample(np.random.default_rng(0), 400)
+    assert set(draws.tolist()) == {float(v) for v in base.exact_values()}
+
+
+def test_pbiased_sample_at_a_non_square_odds_is_the_square_root():
+    base = riplab.PBiasedBase(Fraction(1, 3))  # (1-p)/p = 2
+    draws = base.sample(np.random.default_rng(0), 400)
+    assert set(draws.tolist()) == {math.sqrt(2), -math.sqrt(1 / 2)}
+    assert base.bound == math.sqrt(2)
+
+
 def test_build_validation():
     with pytest.raises(ParameterError):
         riplab.build_tensored(2, 3, 10, riplab.RademacherBase(), seed=0)
