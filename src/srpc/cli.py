@@ -32,6 +32,11 @@ def _write(path, text: str) -> None:
             fh.write(text)
 
 
+def _emit(out, kind: str, doc: dict) -> None:
+    """Write ``doc`` to ``out`` as a ``srpc-<kind> v1`` document."""
+    _write(out, harness.report_json(dict(doc, format=f"srpc-{kind} v1")))
+
+
 def _finite_object(pairs: list) -> dict:
     """json object hook that refuses ``NaN``, ``Infinity`` and overflows like ``1e999``."""
     def finite(value):  # nested objects went through this hook already
@@ -67,7 +72,7 @@ _seed_option = click.option("--seed", type=SEED, default=0, show_default=True)
 
 
 @click.group()
-@click.option("--threads", type=int, default=1, show_default=True,
+@click.option("--threads", type=click.IntRange(min=1), default=1, show_default=True,
               help="Worker threads for the independent trials of `grid`.")
 @click.pass_context
 def cli(ctx, threads):
@@ -88,13 +93,9 @@ def cli(ctx, threads):
 @click.option("--out-meta", required=True)
 def generate_cmd(n, k, p, adversary, m, decoys, seed, out_graph, out_meta):
     """Generate an instance; the planted set goes only to the metadata sidecar."""
-    params = {}
-    if adversary == "majority":
-        if m is None:
-            raise ParameterError("--m is required for the majority adversary")
-        params = {"m": m, "decoy_count": decoys}
-    strategy = strategy_by_name(adversary, **params)
-    inst = generate(n, k, p, strategy, seed)
+    given = {key: value for key, value in (("m", m), ("decoy_count", decoys))
+             if value is not None}
+    inst = generate(n, k, p, strategy_by_name(adversary, **given), seed)
     write_instance(inst, out_graph, out_meta)
 
 
@@ -123,9 +124,7 @@ def solve_cmd(graph_path, k, p, order, reps, rounds_const, rounds, seed, backend
     result = solver.solve(graph, k, p, cfg)
     wall = result.stats.pop("wall_times")
     oracle = result.stats.pop("oracle_seconds")
-    doc = result.to_dict()
-    doc["format"] = "srpc-solve v1"
-    _write(out, harness.report_json(doc))
+    _emit(out, "solve", result.to_dict())
     for stage in sorted(wall):
         click.echo(f"{stage}: {wall[stage]:.3f}s", err=True)
     if timings:
@@ -145,9 +144,7 @@ def prune_cmd(list_path, n, p, out):
     """
     clique_list = _read_doc(list_path, CliqueList.from_dict)
     pruned = pruning.prune_fast(clique_list, pruning.PruneParams.for_model(n, p))
-    doc = pruned.to_dict()
-    doc["format"] = "srpc-prune v1"
-    _write(out, harness.report_json(doc))
+    _emit(out, "prune", pruned.to_dict())
 
 
 @cli.command("evaluate")
@@ -163,9 +160,7 @@ def evaluate_cmd(graph_path, meta_path, result_path, out):
         result = harness.evaluate(inst, clique_list)
     except InputError as exc:
         raise InputError(f"{result_path}: {exc}") from None
-    doc = result.to_dict()
-    doc["format"] = "srpc-eval v1"
-    _write(out, harness.report_json(doc))
+    _emit(out, "eval", result.to_dict())
 
 
 @cli.command("grid")
@@ -201,9 +196,7 @@ def grid_cmd(ctx, config_path, out_csv, out_config):
 @click.option("--out", default="-")
 def adversary_demo_cmd(n, k, m, seed, rounds_const, out):
     """Majority-adversary correlation study plus paired order-1/order-3 runs."""
-    report = harness.adversary_demo(n, k, m, seed, c_rounds=rounds_const)
-    report["format"] = "srpc-adversary-demo v1"
-    _write(out, harness.report_json(report))
+    _emit(out, "adversary-demo", harness.adversary_demo(n, k, m, seed, c_rounds=rounds_const))
 
 
 @cli.group()
@@ -226,7 +219,7 @@ def _base_dist(base: str, p: str | None):
     return riplab.PBiasedBase(frac)
 
 
-_shared_rip = [
+_RIP_OPTIONS = [
     click.option("--k", type=int, required=True),
     click.option("--t", type=int, required=True),
     click.option("--q", type=int, required=True),
@@ -238,43 +231,44 @@ _shared_rip = [
 ]
 
 
-def _with_options(options):
+def _rip_command(name: str):
+    """Register ``fn(h, **own_options) -> dict`` as ``srpc rip <name>``.
+
+    The shared options come first; they build the tensored matrix ``h``
+    once, and the returned document goes to ``--out``.
+    """
     def wrap(fn):
-        for opt in reversed(options):
-            fn = opt(fn)
-        return fn
+        def command(k, t, q, base, p, seed, out, **own):
+            h = riplab.build_tensored(k, t, q, _base_dist(base, p), seed)
+            _emit(out, f"rip-{name}", fn(h, **own))
+        command.__doc__ = fn.__doc__
+        command.__click_params__ = list(getattr(fn, "__click_params__", []))
+        for option in reversed(_RIP_OPTIONS):
+            command = option(command)
+        return rip.command(name)(command)
     return wrap
 
 
-@rip.command("build")
-@_with_options(_shared_rip)
-def rip_build(k, t, q, base, p, seed, out):
+@_rip_command("build")
+def rip_build(h):
     """Build a tensored matrix and report its shape and entry bound."""
-    h = riplab.build_tensored(k, t, q, _base_dist(base, p), seed)
-    doc = {"format": "srpc-rip-build v1", "q": h.q, "k": h.k, "t": h.t,
-           "columns": len(h.columns), "entry_bound": h.entry_bound,
-           "base": h.base.name, "seed": h.seed}
-    _write(out, harness.report_json(doc))
+    return {"q": h.q, "k": h.k, "t": h.t, "columns": len(h.columns),
+            "entry_bound": h.entry_bound, "base": h.base.name, "seed": h.seed}
 
 
-@rip.command("isotropy")
-@_with_options(_shared_rip)
+@_rip_command("isotropy")
 @click.option("--mode", type=click.Choice(["exhaustive", "sampled"]),
               default="sampled", show_default=True)
 @click.option("--tol", type=float, default=None)
-def rip_isotropy(k, t, q, base, p, seed, out, mode, tol):
+def rip_isotropy(h, mode, tol):
     """Check zero-mean / unit-variance / uncorrelated column moments."""
-    h = riplab.build_tensored(k, t, q, _base_dist(base, p), seed)
     report = riplab.isotropy_check(h, mode=mode, tol=tol)
-    doc = {"format": "srpc-rip-isotropy v1", "mode": report.mode, "ok": report.ok,
-           "max_abs_mean": report.max_abs_mean, "max_abs_cross": report.max_abs_cross,
-           "max_diag_err": report.max_diag_err, "tol": report.tol,
-           "exact": report.exact}
-    _write(out, harness.report_json(doc))
+    return {"mode": report.mode, "ok": report.ok, "max_abs_mean": report.max_abs_mean,
+            "max_abs_cross": report.max_abs_cross, "max_diag_err": report.max_diag_err,
+            "tol": report.tol, "exact": report.exact}
 
 
-@rip.command("opnorm")
-@_with_options(_shared_rip)
+@_rip_command("opnorm")
 @click.option("--r", type=int, required=True)
 @click.option("--method", type=click.Choice(["exhaustive", "sampled"]),
               default="exhaustive", show_default=True)
@@ -283,48 +277,37 @@ def rip_isotropy(k, t, q, base, p, seed, out, mode, tol):
               show_default=True)
 @click.option("--normalize/--no-normalize", default=True, show_default=True,
               help="Scale the matrix by 1/sqrt(q) first.")
-def rip_opnorm(k, t, q, base, p, seed, out, r, method, trials, budget, normalize):
+def rip_opnorm(h, r, method, trials, budget, normalize):
     """Sparse operator norm over all (or sampled) size-r supports."""
-    h = riplab.build_tensored(k, t, q, _base_dist(base, p), seed)
-    mat = h.values / np.sqrt(q) if normalize else h.values
+    mat = h.values / np.sqrt(h.q) if normalize else h.values
     if method == "exhaustive":
         report = riplab.sparse_opnorm_exhaustive(mat, r, budget=budget)
     else:
-        report = riplab.sparse_opnorm_sampled(mat, r, trials=trials, seed=seed)
-    doc = {"format": "srpc-rip-opnorm v1", "r": report.r, "value": report.value,
-           "method": report.method, "support": list(report.support),
-           "supports_checked": report.supports_checked,
-           "residual": report.residual, "normalized": normalize, "seed": seed}
-    _write(out, harness.report_json(doc))
+        report = riplab.sparse_opnorm_sampled(mat, r, trials=trials, seed=h.seed)
+    return {"r": report.r, "value": report.value, "method": report.method,
+            "support": list(report.support), "supports_checked": report.supports_checked,
+            "residual": report.residual, "normalized": normalize, "seed": h.seed}
 
 
-@rip.command("deviation")
-@_with_options(_shared_rip)
+@_rip_command("deviation")
 @click.option("--r", type=int, required=True)
 @click.option("--trials", type=int, default=10000, show_default=True)
-def rip_deviation(k, t, q, base, p, seed, out, r, trials):
+def rip_deviation(h, r, trials):
     """Sampled two-sided RIP deviation of H/sqrt(q)."""
-    h = riplab.build_tensored(k, t, q, _base_dist(base, p), seed)
-    deviation = riplab.rip_deviation_sampled(h.values / np.sqrt(q), r,
-                                             trials=trials, seed=seed)
-    doc = {"format": "srpc-rip-deviation v1", "r": r, "trials": trials,
-           "deviation": deviation, "q": q, "seed": seed}
-    _write(out, harness.report_json(doc))
+    deviation = riplab.rip_deviation_sampled(h.values / np.sqrt(h.q), r,
+                                             trials=trials, seed=h.seed)
+    return {"r": r, "trials": trials, "deviation": deviation, "q": h.q, "seed": h.seed}
 
 
-@rip.command("corrcount")
-@_with_options(_shared_rip)
+@_rip_command("corrcount")
 @click.option("--tau", type=float, required=True)
 @click.option("--w-seed", type=SEED, default=0, show_default=True)
-def rip_corrcount(k, t, q, base, p, seed, out, tau, w_seed):
+def rip_corrcount(h, tau, w_seed):
     """Count columns correlated with a seeded random sign vector."""
-    h = riplab.build_tensored(k, t, q, _base_dist(base, p), seed)
     rng = np.random.default_rng(np.random.SeedSequence(w_seed))
-    w = rng.choice(np.array([-1.0, 1.0]), size=q)
+    w = rng.choice(np.array([-1.0, 1.0]), size=h.q)
     count, columns = riplab.correlated_column_count(h.values, w, tau)
-    doc = {"format": "srpc-rip-corrcount v1", "tau": tau, "count": count,
-           "columns": columns, "w_seed": w_seed, "seed": seed}
-    _write(out, harness.report_json(doc))
+    return {"tau": tau, "count": count, "columns": columns, "w_seed": w_seed, "seed": h.seed}
 
 
 @cli.command()
@@ -356,7 +339,7 @@ def bench(sizes, backends, kind, seed, out):
             report.append({"n": size, "backend": name, "kind": kind,
                            "oracle_calls": counters.oracle_calls,
                            "madds": counters.madds})
-    _write(out, harness.report_json({"format": "srpc-bench v1", "cases": report}))
+    _emit(out, "bench", {"cases": report})
 
 
 def main():

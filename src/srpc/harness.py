@@ -113,7 +113,9 @@ def resolve_k_rule(rule: str, n: int) -> int:
     c = float(m.group("c"))
     root = math.ceil(math.sqrt(n)) if m.group("kind") == "ceilsqrt" else math.sqrt(n)
     k = c * root * (math.log(n) ** int(m.group("e") or 0))
-    return max(1, min(n, math.ceil(k)))
+    if not math.isfinite(k):
+        raise ParameterError(f"k rule {rule!r} gives no finite k at n={n}")
+    return math.ceil(k)
 
 
 GRID_SOLVER_KEYS = ("order", "reps", "c_rounds", "backend")
@@ -164,7 +166,7 @@ class ExperimentGrid:
         for name, params in self.adversaries:
             try:
                 strategies.append(strategy_by_name(name, **params))
-            except (TypeError, ParameterError) as exc:  # TypeError: a missing or unknown parameter
+            except ParameterError as exc:
                 raise ParameterError(
                     f"grid adversaries entry {name!r} with {params!r}: {exc}") from None
         object.__setattr__(self, "strategies", tuple(strategies))
@@ -243,10 +245,11 @@ def run_grid(grid: ExperimentGrid, threads: int = 1) -> list[dict]:
     column rather than aborting the grid; the first traceback of each such
     cell goes to stderr.
     """
+    check_int("threads", threads, 1)
     rows = []
     for index, (cell, strategy) in enumerate(grid._cells()):
         trial = partial(_run_trial, cell, strategy, grid.seed, index)
-        with ThreadPoolExecutor(max_workers=max(threads, 1)) as pool:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             outcomes = list(pool.map(trial, range(grid.trials)))
         done = [r for r, _ in outcomes if r is not None]
         errors = [tb for _, tb in outcomes if tb is not None]

@@ -11,6 +11,7 @@ writes the block outside the planted set.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 
@@ -173,10 +174,15 @@ _STRATEGIES = {
 
 
 def strategy_by_name(name: str, **params) -> AdversaryStrategy:
+    """The named adversary; a bad name or a missing or unknown parameter is a ParameterError."""
     try:
         cls = _STRATEGIES[name]
     except KeyError:
         raise ParameterError(f"unknown adversary strategy {name!r}") from None
+    try:
+        inspect.signature(cls).bind(**params)
+    except TypeError as exc:  # names the parameter: "missing a required argument: 'm'"
+        raise ParameterError(f"adversary {name!r}: {exc}") from None
     return cls(**params)
 
 

@@ -180,11 +180,14 @@ def isotropy_check(h: TensoredMatrix, mode: str = "sampled",
     weights and reports exact deviations; sampled mode estimates the same
     moments from the realized rows and compares against ``tol``
     (default 5/sqrt(q)).  A ``tol`` that is negative or not finite raises
-    :class:`ParameterError`.
+    :class:`ParameterError`, and so does any ``tol`` in exhaustive mode,
+    whose verdict is exact.
     """
     if tol is not None and not (math.isfinite(tol) and tol >= 0):
         raise ParameterError(f"tol must be finite and >= 0, got {tol}")
     if mode == "exhaustive":
+        if tol is not None:
+            raise ParameterError(f"tol applies only to sampled mode, got tol={tol}")
         return _exact_isotropy(h.k, h.t, h.base)
     if mode != "sampled":
         raise ParameterError(f"mode must be 'exhaustive' or 'sampled', got {mode!r}")

@@ -2,14 +2,15 @@ import hashlib
 import json
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from srpc import (CliqueList, PruneParams, SolverConfig, generate, prune_naive, read_instance,
-                  strategy_erdos_renyi, write_instance)
+from srpc import (CliqueList, PruneParams, SolverConfig, generate, harness, prune_naive,
+                  read_instance, riplab, strategy_erdos_renyi, write_instance)
 from srpc.cli import cli
 from srpc.harness import report_json
 from srpc.solver import iter_round_members
@@ -224,6 +225,78 @@ def test_bench_command(runner, tmp_path):
     doc = json.loads(out.read_text())
     assert len(doc["cases"]) == 6
     assert all(case["oracle_calls"] == 1 for case in doc["cases"])
+
+
+# SHA-256 of the rip, adversary-demo and bench documents; the same bytes at
+# OPENBLAS_NUM_THREADS 1 and 2.
+GOLDEN_REPORTS = [
+    (["rip", "build", "--k", 6, "--t", 3, "--q", 32, "--seed", 1],
+     "69907c7550b7025b08790e9a650de0ab9cb7cd10e4774d934e24c453a1e428ab"),
+    (["rip", "isotropy", "--k", 5, "--t", 2, "--q", 4, "--base", "pbiased", "--p", "4/5",
+      "--mode", "exhaustive", "--seed", 1],
+     "4042c3d8e36f1c452958bd8f656a42484c03650cd93c4a30288d22a33257a384"),
+    (["rip", "isotropy", "--k", 6, "--t", 2, "--q", 64, "--mode", "sampled", "--seed", 2],
+     "27100bab7f97584038239972361c5f10f2f3ad824e976af4ce0621f3e58841bd"),
+    (["rip", "opnorm", "--k", 6, "--t", 2, "--q", 64, "--r", 2, "--seed", 2],
+     "30e9eb83a6622d94dc5b6659210d77c6c72b78e262dee8fcd1d5df944bd5bde3"),
+    (["rip", "opnorm", "--k", 8, "--t", 3, "--q", 64, "--r", 4, "--method", "sampled",
+      "--trials", 200, "--seed", 3],
+     "03cdd153ad03426177b2cfd86ebd76789e0e9be863d378a9322e6d5c721398b4"),
+    (["rip", "deviation", "--k", 6, "--t", 2, "--q", 64, "--r", 3, "--trials", 200,
+      "--seed", 3],
+     "7b50b2ee96c8f2be9e7547e7f0962851a12aeead57a4a0c534945fff3876631b"),
+    (["rip", "corrcount", "--k", 6, "--t", 2, "--q", 32, "--tau", 0.2, "--w-seed", 5,
+      "--seed", 4],
+     "0349dfed163d9c22ad7a80b55cace766506c664bbbf111dc11f4568831ae7e21"),
+    (["adversary-demo", "--n", 200, "--k", 60, "--m", 3, "--seed", 1],
+     "68d1a022f13681b8542d307c7dcb0ec87d8c0b28f6bd0a89e3de021e5f06eb69"),
+    (["bench", "--sizes", "16,33", "--kind", "int", "--seed", 1],
+     "6ad39187d282b4cbb89e2482083207d1d84eb7c36c222497b08e38d8fe225564"),
+]
+
+
+@pytest.mark.parametrize("args, digest", GOLDEN_REPORTS,
+                         ids=["rip-build", "rip-isotropy-exhaustive", "rip-isotropy-sampled",
+                              "rip-opnorm-exhaustive", "rip-opnorm-sampled", "rip-deviation",
+                              "rip-corrcount", "adversary-demo", "bench"])
+def test_report_documents_match_golden_digests(runner, tmp_path, args, digest):
+    out = tmp_path / "doc.json"
+    invoke(runner, [*map(str, args), "--out", str(out)])
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_documents_pass_the_traced_module_functions(runner, tmp_path, monkeypatch):
+    # perfbench times report_json and build_tensored by rebinding them on their
+    # modules, so every document and every rip matrix must go through one such call.
+    calls = Counter()
+    for module, name in ((harness, "report_json"), (riplab, "build_tensored")):
+        def counted(*args, original=getattr(module, name), name=name, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    g, m, s, t, pr, ev, cfg = (str(tmp_path / name) for name in
+                               ("g", "m", "s", "t", "pr", "ev", "cfg.json"))
+    Path(cfg).write_text(json.dumps({"ns": [30], "k_rules": ["30"], "trials": 1}))
+    rip_shape = [str(a) for a in RIP_SHAPE]
+    commands = [  # (arguments, report_json calls, build_tensored calls)
+        (["generate", "--n", "60", "--k", "20", "--out-graph", g, "--out-meta", m], 0, 0),
+        (["solve", "--graph", g, "--k", "20", "--out", s, "--timings", t], 2, 0),
+        (["prune", "--list", s, "--n", "60", "--p", "0.5", "--out", pr], 1, 0),
+        (["evaluate", "--graph", g, "--meta", m, "--result", s, "--out", ev], 1, 0),
+        (["grid", "--config", cfg, "--out-csv", str(tmp_path / "csv"),
+          "--out-config", str(tmp_path / "echo")], 1, 0),
+        (["adversary-demo", "--n", "64", "--k", "16", "--m", "1", "--rounds-const", "1"], 1, 0),
+        (["bench", "--sizes", "8"], 1, 0),
+        (["rip", "build", *rip_shape], 1, 1),
+        (["rip", "isotropy", *rip_shape], 1, 1),
+        (["rip", "opnorm", *rip_shape, "--r", "2"], 1, 1),
+        (["rip", "deviation", *rip_shape, "--r", "2", "--trials", "20"], 1, 1),
+        (["rip", "corrcount", *rip_shape, "--tau", "0.5"], 1, 1),
+    ]
+    for args, reports, builds in commands:
+        calls.clear()
+        invoke(runner, args)
+        assert (calls["report_json"], calls["build_tensored"]) == (reports, builds), args
 
 
 @pytest.mark.parametrize("text, line", [
@@ -507,10 +580,11 @@ def test_negative_seed_exits_2(tmp_path, args, flag):
     (["bench", "--sizes", "a"], "--sizes"),
     (["bench", "--sizes", "8,,16"], "--sizes"),
     (["bench", "--sizes", "0"], "--sizes"),
+    (["rip", "isotropy", *RIP_SHAPE, "--mode", "exhaustive", "--tol", 0.5], "tol"),
 ], ids=["p-not-a-number", "p-zero-denominator", "p-malformed-fraction",
         "p-with-rademacher-build", "p-with-rademacher-isotropy", "p-with-rademacher-opnorm",
         "p-with-rademacher-deviation", "p-with-rademacher-corrcount", "sizes-not-a-number",
-        "sizes-empty-entry", "sizes-zero"])
+        "sizes-empty-entry", "sizes-zero", "tol-with-exhaustive-isotropy"])
 def test_bad_cli_value_exits_2_naming_the_flag(args, flag):
     proc = run_cli(*args)
     assert_input_error(proc)
@@ -567,6 +641,9 @@ def test_oversized_sampled_rip_run_exits_2(args):
     ({"seed": 1.5}, "seed"),
     ({"k_rules": ["0"]}, "k_rules"),
     ({"k_rules": ["31"]}, "k_rules"),
+    ({"k_rules": ["8*ceilsqrt"]}, "k_rules"),
+    ({"k_rules": ["0*sqrt"]}, "k_rules"),
+    ({"k_rules": ["9" * 400 + "*sqrt"]}, "no finite k"),
     ({"adversaries": [{"name": "majority", "m": 3.0}]}, "adversaries"),
     ({"adversaries": [{"name": "majority", "m": 3, "decoy_count": 1.5}]}, "adversaries"),
     ({"adversaries": [{"name": "majority", "m": 11}]}, "grid cell 0"),
@@ -576,7 +653,8 @@ def test_oversized_sampled_rip_run_exits_2(args):
         "p-nan", "p-above-one", "p-zero", "n-string", "n-zero", "n-float", "n-above-max",
         "adversary-unknown", "majority-without-m", "majority-negative-decoys",
         "adversary-bad-param", "adversary-not-an-object", "seed-negative", "seed-float",
-        "k-zero", "k-above-n", "majority-float-m", "majority-float-decoys", "majority-m-above-k",
+        "k-zero", "k-above-n", "formula-k-above-n", "formula-k-zero", "formula-k-infinite",
+        "majority-float-m", "majority-float-decoys", "majority-m-above-k",
         "solver-rounds-past-limit"])
 def test_bad_grid_config_exits_2(tmp_path, extra, name):
     config = tmp_path / "grid.json"
@@ -585,6 +663,36 @@ def test_bad_grid_config_exits_2(tmp_path, extra, name):
     proc = run_cli("grid", "--config", config, "--out-csv", out)
     assert_input_error(proc)
     assert name in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("adversary, flags, named", [
+    ("erdos_renyi", ["--m", 3], "'m'"),
+    ("erdos_renyi", ["--decoys", 2], "'decoy_count'"),
+    ("clique_union", ["--m", 3], "'m'"),
+    ("clique_union", ["--m", 3, "--decoys", 2], "'m'"),
+    ("majority", [], "'m'"),
+    ("majority", ["--decoys", 2], "'m'"),
+], ids=["erdos-renyi-m", "erdos-renyi-decoys", "clique-union-m", "clique-union-m-decoys",
+        "majority-without-m", "majority-decoys-without-m"])
+def test_generate_refuses_adversary_flags_it_does_not_take(tmp_path, adversary, flags, named):
+    out = tmp_path / "g"
+    proc = run_cli("generate", "--n", 50, "--k", 10, "--adversary", adversary, *flags,
+                   "--out-graph", out, "--out-meta", tmp_path / "m")
+    assert_input_error(proc)
+    assert f"adversary '{adversary}'" in proc.stderr and named in proc.stderr, proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("threads", [0, -1])
+def test_bad_thread_count_exits_2(tmp_path, threads):
+    config = tmp_path / "grid.json"
+    config.write_text(json.dumps({"ns": [30], "k_rules": ["30"], "trials": 1}))
+    out = tmp_path / "grid.csv"
+    proc = run_cli("--threads", threads, "grid", "--config", config, "--out-csv", out)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "'--threads'" in proc.stderr, proc.stderr
     assert not out.exists()
 
 

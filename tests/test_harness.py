@@ -103,6 +103,11 @@ def test_resolve_k_rule():
     assert resolve_k_rule("0.5*sqrt*log^2", 400) == expected
     with pytest.raises(ParameterError):
         resolve_k_rule("sqrt(n)", 100)
+    # formula rules are not clamped into [1, n]; ExperimentGrid refuses such a k
+    assert resolve_k_rule("8*ceilsqrt", 50) == 64
+    assert resolve_k_rule("0*sqrt", 100) == 0
+    with pytest.raises(ParameterError, match="no finite k"):
+        resolve_k_rule("9" * 400 + "*sqrt", 100)
 
 
 def test_grid_single_cell_complete_recovery():
@@ -113,6 +118,14 @@ def test_grid_single_cell_complete_recovery():
     rows = run_grid(grid)
     assert len(rows) == 1
     assert rows[0]["success_rate"] == 1.0  # n = k: the whole graph is the clique
+
+
+@pytest.mark.parametrize("threads", [0, -1, True])
+def test_run_grid_refuses_bad_thread_count(threads):
+    grid = ExperimentGrid(ns=(30,), k_rules=("30",), ps=(0.5,), solvers=(SolverConfig(),),
+                          adversaries=(("erdos_renyi", {}),), trials=1, seed=1)
+    with pytest.raises(ParameterError, match="threads"):
+        run_grid(grid, threads=threads)
 
 
 def test_grid_reruns_are_byte_identical_and_thread_invariant():

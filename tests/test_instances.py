@@ -199,6 +199,21 @@ def test_strategy_by_name():
         strategy_by_name("nope")
 
 
+@pytest.mark.parametrize("name, params, named", [
+    ("erdos_renyi", {"m": 3}, "'m'"),
+    ("erdos_renyi", {"decoy_count": 2}, "'decoy_count'"),
+    ("clique_union", {"m": 3}, "'m'"),
+    ("clique_union", {"decoy_count": 2}, "'decoy_count'"),
+    ("majority", {}, "'m'"),
+    ("majority", {"decoy_count": 2}, "'m'"),
+    ("majority", {"m": 3, "decoys": 2}, "'decoys'"),
+], ids=["erdos-renyi-m", "erdos-renyi-decoys", "clique-union-m", "clique-union-decoys",
+        "majority-without-m", "majority-decoys-without-m", "majority-unknown-key"])
+def test_strategy_by_name_refuses_missing_or_unknown_parameters(name, params, named):
+    with pytest.raises(ParameterError, match=f"adversary '{name}': .*{named}"):
+        strategy_by_name(name, **params)
+
+
 def test_instance_file_roundtrip(tmp_path):
     inst = generate(40, 8, 0.5, strategy_majority_adversary(3), seed=11)
     gpath, mpath = tmp_path / "g.txt", tmp_path / "meta.txt"

@@ -267,6 +267,13 @@ def test_isotropy_check_refuses_bad_tol(mode, tol):
         riplab.isotropy_check(h, mode=mode, tol=tol)
 
 
+def test_exhaustive_isotropy_refuses_a_tol():
+    # the exhaustive verdict is exact, so a tol would be checked and then ignored
+    h = riplab.build_tensored(4, 2, 8, riplab.RademacherBase(), seed=1)
+    with pytest.raises(ParameterError, match="tol"):
+        riplab.isotropy_check(h, mode="exhaustive", tol=0.5)
+
+
 def test_correlated_count_unit_column_hits_itself():
     rng = np.random.default_rng(15)
     h = rng.standard_normal((12, 6))
