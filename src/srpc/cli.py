@@ -69,6 +69,8 @@ def _read_doc(path, parse):
 # Seeds feed np.random.SeedSequence, which takes only non-negative integers.
 SEED = click.IntRange(min=0)
 _seed_option = click.option("--seed", type=SEED, default=0, show_default=True)
+# Largest `bench --sizes` entry: its two int64 operands then hold 256 MiB.
+MAX_BENCH_SIZE = 4096
 
 
 @click.group()
@@ -322,8 +324,9 @@ def rip_corrcount(h, tau, w_seed):
 def bench(sizes, backends, kind, seed, out):
     """Time the multiplication backends and report oracle counters."""
     rng = np.random.default_rng(seed)
-    if not all(s.strip().isdecimal() and int(s) > 0 for s in sizes.split(",")):
-        raise ParameterError(f"--sizes must be comma-separated positive integers, got {sizes!r}")
+    if not all(s.strip().isdecimal() and 0 < int(s) <= MAX_BENCH_SIZE for s in sizes.split(",")):
+        raise ParameterError(f"--sizes must be comma-separated integers in [1, "
+                             f"MAX_BENCH_SIZE={MAX_BENCH_SIZE}], got {sizes!r}")
     report = []
     for size in [int(s) for s in sizes.split(",")]:
         if kind == "int":

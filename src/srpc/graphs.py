@@ -4,16 +4,16 @@ A graph on n vertices is stored as a symmetric n x n matrix over {+1, -1}
 with the diagonal fixed to +1 (an edge is +1, a non-edge -1), held as one
 dense read-only int8 array; the row products, the candidate GEMM, the
 degree sweep and the clique check all read it directly.  The p-biased
-rescaling maps +1 to p_plus = sqrt((1-p)/p) and -1 to -p_minus =
--sqrt(p/(1-p)), which gives mean-zero unit-variance entries when edges
-appear with probability p.
+rescaling :func:`pbiased_values` maps +1 to p_plus = sqrt((1-p)/p) and -1
+to -p_minus = -sqrt(p/(1-p)), which gives mean-zero unit-variance entries
+when edges appear with probability p.
 """
 
 from __future__ import annotations
 
 import re
 import warnings
-from typing import Iterable, Union
+from typing import Iterable
 
 import numpy as np
 
@@ -108,23 +108,12 @@ def _signs_from_edges(n: int, key_batches: Iterable[tuple[np.ndarray, np.ndarray
     return SignedAdjacency(flat.reshape(n, n))
 
 
-class PBiasedMatrix:
-    """Real rescaling of a sign matrix with entries in {p_plus, -p_minus}."""
-
-    def __init__(self, graph: SignedAdjacency, p: float):
-        check_probability("p", p)
-        self.n = graph.n
-        self.p = float(p)
-        # 1/p - 1 == (1-p)/p but stays exact at p = 4/5, 1/5, ... in binary
-        ratio = 1.0 / p - 1.0
-        self.p_plus = float(np.sqrt(ratio))
-        self.p_minus = float(np.sqrt(1.0 / ratio))
-        self.bound = max(self.p_plus, self.p_minus)
-        if abs(self.p_plus * self.p_minus - 1.0) > 1e-12:
-            raise ParameterError("p_plus * p_minus deviates from 1 beyond rounding")
-        values = np.where(graph.signs > 0, self.p_plus, -self.p_minus)
-        self.values = values
-        self.values.setflags(write=False)
+def pbiased_values(signs: np.ndarray, p: float) -> np.ndarray:
+    """The float64 p-biased rescaling of a sign array: +1 -> p_plus, -1 -> -p_minus."""
+    check_probability("p", p)
+    # 1/p - 1 == (1-p)/p but stays exact at p = 4/5, 1/5, ... in binary
+    ratio = 1.0 / p - 1.0
+    return np.where(signs > 0, np.sqrt(ratio), -np.sqrt(1.0 / ratio))
 
 
 def _check_alpha(alpha, n: int) -> tuple[int, ...]:
@@ -150,12 +139,10 @@ def row_products(values: np.ndarray, alphas: np.ndarray) -> np.ndarray:
     return out
 
 
-def hadamard_rows(matrix: Union[SignedAdjacency, PBiasedMatrix],
-                  alpha: Iterable[int]) -> np.ndarray:
-    """The row out[j] = product over i in alpha of matrix[i][j]."""
-    idx = _check_alpha(alpha, matrix.n)
-    dense = matrix.signs if isinstance(matrix, SignedAdjacency) else matrix.values
-    return row_products(dense, np.array([idx]))[0]
+def hadamard_rows(graph: SignedAdjacency, alpha: Iterable[int]) -> np.ndarray:
+    """The sign row out[j] = product over i in alpha of signs[i][j]."""
+    idx = _check_alpha(alpha, graph.n)
+    return row_products(graph.signs, np.array([idx]))[0]
 
 
 def _vertex_names(n: int) -> np.ndarray:

@@ -24,7 +24,7 @@ import numpy as np
 from . import linalg, solver
 from .cliquelist import CliqueList
 from .errors import (InputError, InternalInvariantError, ParameterError, check_int,
-                     check_probability)
+                     check_positive, check_probability)
 from .graphs import MAX_N
 from .instances import (AdversaryStrategy, Instance, generate, majority_vector,
                         strategy_by_name, strategy_majority_adversary)
@@ -64,7 +64,8 @@ def evaluate(instance: Instance, clique_list: CliqueList,
 
     The replay takes n, k and p from ``stats``, or from the instance where a
     key is absent.  An entry with a repeated vertex or a vertex outside
-    [0, n), a ``stats.config`` that lacks a key or holds a bad value, or a
+    [0, n), a ``stats.config`` that lacks a key or holds a bad value (an echoed
+    threshold other than :func:`solver.threshold_for` (k, p) too), or a
     ``stats`` n, k or p that does not fit the graph, raises :class:`InputError`.
     """
     clique_list.check_vertices(instance.n)
@@ -81,11 +82,18 @@ def evaluate(instance: Instance, clique_list: CliqueList,
     spurious = 0
     if compute_spurious and "config" in stats:
         n, k, p = (stats.get(key, getattr(instance, key)) for key in ("n", "k", "p"))
+        config_doc = stats["config"]
         try:
             check_int("n", n, instance.n, instance.n)
             check_probability("p", p)
-            config = solver.SolverConfig.from_dict(stats["config"])
+            if not isinstance(config_doc, dict):
+                raise ParameterError(f"config must be an object, got {config_doc!r}")
+            config = solver.SolverConfig.from_dict(config_doc)
             config.num_rounds(n, k)  # refuses a k outside [1, n] and a round count past the limit
+            tau, echoed = solver.threshold_for(k, p), config_doc.get("threshold")
+            if echoed is not None and check_positive("threshold", echoed) != tau:
+                raise ParameterError(f"threshold must be the model's k * p_plus**4 / 2 = {tau!r}, "
+                                     f"got {echoed!r}")
         except KeyError as exc:
             raise InputError(f"stats.config is missing key {exc}") from None
         except ParameterError as exc:
@@ -295,9 +303,7 @@ def adversary_demo(n: int, k: int, m: int, seed: int, c_rounds: float = 10.0) ->
     products are the ones the solver thresholds.
     """
     p = 0.5
-    strategy = strategy_majority_adversary(m)
-    strategy.check(n, k)
-
+    inst = generate(n, k, p, strategy_majority_adversary(m), seed)  # checks n, k, m first
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1000,)))
     vectors = rng.choice(np.array([-1, 1], dtype=np.int64), size=(m, n))
     w = majority_vector(vectors)
@@ -305,7 +311,6 @@ def adversary_demo(n: int, k: int, m: int, seed: int, c_rounds: float = 10.0) ->
     scale = n / math.sqrt(m)
     min_corr = int(corrs.min())
 
-    inst = generate(n, k, p, strategy, seed)
     decoys = set(inst.details.get("decoys", []))
     chosen = inst.details.get("chosen", [])
     tau = solver.threshold_for(k, p)

@@ -25,10 +25,11 @@ import numpy as np
 from . import linalg
 from .cliquelist import CliqueEntry, CliqueList
 from .errors import InternalInvariantError, check_int, check_probability
+from .graphs import MAX_N
 
 
 def _check_model(n: int, p: float) -> None:
-    check_int("n", n, 2)
+    check_int("n", n, 2, MAX_N)  # the 0/1 indicator rows hold 8 * n bytes per entry
     check_probability("p", p)
 
 

@@ -32,6 +32,9 @@ _BOUND_MARGIN = 1e-9  # relative inflation of each eigenvalue bound, far above i
 # Most support entries (trials * r) one sampled estimate draws; its int32
 # support array then stays within 256 MiB.
 MAX_SAMPLED_ENTRIES = 1 << 26
+# Most entries q * C(k, t) of a tensored matrix; its float64 values then stay
+# within 512 MiB, and the (q, C(k, t), t) factor gather within 1.5 GiB.
+MAX_TENSORED_ENTRIES = 1 << 26
 
 
 class PBiasedBase:
@@ -111,6 +114,9 @@ def build_tensored(k: int, t: int, q: int, base_dist, seed: int) -> TensoredMatr
     check_int("k", k, 3)
     check_int("q", q, 1)
     check_int("seed", seed, 0)
+    if q * math.comb(k, t) > MAX_TENSORED_ENTRIES:
+        raise ParameterError(f"q * C(k, t) = {q} * C({k}, {t}) exceeds the limit "
+                             f"MAX_TENSORED_ENTRIES={MAX_TENSORED_ENTRIES}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     x = base_dist.sample(rng, (q, k))
     cols = tuple(combinations(range(k), t))

@@ -17,10 +17,10 @@ intersection.  Oracle calls take at most n rows each and multiply only
 real rows.
 
 The solver only ever sees the graph; nothing here reads a planted set.
-The round loop converts the graph once into a dense operand: at p = 1/2
-the float32 sign matrix, whose :func:`linalg.sign_matmul` inner products
-are exact integers; otherwise the float64 rescaled matrix, compared
-against the threshold with a 1e-9 absolute tolerance.
+The model (k, p) alone fixes the cutoff and the dense operand, built once
+per round loop: at p = 1/2 the float32 signs, whose :func:`linalg.sign_matmul`
+inner products are exact integers; otherwise the float64 p-biased values,
+compared against the threshold with a 1e-9 absolute tolerance.
 """
 
 from __future__ import annotations
@@ -29,14 +29,14 @@ import itertools
 import math
 import time
 from dataclasses import dataclass, replace
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from . import linalg, pruning
 from .cliquelist import CliqueEntry, CliqueList
 from .errors import ParameterError, check_int, check_positive, check_probability
-from .graphs import PBiasedMatrix, SignedAdjacency, _check_alpha, row_products
+from .graphs import SignedAdjacency, _check_alpha, pbiased_values, row_products
 # Unused here: perfbench's tracer wraps srpc.solver.hadamard_rows by name, and
 # tests/test_perfbench_targets.py guards that lookup.
 from .graphs import hadamard_rows  # noqa: F401
@@ -66,17 +66,16 @@ def _check_alpha_rows(rounds: int, reps: int) -> None:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs for :func:`solve`.
+    """Knobs for :func:`solve`; the cutoff is no knob: k and p fix it (:func:`threshold_for`).
 
-    ``rounds`` and ``threshold`` default to ceil(c_rounds * (n/k)**(s*t))
-    and k * p_plus**4 / 2; s*t is the effective tensor order of a round.
+    ``rounds`` defaults to ceil(c_rounds * (n/k)**(s*t)); s*t is the
+    effective tensor order of a round.
     """
 
     order: int = 3
     reps: int = 1
     c_rounds: float = 10.0
     rounds: int | None = None
-    threshold: float | None = None
     seed: int = 0
     backend: linalg.Backend = linalg.NAIVE
 
@@ -86,8 +85,6 @@ class SolverConfig:
         check_positive("c_rounds", self.c_rounds)
         if self.rounds is not None:
             _check_alpha_rows(check_int("rounds", self.rounds, 1), self.reps)
-        if self.threshold is not None:
-            check_positive("threshold", self.threshold)
         check_int("seed", self.seed, 0)
 
     def num_rounds(self, n: int, k: int) -> int:
@@ -111,30 +108,23 @@ class SolverConfig:
         _check_alpha_rows(rounds, self.reps)
         return rounds
 
-    def resolve_threshold(self, k: int, p: float) -> float:
-        return self.threshold if self.threshold is not None else threshold_for(k, p)
-
     def to_dict(self) -> dict:
         return {"order": self.order, "reps": self.reps, "c_rounds": self.c_rounds,
-                "rounds": self.rounds, "threshold": self.threshold,
+                "rounds": self.rounds, "threshold": None,  # a solve echoes its cutoff here
                 "seed": self.seed, "backend": self.backend.kind}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SolverConfig":
         return cls(order=doc["order"], reps=doc["reps"], c_rounds=doc["c_rounds"],
-                   rounds=doc.get("rounds"), threshold=doc.get("threshold"),
-                   seed=doc["seed"],
+                   rounds=doc.get("rounds"), seed=doc["seed"],
                    backend=linalg.Backend(doc.get("backend", "naive")))
 
 
-Matrix = Union[SignedAdjacency, PBiasedMatrix]
-
-
-def _operand(matrix: Matrix) -> np.ndarray:
-    """Dense oracle operand: float32 signs of a sign matrix, else its float64 values."""
-    if isinstance(matrix, SignedAdjacency):
-        return matrix.signs.astype(np.float32)
-    return matrix.values
+def _operand(graph: SignedAdjacency, p: float) -> np.ndarray:
+    """The oracle operand at p: float32 signs at p = 1/2, else the float64 p-biased values."""
+    if p == 0.5:
+        return graph.signs.astype(np.float32)
+    return pbiased_values(graph.signs, p)
 
 
 def _inner_table(values: np.ndarray, alpha_rows: np.ndarray, backend: linalg.Backend,
@@ -152,10 +142,10 @@ def _inner_table(values: np.ndarray, alpha_rows: np.ndarray, backend: linalg.Bac
     return linalg.matmul(rows, values, backend, counters)
 
 
-def batched_inner_products(matrix: Matrix, alphas: Sequence[Sequence[int]],
-                           backend: linalg.Backend = linalg.NAIVE,
+def batched_inner_products(graph: SignedAdjacency, alphas: Sequence[Sequence[int]],
+                           p: float = 0.5, backend: linalg.Backend = linalg.NAIVE,
                            counters: linalg.Counters | None = None) -> np.ndarray:
-    """Table T[a, j] = <M_alpha_a, M_j>, one oracle call per n-row batch.
+    """Table T[a, j] = <M_alpha_a, M_j> over the oracle operand at p, one call per n-row batch.
 
     There are ceil(len(alphas) / n) calls; the last batch holds only the
     remaining rows.  All alphas must have one order; mixed orders raise
@@ -163,13 +153,13 @@ def batched_inner_products(matrix: Matrix, alphas: Sequence[Sequence[int]],
     """
     if not alphas:
         raise ParameterError("alphas must be nonempty")
-    idx = [_check_alpha(alpha, matrix.n) for alpha in alphas]
+    idx = [_check_alpha(alpha, graph.n) for alpha in alphas]
     orders = sorted({len(alpha) for alpha in idx})
     if len(orders) > 1:
         raise ParameterError(f"alphas must have one order per call, got orders {orders}")
-    values, rows = _operand(matrix), np.array(idx)
-    return np.concatenate([_inner_table(values, rows[start:start + matrix.n], backend, counters)
-                           for start in range(0, len(rows), matrix.n)])
+    values, rows = _operand(graph, p), np.array(idx)
+    return np.concatenate([_inner_table(values, rows[start:start + graph.n], backend, counters)
+                           for start in range(0, len(rows), graph.n)])
 
 
 def _refine_sets(graph: SignedAdjacency, sets: Sequence[Sequence[int]],
@@ -255,15 +245,14 @@ def iter_round_members(graph: SignedAdjacency, k: int, p: float,
     rounds = cfg.num_rounds(n, k)
     check_int("order", cfg.order, 1, n)
     check_int("reps", cfg.reps, 1, n)  # t product rows of a round share one batch of n
-    tau = cfg.resolve_threshold(k, p)
+    tau = threshold_for(k, p)
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     t, s = cfg.reps, cfg.order
     alphas = _sample_alphas(n, rounds, s, t, rng).reshape(rounds, t, s)
     clique = _index_cliques(graph.signs, alphas)
 
-    sign_path = p == 0.5
-    values = _operand(graph if sign_path else PBiasedMatrix(graph, p))
-    cutoff = tau if sign_path else tau - FLOAT_THRESHOLD_TOL
+    values = _operand(graph, p)
+    cutoff = tau if values.dtype == np.float32 else tau - FLOAT_THRESHOLD_TOL
 
     rounds_per_batch = n // t  # whole rounds per oracle call of at most n rows
     for r0 in range(0, rounds, rounds_per_batch):
@@ -284,7 +273,7 @@ def solve(graph: SignedAdjacency, k: int, p: float, cfg: SolverConfig,
     """
     n = graph.n
     rounds = cfg.num_rounds(n, k)
-    tau = cfg.resolve_threshold(k, p)
+    tau = threshold_for(k, p)
     stage_counters = {name: linalg.Counters() for name in
                       ("candidate", "refine", "verify", "prune")}
     wall = {}
@@ -339,7 +328,7 @@ def solve(graph: SignedAdjacency, k: int, p: float, cfg: SolverConfig,
 
     stats = {
         "n": n, "k": k, "p": p,
-        "config": replace(cfg, rounds=rounds, threshold=tau).to_dict(),
+        "config": dict(replace(cfg, rounds=rounds).to_dict(), threshold=tau),
         "rounds": rounds,
         "threshold": tau,
         "rounds_index_not_clique": rounds - rounds_multiplied,

@@ -65,7 +65,7 @@ def test_evaluate_replays_at_the_solve_p(runner, tmp_path):
         return max(int((members & outside).sum(axis=1).max(initial=0))
                    for _, members in iter_round_members(inst.graph, 120, p, cfg))
     assert json.loads(ev.read_text())["max_spurious"] == replay(0.5) == 2
-    assert replay(0.3) == 10  # a replay at the instance's p reads otherwise
+    assert replay(0.3) == 1  # a replay at the instance's p reads otherwise
 
 
 def test_solve_output_has_no_wall_times(runner, tmp_path):
@@ -485,6 +485,9 @@ def test_strict_instance_meta_exits_2(instance_files, extra, message):
                  '"c_rounds": 10.0, "threshold": 1e999, "seed": 0}}}'),
     ("evaluate", '{"cliques": [], "stats": {"rounds": -Infinity}}'),
     ("prune", '{"cliques": [{"vertices": [1, NaN]}]}'),
+    ("evaluate", '{"cliques": [], "stats": {"config": {"order": 3, "reps": 1, '
+                 '"c_rounds": 10.0, "threshold": 4.0, "seed": 0}}}'),
+    ("evaluate", '{"cliques": [], "stats": {"config": [3, 1]}}'),
 ], ids=["evaluate-not-json", "evaluate-no-vertices", "prune-not-json",
         "prune-no-vertices", "prune-not-an-object", "grid-no-ns",
         "evaluate-vertex-out-of-range", "evaluate-repeated-vertex",
@@ -501,7 +504,8 @@ def test_strict_instance_meta_exits_2(instance_files, extra, message):
         "evaluate-entry-not-object", "evaluate-cliques-not-list",
         "evaluate-alphas-not-lists", "evaluate-config-infinite-threshold",
         "evaluate-config-nan-threshold", "evaluate-config-overflowing-threshold",
-        "evaluate-stats-infinite-echo", "prune-nan-vertex"])
+        "evaluate-stats-infinite-echo", "prune-nan-vertex",
+        "evaluate-config-threshold-not-the-models", "evaluate-config-not-object"])
 def test_malformed_json_input_exits_2(instance_files, tmp_path, command, text):
     graph, meta, _ = instance_files
     doc = tmp_path / "doc.json"
@@ -514,16 +518,29 @@ def test_malformed_json_input_exits_2(instance_files, tmp_path, command, text):
     assert str(doc) in proc.stderr
 
 
-@pytest.mark.parametrize("args", [
-    ["solve", "--graph", "{graph}", "--k", 0, "--out", "{tmp}/s.json"],
-    ["solve", "--graph", "{graph}", "--k", 61, "--out", "{tmp}/s.json"],
-    ["generate", "--n", 100000, "--k", 10, "--out-graph", "{tmp}/g", "--out-meta", "{tmp}/m"],
-    ["generate", "--n", 50, "--k", 10, "--adversary", "majority", "--m", 3, "--decoys", -1,
-     "--out-graph", "{tmp}/g", "--out-meta", "{tmp}/m"],
-], ids=["solve-k-zero", "solve-k-above-n", "generate-n-above-max", "generate-negative-decoys"])
-def test_bad_size_exits_2(instance_files, tmp_path, args):
+@pytest.mark.parametrize("args, name", [
+    (["solve", "--graph", "{graph}", "--k", 0, "--out", "{tmp}/s.json"], "k"),
+    (["solve", "--graph", "{graph}", "--k", 61, "--out", "{tmp}/s.json"], "k"),
+    (["generate", "--n", 100000, "--k", 10, "--out-graph", "{tmp}/g", "--out-meta", "{tmp}/m"],
+     "n"),
+    (["generate", "--n", 50, "--k", 10, "--adversary", "majority", "--m", 3, "--decoys", -1,
+      "--out-graph", "{tmp}/g", "--out-meta", "{tmp}/m"], "decoy_count"),
+    (["adversary-demo", "--n", -5, "--k", 3, "--m", 1], "n"),
+    (["adversary-demo", "--n", 100000000, "--k", 100, "--m", 63], "n"),
+    (["adversary-demo", "--n", 50, "--k", 0, "--m", 1], "k"),
+    (["prune", "--list", "{tmp}/l.json", "--n", 1000000000000, "--p", 0.5], "n"),
+    (["prune", "--list", "{tmp}/l.json", "--n", 32769, "--p", 0.5], "n"),
+], ids=["solve-k-zero", "solve-k-above-n", "generate-n-above-max", "generate-negative-decoys",
+        "adversary-demo-negative-n", "adversary-demo-n-above-max", "adversary-demo-k-zero",
+        "prune-huge-n", "prune-n-above-max"])
+def test_bad_size_exits_2(instance_files, tmp_path, args, name):
     graph = instance_files[0]
-    assert_input_error(run_cli(*(str(a).format(graph=graph, tmp=tmp_path) for a in args)))
+    # two overlapping 130-vertex cliques, whose indicator rows are n wide
+    (tmp_path / "l.json").write_text(json.dumps(
+        {"cliques": [{"vertices": list(range(130))}, {"vertices": list(range(1, 131))}]}))
+    proc = run_cli(*(str(a).format(graph=graph, tmp=tmp_path) for a in args))
+    assert_input_error(proc)
+    assert f"{name} must be" in proc.stderr, proc.stderr
 
 
 @pytest.mark.parametrize("const", ["0", "-1", "nan"])
@@ -580,11 +597,14 @@ def test_negative_seed_exits_2(tmp_path, args, flag):
     (["bench", "--sizes", "a"], "--sizes"),
     (["bench", "--sizes", "8,,16"], "--sizes"),
     (["bench", "--sizes", "0"], "--sizes"),
+    (["bench", "--sizes", "8,60000"], "MAX_BENCH_SIZE"),
+    (["bench", "--sizes", "4097"], "MAX_BENCH_SIZE"),
     (["rip", "isotropy", *RIP_SHAPE, "--mode", "exhaustive", "--tol", 0.5], "tol"),
 ], ids=["p-not-a-number", "p-zero-denominator", "p-malformed-fraction",
         "p-with-rademacher-build", "p-with-rademacher-isotropy", "p-with-rademacher-opnorm",
         "p-with-rademacher-deviation", "p-with-rademacher-corrcount", "sizes-not-a-number",
-        "sizes-empty-entry", "sizes-zero", "tol-with-exhaustive-isotropy"])
+        "sizes-empty-entry", "sizes-zero", "sizes-huge", "sizes-above-max",
+        "tol-with-exhaustive-isotropy"])
 def test_bad_cli_value_exits_2_naming_the_flag(args, flag):
     proc = run_cli(*args)
     assert_input_error(proc)
@@ -604,15 +624,18 @@ def test_non_finite_rip_thresholds_exit_2(args, name):
     assert name in proc.stderr
 
 
-@pytest.mark.parametrize("args", [
-    ["rip", "deviation", "--k", 6, "--t", 3, "--q", 8, "--r", 2, "--trials", 3_000_000_000],
-    ["rip", "opnorm", "--k", 6, "--t", 3, "--q", 8, "--r", 2, "--method", "sampled",
-     "--trials", 3_000_000_000],
-], ids=["deviation", "opnorm-sampled"])
-def test_oversized_sampled_rip_run_exits_2(args):
+@pytest.mark.parametrize("args, limit", [
+    (["rip", "deviation", "--k", 6, "--t", 3, "--q", 8, "--r", 2, "--trials", 3_000_000_000],
+     "MAX_SAMPLED_ENTRIES"),
+    (["rip", "opnorm", "--k", 6, "--t", 3, "--q", 8, "--r", 2, "--method", "sampled",
+      "--trials", 3_000_000_000], "MAX_SAMPLED_ENTRIES"),
+    (["rip", "build", "--k", 400, "--t", 3, "--q", 2000], "MAX_TENSORED_ENTRIES"),
+    (["rip", "opnorm", "--k", 100000, "--t", 3, "--q", 1, "--r", 2], "MAX_TENSORED_ENTRIES"),
+], ids=["deviation", "opnorm-sampled", "build-many-entries", "opnorm-many-columns"])
+def test_oversized_sampled_rip_run_exits_2(args, limit):
     proc = run_cli(*args)
     assert_input_error(proc)
-    assert "MAX_SAMPLED_ENTRIES" in proc.stderr
+    assert limit in proc.stderr
 
 
 @pytest.mark.parametrize("extra, name", [

@@ -12,8 +12,9 @@ from dataclasses import asdict
 
 import pytest
 
-from srpc import (CliqueEntry, CliqueList, PBiasedMatrix, PruneParams, SolverConfig,
-                  from_edge_list, generate, intersection_threshold, linalg, riplab, solve,
+import srpc
+from srpc import (CliqueEntry, CliqueList, PruneParams, SolverConfig, from_edge_list,
+                  generate, intersection_threshold, linalg, pbiased_values, riplab, solve,
                   strategy_erdos_renyi, strategy_majority_adversary, threshold_for)
 from srpc.errors import InputError, ParameterError
 from srpc.harness import ExperimentGrid, evaluate, report_json
@@ -59,7 +60,7 @@ ENTRY_POINTS = {
     "PruneParams": lambda **fields: asdict(PruneParams(**{"n": 40, "p": 0.5, "delta": 3,
                                                           **fields})),
     "intersection_threshold": lambda n=40, p=0.5: {"delta": intersection_threshold(n, p)},
-    "PBiasedMatrix": lambda p=0.3: {"p_plus": PBiasedMatrix(INSTANCE.graph, p).p_plus},
+    "pbiased_values": lambda p=0.3: {"p_plus": pbiased_values(INSTANCE.graph.signs, p).max()},
     "from_edge_list": lambda n=4: {"signs": from_edge_list(n, [(0, 1)]).signs.tolist()},
     "generate": lambda **fields: instance_doc(generate(**{
         "n": 40, "k": 10, "p": 0.5, "strategy": strategy_erdos_renyi(), "seed": 1, **fields})),
@@ -102,14 +103,13 @@ FIELDS = [
     ("SolverConfig", "order", "order", "int", 1, 3), ("SolverConfig", "reps", "reps", "int", 1),
     ("SolverConfig", "rounds", "rounds", "int", 1), ("SolverConfig", "seed", "seed", "int", 0),
     ("SolverConfig", "c_rounds", "c_rounds", "positive"),
-    ("SolverConfig", "threshold", "threshold", "positive"),
     ("num_rounds", "k", "k", "int", 1, 60),
-    ("PruneParams", "n", "n", "int", 2), ("PruneParams", "p", "p", "probability"),
+    ("PruneParams", "n", "n", "int", 2, 1 << 15), ("PruneParams", "p", "p", "probability"),
     ("PruneParams", "delta", "delta", "int", 0),
     ("PruneParams", "batch_size", "batch_size", "int", 1),
-    ("intersection_threshold", "n", "n", "int", 2),
+    ("intersection_threshold", "n", "n", "int", 2, 1 << 15),
     ("intersection_threshold", "p", "p", "probability"),
-    ("PBiasedMatrix", "p", "p", "probability"),
+    ("pbiased_values", "p", "p", "probability"),
     ("from_edge_list", "n", "n", "int", 1),
     ("generate", "n", "n", "int", 1, 1 << 15), ("generate", "k", "k", "int", 1, 40),
     ("generate", "p", "p", "probability"), ("generate", "seed", "seed", "int", 0),
@@ -151,6 +151,10 @@ def refusal_rows():
     # a p so small that the threshold k * p_plus**4 / 2 overflows
     for p in (1e-200, 5e-324):
         yield pytest.param("solve", {"p": p}, "threshold", id=f"solve-p-{p}")
+    # an echoed cutoff other than the model's k * p_plus**4 / 2 = 15 at k=30, p=1/2
+    for value in (14.0, 15.000000000000002, 1e300):
+        yield pytest.param("evaluate.config", {"threshold": value}, "threshold",
+                           id=f"evaluate.config-threshold-{value}")
     # integral floats and fractions inside the range
     for entry, keyword, value in [("solve", "k", 30.0), ("solve", "k", 2.5),
                                   ("threshold_for", "k", 30.0), ("threshold_for", "k", 2.5),
@@ -172,18 +176,37 @@ def test_entry_point_refuses_bad_value_naming_the_field(entry, fields, field):
 
 ACCEPTED = [
     ("solve", {"p": 0.3}), ("threshold_for", {"p": 1e-150}),
-    ("SolverConfig", {"threshold": 1e308, "rounds": 5}), ("num_rounds", {"k": 60}),
+    ("SolverConfig", {"rounds": 5}), ("num_rounds", {"k": 60}),
     ("PruneParams", {"batch_size": 7}), ("intersection_threshold", {"p": 1e-300}),
-    ("PBiasedMatrix", {"p": 0.7}), ("from_edge_list", {"n": 2}),
+    ("pbiased_values", {"p": 0.7}), ("from_edge_list", {"n": 2}),
     ("generate", {"p": 0.3, "seed": 2 ** 40}), ("majority", {"decoy_count": 0}),
     ("ExperimentGrid", {"ps": (0.3, 0.7)}), ("Backend", {"cutoff": 1}),
     ("build_tensored", {"t": 3}), ("sparse_opnorm_sampled", {"r": 10}),
     ("rip_deviation_sampled", {"seed": 2 ** 40}),
     ("sparse_opnorm_exhaustive", {"r": 10}), ("CliqueEntry.from_dict", {"vertex": 0}),
-    ("evaluate", {"p": 0.3}), ("evaluate.config", {"threshold": 1e300}),
+    ("evaluate", {"p": 0.3, "config": dict(solved_stats()["config"],
+                                           threshold=threshold_for(30, 0.3))}),
+    ("evaluate.config", {"threshold": 15.0}),
 ]
 
 
 @pytest.mark.parametrize("entry, fields", ACCEPTED, ids=[entry for entry, _ in ACCEPTED])
 def test_accepted_values_give_json_documents(entry, fields):
     report_json(ENTRY_POINTS[entry](**fields))
+
+
+# The package's public names.  Removing one is a deliberate edit to this list.
+PUBLIC_SURFACE = [
+    "CliqueEntry", "CliqueList", "Instance", "PruneParams", "SignedAdjacency",
+    "SolverConfig", "batched_inner_products", "batched_membership_degrees",
+    "from_edge_list", "generate", "hadamard_rows", "intersection_threshold",
+    "majority_vector", "pbiased_values", "prune_fast", "prune_naive",
+    "read_graph", "read_instance", "solve", "strategy_clique_union",
+    "strategy_erdos_renyi", "strategy_majority_adversary", "threshold_for",
+    "write_graph", "write_instance",
+]
+
+
+def test_public_surface():
+    assert srpc.__all__ == PUBLIC_SURFACE
+    assert all(callable(getattr(srpc, name)) for name in srpc.__all__)

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from srpc import (PBiasedMatrix, SignedAdjacency, from_edge_list, hadamard_rows,
+from srpc import (SignedAdjacency, from_edge_list, hadamard_rows, pbiased_values,
                   read_graph, write_graph)
 from srpc import graphs
 from srpc.errors import InputError, ParameterError
@@ -155,25 +155,24 @@ def test_signs_roundtrip_via_constructor():
 
 def test_p_biased_values():
     g = from_edge_list(2, [(0, 1)])
-    m = PBiasedMatrix(g, 4 / 5)
-    assert m.p_plus == pytest.approx(0.5, rel=1e-12)
-    assert m.values[0, 1] == pytest.approx(0.5, rel=1e-12)
+    values = pbiased_values(g.signs, 4 / 5)
+    assert values.dtype == np.float64
+    assert values[0, 1] == values[0, 0] == 0.5  # p_plus = 1/2 exactly
     empty = from_edge_list(2, [])
-    m2 = PBiasedMatrix(empty, 4 / 5)
-    assert m2.values[0, 1] == pytest.approx(-2.0, rel=1e-12)
+    assert pbiased_values(empty.signs, 4 / 5)[0, 1] == pytest.approx(-2.0, rel=1e-12)
 
 
 def test_p_biased_constants_at_one_fifth():
     g = from_edge_list(3, [(0, 1)])
-    m = PBiasedMatrix(g, 1 / 5)
-    assert m.bound == pytest.approx(2.0, rel=1e-12)
-    assert m.p_plus * m.p_minus == pytest.approx(1.0, abs=1e-12)
+    values = pbiased_values(g.signs, 1 / 5)
+    plus, minus = values[0, 1], -values[0, 2]
+    assert np.abs(values).max() == pytest.approx(2.0, rel=1e-12)
+    assert plus * minus == pytest.approx(1.0, abs=1e-12)
 
 
 def test_p_half_reduces_to_sign_matrix():
     g = random_graph(25, 9)
-    m = PBiasedMatrix(g, 0.5)
-    assert np.array_equal(m.values, g.signs.astype(np.float64))
+    assert np.array_equal(pbiased_values(g.signs, 0.5), g.signs.astype(np.float64))
 
 
 def test_p_biased_mean_zero_variance_one():
@@ -189,7 +188,7 @@ def test_p_biased_rejects_bad_p():
     g = from_edge_list(2, [])
     for p in (0.0, 1.0, -0.3, 2.0):
         with pytest.raises(ParameterError):
-            PBiasedMatrix(g, p)
+            pbiased_values(g.signs, p)
 
 
 def test_hadamard_rows_complete_graph():
@@ -222,31 +221,23 @@ def test_hadamard_matches_dense_products_randomly():
         assert set(np.unique(rp)) <= {-1, 1}
 
 
-def test_hadamard_on_p_biased_matrix():
-    g = random_graph(15, 8)
-    m = PBiasedMatrix(g, 0.3)
-    rp = hadamard_rows(m, [2, 5, 9])
-    expected = m.values[2] * m.values[5] * m.values[9]
-    assert np.allclose(rp, expected, rtol=1e-15)
-
-
 @pytest.mark.parametrize("s", [1, 2, 3])
 def test_row_products_match_per_alpha_products(s):
     g = random_graph(29, 12)
-    m = PBiasedMatrix(g, 0.3)
+    pbiased = pbiased_values(g.signs, 0.3)
     rng = np.random.default_rng(s)
     alphas = np.sort(np.array([rng.choice(29, size=s, replace=False) for _ in range(11)]),
                      axis=1)
     signs = row_products(g.signs, alphas)
     assert signs.dtype == np.int8
-    values = row_products(m.values, alphas)
+    values = row_products(pbiased, alphas)
     for row, vals, alpha in zip(signs, values, alphas):
         assert np.array_equal(row, np.prod(g.signs[alpha].astype(np.int64), axis=0))
-        assert np.allclose(vals, np.prod(m.values[alpha], axis=0), rtol=1e-15)
+        assert np.allclose(vals, np.prod(pbiased[alpha], axis=0), rtol=1e-15)
         # bit-identical to multiplying the rows one by one, in index order
-        expected = m.values[alpha[0]]
+        expected = pbiased[alpha[0]]
         for i in alpha[1:]:
-            expected = expected * m.values[i]
+            expected = expected * pbiased[i]
         assert np.array_equal(vals, expected)
 
 
@@ -277,12 +268,12 @@ def test_planted_inner_product_p_biased_triple():
     # <G_alpha, G_j> restricted to S* is k * p_plus**4 exactly at p=4/5
     from srpc import generate, strategy_erdos_renyi
     inst = generate(40, 9, 0.8, strategy_erdos_renyi(), seed=4)
-    m = PBiasedMatrix(inst.graph, 0.8)  # p_plus = 1/2 exactly
+    values = pbiased_values(inst.graph.signs, 0.8)  # p_plus = 1/2 exactly
     s = list(inst.planted)
     alpha = s[:3]
     j = s[5]
-    va = hadamard_rows(m, alpha)[s]
-    vj = hadamard_rows(m, [j])[s]
+    va = row_products(values, np.array([alpha]))[0][s]
+    vj = values[j][s]
     assert float(va @ vj) == 9 * 0.5**4
 
 

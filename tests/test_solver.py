@@ -1,12 +1,12 @@
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from srpc import (PBiasedMatrix, SolverConfig, batched_inner_products,
-                  batched_membership_degrees, from_edge_list, generate, solve,
+from srpc import (SolverConfig, batched_inner_products, batched_membership_degrees,
+                  from_edge_list, generate, pbiased_values, solve,
                   strategy_clique_union, strategy_erdos_renyi,
                   strategy_majority_adversary, threshold_for)
 from srpc import linalg, solver
@@ -197,12 +197,12 @@ def test_batched_inner_products_single_alpha_matches_candidate_path():
     table = batched_inner_products(g, [(2, 9)])
     assert set(raw_members(g, [(2, 9)], tau=4)) == set(np.nonzero(table[0] >= 4)[0])
     # the solver's own round loop admits the same set for a sampled alpha that is an
-    # edge, and multiplies no row for one that is not
+    # edge, and multiplies no row for one that is not; k = 8 gives the cutoff 4
     kinds = set()
     for seed in range(10):
-        cfg = SolverConfig(order=2, rounds=1, threshold=4.0, seed=seed)
+        cfg = SolverConfig(order=2, rounds=1, seed=seed)
         counters = linalg.Counters()
-        (alphas, members), = solver.iter_round_members(g, 5, 0.5, cfg, counters)
+        (alphas, members), = solver.iter_round_members(g, 8, 0.5, cfg, counters)
         sampled = solver._sample_alphas(50, 1, 2, 1,
                                         np.random.default_rng(np.random.SeedSequence(seed)))
         edge = g.is_clique(sampled[0])
@@ -217,9 +217,9 @@ def test_batched_inner_products_single_alpha_matches_candidate_path():
 
 def test_iter_round_members_yields_one_member_table_per_oracle_batch():
     g = random_graph(40, 23)
-    cfg = SolverConfig(order=2, reps=2, rounds=50, threshold=3.0, seed=4)
+    cfg = SolverConfig(order=2, reps=2, rounds=50, seed=4)
     counters = linalg.Counters()
-    batches = list(solver.iter_round_members(g, 5, 0.5, cfg, counters))
+    batches = list(solver.iter_round_members(g, 6, 0.5, cfg, counters))  # cutoff 3
     assert len(batches) == counters.oracle_calls == math.ceil(50 / (40 // 2))
     sampled = solver._sample_alphas(40, 50, 2, 2,
                                     np.random.default_rng(np.random.SeedSequence(4)))
@@ -247,10 +247,10 @@ def test_batched_inner_products_complete_graph():
 
 def test_batched_inner_products_float_path_close_to_direct():
     g = random_graph(48, 12)
-    m = PBiasedMatrix(g, 0.3)
+    values = pbiased_values(g.signs, 0.3)
     for alpha in [(0, 1, 2), (5, 9), (17,)]:
-        (row,) = batched_inner_products(m, [alpha])
-        direct = np.prod(m.values[list(alpha)], axis=0) @ m.values.T
+        (row,) = batched_inner_products(g, [alpha], p=0.3)
+        direct = np.prod(values[list(alpha)], axis=0) @ values.T
         assert np.allclose(row, direct, rtol=1e-9, atol=1e-9)
 
 
@@ -260,7 +260,7 @@ def test_batched_inner_products_float_path_close_to_direct():
 def test_float_inner_tables_match_transposed_copy_reference(backend):
     # The p != 1/2 operand goes in as it is; the transposed copy it replaced is the reference.
     n = 70
-    values = PBiasedMatrix(random_graph(n, 21), 0.3).values
+    values = pbiased_values(random_graph(n, 21).signs, 0.3)
     alphas = solver._sample_alphas(n, 150, 3, 1, np.random.default_rng(4))
     tables = [solver._inner_table(values, alphas[start:start + n], backend, None)
               for start in range(0, len(alphas), n)]
@@ -474,7 +474,7 @@ def test_rounds_inside_the_planted_set_survive_and_match_brute_force(p, reps):
     n, k, rounds = 80, 40, 160
     inst = generate(n, k, p, strategy_erdos_renyi(), seed=30 + reps)
     values = (inst.graph.signs.astype(np.float64) if p == 0.5
-              else PBiasedMatrix(inst.graph, p).values)
+              else pbiased_values(inst.graph.signs, p))
     cutoff = threshold_for(k, p) - 1e-9
     planted = set(inst.planted)
     counters = linalg.Counters()
@@ -514,12 +514,22 @@ def test_solver_config_validation():
     with pytest.raises(ParameterError):
         SolverConfig(rounds=0)
     with pytest.raises(ParameterError):
-        SolverConfig(threshold=-1.0)
-    with pytest.raises(ParameterError):
         SolverConfig(seed=-1)
     for c_rounds in (0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ParameterError):
             SolverConfig(c_rounds=c_rounds)
+
+
+def test_the_model_alone_fixes_the_cutoff():
+    assert [f.name for f in fields(SolverConfig)] == ["order", "reps", "c_rounds", "rounds",
+                                                      "seed", "backend"]
+    with pytest.raises(TypeError):
+        SolverConfig(threshold=4.0)
+    assert SolverConfig().to_dict()["threshold"] is None
+    # solve echoes the model's cutoff in both slots, and from_dict ignores it
+    stats = solve(random_graph(30, 3), 10, 0.3, SolverConfig(c_rounds=1.0)).stats
+    assert stats["threshold"] == stats["config"]["threshold"] == threshold_for(10, 0.3)
+    assert SolverConfig.from_dict(stats["config"]) == SolverConfig(c_rounds=1.0, rounds=27)
 
 
 def test_solver_config_bounds_the_alpha_rows():
@@ -547,14 +557,12 @@ def test_solver_config_bounds_the_alpha_rows():
 @pytest.mark.parametrize("field, value", [
     ("order", "3"), ("order", True), ("order", 3.0), ("reps", "1"), ("reps", False),
     ("rounds", "5"), ("rounds", True), ("seed", "0"), ("seed", 1.5), ("seed", None),
-    ("c_rounds", "10"), ("c_rounds", True), ("c_rounds", None), ("threshold", "1"),
-    ("threshold", False)])
+    ("c_rounds", "10"), ("c_rounds", True), ("c_rounds", None)])
 def test_solver_config_rejects_wrong_types(field, value):
     with pytest.raises(ParameterError, match=field):
         SolverConfig(**{field: value})
 
 
 def test_solver_config_accepts_numpy_integers_and_integer_reals():
-    cfg = SolverConfig(order=np.int64(2), reps=np.int32(1), seed=np.int64(4), c_rounds=3,
-                       threshold=np.float64(2.5))
+    cfg = SolverConfig(order=np.int64(2), reps=np.int32(1), seed=np.int64(4), c_rounds=3)
     assert cfg.num_rounds(10, 5) == math.ceil(3 * 2 ** 2)
