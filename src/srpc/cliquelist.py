@@ -24,7 +24,7 @@ class CliqueEntry:
     @classmethod
     def from_dict(cls, doc: dict) -> "CliqueEntry":
         """The entry of a document; a malformed shape raises :class:`InputError`,
-        a vertex that is not an integer >= 0 :class:`ParameterError`."""
+        a vertex or alpha index that is not an integer >= 0 :class:`ParameterError`."""
         if not isinstance(doc, dict):
             raise InputError(f"entry must be an object, got {doc!r}")
         vertices = doc["vertices"]
@@ -35,6 +35,9 @@ class CliqueEntry:
         alphas = doc.get("alphas", [])
         if not isinstance(alphas, list) or not all(isinstance(a, list) for a in alphas):
             raise InputError(f"entry alphas must be a list of lists, got {alphas!r}")
+        for alpha in alphas:
+            for i in alpha:
+                check_int("entry alpha index", i, 0)
         return cls(vertices=tuple(vertices), alphas=tuple(tuple(a) for a in alphas))
 
 

@@ -57,12 +57,6 @@ class SignedAdjacency:
         self.n = n
         self.signs = signs
 
-    def adjacency01(self, dtype=np.float64) -> np.ndarray:
-        """0/1 adjacency with a zero diagonal (a vertex is not its own neighbor)."""
-        a = (self.signs > 0).astype(dtype)
-        np.fill_diagonal(a, 0)
-        return a
-
     def is_clique(self, vertices) -> bool:
         """True when the submatrix induced on ``vertices`` is all +1; an empty set is a clique."""
         v = np.asarray(vertices, dtype=np.intp)  # a tuple would index as rows and columns
@@ -146,13 +140,8 @@ def hadamard_rows(graph: SignedAdjacency, alpha: Iterable[int]) -> np.ndarray:
 
 
 def _vertex_names(n: int) -> np.ndarray:
-    """The decimal names of 0..n-1 as bytes of one width, right-aligned behind NUL padding."""
-    width = len(str(max(n - 1, 0)))
-    vertices = np.arange(n)[:, None]
-    place = 10 ** np.arange(width - 1, -1, -1)
-    digits = (vertices // place % 10 + ord("0")).astype(np.uint8)
-    digits[:, :-1][vertices < place[:-1]] = 0  # leading zeros become padding
-    return digits.view(f"S{width}").ravel()
+    """The decimal names of 0..n-1 as bytes of one width, left-aligned before NUL padding."""
+    return np.arange(n).astype(f"S{len(str(max(n - 1, 0)))}")
 
 
 def write_graph(graph: SignedAdjacency, path) -> None:
@@ -161,7 +150,7 @@ def write_graph(graph: SignedAdjacency, path) -> None:
     Rows are taken a block of about 256 KiB of signs at a time.  The block's
     edges with j > i are found in (i, j) order, and each becomes one
     fixed-width record ``(name of i, " ", name of j, "\n")`` from a table of
-    vertex names padded with leading NULs.  Deleting the NULs from the
+    vertex names padded with trailing NULs.  Deleting the NULs from the
     block's records gives its lines, written at once.  No Python code runs
     per row or per edge and no whole-file string is built; line ends are
     ``\n`` on every platform and the output is byte-reproducible.

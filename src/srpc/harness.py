@@ -66,24 +66,30 @@ def evaluate(instance: Instance, clique_list: CliqueList,
     key is absent.  An entry with a repeated vertex or a vertex outside
     [0, n), a ``stats.config`` that lacks a key or holds a bad value (an echoed
     threshold other than :func:`solver.threshold_for` (k, p) too), or a
-    ``stats`` n, k or p that does not fit the graph, raises :class:`InputError`.
+    ``stats`` n, k or p that does not fit the graph, or a ``stats.oracle_calls``
+    that is not an object of integers >= 0, raises :class:`InputError`.
     """
     clique_list.check_vertices(instance.n)
+    stats = clique_list.stats
+    oracle_calls = stats.get("oracle_calls", {})
     planted = tuple(sorted(instance.planted))
     matching = sum(1 for e in clique_list.entries if e.vertices == planted)
     valid = all(len(e.vertices) >= instance.k and instance.graph.is_clique(e.vertices)
                 for e in clique_list.entries)
-    stats = clique_list.stats
     stage_counts = {key: stats.get(key) for key in
                     ("rounds", "rounds_index_not_clique", "rounds_nonempty",
                      "rounds_short_skipped", "raw_size_max", "distinct_raw",
                      "refined_size_max", "distinct_refined", "rounds_accepted",
                      "accepted_distinct", "pruned_size")}
-    spurious = 0
-    if compute_spurious and "config" in stats:
-        n, k, p = (stats.get(key, getattr(instance, key)) for key in ("n", "k", "p"))
-        config_doc = stats["config"]
-        try:
+    replay = compute_spurious and "config" in stats
+    try:
+        if not isinstance(oracle_calls, dict):
+            raise ParameterError(f"oracle_calls must be an object, got {oracle_calls!r}")
+        for stage, calls in oracle_calls.items():
+            check_int(f"oracle_calls.{stage}", calls, 0)
+        if replay:
+            n, k, p = (stats.get(key, getattr(instance, key)) for key in ("n", "k", "p"))
+            config_doc = stats["config"]
             check_int("n", n, instance.n, instance.n)
             check_probability("p", p)
             if not isinstance(config_doc, dict):
@@ -94,16 +100,16 @@ def evaluate(instance: Instance, clique_list: CliqueList,
             if echoed is not None and check_positive("threshold", echoed) != tau:
                 raise ParameterError(f"threshold must be the model's k * p_plus**4 / 2 = {tau!r}, "
                                      f"got {echoed!r}")
-        except KeyError as exc:
-            raise InputError(f"stats.config is missing key {exc}") from None
-        except ParameterError as exc:
-            raise InputError(f"stats: {exc}") from None
-        spurious = max_spurious_members(instance, config, k, p)
+    except KeyError as exc:
+        raise InputError(f"stats.config is missing key {exc}") from None
+    except ParameterError as exc:
+        raise InputError(f"stats: {exc}") from None
+    spurious = max_spurious_members(instance, config, k, p) if replay else 0
     return EvalResult(recovered=matching > 0, list_size=len(clique_list.entries),
                       stage_counts=stage_counts, max_spurious=spurious,
                       entries_matching_planted=matching,
                       all_entries_valid_cliques=valid,
-                      oracle_calls=dict(stats.get("oracle_calls", {})))
+                      oracle_calls=dict(oracle_calls))
 
 
 _K_RULE_RE = re.compile(
@@ -311,18 +317,11 @@ def adversary_demo(n: int, k: int, m: int, seed: int, c_rounds: float = 10.0) ->
     scale = n / math.sqrt(m)
     min_corr = int(corrs.min())
 
-    decoys = set(inst.details.get("decoys", []))
-    chosen = inst.details.get("chosen", [])
-    tau = solver.threshold_for(k, p)
-
-    contaminated = []
-    table = solver.batched_inner_products(
-        inst.graph, [(i,) for i in chosen])
-    for row, i in zip(table, chosen):
-        members = set(np.nonzero(row >= tau)[0].tolist())
-        hit = sorted(members & decoys)
-        contaminated.append({"vertex": int(i), "decoys_admitted": len(hit)})
-    order1_contaminated = sum(1 for c in contaminated if c["decoys_admitted"] > 0)
+    chosen = inst.details["chosen"]
+    table = solver.batched_inner_products(inst.graph, [(i,) for i in chosen])
+    admitted = (table[:, inst.details["decoys"]] >= solver.threshold_for(k, p)).sum(axis=1)
+    contaminated = [{"vertex": i, "decoys_admitted": int(a)} for i, a in zip(chosen, admitted)]
+    order1_contaminated = int(np.count_nonzero(admitted))
 
     cfg = solver.SolverConfig(order=3, reps=1, c_rounds=c_rounds, seed=seed + 1)
     result = solver.solve(inst.graph, k, p, cfg)

@@ -225,11 +225,7 @@ def generate(n: int, k: int, p: float, strategy: AdversaryStrategy,
 
     # Planted-first block matrix, then one row and one column permutation
     # back to vertex order: vertex v sits at position position[v].
-    block = np.empty((n, n), dtype=np.int8)
-    block[:k, :k] = 1
-    block[:k, k:] = cut_block
-    block[k:, :k] = cut_block.T
-    block[k:, k:] = outside
+    block = np.block([[np.ones((k, k), dtype=np.int8), cut_block], [cut_block.T, outside]])
     position = np.empty(n, dtype=np.intp)
     position[np.concatenate((planted, complement))] = np.arange(n)
     signs = block.take(position, axis=0).take(position, axis=1)

@@ -110,18 +110,9 @@ def _strassen(a: np.ndarray, b: np.ndarray, cutoff: int) -> np.ndarray:
     if max(m, inner, n) <= cutoff or min(m, inner, n) <= 1:
         return a @ b
     # Zero-pad odd dimensions to even before splitting.
-    m2, k2, n2 = m + m % 2, inner + inner % 2, n + n % 2
-    if (m2, k2) != (m, inner):
-        ap = np.zeros((m2, k2), dtype=a.dtype)
-        ap[:m, :inner] = a
-    else:
-        ap = a
-    if (k2, n2) != (inner, n):
-        bp = np.zeros((k2, n2), dtype=b.dtype)
-        bp[:inner, :n] = b
-    else:
-        bp = b
-    hm, hk, hn = m2 // 2, k2 // 2, n2 // 2
+    ap = np.pad(a, ((0, m % 2), (0, inner % 2))) if (m | inner) % 2 else a
+    bp = np.pad(b, ((0, inner % 2), (0, n % 2))) if (inner | n) % 2 else b
+    hm, hk, hn = (m + 1) // 2, (inner + 1) // 2, (n + 1) // 2
     a11, a12 = ap[:hm, :hk], ap[:hm, hk:]
     a21, a22 = ap[hm:, :hk], ap[hm:, hk:]
     b11, b12 = bp[:hk, :hn], bp[:hk, hn:]
@@ -135,7 +126,7 @@ def _strassen(a: np.ndarray, b: np.ndarray, cutoff: int) -> np.ndarray:
     p6 = _strassen(a21 - a11, b11 + b12, cutoff)
     p7 = _strassen(a12 - a22, b21 + b22, cutoff)
 
-    out = np.empty((m2, n2), dtype=a.dtype)
+    out = np.empty((2 * hm, 2 * hn), dtype=a.dtype)
     out[:hm, :hn] = p1 + p4 - p5 + p7
     out[:hm, hn:] = p3 + p5
     out[hm:, :hn] = p2 + p4

@@ -61,14 +61,10 @@ class PruneParams:
 
 def _dedup(clique_list: CliqueList) -> tuple[list[CliqueEntry], int]:
     """Merge duplicate vertex sets, pooling their provenance."""
-    merged: dict[tuple[int, ...], list] = {}
-    order: list[tuple[int, ...]] = []
+    merged: dict[tuple[int, ...], list] = {}  # first-seen order
     for entry in clique_list.entries:
-        if entry.vertices not in merged:
-            merged[entry.vertices] = []
-            order.append(entry.vertices)
-        merged[entry.vertices].extend(entry.alphas)
-    deduped = [CliqueEntry(v, tuple(merged[v])) for v in order]
+        merged.setdefault(entry.vertices, []).extend(entry.alphas)
+    deduped = [CliqueEntry(v, tuple(alphas)) for v, alphas in merged.items()]
     return deduped, len(clique_list.entries) - len(deduped)
 
 

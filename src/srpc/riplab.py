@@ -224,10 +224,9 @@ class OpNormReport:
 
 
 def _as_matrix(h) -> np.ndarray:
-    values = h.values if isinstance(h, TensoredMatrix) else np.asarray(h, dtype=np.float64)
+    values = np.asarray(h.values if isinstance(h, TensoredMatrix) else h, dtype=np.float64)
     if values.ndim != 2:
         raise ParameterError("expected a 2-D matrix")
-    values = np.asarray(values, dtype=np.float64)
     if not np.isfinite(values).all():
         raise ParameterError("matrix has NaN or infinite entries")
     return values

@@ -186,9 +186,10 @@ def batched_membership_degrees(graph: SignedAdjacency,
     < 2**53 (levels: the recursive backend's Strassen depth, else 0).
     """
     n = graph.n
+    adjacency = (graph.signs > 0).astype(np.float64)
+    np.fill_diagonal(adjacency, 0)  # a vertex is not its own neighbor
     out = np.empty((len(sets), n), dtype=np.int64)
-    for start, table in linalg.count_products(linalg.indicator_rows(sets, n),
-                                              graph.adjacency01(np.float64), n,
+    for start, table in linalg.count_products(linalg.indicator_rows(sets, n), adjacency, n,
                                               backend, counters):
         out[start:start + n] = np.rint(table).astype(np.int64)
     return out

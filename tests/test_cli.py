@@ -488,6 +488,11 @@ def test_strict_instance_meta_exits_2(instance_files, extra, message):
     ("evaluate", '{"cliques": [], "stats": {"config": {"order": 3, "reps": 1, '
                  '"c_rounds": 10.0, "threshold": 4.0, "seed": 0}}}'),
     ("evaluate", '{"cliques": [], "stats": {"config": [3, 1]}}'),
+    ("evaluate", '{"cliques": [], "stats": {"oracle_calls": [1]}}'),
+    ("evaluate", '{"cliques": [], "stats": {"oracle_calls": 5}}'),
+    ("evaluate", '{"cliques": [], "stats": {"oracle_calls": {"candidate": -1}}}'),
+    ("evaluate", '{"cliques": [{"vertices": [1, 2], "alphas": [[1, "a"]]}]}'),
+    ("prune", '{"cliques": [{"vertices": [1, 2], "alphas": [[1, "a"]]}]}'),
 ], ids=["evaluate-not-json", "evaluate-no-vertices", "prune-not-json",
         "prune-no-vertices", "prune-not-an-object", "grid-no-ns",
         "evaluate-vertex-out-of-range", "evaluate-repeated-vertex",
@@ -505,7 +510,10 @@ def test_strict_instance_meta_exits_2(instance_files, extra, message):
         "evaluate-alphas-not-lists", "evaluate-config-infinite-threshold",
         "evaluate-config-nan-threshold", "evaluate-config-overflowing-threshold",
         "evaluate-stats-infinite-echo", "prune-nan-vertex",
-        "evaluate-config-threshold-not-the-models", "evaluate-config-not-object"])
+        "evaluate-config-threshold-not-the-models", "evaluate-config-not-object",
+        "evaluate-oracle-calls-list", "evaluate-oracle-calls-number",
+        "evaluate-oracle-calls-negative",
+        "evaluate-string-alpha-index", "prune-string-alpha-index"])
 def test_malformed_json_input_exits_2(instance_files, tmp_path, command, text):
     graph, meta, _ = instance_files
     doc = tmp_path / "doc.json"

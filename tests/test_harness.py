@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from srpc import (CliqueEntry, CliqueList, Instance, SolverConfig, from_edge_list, generate,
-                  linalg, solve)
-from srpc import strategy_clique_union, strategy_erdos_renyi
+from srpc import (CliqueEntry, CliqueList, Instance, SolverConfig, batched_inner_products,
+                  from_edge_list, generate, linalg, solve, threshold_for)
+from srpc import strategy_clique_union, strategy_erdos_renyi, strategy_majority_adversary
 from srpc import harness
 from srpc.errors import InternalInvariantError, ParameterError
 from srpc.harness import (ExperimentGrid, adversary_demo, evaluate, grid_csv,
@@ -235,6 +235,15 @@ def test_adversary_demo_contamination_and_separation():
     assert report["order1_chosen_contaminated"] >= report["order1_chosen_total"] // 2
     assert report["order3_recovered"]
     assert report["fitted_constant_mean"] > 0.5
+    # per-vertex counts match a set intersection of each candidate set with the decoys
+    inst = generate(400, 80, 0.5, strategy_majority_adversary(21), seed=5)
+    decoys = set(inst.details["decoys"])
+    expected = []
+    for i in inst.details["chosen"]:
+        row = batched_inner_products(inst.graph, [(i,)])[0]
+        members = set(np.nonzero(row >= threshold_for(80, 0.5))[0].tolist())
+        expected.append({"vertex": i, "decoys_admitted": len(members & decoys)})
+    assert report["per_vertex"] == expected
 
 
 def test_adversary_demo_validation():

@@ -47,6 +47,16 @@ def test_duplicates_merge_before_filtering():
     assert out.entries[0].alphas == ((0, 1, 2), (3, 4, 5))
     assert out.stats["duplicates_removed"] == 1
 
+    # interleaved [A, B, A]: first-seen order, A's alphas pooled in input order
+    a, b = tuple(range(10)), tuple(range(20, 30))
+    lst = CliqueList([CliqueEntry(a, ((0, 1, 2),)), CliqueEntry(b, ((6, 7, 8),)),
+                      CliqueEntry(a, ((3, 4, 5),))])
+    for prune in (prune_naive, prune_fast):
+        out = prune(lst, params)
+        assert out.entries == [CliqueEntry(a, ((0, 1, 2), (3, 4, 5))),
+                               CliqueEntry(b, ((6, 7, 8),))]
+        assert out.stats["duplicates_removed"] == 1
+
 
 def test_mutual_violation_removes_both():
     params = params_with_delta(100, 5)

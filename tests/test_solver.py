@@ -151,7 +151,7 @@ def test_refine_never_removes_planted_with_small_contamination():
     kept = refined(inst.graph, members, 80)
     assert planted <= set(kept)
     # spurious vertices with under-threshold degree are gone
-    adj = inst.graph.adjacency01(np.int64)
+    adj = (inst.graph.signs > 0) & ~np.eye(240, dtype=bool)  # self is not a neighbor
     for j in extras:
         degree = sum(adj[j, v] for v in members)
         if degree < 79:
@@ -294,7 +294,7 @@ def test_batched_membership_degrees_cases():
     sets = [tuple(sorted(rng.choice(64, size=int(rng.integers(1, 20)),
                                     replace=False))) for _ in range(10)]
     table = batched_membership_degrees(rg, sets)
-    adj = rg.adjacency01(np.int64)
+    adj = (rg.signs > 0) & ~np.eye(64, dtype=bool)  # self is not a neighbor
     for a, members in enumerate(sets):
         for j in range(64):
             direct = sum(int(adj[j, v]) for v in members)
