@@ -49,12 +49,12 @@ def _finite_object(pairs: list) -> dict:
 
 
 def _read_doc(path, parse):
-    """parse() of a file's JSON object; malformed content, a non-finite number or
-    a bad parameter raises InputError naming the file."""
-    with open(path) as fh:
+    """parse() of a file's JSON object; malformed content (a byte that is not UTF-8
+    too), a non-finite number or a bad parameter raises InputError naming the file."""
+    with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh, object_pairs_hook=_finite_object)
-        except (json.JSONDecodeError, InputError) as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, InputError) as exc:
             raise InputError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(doc, dict):
         raise InputError(f"{path}: expected a JSON object, got {type(doc).__name__}")

@@ -16,7 +16,7 @@ import re
 import sys
 import traceback
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -26,8 +26,8 @@ from .cliquelist import CliqueList
 from .errors import (InputError, InternalInvariantError, ParameterError, check_int,
                      check_positive, check_probability)
 from .graphs import MAX_N
-from .instances import (AdversaryStrategy, Instance, generate, majority_vector,
-                        strategy_by_name, strategy_majority_adversary)
+from .instances import (Instance, generate, majority_vector, strategy_by_name,
+                        strategy_majority_adversary)
 
 
 @dataclass(frozen=True)
@@ -58,16 +58,17 @@ def max_spurious_members(instance: Instance, cfg: solver.SolverConfig, k: int, p
     return worst
 
 
-def evaluate(instance: Instance, clique_list: CliqueList,
-             compute_spurious: bool = True) -> EvalResult:
+def evaluate(instance: Instance, clique_list: CliqueList) -> EvalResult:
     """Score a solve output against the instance's hidden planted set.
 
-    The replay takes n, k and p from ``stats``, or from the instance where a
-    key is absent.  An entry with a repeated vertex or a vertex outside
-    [0, n), a ``stats.config`` that lacks a key or holds a bad value (an echoed
-    threshold other than :func:`solver.threshold_for` (k, p) too), or a
-    ``stats`` n, k or p that does not fit the graph, or a ``stats.oracle_calls``
-    that is not an object of integers >= 0, raises :class:`InputError`.
+    A ``stats`` that holds a ``config`` is replayed for ``max_spurious``
+    (0 without one); the replay takes n, k and p from ``stats``, or from the
+    instance where a key is absent.  An entry with a repeated vertex or a
+    vertex outside [0, n), a ``stats.config`` that lacks a key or holds a bad
+    value (an echoed threshold other than :func:`solver.threshold_for` (k, p)
+    too), or a ``stats`` n, k or p that does not fit the graph, or a
+    ``stats.oracle_calls`` that is not an object of integers >= 0, raises
+    :class:`InputError`.
     """
     clique_list.check_vertices(instance.n)
     stats = clique_list.stats
@@ -81,7 +82,7 @@ def evaluate(instance: Instance, clique_list: CliqueList,
                      "rounds_short_skipped", "raw_size_max", "distinct_raw",
                      "refined_size_max", "distinct_refined", "rounds_accepted",
                      "accepted_distinct", "pruned_size")}
-    replay = compute_spurious and "config" in stats
+    replay = "config" in stats
     try:
         if not isinstance(oracle_calls, dict):
             raise ParameterError(f"oracle_calls must be an object, got {oracle_calls!r}")
@@ -91,7 +92,6 @@ def evaluate(instance: Instance, clique_list: CliqueList,
             n, k, p = (stats.get(key, getattr(instance, key)) for key in ("n", "k", "p"))
             config_doc = stats["config"]
             check_int("n", n, instance.n, instance.n)
-            check_probability("p", p)
             if not isinstance(config_doc, dict):
                 raise ParameterError(f"config must be an object, got {config_doc!r}")
             config = solver.SolverConfig.from_dict(config_doc)
@@ -126,7 +126,10 @@ def resolve_k_rule(rule: str, n: int) -> int:
         raise ParameterError(f"unrecognized k rule {rule!r}")
     c = float(m.group("c"))
     root = math.ceil(math.sqrt(n)) if m.group("kind") == "ceilsqrt" else math.sqrt(n)
-    k = c * root * (math.log(n) ** int(m.group("e") or 0))
+    try:
+        k = c * root * (math.log(n) ** int(m.group("e") or 0))
+    except OverflowError:  # log(n)**e past the float range
+        k = math.inf
     if not math.isfinite(k):
         raise ParameterError(f"k rule {rule!r} gives no finite k at n={n}")
     return math.ceil(k)
@@ -163,8 +166,6 @@ class ExperimentGrid:
     adversaries: tuple[tuple[str, dict], ...]  # (name, params)
     trials: int = 20
     seed: int = 0
-    # The adversaries built once, in order; every trial of a cell shares its strategy.
-    strategies: tuple[AdversaryStrategy, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_int("trials", self.trials, 1)
@@ -176,19 +177,17 @@ class ExperimentGrid:
         for rule in self.k_rules:
             for n in self.ns:
                 check_int(f"k from k_rules entry {rule!r} at n={n}", resolve_k_rule(rule, n), 1, n)
-        strategies = []
         for name, params in self.adversaries:
             try:
-                strategies.append(strategy_by_name(name, **params))
+                strategy_by_name(name, **params)
             except ParameterError as exc:
                 raise ParameterError(
                     f"grid adversaries entry {name!r} with {params!r}: {exc}") from None
-        object.__setattr__(self, "strategies", tuple(strategies))
-        for index, (cell, strategy) in enumerate(self._cells()):
+        for index, cell in enumerate(self.cells()):
             n, k, cfg = cell["n"], cell["k"], cell["solver"]
             try:
                 cfg.num_rounds(n, k)
-                strategy.check(n, k)
+                strategy_by_name(cell["adversary"], **cell["adversary_params"]).check(n, k)
             except ParameterError as exc:
                 raise ParameterError(
                     f"grid cell {index} (n={n}, k={k}, p={cell['p']}, "
@@ -211,22 +210,10 @@ class ExperimentGrid:
                    trials=doc.get("trials", 20), seed=doc.get("seed", 0))
 
     def cells(self) -> list[dict]:
-        return [cell for cell, _ in self._cells()]
-
-    def _cells(self) -> list[tuple[dict, AdversaryStrategy]]:
-        """Each cell with its adversary's built strategy."""
-        out = []
-        for n in self.ns:
-            for rule in self.k_rules:
-                for p in self.ps:
-                    for cfg in self.solvers:
-                        for (name, params), strategy in zip(self.adversaries,
-                                                            self.strategies):
-                            out.append(({"n": n, "k_rule": rule,
-                                         "k": resolve_k_rule(rule, n), "p": p,
-                                         "solver": cfg, "adversary": name,
-                                         "adversary_params": params}, strategy))
-        return out
+        return [{"n": n, "k_rule": rule, "k": resolve_k_rule(rule, n), "p": p, "solver": cfg,
+                 "adversary": name, "adversary_params": params}
+                for n in self.ns for rule in self.k_rules for p in self.ps
+                for cfg in self.solvers for name, params in self.adversaries]
 
 
 def _trial_seed(root: int, cell_index: int, trial: int) -> int:
@@ -234,11 +221,12 @@ def _trial_seed(root: int, cell_index: int, trial: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
-def _run_trial(cell: dict, strategy: AdversaryStrategy, root_seed: int, cell_index: int,
+def _run_trial(cell: dict, root_seed: int, cell_index: int,
                trial: int) -> tuple[EvalResult | None, str | None]:
     """(result, None), or (None, formatted traceback) when the trial raises."""
     try:
         seed = _trial_seed(root_seed, cell_index, trial)
+        strategy = strategy_by_name(cell["adversary"], **cell["adversary_params"])
         inst = generate(cell["n"], cell["k"], cell["p"], strategy, seed)
         cfg = replace(cell["solver"], seed=seed + 1)
         result = solver.solve(inst.graph, cell["k"], cell["p"], cfg)
@@ -261,8 +249,8 @@ def run_grid(grid: ExperimentGrid, threads: int = 1) -> list[dict]:
     """
     check_int("threads", threads, 1)
     rows = []
-    for index, (cell, strategy) in enumerate(grid._cells()):
-        trial = partial(_run_trial, cell, strategy, grid.seed, index)
+    for index, cell in enumerate(grid.cells()):
+        trial = partial(_run_trial, cell, grid.seed, index)
         with ThreadPoolExecutor(max_workers=threads) as pool:
             outcomes = list(pool.map(trial, range(grid.trials)))
         done = [r for r, _ in outcomes if r is not None]

@@ -307,23 +307,26 @@ def read_instance(graph_path, meta_path) -> Instance:
 def read_instance_meta(meta_path) -> dict:
     """The sidecar's ``key = value`` lines as a dict; blank lines are skipped.
 
-    A line without `` = `` or a key given twice raises :class:`InputError`
-    naming the file and the line.
+    A byte that is not UTF-8, a line without `` = `` or a key given twice
+    raises :class:`InputError` naming the file (and the line).
     """
-    with open(meta_path) as fh:
-        header = fh.readline().strip()
-        if header != INSTANCE_HEADER:
-            raise InputError(f"{meta_path}: unrecognized instance header: {header!r}")
-        meta = {}
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            key, sep, value = line.partition(" = ")
-            key = key.lstrip()
-            if not sep:
-                raise InputError(f"{meta_path}: line {lineno}: expected 'key = value', "
-                                 f"got {line.strip()!r}")
-            if key in meta:
-                raise InputError(f"{meta_path}: line {lineno}: key {key!r} is given twice")
-            meta[key] = value.rstrip()
+    with open(meta_path, encoding="utf-8") as fh:
+        try:
+            header, *lines = fh.read().split("\n")
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{meta_path}: not valid UTF-8 ({exc})") from None
+    if header.strip() != INSTANCE_HEADER:
+        raise InputError(f"{meta_path}: unrecognized instance header: {header.strip()!r}")
+    meta = {}
+    for lineno, line in enumerate(lines, start=2):
+        if not line.strip():
+            continue
+        key, sep, value = line.partition(" = ")
+        key = key.lstrip()
+        if not sep:
+            raise InputError(f"{meta_path}: line {lineno}: expected 'key = value', "
+                             f"got {line.strip()!r}")
+        if key in meta:
+            raise InputError(f"{meta_path}: line {lineno}: key {key!r} is given twice")
+        meta[key] = value.rstrip()
     return meta

@@ -51,8 +51,11 @@ class PBiasedBase:
         if not 0 < self.p < 1:
             raise ParameterError(f"p must lie in (0,1), got {p}")
         # Sampled values, rounded once from the exact odds as exact_values() is.
-        self._plus, self._minus = (float(self._sqrt_or_none(odds, approx=True))
-                                   for odds in ((1 - self.p) / self.p, self.p / (1 - self.p)))
+        try:
+            self._plus, self._minus = (float(self._sqrt_or_none(odds, approx=True))
+                                       for odds in ((1 - self.p) / self.p, self.p / (1 - self.p)))
+        except OverflowError:  # odds past the float range
+            raise ParameterError(f"p = {p} gives base values past the float range") from None
         self.bound = max(self._plus, self._minus)
 
     @staticmethod
@@ -114,6 +117,11 @@ def build_tensored(k: int, t: int, q: int, base_dist, seed: int) -> TensoredMatr
     check_int("k", k, 3)
     check_int("q", q, 1)
     check_int("seed", seed, 0)
+    try:
+        base_dist.bound ** t
+    except OverflowError:  # the largest entry, bound**t, past the float range
+        raise ParameterError(f"p = {base_dist.p} gives entries past the float range "
+                             f"at t = {t}") from None
     if q * math.comb(k, t) > MAX_TENSORED_ENTRIES:
         raise ParameterError(f"q * C(k, t) = {q} * C({k}, {t}) exceeds the limit "
                              f"MAX_TENSORED_ENTRIES={MAX_TENSORED_ENTRIES}")

@@ -143,8 +143,7 @@ def _inner_table(values: np.ndarray, alpha_rows: np.ndarray, backend: linalg.Bac
 
 
 def batched_inner_products(graph: SignedAdjacency, alphas: Sequence[Sequence[int]],
-                           p: float = 0.5, backend: linalg.Backend = linalg.NAIVE,
-                           counters: linalg.Counters | None = None) -> np.ndarray:
+                           p: float = 0.5) -> np.ndarray:
     """Table T[a, j] = <M_alpha_a, M_j> over the oracle operand at p, one call per n-row batch.
 
     There are ceil(len(alphas) / n) calls; the last batch holds only the
@@ -158,7 +157,7 @@ def batched_inner_products(graph: SignedAdjacency, alphas: Sequence[Sequence[int
     if len(orders) > 1:
         raise ParameterError(f"alphas must have one order per call, got orders {orders}")
     values, rows = _operand(graph, p), np.array(idx)
-    return np.concatenate([_inner_table(values, rows[start:start + graph.n], backend, counters)
+    return np.concatenate([_inner_table(values, rows[start:start + graph.n], linalg.NAIVE, None)
                            for start in range(0, len(rows), graph.n)])
 
 

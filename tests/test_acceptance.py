@@ -40,7 +40,7 @@ def test_criterion_01_end_to_end_recovery_p_half():
         inst = generate(n, k, 0.5, strategy_erdos_renyi(), seed=seed)
         result = solve(inst.graph, k, 0.5, SolverConfig(order=3, reps=1,
                                                         seed=1000 + seed))
-        ev = evaluate(inst, result, compute_spurious=False)
+        ev = evaluate(inst, result)
         if ev.recovered:
             recovered += 1
             max_list = max(max_list, ev.list_size)
@@ -66,7 +66,7 @@ def test_criterion_02_general_p_recovery():
             inst = generate(n, k, p, strategy_erdos_renyi(), seed=2000 + seed)
             result = solve(inst.graph, k, p, SolverConfig(order=3, reps=1,
                                                           seed=3000 + seed))
-            ev = evaluate(inst, result, compute_spurious=False)
+            ev = evaluate(inst, result)
             recovered += int(ev.recovered)
         lines.append(f"p={p}: k={k}, recovered {recovered}/{seeds} (need >=18)")
         all_ok &= recovered >= 18

@@ -393,11 +393,12 @@ ARABIC_INDIC_DIGITS = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u066
     ("p", lambda v: "inf"),
     ("p", lambda v: "1.5"),
     ("p", lambda v: v.translate(ARABIC_INDIC_DIGITS)),
+    ("adversary", lambda v: v + "\udcff"),  # the byte 0xff, written by surrogateescape
 ], ids=["missing-k", "non-integer-k", "non-float-p", "planted-out-of-range",
         "n-differs-from-graph", "planted-repeated", "planted-not-size-k",
         "planted-underscore", "planted-non-ascii-digits", "planted-plus-sign",
         "k-non-ascii-digits", "seed-plus-sign", "p-nan", "p-infinite", "p-above-one",
-        "p-non-ascii-digits"])
+        "p-non-ascii-digits", "adversary-not-utf8"])
 def test_malformed_instance_meta_exits_2(instance_files, key, edit):
     graph, meta, result = instance_files
     header, *lines = meta.read_text().splitlines()
@@ -407,7 +408,7 @@ def test_malformed_instance_meta_exits_2(instance_files, key, edit):
         value = edit(value) if name == key else value
         if value is not None:
             kept.append(f"{name} = {value}")
-    meta.write_text("\n".join(kept) + "\n")
+    meta.write_text("\n".join(kept) + "\n", errors="surrogateescape")
     assert_input_error(run_cli("evaluate", "--graph", graph, "--meta", meta,
                                "--result", result))
 
@@ -493,6 +494,9 @@ def test_strict_instance_meta_exits_2(instance_files, extra, message):
     ("evaluate", '{"cliques": [], "stats": {"oracle_calls": {"candidate": -1}}}'),
     ("evaluate", '{"cliques": [{"vertices": [1, 2], "alphas": [[1, "a"]]}]}'),
     ("prune", '{"cliques": [{"vertices": [1, 2], "alphas": [[1, "a"]]}]}'),
+    ("evaluate", b'{"cliques": [], "stats": {"note": "\xff"}}'),
+    ("prune", b'{"cliques": [], "stats": {"note": "\xff"}}'),
+    ("grid", b'{"ns": [30], "k_rules": ["10"], "note": "\xff"}'),
 ], ids=["evaluate-not-json", "evaluate-no-vertices", "prune-not-json",
         "prune-no-vertices", "prune-not-an-object", "grid-no-ns",
         "evaluate-vertex-out-of-range", "evaluate-repeated-vertex",
@@ -513,11 +517,12 @@ def test_strict_instance_meta_exits_2(instance_files, extra, message):
         "evaluate-config-threshold-not-the-models", "evaluate-config-not-object",
         "evaluate-oracle-calls-list", "evaluate-oracle-calls-number",
         "evaluate-oracle-calls-negative",
-        "evaluate-string-alpha-index", "prune-string-alpha-index"])
+        "evaluate-string-alpha-index", "prune-string-alpha-index",
+        "evaluate-not-utf8", "prune-not-utf8", "grid-not-utf8"])
 def test_malformed_json_input_exits_2(instance_files, tmp_path, command, text):
     graph, meta, _ = instance_files
     doc = tmp_path / "doc.json"
-    doc.write_text(text)
+    (doc.write_bytes if isinstance(text, bytes) else doc.write_text)(text)
     args = {"evaluate": ["--graph", graph, "--meta", meta, "--result", doc],
             "prune": ["--list", doc, "--n", 60, "--p", 0.5],
             "grid": ["--config", doc, "--out-csv", tmp_path / "grid.csv"]}[command]
@@ -625,7 +630,11 @@ def test_bad_cli_value_exits_2_naming_the_flag(args, flag):
     (["rip", "isotropy", *RIP_SHAPE, "--tol", "nan"], "tol"),
     (["rip", "isotropy", *RIP_SHAPE, "--tol", "inf"], "tol"),
     (["rip", "isotropy", *RIP_SHAPE, "--tol", "-1"], "tol"),
-], ids=["tau-nan", "tau-inf", "tol-nan", "tol-inf", "tol-negative"])
+    (["rip", "build", *RIP_SHAPE, "--base", "pbiased", "--p", "1e-400"], "p = 1/1000"),
+    (["rip", "build", "--k", 4, "--t", 3, "--q", 8, "--base", "pbiased", "--p", "1e-300"],
+     "p = 1/1000"),
+], ids=["tau-nan", "tau-inf", "tol-nan", "tol-inf", "tol-negative", "pbiased-p-overflows",
+        "pbiased-entries-overflow"])
 def test_non_finite_rip_thresholds_exit_2(args, name):
     proc = run_cli(*args)
     assert_input_error(proc)
@@ -675,6 +684,7 @@ def test_oversized_sampled_rip_run_exits_2(args, limit):
     ({"k_rules": ["8*ceilsqrt"]}, "k_rules"),
     ({"k_rules": ["0*sqrt"]}, "k_rules"),
     ({"k_rules": ["9" * 400 + "*sqrt"]}, "no finite k"),
+    ({"k_rules": ["8*sqrt*log^1000"]}, "no finite k at n=30"),
     ({"adversaries": [{"name": "majority", "m": 3.0}]}, "adversaries"),
     ({"adversaries": [{"name": "majority", "m": 3, "decoy_count": 1.5}]}, "adversaries"),
     ({"adversaries": [{"name": "majority", "m": 11}]}, "grid cell 0"),
@@ -685,6 +695,7 @@ def test_oversized_sampled_rip_run_exits_2(args, limit):
         "adversary-unknown", "majority-without-m", "majority-negative-decoys",
         "adversary-bad-param", "adversary-not-an-object", "seed-negative", "seed-float",
         "k-zero", "k-above-n", "formula-k-above-n", "formula-k-zero", "formula-k-infinite",
+        "formula-k-overflowing",
         "majority-float-m", "majority-float-decoys", "majority-m-above-k",
         "solver-rounds-past-limit"])
 def test_bad_grid_config_exits_2(tmp_path, extra, name):

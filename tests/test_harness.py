@@ -108,6 +108,13 @@ def test_resolve_k_rule():
     assert resolve_k_rule("0*sqrt", 100) == 0
     with pytest.raises(ParameterError, match="no finite k"):
         resolve_k_rule("9" * 400 + "*sqrt", 100)
+    with pytest.raises(ParameterError, match="no finite k at n=30"):  # log(30)**1000 overflows
+        resolve_k_rule("8*sqrt*log^1000", 30)
+    # log(2) < 1, so a large enough exponent underflows to k = 0; the grid refuses it
+    assert resolve_k_rule("8*sqrt*log^3000", 2) == 0
+    with pytest.raises(ParameterError, match="k from k_rules entry"):
+        ExperimentGrid(ns=(2,), k_rules=("8*sqrt*log^3000",), ps=(0.5,),
+                       solvers=(SolverConfig(),), adversaries=(("erdos_renyi", {}),))
 
 
 def test_grid_single_cell_complete_recovery():

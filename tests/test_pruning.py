@@ -152,6 +152,19 @@ def test_fast_makes_one_oracle_call_per_batch_of_full_rows():
     assert fast.to_dict() == prune_naive(entries_from_sets(sets), params).to_dict()
 
 
+def test_fast_batches_by_n_when_entries_outnumber_it():
+    # 40 distinct entries over n = 24 vertices: ceil(40 / 24) = 2 calls of full rows
+    rng = np.random.default_rng(12)
+    n, m = 24, 40
+    sets = sorted({tuple(sorted(rng.choice(n, size=6, replace=False))) for _ in range(60)})[:m]
+    params = PruneParams(n=n, p=0.5, delta=3)
+    counters = linalg.Counters()
+    fast = prune_fast(entries_from_sets(sets + sets[:3]), params, counters=counters)
+    assert (counters.oracle_calls, counters.madds) == (2, m * n * m)
+    assert fast.to_dict() == prune_naive(entries_from_sets(sets + sets[:3]), params).to_dict()
+    assert fast.stats["removed"] and fast.entries
+
+
 def test_fast_refuses_an_asymmetric_conflict_relation(monkeypatch):
     # a product fault that raises one entry's count against another
     def faulty(left, right, batch, backend, counters):

@@ -65,6 +65,21 @@ def test_pbiased_sample_at_a_non_square_odds_is_the_square_root():
     assert base.bound == math.sqrt(2)
 
 
+@pytest.mark.parametrize("p", [Fraction(1, 10 ** 400), 1 - Fraction(1, 10 ** 400)],
+                         ids=["near-zero", "near-one"])
+def test_pbiased_values_past_the_float_range_are_refused(p):
+    with pytest.raises(ParameterError, match="^p = .* base values past the float range"):
+        riplab.PBiasedBase(p)
+
+
+def test_build_refuses_entries_past_the_float_range_before_sampling():
+    base = riplab.PBiasedBase(Fraction(1, 10 ** 300))  # p_plus = 1e150
+    riplab.build_tensored(4, 2, 8, base, seed=0)  # entries up to 1e300
+    base.sample = None  # any draw would fail
+    with pytest.raises(ParameterError, match="^p = 1/1000.* entries past the float range at t = 3"):
+        riplab.build_tensored(4, 3, 8, base, seed=0)
+
+
 def test_build_validation():
     with pytest.raises(ParameterError):
         riplab.build_tensored(2, 3, 10, riplab.RademacherBase(), seed=0)

@@ -301,16 +301,23 @@ def test_batched_membership_degrees_cases():
             assert table[a, j] == direct
 
 
-def test_oracle_calls_multiply_only_real_rows():
+def test_oracle_calls_multiply_only_real_rows(monkeypatch):
     g = random_graph(64, 22)
     rng = np.random.default_rng(2)
     alphas = [tuple(sorted(rng.choice(64, size=2, replace=False))) for _ in range(65)]
-    counters = linalg.Counters()
-    batched_inner_products(g, alphas[:5], counters=counters)
-    assert (counters.oracle_calls, counters.madds) == (1, 5 * 64 * 64)
-    counters = linalg.Counters()
-    batched_inner_products(g, alphas, counters=counters)
-    assert (counters.oracle_calls, counters.madds) == (2, 65 * 64 * 64)
+    calls = []  # (product rows, inner length, columns) of each oracle call
+
+    def recording(a, b, n, counters=None):
+        calls.append((a.shape[0], n, b.shape[0]))
+        return sign_matmul(a, b, n, counters)
+
+    sign_matmul = linalg.sign_matmul
+    monkeypatch.setattr(linalg, "sign_matmul", recording)
+    batched_inner_products(g, alphas[:5])
+    assert calls == [(5, 64, 64)]
+    calls.clear()
+    batched_inner_products(g, alphas)
+    assert calls == [(64, 64, 64), (1, 64, 64)]
     counters = linalg.Counters()
     batched_membership_degrees(g, [(0, 1, 2), (3, 4)], counters=counters)
     assert (counters.oracle_calls, counters.madds) == (1, 2 * 64 * 64)
