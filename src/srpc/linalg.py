@@ -1,20 +1,22 @@
 """Matrix-multiplication backends and small dense spectral routines.
 
-Matrices are plain 2-D numpy arrays, row-major, with dtype int64 (exact)
-or float64.  All backends compute the same product; the int64 kind is
-checked against a precomputed overflow bound before multiplying.
+:func:`matmul` multiplies plain 2-D numpy arrays, row-major, with dtype
+int64 (exact) or float64.  All backends compute the same product; the
+int64 kind is checked against a precomputed overflow bound before
+multiplying.  :func:`sign_matmul` is the one exact path for integer
+counts: inner products of dense float32 rows with entries in {-1, 0, +1},
+so sign inner products and 0/1 intersection or degree counts alike.
 
-Every call to :func:`matmul` (or to :func:`sign_matmul`, its exact
-counterpart for dense float32 sign matrices) counts as one call to the
-abstract multiplication oracle; callers that batch work into n-row chunks
-therefore get call counts proportional to the number of chunks.
+Every call to :func:`matmul` or :func:`sign_matmul` counts as one call to
+the abstract multiplication oracle; callers that batch work into n-row
+chunks therefore get call counts proportional to the number of chunks.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -22,8 +24,9 @@ from .errors import NonConvergenceError, ParameterError, check_int
 
 INT64_MAX = np.iinfo(np.int64).max
 
-# A +-1 row product's partial sums are integers of magnitude <= n, which
-# float32 holds exactly, in any summation order, while n < 2**24.
+# A row product of entries in {-1, 0, +1} has integer partial sums of
+# magnitude <= n, which float32 holds exactly, in any summation order,
+# while n < 2**24.
 _FLOAT32_EXACT_N = 2 ** 24
 
 
@@ -172,11 +175,13 @@ def matmul(a: np.ndarray, b: np.ndarray, backend: Backend = NAIVE,
 
 def sign_matmul(a: np.ndarray, b: np.ndarray, n: int,
                 counters: Counters | None = None) -> np.ndarray:
-    """Exact table T[i, j] = <a_i, b_j> of dense float32 +-1 rows of length n.
+    """Exact table T[i, j] = <a_i, b_j> of dense float32 rows of length n.
 
-    One float32 GEMM cast to int32.  Rows of length n >= 2**24, past float32's
-    exact integer range, and operands that are not float32 (an int8 GEMM would
-    overflow silently) raise :class:`ParameterError` before any work.
+    Entries lie in {-1, 0, +1}: signs, or 0/1 indicators whose inner
+    products count intersections.  One float32 GEMM cast to int32.  Rows of
+    length n >= 2**24, past float32's exact integer range, and operands that
+    are not float32 (an int8 GEMM would overflow silently) raise
+    :class:`ParameterError` before any work.
     """
     if n >= _FLOAT32_EXACT_N:
         raise ParameterError(
@@ -191,31 +196,12 @@ def sign_matmul(a: np.ndarray, b: np.ndarray, n: int,
 
 
 def indicator_rows(sets: Sequence[Sequence[int]], n: int) -> np.ndarray:
-    """float64 0/1 table whose row a marks the vertices of sets[a] in [0, n)."""
+    """float32 0/1 table whose row a marks the vertices of sets[a] in [0, n)."""
     cols = [np.asarray(members, dtype=np.int64) for members in sets]
-    out = np.zeros((len(sets), n), dtype=np.float64)
+    out = np.zeros((len(sets), n), dtype=np.float32)
     out[np.repeat(np.arange(len(sets)), [len(c) for c in cols]),
         np.concatenate([np.empty(0, dtype=np.int64), *cols])] = 1.0
     return out
-
-
-def count_products(left: np.ndarray, right: np.ndarray, batch: int,
-                   backend: Backend = NAIVE,
-                   counters: Counters | None = None) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (start, left[start:start + batch] @ right), one oracle call per batch.
-
-    Used by prune and ``solver.batched_membership_degrees``, not by refine.
-    On float64 0/1 tables every entry is an exact integer count while
-    inner * 8**levels < 2**53, levels being the Strassen depth that
-    :func:`_check_int_overflow` also inflates by; a product past that
-    raises :class:`ParameterError` before any multiplication.
-    """
-    inflation = 8 ** _strassen_levels(left[:batch], right, backend)
-    if left.shape[1] * inflation >= 2 ** 53:
-        raise ParameterError(f"0/1 count product with inner={left.shape[1]} and inflation "
-                             f"{inflation} exceeds the exact float64 range (< 2**53)")
-    for start in range(0, left.shape[0], batch):
-        yield start, matmul(left[start:start + batch], right, backend, counters)
 
 
 def power_iteration(m: np.ndarray, tol: float = 1e-9, cap: int = 10_000,

@@ -9,8 +9,8 @@ list, so two heavily-overlapping entries eliminate each other.
 `prune_fast` produces the identical output, each removed entry's
 ``conflicts_with`` list included, through exact 0/1 Gram products
 instead of the quadratic set-intersection loop: each batch of entries gets
-its full rows of intersection counts from one :func:`linalg.count_products` call,
-the only count product left on the solve path (refine reads induced submatrices).
+its full rows of intersection counts from one :func:`linalg.sign_matmul`
+call on float32 indicator rows.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .graphs import MAX_N
 
 
 def _check_model(n: int, p: float) -> None:
-    check_int("n", n, 2, MAX_N)  # the 0/1 indicator rows hold 8 * n bytes per entry
+    check_int("n", n, 2, MAX_N)  # the 0/1 indicator rows hold 4 * n bytes per entry
     check_probability("p", p)
 
 
@@ -105,7 +105,7 @@ def prune_naive(clique_list: CliqueList, params: PruneParams) -> CliqueList:
     return _prune(clique_list, params, conflicts_of)
 
 
-def _gram_conflicts(entries: list[CliqueEntry], params: PruneParams, backend: linalg.Backend,
+def _gram_conflicts(entries: list[CliqueEntry], params: PruneParams,
                     counters: linalg.Counters | None) -> list[list[int]]:
     """Each entry's ascending conflicts, from full Gram rows, one oracle call per batch.
 
@@ -114,10 +114,10 @@ def _gram_conflicts(entries: list[CliqueEntry], params: PruneParams, backend: li
     """
     u = linalg.indicator_rows([entry.vertices for entry in entries], params.n)
     hits = np.zeros((len(entries), len(entries)), dtype=bool)
-    for start, table in linalg.count_products(u, np.ascontiguousarray(u.T),
-                                              params.batch_size or params.n,
-                                              backend, counters):
-        hits[start:start + len(table)] = table > params.delta
+    batch = params.batch_size or params.n
+    for start in range(0, len(entries), batch):
+        hits[start:start + batch] = linalg.sign_matmul(u[start:start + batch], u, params.n,
+                                                       counters) > params.delta
     np.fill_diagonal(hits, False)  # an entry does not conflict with itself
     if not np.array_equal(hits, hits.T):
         raise InternalInvariantError("conflict relation is not symmetric")
@@ -125,15 +125,14 @@ def _gram_conflicts(entries: list[CliqueEntry], params: PruneParams, backend: li
 
 
 def prune_fast(clique_list: CliqueList, params: PruneParams,
-               backend: linalg.Backend = linalg.NAIVE,
                counters: linalg.Counters | None = None) -> CliqueList:
     """Gram-product implementation; output is identical to :func:`prune_naive`.
 
     Each batch of ``params.batch_size`` (default n) of the m deduplicated
-    entries gets its full conflict rows from one 0/1 count product against
-    all m: ceil(m / batch) oracle calls, m * n * m multiply-adds.
-    :func:`linalg.count_products` keeps the intersection counts exact:
-    n * 8**levels < 2**53 (levels: the recursive backend's Strassen depth, else 0).
+    entries gets its full conflict rows from one :func:`linalg.sign_matmul`
+    of its float32 0/1 indicator rows against all m: ceil(m / batch) oracle
+    calls, m * n * m multiply-adds.  The counts are exact integers in
+    [0, n], as n < 2**24.
     """
     return _prune(clique_list, params,
-                  lambda entries: _gram_conflicts(entries, params, backend, counters))
+                  lambda entries: _gram_conflicts(entries, params, counters))

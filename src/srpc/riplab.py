@@ -13,6 +13,7 @@ result is the one a full ``eigvalsh`` ranking gives.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
@@ -117,11 +118,12 @@ def build_tensored(k: int, t: int, q: int, base_dist, seed: int) -> TensoredMatr
     check_int("k", k, 3)
     check_int("q", q, 1)
     check_int("seed", seed, 0)
-    try:
-        base_dist.bound ** t
-    except OverflowError:  # the largest entry, bound**t, past the float range
-        raise ParameterError(f"p = {base_dist.p} gives entries past the float range "
-                             f"at t = {t}") from None
+    # A smallest Gram term min(p_plus, p_minus)**(2t) below the normal range
+    # underflows, and norms read 0.  As p_plus * p_minus = 1, refusing it also
+    # keeps the largest entry, bound**t <= 1 / sqrt(float min), finite.
+    if min(base_dist._plus, base_dist._minus) ** (2 * t) < sys.float_info.min:
+        raise ParameterError(f"p = {base_dist.p} gives Gram terms below the normal float "
+                             f"range at t = {t}")
     if q * math.comb(k, t) > MAX_TENSORED_ENTRIES:
         raise ParameterError(f"q * C(k, t) = {q} * C({k}, {t}) exceeds the limit "
                              f"MAX_TENSORED_ENTRIES={MAX_TENSORED_ENTRIES}")

@@ -13,8 +13,9 @@ submatrix of each set, rows first and then columns, without the oracle:
 one degree sweep drops vertices with fewer than k-1 neighbors inside the
 set, the sweep survivors are kept only if they form a clique of size
 >= k, and the accepted sets are deduplicated and pruned down by pairwise
-intersection.  Oracle calls take at most n rows each and multiply only
-real rows.
+intersection counts, exact 0/1 products through the same
+:func:`linalg.sign_matmul` as the p = 1/2 candidate stage.  Oracle calls
+take at most n rows each and multiply only real rows.
 
 The solver only ever sees the graph; nothing here reads a planted set.
 The model (k, p) alone fixes the cutoff and the dense operand, built once
@@ -176,21 +177,19 @@ def _refine_sets(graph: SignedAdjacency, sets: Sequence[Sequence[int]],
 
 def batched_membership_degrees(graph: SignedAdjacency,
                                sets: Sequence[Sequence[int]],
-                               backend: linalg.Backend = linalg.NAIVE,
                                counters: linalg.Counters | None = None) -> np.ndarray:
     """D[a, j] = number of neighbors of j inside sets[a].
 
-    0/1 indicator times 0/1 adjacency, one oracle call per n-set batch.
-    :func:`linalg.count_products` keeps the counts exact: n * 8**levels
-    < 2**53 (levels: the recursive backend's Strassen depth, else 0).
+    float32 0/1 indicator rows times the float32 0/1 adjacency, one exact
+    :func:`linalg.sign_matmul` call per n-set batch.
     """
     n = graph.n
-    adjacency = (graph.signs > 0).astype(np.float64)
+    adjacency = (graph.signs > 0).astype(np.float32)
     np.fill_diagonal(adjacency, 0)  # a vertex is not its own neighbor
+    rows = linalg.indicator_rows(sets, n)
     out = np.empty((len(sets), n), dtype=np.int64)
-    for start, table in linalg.count_products(linalg.indicator_rows(sets, n), adjacency, n,
-                                              backend, counters):
-        out[start:start + n] = np.rint(table).astype(np.int64)
+    for start in range(0, len(sets), n):  # adjacency is symmetric: its own transpose
+        out[start:start + n] = linalg.sign_matmul(rows[start:start + n], adjacency, n, counters)
     return out
 
 
@@ -320,8 +319,7 @@ def solve(graph: SignedAdjacency, k: int, p: float, cfg: SolverConfig,
     t0 = time.perf_counter()
     if n >= 2:
         params = pruning.PruneParams.for_model(n, p)
-        pruned = pruning.prune_fast(CliqueList(entries), params, cfg.backend,
-                                    stage_counters["prune"])
+        pruned = pruning.prune_fast(CliqueList(entries), params, stage_counters["prune"])
     else:  # the intersection threshold is undefined on a single vertex
         pruned = CliqueList(entries, {"input": len(entries), "output": len(entries)})
     wall["prune"] = time.perf_counter() - t0

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import subprocess
 import sys
 from collections import Counter
@@ -633,12 +634,25 @@ def test_bad_cli_value_exits_2_naming_the_flag(args, flag):
     (["rip", "build", *RIP_SHAPE, "--base", "pbiased", "--p", "1e-400"], "p = 1/1000"),
     (["rip", "build", "--k", 4, "--t", 3, "--q", 8, "--base", "pbiased", "--p", "1e-300"],
      "p = 1/1000"),
+    (["rip", "opnorm", *RIP_SHAPE, "--r", 2, "--base", "pbiased", "--p", "1e-300"],
+     "below the normal float range at t = 2"),
+    (["rip", "deviation", *RIP_SHAPE, "--r", 2, "--base", "pbiased", "--p", "1e-300"],
+     "below the normal float range at t = 2"),
 ], ids=["tau-nan", "tau-inf", "tol-nan", "tol-inf", "tol-negative", "pbiased-p-overflows",
-        "pbiased-entries-overflow"])
+        "pbiased-entries-overflow", "pbiased-gram-underflows-opnorm",
+        "pbiased-gram-underflows-deviation"])
 def test_non_finite_rip_thresholds_exit_2(args, name):
     proc = run_cli(*args)
     assert_input_error(proc)
     assert name in proc.stderr
+
+
+def test_tiny_pbiased_p_with_normal_gram_terms_keeps_its_norm(runner):
+    # at p = 1e-100 each Gram term, about 1e-200, is a normal float: the norm
+    # of H / sqrt(8) is sqrt(2) * 1e-100, not an underflowed 0
+    doc = json.loads(invoke(runner, ["rip", "opnorm", *map(str, RIP_SHAPE), "--r", "2",
+                                     "--base", "pbiased", "--p", "1e-100"]).output)
+    assert doc["value"] == pytest.approx(math.sqrt(2) * 1e-100, rel=1e-9)
 
 
 @pytest.mark.parametrize("args, limit", [

@@ -115,33 +115,17 @@ def test_sign_matmul_refuses_non_float32_operands():
         linalg.sign_matmul(signs.astype(np.float32), signs.astype(np.float64), 200)
 
 
-@pytest.mark.parametrize("backend", BACKENDS, ids=lambda backend: backend.kind)
-def test_count_products_match_direct_intersection_counting(backend):
+def test_sign_matmul_counts_indicator_intersections_exactly():
     rng = np.random.default_rng(6)
     sets = [tuple(np.flatnonzero(rng.random(101) < 0.3)) for _ in range(67)] + [()]
     u = linalg.indicator_rows(sets, 101)
-    assert u.dtype == np.float64 and set(np.unique(u)) <= {0.0, 1.0}
+    assert u.dtype == np.float32 and set(np.unique(u)) <= {0.0, 1.0}
     counters = linalg.Counters()
-    right = np.ascontiguousarray(u[:29].T)
-    tables = list(linalg.count_products(u, right, 10, backend, counters))
-    assert [start for start, _ in tables] == list(range(0, 68, 10))
+    table = np.concatenate([linalg.sign_matmul(u[start:start + 10], u[:29], 101, counters)
+                            for start in range(0, 68, 10)])
     assert (counters.oracle_calls, counters.madds) == (7, 68 * 101 * 29)
-    table = np.concatenate([t for _, t in tables])
     direct = [[len(set(a) & set(b)) for b in sets[:29]] for a in sets]
     assert np.array_equal(table, direct)
-
-
-def test_count_products_refuse_inexact_range_before_multiplying():
-    # cutoff 1 on a 16384-long inner dimension: 14 Strassen levels, and
-    # 2**14 * 8**14 >= 2**53; no oracle call may be counted
-    left, right = np.ones((1, 16384)), np.ones((16384, 1))
-    counters = linalg.Counters()
-    with pytest.raises(ParameterError, match="exact float64 range"):
-        next(linalg.count_products(left, right, 1, linalg.Backend("recursive", cutoff=1),
-                                   counters))
-    assert counters.oracle_calls == 0
-    for backend in (linalg.NAIVE, linalg.RECURSIVE):
-        assert [t.item() for _, t in linalg.count_products(left, right, 1, backend)] == [16384.0]
 
 
 def test_counters_track_calls_and_madds():

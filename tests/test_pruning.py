@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ from srpc import (CliqueEntry, CliqueList, PruneParams, intersection_threshold,
                   prune_fast, prune_naive)
 from srpc import linalg
 from srpc.errors import InputError, InternalInvariantError, ParameterError
+from srpc.graphs import MAX_N
 
 
 def entries_from_sets(sets):
@@ -167,15 +169,44 @@ def test_fast_batches_by_n_when_entries_outnumber_it():
 
 def test_fast_refuses_an_asymmetric_conflict_relation(monkeypatch):
     # a product fault that raises one entry's count against another
-    def faulty(left, right, batch, backend, counters):
-        for start, table in count_products(left, right, batch, backend, counters):
-            table[0, 1] += 5
-            yield start, table
+    def faulty(a, b, n, counters=None):
+        table = sign_matmul(a, b, n, counters)
+        table[0, 1] += 5
+        return table
 
-    count_products = linalg.count_products
-    monkeypatch.setattr(linalg, "count_products", faulty)
+    sign_matmul = linalg.sign_matmul
+    monkeypatch.setattr(linalg, "sign_matmul", faulty)
     with pytest.raises(InternalInvariantError, match="not symmetric"):
         prune_fast(entries_from_sets([range(0, 10), range(7, 17)]), params_with_delta(40, 3))
+
+
+def test_fast_counts_exactly_at_the_largest_n():
+    # two entries missing vertex 0 and vertex 1 meet in MAX_N - 2 vertices
+    n = MAX_N
+    sets = [range(1, n), [0, *range(2, n)]]
+    params = PruneParams.for_model(n, 0.5)
+    fast = prune_fast(entries_from_sets(sets), params)
+    assert fast.entries == []
+    assert [r["conflicts_with"] for r in fast.stats["removed"]] == [[1], [0]]
+    assert fast.to_dict() == prune_naive(entries_from_sets(sets), params).to_dict()
+
+
+def test_fast_peak_memory_stays_below_eight_bytes_per_list_entry():
+    # the float32 indicator rows take 4 bytes per m * n entry; a float64 copy
+    # or a transposed copy of them would add 8 or 4 more
+    rng = np.random.default_rng(10)
+    n, m = 4096, 1024
+    lst = entries_from_sets(np.sort(rng.choice(n, size=200, replace=False)).tolist()
+                            for _ in range(m))
+    params = PruneParams.for_model(n, 0.5)
+    tracemalloc.start()
+    try:
+        out = prune_fast(lst, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.stats["input"] == m and out.stats["output"] == m
+    assert peak < 8 * m * n
 
 
 def random_list(rng, n, k, count, overlap_core=0):
@@ -228,15 +259,12 @@ def test_fast_and_naive_documents_are_identical():
     assert removals > 50
 
 
-def test_fast_equals_naive_across_backends():
+def test_fast_equals_naive_over_several_batches():
     rng = np.random.default_rng(2)
     sets = random_list(rng, 80, 10, 30, overlap_core=4)
     params = PruneParams(n=80, p=0.5, delta=6, batch_size=7)
     lst = entries_from_sets(sets)
-    naive = prune_naive(lst, params)
-    for backend in (linalg.NAIVE, linalg.BLOCKED, linalg.RECURSIVE):
-        fast = prune_fast(lst, params, backend=backend)
-        assert fast.vertex_sets() == naive.vertex_sets()
+    assert prune_fast(lst, params).vertex_sets() == prune_naive(lst, params).vertex_sets()
 
 
 def test_planted_survives_when_others_barely_overlap():

@@ -73,11 +73,14 @@ def test_pbiased_values_past_the_float_range_are_refused(p):
 
 
 def test_build_refuses_entries_past_the_float_range_before_sampling():
-    base = riplab.PBiasedBase(Fraction(1, 10 ** 300))  # p_plus = 1e150
-    riplab.build_tensored(4, 2, 8, base, seed=0)  # entries up to 1e300
+    base = riplab.PBiasedBase(Fraction(1, 10 ** 300))  # p_plus = 1e150, p_minus = 1e-150
+    riplab.build_tensored(4, 1, 8, base, seed=0)  # Gram terms down to 1e-300
     base.sample = None  # any draw would fail
-    with pytest.raises(ParameterError, match="^p = 1/1000.* entries past the float range at t = 3"):
-        riplab.build_tensored(4, 3, 8, base, seed=0)
+    # t = 2: Gram terms 1e-600 underflow; t = 3: entries up to 1e450 overflow too
+    for t in (2, 3):
+        with pytest.raises(ParameterError, match="^p = 1/1000.* Gram terms below the normal "
+                                                 f"float range at t = {t}$"):
+            riplab.build_tensored(4, t, 8, base, seed=0)
 
 
 def test_build_validation():
