@@ -89,14 +89,12 @@ def cli(ctx, threads):
 @click.option("--adversary", type=click.Choice(["erdos_renyi", "clique_union", "majority"]),
               default="erdos_renyi", show_default=True)
 @click.option("--m", type=int, default=None, help="Majority adversary row count (odd).")
-@click.option("--decoys", type=int, default=None, help="Majority adversary decoy count.")
 @_seed_option
 @click.option("--out-graph", required=True)
 @click.option("--out-meta", required=True)
-def generate_cmd(n, k, p, adversary, m, decoys, seed, out_graph, out_meta):
+def generate_cmd(n, k, p, adversary, m, seed, out_graph, out_meta):
     """Generate an instance; the planted set goes only to the metadata sidecar."""
-    given = {key: value for key, value in (("m", m), ("decoy_count", decoys))
-             if value is not None}
+    given = {} if m is None else {"m": m}
     inst = generate(n, k, p, strategy_by_name(adversary, **given), seed)
     write_instance(inst, out_graph, out_meta)
 

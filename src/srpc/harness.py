@@ -80,8 +80,8 @@ def evaluate(instance: Instance, clique_list: CliqueList) -> EvalResult:
     stage_counts = {key: stats.get(key) for key in
                     ("rounds", "rounds_index_not_clique", "rounds_nonempty",
                      "rounds_short_skipped", "raw_size_max", "distinct_raw",
-                     "refined_size_max", "distinct_refined", "rounds_accepted",
-                     "accepted_distinct", "pruned_size")}
+                     "refined_size_max", "distinct_refined", "closure_added_max",
+                     "rounds_accepted", "accepted_distinct", "pruned_size")}
     replay = "config" in stats
     try:
         if not isinstance(oracle_calls, dict):
@@ -222,8 +222,9 @@ def _trial_seed(root: int, cell_index: int, trial: int) -> int:
 
 
 def _run_trial(cell: dict, root_seed: int, cell_index: int,
-               trial: int) -> tuple[EvalResult | None, str | None]:
-    """(result, None), or (None, formatted traceback) when the trial raises."""
+               trial: int) -> tuple[EvalResult | None, tuple[str, str] | None]:
+    """(result, None), or (None, (exception class name, formatted traceback))
+    when the trial raises."""
     try:
         seed = _trial_seed(root_seed, cell_index, trial)
         strategy = strategy_by_name(cell["adversary"], **cell["adversary_params"])
@@ -231,21 +232,22 @@ def _run_trial(cell: dict, root_seed: int, cell_index: int,
         cfg = replace(cell["solver"], seed=seed + 1)
         result = solver.solve(inst.graph, cell["k"], cell["p"], cfg)
         return evaluate(inst, result), None
-    except Exception:
-        return None, traceback.format_exc()
+    except Exception as exc:
+        return None, (type(exc).__name__, traceback.format_exc())
 
 
 GRID_COLUMNS = ["cell", "n", "k_rule", "k", "p", "adversary", "order", "reps",
-                "trials", "successes", "errors", "success_rate", "mean_list_size",
-                "mean_max_spurious", "mean_oracle_calls"]
+                "trials", "successes", "errors", "error_kinds", "success_rate",
+                "mean_list_size", "mean_max_spurious", "mean_oracle_calls"]
 
 
 def run_grid(grid: ExperimentGrid, threads: int = 1) -> list[dict]:
     """One row per cell; trials are independent and individually seeded.
 
     A trial that raises counts as a failure and in the cell's ``errors``
-    column rather than aborting the grid; the first traceback of each such
-    cell goes to stderr.
+    column rather than aborting the grid; ``error_kinds`` holds the sorted,
+    distinct exception class names joined by ``;`` (empty when none raised),
+    and the first traceback of each such cell goes to stderr.
     """
     check_int("threads", threads, 1)
     rows = []
@@ -254,10 +256,10 @@ def run_grid(grid: ExperimentGrid, threads: int = 1) -> list[dict]:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             outcomes = list(pool.map(trial, range(grid.trials)))
         done = [r for r, _ in outcomes if r is not None]
-        errors = [tb for _, tb in outcomes if tb is not None]
+        errors = [error for _, error in outcomes if error is not None]
         if errors:
             print(f"grid cell {index}: {len(errors)} of {grid.trials} trials raised; "
-                  f"first traceback:\n{errors[0]}", file=sys.stderr, end="")
+                  f"first traceback:\n{errors[0][1]}", file=sys.stderr, end="")
         successes = sum(1 for r in done if r.recovered)
 
         def mean(vals):
@@ -268,6 +270,7 @@ def run_grid(grid: ExperimentGrid, threads: int = 1) -> list[dict]:
             "k": cell["k"], "p": cell["p"], "adversary": cell["adversary"],
             "order": cell["solver"].order, "reps": cell["solver"].reps,
             "trials": grid.trials, "successes": successes, "errors": len(errors),
+            "error_kinds": ";".join(sorted({kind for kind, _ in errors})),
             "success_rate": successes / grid.trials,
             "mean_list_size": mean([r.list_size for r in done]),
             "mean_max_spurious": mean([r.max_spurious for r in done]),
@@ -291,10 +294,11 @@ def adversary_demo(n: int, k: int, m: int, seed: int, c_rounds: float = 10.0) ->
 
     The correlation half follows the abstract construction (m random sign
     vectors of length n, w their coordinate-wise majority); the instance
-    half builds the actual adversarial graph, runs order 3 end to end, and
-    checks each chosen planted vertex's raw order-1 candidate set for
-    decoy contamination.  Edges have p = 1/2, where the order-1 sign inner
-    products are the ones the solver thresholds.
+    half builds the actual adversarial graph, runs order 3 end to end,
+    scored by :func:`evaluate`, and checks each chosen planted vertex's raw
+    order-1 candidate set for decoy contamination.  Edges have p = 1/2,
+    where the order-1 sign inner products are the ones the solver
+    thresholds.
     """
     p = 0.5
     inst = generate(n, k, p, strategy_majority_adversary(m), seed)  # checks n, k, m first
@@ -313,8 +317,8 @@ def adversary_demo(n: int, k: int, m: int, seed: int, c_rounds: float = 10.0) ->
 
     cfg = solver.SolverConfig(order=3, reps=1, c_rounds=c_rounds, seed=seed + 1)
     result = solver.solve(inst.graph, k, p, cfg)
-    planted = tuple(sorted(inst.planted))
-    recovered = any(e.vertices == planted for e in result.entries)
+    # without stats the list is scored without a replay of the candidate stage
+    recovered = evaluate(inst, CliqueList(result.entries)).recovered
 
     return {
         "n": n, "k": k, "m": m, "p": p, "seed": seed,

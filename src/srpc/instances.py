@@ -115,22 +115,21 @@ class MajorityAdversaryStrategy(AdversaryStrategy):
 
     Reads the realized cut rows of m planted vertices, takes the
     coordinate-wise majority w, and writes w as the row of each decoy
-    toward the non-planted non-decoy vertices.  Edges among decoys and all
-    other complement pairs stay i.i.d. with probability p.
+    toward the non-planted non-decoy vertices.  There are
+    min(ceil((k + size) / k), size) decoys among the size complement
+    vertices.  Edges among decoys and all other complement pairs stay
+    i.i.d. with probability p.
     """
 
     name = "majority"
 
-    def __init__(self, m: int, decoy_count: int | None = None):
+    def __init__(self, m: int):
         if check_int("m", m, 1) % 2 == 0:
             raise ParameterError(f"m must be odd, got {m}")
-        if decoy_count is not None:
-            check_int("decoy_count", decoy_count, 0)
         self.m = m
-        self.decoy_count = decoy_count
 
     def params(self) -> dict:
-        return {"m": self.m, "decoy_count": self.decoy_count}
+        return {"m": self.m}
 
     def check(self, n, k):
         if self.m > k:
@@ -139,12 +138,10 @@ class MajorityAdversaryStrategy(AdversaryStrategy):
     def fill(self, rng, p, planted, complement, cut_block):
         k, size = len(planted), len(complement)
         block = _iid_block(rng, size, p)
-        decoys = self.decoy_count if self.decoy_count is not None else math.ceil((k + size) / k)
-        decoys = min(decoys, size)
+        decoys = min(math.ceil((k + size) / k), size)
         chosen = np.sort(rng.choice(k, size=self.m, replace=False))
-        decoy_idx = np.sort(rng.choice(size, size=decoys, replace=False)) if decoys else \
-            np.empty(0, dtype=np.int64)
-        if size and decoys:
+        decoy_idx = np.sort(rng.choice(size, size=decoys, replace=False))
+        if decoys:  # none only when the complement is empty
             w = majority_vector(cut_block[chosen])
             others = np.setdiff1d(np.arange(size), decoy_idx)
             for d in decoy_idx:
@@ -162,8 +159,8 @@ def strategy_clique_union() -> AdversaryStrategy:
     return CliqueUnionStrategy()
 
 
-def strategy_majority_adversary(m: int, decoy_count: int | None = None) -> AdversaryStrategy:
-    return MajorityAdversaryStrategy(m, decoy_count=decoy_count)
+def strategy_majority_adversary(m: int) -> AdversaryStrategy:
+    return MajorityAdversaryStrategy(m)
 
 
 _STRATEGIES = {
@@ -247,9 +244,7 @@ def write_instance(inst: Instance, graph_path, meta_path) -> None:
              f"seed = {inst.seed}",
              "planted = " + " ".join(str(v) for v in inst.planted)]
     for key in sorted(inst.adversary_params):
-        value = inst.adversary_params[key]
-        if value is not None:
-            lines.append(f"param_{key} = {value}")
+        lines.append(f"param_{key} = {inst.adversary_params[key]}")
     for key in ("chosen", "decoys"):
         if key in inst.details:
             lines.append(f"{key} = " + " ".join(str(v) for v in inst.details[key]))

@@ -5,7 +5,8 @@ int64 (exact) or float64.  All backends compute the same product; the
 int64 kind is checked against a precomputed overflow bound before
 multiplying.  :func:`sign_matmul` is the one exact path for integer
 counts: inner products of dense float32 rows with entries in {-1, 0, +1},
-so sign inner products and 0/1 intersection or degree counts alike.
+so sign inner products and 0/1 intersection or degree counts alike,
+returned as the GEMM's own float32 table of exact integers.
 
 Every call to :func:`matmul` or :func:`sign_matmul` counts as one call to
 the abstract multiplication oracle; callers that batch work into n-row
@@ -178,10 +179,11 @@ def sign_matmul(a: np.ndarray, b: np.ndarray, n: int,
     """Exact table T[i, j] = <a_i, b_j> of dense float32 rows of length n.
 
     Entries lie in {-1, 0, +1}: signs, or 0/1 indicators whose inner
-    products count intersections.  One float32 GEMM cast to int32.  Rows of
-    length n >= 2**24, past float32's exact integer range, and operands that
-    are not float32 (an int8 GEMM would overflow silently) raise
-    :class:`ParameterError` before any work.
+    products count intersections.  One float32 GEMM, whose float32 output
+    is the table: its entries are integers of magnitude <= n, held exactly.
+    Rows of length n >= 2**24, past float32's exact integer range, and
+    operands that are not float32 (an int8 GEMM would overflow silently)
+    raise :class:`ParameterError` before any work.
     """
     if n >= _FLOAT32_EXACT_N:
         raise ParameterError(
@@ -189,7 +191,7 @@ def sign_matmul(a: np.ndarray, b: np.ndarray, n: int,
     if a.dtype != np.float32 or b.dtype != np.float32:
         raise ParameterError(f"sign operands must be float32, got {a.dtype} and {b.dtype}")
     start = time.perf_counter()
-    out = (a @ b.T).astype(np.int32)
+    out = a @ b.T
     if counters is not None:
         counters.record(a.shape[0], n, b.shape[0], time.perf_counter() - start)
     return out

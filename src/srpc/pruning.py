@@ -131,8 +131,8 @@ def prune_fast(clique_list: CliqueList, params: PruneParams,
     Each batch of ``params.batch_size`` (default n) of the m deduplicated
     entries gets its full conflict rows from one :func:`linalg.sign_matmul`
     of its float32 0/1 indicator rows against all m: ceil(m / batch) oracle
-    calls, m * n * m multiply-adds.  The counts are exact integers in
-    [0, n], as n < 2**24.
+    calls, m * n * m multiply-adds.  The float32 tables hold the counts, exact
+    integers in [0, n], as n < 2**24.
     """
     return _prune(clique_list, params,
                   lambda entries: _gram_conflicts(entries, params, counters))

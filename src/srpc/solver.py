@@ -11,8 +11,10 @@ skipped round is not yielded, and ``solve`` counts it as
 ``rounds_index_not_clique``.  Refine and verify read the induced
 submatrix of each set, rows first and then columns, without the oracle:
 one degree sweep drops vertices with fewer than k-1 neighbors inside the
-set, the sweep survivors are kept only if they form a clique of size
->= k, and the accepted sets are deduplicated and pruned down by pairwise
+set, a nonempty sweep core is replaced by its closure, every vertex
+adjacent to the whole core (the cleanup step of Alon, Krivelevich and
+Sudakov, 1998), which is kept only if it is a clique of size >= k, and
+the accepted sets are deduplicated and pruned down by pairwise
 intersection counts, exact 0/1 products through the same
 :func:`linalg.sign_matmul` as the p = 1/2 candidate stage.  Oracle calls
 take at most n rows each and multiply only real rows.
@@ -147,6 +149,7 @@ def batched_inner_products(graph: SignedAdjacency, alphas: Sequence[Sequence[int
                            p: float = 0.5) -> np.ndarray:
     """Table T[a, j] = <M_alpha_a, M_j> over the oracle operand at p, one call per n-row batch.
 
+    At p = 1/2 it is a float32 table of exact integers; otherwise float64.
     There are ceil(len(alphas) / n) calls; the last batch holds only the
     remaining rows.  All alphas must have one order; mixed orders raise
     :class:`ParameterError`.
@@ -178,7 +181,7 @@ def _refine_sets(graph: SignedAdjacency, sets: Sequence[Sequence[int]],
 def batched_membership_degrees(graph: SignedAdjacency,
                                sets: Sequence[Sequence[int]],
                                counters: linalg.Counters | None = None) -> np.ndarray:
-    """D[a, j] = number of neighbors of j inside sets[a].
+    """D[a, j] = number of neighbors of j inside sets[a], a float32 table of exact integers.
 
     float32 0/1 indicator rows times the float32 0/1 adjacency, one exact
     :func:`linalg.sign_matmul` call per n-set batch.
@@ -187,10 +190,9 @@ def batched_membership_degrees(graph: SignedAdjacency,
     adjacency = (graph.signs > 0).astype(np.float32)
     np.fill_diagonal(adjacency, 0)  # a vertex is not its own neighbor
     rows = linalg.indicator_rows(sets, n)
-    out = np.empty((len(sets), n), dtype=np.int64)
-    for start in range(0, len(sets), n):  # adjacency is symmetric: its own transpose
-        out[start:start + n] = linalg.sign_matmul(rows[start:start + n], adjacency, n, counters)
-    return out
+    batches = [linalg.sign_matmul(rows[start:start + n], adjacency, n, counters)
+               for start in range(0, len(sets), n)]  # adjacency is its own transpose
+    return np.concatenate([rows[:0], *batches])  # rows[:0]: no sets give a (0, n) table
 
 
 def _sample_alphas(n: int, rounds: int, s: int, t: int,
@@ -251,6 +253,7 @@ def iter_round_members(graph: SignedAdjacency, k: int, p: float,
     clique = _index_cliques(graph.signs, alphas)
 
     values = _operand(graph, p)
+    # At p = 1/2 the float32 table is exact, and so is its cutoff k/2 for every k <= MAX_N.
     cutoff = tau if values.dtype == np.float32 else tau - FLOAT_THRESHOLD_TOL
 
     rounds_per_batch = n // t  # whole rounds per oracle call of at most n rows
@@ -266,7 +269,9 @@ def solve(graph: SignedAdjacency, k: int, p: float, cfg: SolverConfig,
 
     Returns the pruned clique list; ``stats`` carries per-stage counts, the
     largest raw and refined set sizes (``raw_size_max``; ``refined_size_max``,
-    before the size-k cut), per-stage oracle calls, multiply-adds and oracle
+    the sweep core before the closure and the size-k cut), the most vertices
+    the closure added to a set that verified (``closure_added_max``),
+    per-stage oracle calls, multiply-adds and oracle
     seconds, wall times, and an echo of the resolved configuration (enough to
     replay the round sampling).  Refine and verify make no oracle call.
     """
@@ -288,8 +293,9 @@ def solve(graph: SignedAdjacency, k: int, p: float, cfg: SolverConfig,
         sizes = members.sum(axis=1)
         raw_size_max = max(raw_size_max, int(sizes.max(initial=0)))
         rounds_nonempty += int(np.count_nonzero(sizes))
-        # A degree sweep only removes vertices, so a short set can never
-        # verify at size >= k; skip the refine work.
+        # A set of fewer than k members has an empty sweep core (a kept member
+        # needs k positive entries in its row of the induced block), and an
+        # empty core is not closed; skip the refine work.
         rounds_short += int(np.count_nonzero((sizes > 0) & (sizes < k)))
         for r in np.flatnonzero(sizes >= k):
             verts = np.flatnonzero(members[r])
@@ -300,16 +306,23 @@ def solve(graph: SignedAdjacency, k: int, p: float, cfg: SolverConfig,
     t0 = time.perf_counter()
     records = list(distinct.values())
     kept_sets = _refine_sets(graph, [verts for verts, _ in records], k)
-    refined = [(kept, round_alphas) for kept, (_, round_alphas) in zip(kept_sets, records)
-               if kept.size >= k]
+    # The closure of a core: every vertex adjacent to all of it (the +1 diagonal
+    # keeps a core member adjacent to the rest).  An empty core would close to
+    # every vertex, so it stays empty.
+    closed_sets = [np.flatnonzero((graph.signs[core] > 0).all(axis=0)) if core.size else core
+                   for core in kept_sets]
+    refined = [(closed, core, round_alphas) for closed, core, (_, round_alphas)
+               in zip(closed_sets, kept_sets, records) if closed.size >= k]
     wall["refine"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     accepted: dict[tuple[int, ...], list] = {}
-    rounds_accepted = 0
-    for verts, round_alphas in refined:
+    rounds_accepted = closure_added_max = 0
+    for verts, core, round_alphas in refined:
         if graph.is_clique(verts):
             rounds_accepted += len(round_alphas)
+            closure_added_max = max(closure_added_max,
+                                    np.setdiff1d(verts, core, assume_unique=True).size)
             accepted.setdefault(tuple(verts.tolist()), []).extend(round_alphas)
     wall["verify"] = time.perf_counter() - t0
 
@@ -336,6 +349,7 @@ def solve(graph: SignedAdjacency, k: int, p: float, cfg: SolverConfig,
         "raw_size_max": raw_size_max,
         "refined_size_max": max((kept.size for kept in kept_sets), default=0),
         "distinct_refined": len(refined),
+        "closure_added_max": closure_added_max,
         "rounds_accepted": rounds_accepted,
         "accepted_distinct": len(entries),
         "pruned_size": len(pruned.entries),

@@ -89,29 +89,29 @@ def test_solve_output_has_no_wall_times(runner, tmp_path):
 # SHA-256 of the solve, prune and evaluate documents.
 GOLDEN_DOCUMENTS = [
     (("erdos_renyi", [], 150, 50, 0.5, 3, 1, 11),
-     "d7c0ba5d29ded52e6fc2d90e66609d0512cf5ecce50f2d798e4ba879512a2649",
-     "bfdb2cffd248401f9ac67455202bb02ae862dab674b56258e639069e19b54b68",
-     "20d0d44cbd48c851ea9b4b9383bb6a5b9b9ef004ccdcbc03dc4c1abbe9079c05"),
+     "eb6a7adab8230ee241580ab6a1def49068d6dac834feac399d502d863d2c906a",
+     "ff07cebcf685fea491f6cb1012aac89ee2ad1ca3467a815f242fb18c6f25e1c0",
+     "2557de826a7b41e25a97f58454b35d0fe952049eb7fc5f542d8a90776c693abc"),
     (("erdos_renyi", [], 150, 50, 0.5, 1, 2, 12),
-     "919c4b6236be711cbc293aa6943161d3226deef06a0cb123bd89312a96b3cb58",
+     "8339b961fabb0b5c2a8df2678e93b5e36fba217806d8ff8096bd05845af121df",
      "1f68e634fe7905b5095a831766f38ee6b8262eb3d33711c316bdb04598457d20",
-     "8b989216b8055094891f6fea0e5bbbda7c9304871835b7fc36cb637e507f1c08"),
+     "c177b1589b775fec076a53dd9edaf24f25b1733f5e9c93cd172abb55356087ea"),
     (("erdos_renyi", [], 300, 120, 0.3, 2, 1, 13),
-     "99f037eb4f56fe3257ce45cfe9dfb60ecb6f1ac0155bf03bc4f0db8e5c9dca9d",
+     "6e474713e394b8366a2319e4f7d1876b1a214d95ea2ffdc8b9f6be328b541643",
      "a81b2dc673eddf5923f6bd80a4469167fad43e98b8e0e09775493f0725d208fd",
-     "8beef0f3c3d935f7a2acd05229eba5977ea4f9b765489043307a07f6143c18dd"),
+     "425416e92d26e784fcd5c5cf172168c3d8db7d26671ab59c59d1249e223ac7a1"),
     (("clique_union", [], 300, 100, 0.7, 1, 2, 14),
-     "6c9070fd11ab72c079984c3313c027aab18245b3bf4ef7fdaa3f126049d901ae",
-     "ecd1c72f4a351e8414b3d44673d0cc13d73f465587489dd2b3691483d0ce4333",
-     "b5e33c6aa0d86801804d56b32cd539551aa5396e51ed254ee18c36f28be1e060"),
+     "d495f80c17b0dd747a597186edddbb1568848d37ed2d08e43474a3422ebcbe2e",
+     "22b2400ffc114fbbcfeaac8afbe2f30c0d027818a86e7a7f25b13e501ae8faa4",
+     "698a4c526e668a991ca41ca4f2612121c4e65dea47d8155dd567e296fdf35f17"),
     (("clique_union", [], 300, 100, 0.7, 3, 1, 15),
-     "25bb4dbb56b9fac510fe57d0df9ba69399eebf8724cdca8dcdbaef1faa9cba3b",
-     "332717e9211ca862fcb3715ecac9eceefd969edcb6259fbb117f74d1e224482a",
-     "cbaa86dbfabbba7b8a4f6921bb6cfcdf57a1c04aa1e124081264ac9a01afa697"),
+     "e3830c0cbb417499d4011a43547a7e881e56b08799604f5e94ce495944a11652",
+     "16998a431319db6140df24ef06eb5d66978b8d3b9c53bf0878fb1597bf164689",
+     "b4c1fb0209b38fb0b5688d19a19431c1a743b692276292d0d35eb7cb32697ed0"),
     (("majority", ["--m", 5], 120, 24, 0.5, 2, 2, 16),
-     "ce059156e94b13a220cd06c36fd3a9ed99c61aed10db0715c97180ec75cfca13",
+     "c0095a83112473bbfc83231454cc6a3f65b099dd4aeac7093c6d973208c388b7",
      "332717e9211ca862fcb3715ecac9eceefd969edcb6259fbb117f74d1e224482a",
-     "d0153fd90c6d811b98a5966be1341b6f945a0a1736e8d48c5ebfa3b37f358475"),
+     "8a30fc97a6dfdaf3256e4559fa2d892d46a3beb76bac33e05526b668db15cd91"),
 ]
 
 
@@ -147,8 +147,8 @@ def test_solve_document_bytes_do_not_depend_on_timings(runner, tmp_path):
     assert set(json.loads(docs[0])["stats"]) == {
         "n", "k", "p", "config", "rounds", "threshold", "rounds_index_not_clique",
         "rounds_nonempty", "rounds_short_skipped", "raw_size_max", "distinct_raw",
-        "refined_size_max", "distinct_refined", "rounds_accepted", "accepted_distinct",
-        "pruned_size", "prune", "oracle_calls", "madds"}
+        "refined_size_max", "distinct_refined", "closure_added_max", "rounds_accepted",
+        "accepted_distinct", "pruned_size", "prune", "oracle_calls", "madds"}
 
 
 def test_prune_command_matches_prune_naive(runner, tmp_path):
@@ -537,15 +537,13 @@ def test_malformed_json_input_exits_2(instance_files, tmp_path, command, text):
     (["solve", "--graph", "{graph}", "--k", 61, "--out", "{tmp}/s.json"], "k"),
     (["generate", "--n", 100000, "--k", 10, "--out-graph", "{tmp}/g", "--out-meta", "{tmp}/m"],
      "n"),
-    (["generate", "--n", 50, "--k", 10, "--adversary", "majority", "--m", 3, "--decoys", -1,
-      "--out-graph", "{tmp}/g", "--out-meta", "{tmp}/m"], "decoy_count"),
     (["adversary-demo", "--n", -5, "--k", 3, "--m", 1], "n"),
     (["adversary-demo", "--n", 100000000, "--k", 100, "--m", 63], "n"),
     (["adversary-demo", "--n", 50, "--k", 0, "--m", 1], "k"),
     (["prune", "--list", "{tmp}/l.json", "--n", 1000000000000, "--p", 0.5], "n"),
     (["prune", "--list", "{tmp}/l.json", "--n", 32769, "--p", 0.5], "n"),
-], ids=["solve-k-zero", "solve-k-above-n", "generate-n-above-max", "generate-negative-decoys",
-        "adversary-demo-negative-n", "adversary-demo-n-above-max", "adversary-demo-k-zero",
+], ids=["solve-k-zero", "solve-k-above-n", "generate-n-above-max", "adversary-demo-negative-n",
+        "adversary-demo-n-above-max", "adversary-demo-k-zero",
         "prune-huge-n", "prune-n-above-max"])
 def test_bad_size_exits_2(instance_files, tmp_path, args, name):
     graph = instance_files[0]
@@ -724,13 +722,9 @@ def test_bad_grid_config_exits_2(tmp_path, extra, name):
 
 @pytest.mark.parametrize("adversary, flags, named", [
     ("erdos_renyi", ["--m", 3], "'m'"),
-    ("erdos_renyi", ["--decoys", 2], "'decoy_count'"),
     ("clique_union", ["--m", 3], "'m'"),
-    ("clique_union", ["--m", 3, "--decoys", 2], "'m'"),
     ("majority", [], "'m'"),
-    ("majority", ["--decoys", 2], "'m'"),
-], ids=["erdos-renyi-m", "erdos-renyi-decoys", "clique-union-m", "clique-union-m-decoys",
-        "majority-without-m", "majority-decoys-without-m"])
+], ids=["erdos-renyi-m", "clique-union-m", "majority-without-m"])
 def test_generate_refuses_adversary_flags_it_does_not_take(tmp_path, adversary, flags, named):
     out = tmp_path / "g"
     proc = run_cli("generate", "--n", 50, "--k", 10, "--adversary", adversary, *flags,
@@ -782,8 +776,8 @@ OPTION_SURFACE = {
     "adversary-demo": ["--n", "--k", "--m", "--seed", "--rounds-const", "--out"],
     "bench": ["--sizes", "--backends", "--kind", "--seed", "--out"],
     "evaluate": ["--graph", "--meta", "--result", "--out"],
-    "generate": ["--n", "--k", "--p", "--adversary", "--m", "--decoys", "--seed",
-                 "--out-graph", "--out-meta"],
+    "generate": ["--n", "--k", "--p", "--adversary", "--m", "--seed", "--out-graph",
+                 "--out-meta"],
     "grid": ["--config", "--out-csv", "--out-config"],
     "prune": ["--list", "--n", "--p", "--out"],
     "rip": [],
@@ -820,7 +814,9 @@ def test_option_surface():
     (["--backend", "blocked", "prune", "--list", "{tmp}/l", "--n", 50, "--p", 0.5], "--backend"),
     (["grid", "--threads", 2, "--config", "{tmp}/c", "--out-csv", "{tmp}/o"], "--threads"),
     (["prune", "--mode", "naive", "--list", "{tmp}/l", "--n", 50, "--p", 0.5], "--mode"),
-], ids=["group-seed", "group-backend", "grid-threads", "prune-mode"])
+    (["generate", "--n", 50, "--k", 10, "--adversary", "majority", "--m", 3, "--decoys", 2,
+      "--out-graph", "{tmp}/g", "--out-meta", "{tmp}/m"], "--decoys"),
+], ids=["group-seed", "group-backend", "grid-threads", "prune-mode", "generate-decoys"])
 def test_removed_spelling_is_a_usage_error(tmp_path, args, option):
     proc = run_cli(*(str(a).format(tmp=tmp_path) for a in args))
     assert proc.returncode == 2, proc.stderr

@@ -113,7 +113,7 @@ FIELDS = [
     ("from_edge_list", "n", "n", "int", 1),
     ("generate", "n", "n", "int", 1, 1 << 15), ("generate", "k", "k", "int", 1, 40),
     ("generate", "p", "p", "probability"), ("generate", "seed", "seed", "int", 0),
-    ("majority", "m", "m", "int", 1), ("majority", "decoy_count", "decoy_count", "int", 0),
+    ("majority", "m", "m", "int", 1),
     ("ExperimentGrid", "trials", "trials", "int", 1),
     ("ExperimentGrid", "seed", "seed", "int", 0),
     ("Backend", "block_size", "block_size", "int", 1),
@@ -179,7 +179,7 @@ ACCEPTED = [
     ("SolverConfig", {"rounds": 5}), ("num_rounds", {"k": 60}),
     ("PruneParams", {"batch_size": 7}), ("intersection_threshold", {"p": 1e-300}),
     ("pbiased_values", {"p": 0.7}), ("from_edge_list", {"n": 2}),
-    ("generate", {"p": 0.3, "seed": 2 ** 40}), ("majority", {"decoy_count": 0}),
+    ("generate", {"p": 0.3, "seed": 2 ** 40}), ("majority", {"m": 1}),
     ("ExperimentGrid", {"ps": (0.3, 0.7)}), ("Backend", {"cutoff": 1}),
     ("build_tensored", {"t": 3}), ("sparse_opnorm_sampled", {"r": 10}),
     ("rip_deviation_sampled", {"seed": 2 ** 40}),

@@ -148,21 +148,29 @@ def test_grid_reruns_are_byte_identical_and_thread_invariant():
 
 def test_grid_counts_errored_trials_apart(capsys, monkeypatch):
     def generate_or_raise(n, k, p, strategy, seed):
-        if strategy.name == "clique_union":
-            raise RuntimeError("the adversary failed")
+        if strategy.name == "clique_union":  # two kinds of error, by trial seed
+            raise (RuntimeError if seed < 2 ** 31 else MemoryError)("the adversary failed")
+        if strategy.name == "majority":
+            raise ValueError("the adversary failed")
         return generate(n, k, p, strategy, seed)
     monkeypatch.setattr(harness, "generate", generate_or_raise)
     grid = ExperimentGrid(ns=(40,), k_rules=("20",), ps=(0.5,),
                           solvers=(SolverConfig(),),
-                          adversaries=(("erdos_renyi", {}), ("clique_union", {})),
-                          trials=3, seed=4)
+                          adversaries=(("erdos_renyi", {}), ("clique_union", {}),
+                                       ("majority", {"m": 3})),
+                          trials=6, seed=4)
     rows = run_grid(grid, threads=1)
-    assert [row["errors"] for row in rows] == [0, 3]
+    assert [row["errors"] for row in rows] == [0, 6, 6]
+    assert [row["error_kinds"] for row in rows] == ["", "MemoryError;RuntimeError",
+                                                    "ValueError"]
     assert rows[1]["successes"] == 0
     err = capsys.readouterr().err
-    assert "grid cell 1: 3 of 3 trials raised" in err
-    assert err.count("Traceback") == 1  # the first traceback of the cell only
-    assert grid_csv(run_grid(grid, threads=2)) == grid_csv(rows)
+    assert "grid cell 1: 6 of 6 trials raised" in err
+    assert err.count("Traceback") == 2  # the first traceback of each cell only
+    csv_text = grid_csv(rows)
+    assert csv_text.splitlines()[0].split(",")[10:12] == ["errors", "error_kinds"]
+    assert csv_text.splitlines()[2].split(",")[10:12] == ["6", "MemoryError;RuntimeError"]
+    assert grid_csv(run_grid(grid, threads=2)) == csv_text
 
 
 @pytest.mark.parametrize("adversary", [("majority", {"m": 4}), ("majority", {}),

@@ -103,8 +103,8 @@ def test_clique_union_remainder():
     (strategy_erdos_renyi, set()),
     (strategy_clique_union, {"decoy_cliques"}),
     (lambda: strategy_majority_adversary(3), {"chosen", "decoys"}),
-    (lambda: strategy_majority_adversary(3, decoy_count=0), {"chosen", "decoys"}),
-], ids=["erdos_renyi", "clique_union", "majority", "majority-no-decoys"])
+    (lambda: strategy_majority_adversary(1), {"chosen", "decoys"}),
+], ids=["erdos_renyi", "clique_union", "majority", "majority-m1"])
 def test_details_hold_only_vertex_ids(n, k, make, keys):
     inst = generate(n, k, 0.5, make(), seed=14)
     assert set(inst.details) == keys
@@ -154,14 +154,25 @@ def test_majority_adversary_rejects_bad_m():
         generate(30, 5, 0.5, strategy_majority_adversary(7), seed=0)  # m > k
 
 
+def test_majority_adversary_takes_no_decoy_count():
+    # the decoy count is the model's ceil((k + size) / k); no caller sets it
+    with pytest.raises(ParameterError, match="decoy_count"):
+        strategy_by_name("majority", m=3, decoy_count=2)
+    with pytest.raises(TypeError):
+        strategy_majority_adversary(3, decoy_count=2)
+
+
 def test_majority_adversary_single_row_copies_out_row():
-    # m=1, one decoy: the decoy's out-row equals the chosen vertex's out-row
-    inst = generate(40, 8, 0.5, strategy_majority_adversary(1, decoy_count=1), seed=9)
+    # m=1: each of the ceil((k + 32) / k) = 5 decoys' out-rows equals the chosen
+    # vertex's out-row
+    inst = generate(40, 8, 0.5, strategy_majority_adversary(1), seed=9)
     chosen = inst.details["chosen"][0]
-    decoy = inst.details["decoys"][0]
-    outside = sorted(set(range(40)) - set(inst.planted) - {decoy})
-    assert np.array_equal(inst.graph.signs[decoy, outside],
-                          inst.graph.signs[chosen, outside])
+    decoys = inst.details["decoys"]
+    assert len(decoys) == 5
+    outside = sorted(set(range(40)) - set(inst.planted) - set(decoys))
+    for decoy in decoys:
+        assert np.array_equal(inst.graph.signs[decoy, outside],
+                              inst.graph.signs[chosen, outside])
 
 
 def test_majority_adversary_decoy_correlations():
@@ -226,12 +237,26 @@ def test_instance_file_roundtrip(tmp_path):
 
 
 def test_instance_file_roundtrip_keeps_empty_decoy_list(tmp_path):
-    # the sidecar line "decoys = " has an empty value, not a missing separator
-    inst = generate(40, 8, 0.5, strategy_majority_adversary(3, decoy_count=0), seed=11)
+    # the sidecar line "decoys = " has an empty value, not a missing separator;
+    # at n = k the complement, and so the decoy list, is empty
+    inst = generate(8, 8, 0.5, strategy_majority_adversary(3), seed=11)
     gpath, mpath = tmp_path / "g.txt", tmp_path / "meta.txt"
     write_instance(inst, gpath, mpath)
     assert read_instance(gpath, mpath).details == {"chosen": inst.details["chosen"],
                                                    "decoys": []}
+
+
+def test_sidecar_with_a_decoy_count_still_reads(tmp_path):
+    # older sidecars may carry param_decoy_count; it reads as a plain parameter
+    inst = generate(40, 8, 0.5, strategy_majority_adversary(3), seed=11)
+    gpath, mpath = tmp_path / "g.txt", tmp_path / "meta.txt"
+    write_instance(inst, gpath, mpath)
+    assert "param_decoy_count" not in mpath.read_text()
+    with open(mpath, "a") as fh:
+        fh.write("param_decoy_count = 5\n")
+    loaded = read_instance(gpath, mpath)
+    assert loaded.adversary_params == {"m": 3, "decoy_count": 5}
+    assert loaded.details == inst.details
 
 
 @pytest.mark.parametrize("p", [Fraction(1, 2), np.float64(0.5), np.float32(0.5)],
@@ -349,8 +374,8 @@ def test_instance_files_match_golden_digests(tmp_path, case, graph_digest, meta_
 @pytest.mark.parametrize("make", [
     strategy_erdos_renyi, strategy_clique_union,
     lambda: strategy_majority_adversary(3),
-    lambda: strategy_majority_adversary(3, decoy_count=0),
-], ids=["erdos_renyi", "clique_union", "majority", "majority-no-decoys"])
+    lambda: strategy_majority_adversary(1),
+], ids=["erdos_renyi", "clique_union", "majority", "majority-m1"])
 def test_generate_matches_ix_reference(monkeypatch, n, k, make):
     for p in (0.5, 0.3):
         inst = generate(n, k, p, make(), seed=13)

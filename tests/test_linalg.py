@@ -88,8 +88,22 @@ def test_sign_matmul_matches_popcount_reference():
         packed = bits.pack_sign_rows(signs)
         dense = bits.unpack_sign_rows(packed, n).astype(np.float32)
         table = linalg.sign_matmul(dense, dense, n)
-        assert table.dtype == np.int32
+        assert table.dtype == np.float32  # the GEMM's own output, exact below 2**24
         assert np.array_equal(table, bits.sign_inner_popcount(packed, packed, n))
+
+
+@pytest.mark.parametrize("n", [1, 255, 4097, 65537, (1 << 20) + 3])
+def test_sign_matmul_float32_table_holds_the_extreme_counts(n):
+    # rows of all +1, all -1, alternating signs and a 0/1 indicator: the
+    # float32 table holds +-n, the alternating sums and the counts exactly
+    alternating = np.where(np.arange(n) % 2 == 0, 1, -1)
+    rows = np.stack([np.ones(n), -np.ones(n), alternating,
+                     np.arange(n) % 3 == 0]).astype(np.float32)
+    table = linalg.sign_matmul(rows, rows, n)
+    assert table.dtype == np.float32
+    expected = rows.astype(np.int64) @ rows.astype(np.int64).T
+    assert abs(expected).max() == n
+    assert np.array_equal(table, expected)
 
 
 def test_sign_matmul_refuses_rows_past_float32_exactness():

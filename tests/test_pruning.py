@@ -209,6 +209,24 @@ def test_fast_peak_memory_stays_below_eight_bytes_per_list_entry():
     assert peak < 8 * m * n
 
 
+def test_fast_peak_memory_keeps_one_count_table_per_batch():
+    # m = 2048 entries: the 4-byte indicator rows and the m x m float32 count
+    # table; an int32 copy of that table would add 2 bytes more per m * n
+    rng = np.random.default_rng(11)
+    n, m = 4096, 2048
+    lst = entries_from_sets(np.sort(rng.choice(n, size=200, replace=False)).tolist()
+                            for _ in range(m))
+    params = PruneParams.for_model(n, 0.5)
+    tracemalloc.start()
+    try:
+        out = prune_fast(lst, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.stats["input"] == m and out.stats["output"] == m
+    assert peak < 8 * m * n
+
+
 def random_list(rng, n, k, count, overlap_core=0):
     sets = []
     core = list(rng.choice(n, size=overlap_core, replace=False)) if overlap_core else []

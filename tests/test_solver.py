@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from dataclasses import fields, replace
@@ -158,6 +159,29 @@ def test_refine_never_removes_planted_with_small_contamination():
             assert j not in kept
 
 
+@pytest.mark.filterwarnings("ignore:intersection threshold:UserWarning")
+def test_refine_closes_a_core_that_misses_a_planted_vertex(monkeypatch):
+    # planted clique 0..9 (k = 10); spurious 10 is adjacent to 1..5 and 11 to
+    # 6..9.  The raw set {1..11} misses vertex 0.  The sweep keeps 1..9 (each
+    # has 9 planted entries plus one spurious neighbor) and drops 10 and 11;
+    # the closure of 1..9 adds 0 back and verifies the planted clique.
+    edges = list(itertools.combinations(range(10), 2))
+    edges += [(v, 10) for v in range(1, 6)] + [(v, 11) for v in range(6, 10)]
+    g = from_edge_list(12, edges)
+    raw = np.zeros((1, 12), dtype=bool)
+    raw[0, 1:] = True
+
+    def one_round(graph, k, p, cfg, counters=None):
+        yield np.zeros((1, 1, 1), dtype=np.int64), raw
+
+    monkeypatch.setattr(solver, "iter_round_members", one_round)
+    result = solve(g, 10, 0.5, SolverConfig(order=1, rounds=1))
+    assert result.vertex_sets() == [tuple(range(10))]
+    stats = result.stats
+    assert (stats["raw_size_max"], stats["refined_size_max"]) == (11, 9)
+    assert (stats["distinct_refined"], stats["closure_added_max"]) == (1, 1)
+
+
 def test_verify_accepts_planted_and_rejects_near_clique():
     inst = generate(60, 12, 0.5, strategy_erdos_renyi(), seed=7)
     assert inst.graph.is_clique(inst.planted)
@@ -286,8 +310,10 @@ def test_batched_inner_products_refuses_mixed_orders_and_bad_alphas():
 def test_batched_membership_degrees_cases():
     g = complete_graph(8)
     table = batched_membership_degrees(g, [(), tuple(range(8))])
+    assert table.dtype == np.float32  # the GEMM's own table of exact counts
     assert np.all(table[0] == 0)
     assert np.all(table[1] == 7)  # self excluded from its own neighborhood
+    assert batched_membership_degrees(g, []).shape == (0, 8)
 
     rg = random_graph(64, 13)
     rng = np.random.default_rng(1)
@@ -299,6 +325,23 @@ def test_batched_membership_degrees_cases():
         for j in range(64):
             direct = sum(int(adj[j, v]) for v in members)
             assert table[a, j] == direct
+
+
+@pytest.mark.parametrize("count", [0, 1, 15, 16, 17, 33])
+def test_batched_membership_degrees_joins_one_table_per_n_set_batch(count):
+    # n = 16: ceil(count / 16) oracle calls, joined into one (count, n) table
+    n = 16
+    g = random_graph(n, 31)
+    rng = np.random.default_rng(count)
+    sets = [tuple(np.flatnonzero(rng.random(n) < 0.4)) for _ in range(count)]
+    counters = linalg.Counters()
+    table = batched_membership_degrees(g, sets, counters)
+    assert table.shape == (count, n) and table.dtype == np.float32
+    assert counters.oracle_calls == math.ceil(count / n)
+    adj = ((g.signs > 0) & ~np.eye(n, dtype=bool)).astype(np.int64)
+    expected = np.array([adj[:, list(members)].sum(axis=1) for members in sets],
+                        dtype=np.int64).reshape(count, n)
+    assert np.array_equal(table, expected)
 
 
 def test_oracle_calls_multiply_only_real_rows(monkeypatch):
