@@ -109,18 +109,18 @@ def generate_cmd(n, k, p, adversary, m, seed, out_graph, out_meta):
 @click.option("--rounds-const", type=float, default=10.0, show_default=True)
 @click.option("--rounds", type=int, default=None, help="Override the round count.")
 @_seed_option
-@click.option("--backend", type=click.Choice(["naive", "blocked", "recursive"]),
-              default="naive", show_default=True,
-              help="Matrix-multiplication backend of the oracle; echoed in stats.config.")
+@click.option("--backend", type=click.Choice(["naive"]), default="naive", show_default=True,
+              help="Kept only so that existing command lines parse; the solve always "
+                   "multiplies naively. It goes once the benchmark stops passing it.")
 @click.option("--out", required=True)
 @click.option("--timings", default=None,
               help="Optional sidecar path for stage wall times and oracle seconds.")
 def solve_cmd(graph_path, k, p, order, reps, rounds_const, rounds, seed, backend, out,
               timings):
     """List-decode cliques from a graph file (never reads the planted set)."""
-    graph = read_graph(graph_path)
     cfg = solver.SolverConfig(order=int(order), reps=reps, c_rounds=rounds_const,
-                              rounds=rounds, seed=seed, backend=linalg.Backend(backend))
+                              rounds=rounds, seed=seed)
+    graph = read_graph(graph_path)
     result = solver.solve(graph, k, p, cfg)
     wall = result.stats.pop("wall_times")
     oracle = result.stats.pop("oracle_seconds")

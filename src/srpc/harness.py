@@ -21,7 +21,7 @@ from functools import partial
 
 import numpy as np
 
-from . import linalg, solver
+from . import solver
 from .cliquelist import CliqueList
 from .errors import (InputError, InternalInvariantError, ParameterError, check_int,
                      check_positive, check_probability)
@@ -135,7 +135,7 @@ def resolve_k_rule(rule: str, n: int) -> int:
     return math.ceil(k)
 
 
-GRID_SOLVER_KEYS = ("order", "reps", "c_rounds", "backend")
+GRID_SOLVER_KEYS = ("order", "reps", "c_rounds")
 
 
 def _grid_solver(entry: dict) -> solver.SolverConfig:
@@ -145,8 +145,6 @@ def _grid_solver(entry: dict) -> solver.SolverConfig:
     for key in entry:
         if key not in GRID_SOLVER_KEYS:
             raise ParameterError(f"grid solver entry has unknown key {key!r}")
-    if "backend" in entry:
-        entry = dict(entry, backend=linalg.Backend(entry["backend"]))
     return solver.SolverConfig(**entry)
 
 
@@ -301,6 +299,7 @@ def adversary_demo(n: int, k: int, m: int, seed: int, c_rounds: float = 10.0) ->
     thresholds.
     """
     p = 0.5
+    cfg = solver.SolverConfig(order=3, reps=1, c_rounds=c_rounds, seed=seed + 1)
     inst = generate(n, k, p, strategy_majority_adversary(m), seed)  # checks n, k, m first
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1000,)))
     vectors = rng.choice(np.array([-1, 1], dtype=np.int64), size=(m, n))
@@ -315,7 +314,6 @@ def adversary_demo(n: int, k: int, m: int, seed: int, c_rounds: float = 10.0) ->
     contaminated = [{"vertex": i, "decoys_admitted": int(a)} for i, a in zip(chosen, admitted)]
     order1_contaminated = int(np.count_nonzero(admitted))
 
-    cfg = solver.SolverConfig(order=3, reps=1, c_rounds=c_rounds, seed=seed + 1)
     result = solver.solve(inst.graph, k, p, cfg)
     # without stats the list is scored without a replay of the candidate stage
     recovered = evaluate(inst, CliqueList(result.entries)).recovered

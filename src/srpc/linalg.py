@@ -1,12 +1,12 @@
 """Matrix-multiplication backends and small dense spectral routines.
 
 :func:`matmul` multiplies plain 2-D numpy arrays, row-major, with dtype
-int64 (exact) or float64.  All backends compute the same product; the
-int64 kind is checked against a precomputed overflow bound before
-multiplying.  :func:`sign_matmul` is the one exact path for integer
-counts: inner products of dense float32 rows with entries in {-1, 0, +1},
-so sign inner products and 0/1 intersection or degree counts alike,
-returned as the GEMM's own float32 table of exact integers.
+int64 (exact, checked against an overflow bound first) or float64.  All
+backends compute the same product; the solver uses the naive one, and
+``srpc bench`` times all three.  :func:`sign_matmul` is the one exact path
+for integer counts: inner products of dense float32 rows with entries in
+{-1, 0, +1}, so sign inner products and 0/1 intersection or degree counts
+alike, returned as the GEMM's own float32 table of exact integers.
 
 Every call to :func:`matmul` or :func:`sign_matmul` counts as one call to
 the abstract multiplication oracle; callers that batch work into n-row

@@ -23,7 +23,7 @@ The solver only ever sees the graph; nothing here reads a planted set.
 The model (k, p) alone fixes the cutoff and the dense operand, built once
 per round loop: at p = 1/2 the float32 signs, whose :func:`linalg.sign_matmul`
 inner products are exact integers; otherwise the float64 p-biased values,
-compared against the threshold with a 1e-9 absolute tolerance.
+whose naive :func:`linalg.matmul` table meets the threshold up to 1e-9 absolute.
 """
 
 from __future__ import annotations
@@ -80,7 +80,6 @@ class SolverConfig:
     c_rounds: float = 10.0
     rounds: int | None = None
     seed: int = 0
-    backend: linalg.Backend = linalg.NAIVE
 
     def __post_init__(self):
         check_int("order", self.order, 1, 3)
@@ -114,13 +113,13 @@ class SolverConfig:
     def to_dict(self) -> dict:
         return {"order": self.order, "reps": self.reps, "c_rounds": self.c_rounds,
                 "rounds": self.rounds, "threshold": None,  # a solve echoes its cutoff here
-                "seed": self.seed, "backend": self.backend.kind}
+                "seed": self.seed}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SolverConfig":
+        # ignored: the echoed threshold, and the "backend" of older solve documents
         return cls(order=doc["order"], reps=doc["reps"], c_rounds=doc["c_rounds"],
-                   rounds=doc.get("rounds"), seed=doc["seed"],
-                   backend=linalg.Backend(doc.get("backend", "naive")))
+                   rounds=doc.get("rounds"), seed=doc["seed"])
 
 
 def _operand(graph: SignedAdjacency, p: float) -> np.ndarray:
@@ -130,19 +129,19 @@ def _operand(graph: SignedAdjacency, p: float) -> np.ndarray:
     return pbiased_values(graph.signs, p)
 
 
-def _inner_table(values: np.ndarray, alpha_rows: np.ndarray, backend: linalg.Backend,
+def _inner_table(values: np.ndarray, alpha_rows: np.ndarray,
                  counters: linalg.Counters | None) -> np.ndarray:
     """Table <product row of alpha_rows[b], values[j]> from one oracle call.
 
     float32 operands are signs and go through the exact :func:`linalg.sign_matmul`;
-    float64 operands go through :func:`linalg.matmul` with ``backend``.  An
-    empty ``alpha_rows`` still makes its (zero-row) call.
+    float64 operands go through the naive :func:`linalg.matmul`.  An empty
+    ``alpha_rows`` still makes its (zero-row) call.
     """
     rows = row_products(values, alpha_rows)
     if values.dtype == np.float32:
         return linalg.sign_matmul(rows, values, values.shape[0], counters)
     # values is symmetric (SignedAdjacency checks it), so it is its own transpose.
-    return linalg.matmul(rows, values, backend, counters)
+    return linalg.matmul(rows, values, counters=counters)
 
 
 def batched_inner_products(graph: SignedAdjacency, alphas: Sequence[Sequence[int]],
@@ -161,7 +160,7 @@ def batched_inner_products(graph: SignedAdjacency, alphas: Sequence[Sequence[int
     if len(orders) > 1:
         raise ParameterError(f"alphas must have one order per call, got orders {orders}")
     values, rows = _operand(graph, p), np.array(idx)
-    return np.concatenate([_inner_table(values, rows[start:start + graph.n], linalg.NAIVE, None)
+    return np.concatenate([_inner_table(values, rows[start:start + graph.n], None)
                            for start in range(0, len(rows), graph.n)])
 
 
@@ -259,7 +258,7 @@ def iter_round_members(graph: SignedAdjacency, k: int, p: float,
     rounds_per_batch = n // t  # whole rounds per oracle call of at most n rows
     for r0 in range(0, rounds, rounds_per_batch):
         batch = alphas[r0:r0 + rounds_per_batch][clique[r0:r0 + rounds_per_batch]]
-        table = _inner_table(values, batch.reshape(-1, s), cfg.backend, counters)
+        table = _inner_table(values, batch.reshape(-1, s), counters)
         yield batch, (table >= cutoff).reshape(-1, t, n).all(axis=1)
 
 

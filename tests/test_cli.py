@@ -89,30 +89,39 @@ def test_solve_output_has_no_wall_times(runner, tmp_path):
 # SHA-256 of the solve, prune and evaluate documents.
 GOLDEN_DOCUMENTS = [
     (("erdos_renyi", [], 150, 50, 0.5, 3, 1, 11),
-     "eb6a7adab8230ee241580ab6a1def49068d6dac834feac399d502d863d2c906a",
+     "2a48531e80a1270e5b3502ed1afca5234c499c57a399aa6f598c042a50c94ddc",
      "ff07cebcf685fea491f6cb1012aac89ee2ad1ca3467a815f242fb18c6f25e1c0",
      "2557de826a7b41e25a97f58454b35d0fe952049eb7fc5f542d8a90776c693abc"),
     (("erdos_renyi", [], 150, 50, 0.5, 1, 2, 12),
-     "8339b961fabb0b5c2a8df2678e93b5e36fba217806d8ff8096bd05845af121df",
+     "0ba4b3b4f5d76c1bd80406f5cea7303370d88bef542c95dc77d226046e49b567",
      "1f68e634fe7905b5095a831766f38ee6b8262eb3d33711c316bdb04598457d20",
      "c177b1589b775fec076a53dd9edaf24f25b1733f5e9c93cd172abb55356087ea"),
     (("erdos_renyi", [], 300, 120, 0.3, 2, 1, 13),
-     "6e474713e394b8366a2319e4f7d1876b1a214d95ea2ffdc8b9f6be328b541643",
+     "8bfe178e3d10179dd4bbf6decd187383fa1ba93b236d0a68ddb117a01862f513",
      "a81b2dc673eddf5923f6bd80a4469167fad43e98b8e0e09775493f0725d208fd",
      "425416e92d26e784fcd5c5cf172168c3d8db7d26671ab59c59d1249e223ac7a1"),
     (("clique_union", [], 300, 100, 0.7, 1, 2, 14),
-     "d495f80c17b0dd747a597186edddbb1568848d37ed2d08e43474a3422ebcbe2e",
+     "a0e6e13d22366035e54d3303c6df43f5c1ca906dbfd83a3494e4eaafc7a5d21b",
      "22b2400ffc114fbbcfeaac8afbe2f30c0d027818a86e7a7f25b13e501ae8faa4",
      "698a4c526e668a991ca41ca4f2612121c4e65dea47d8155dd567e296fdf35f17"),
     (("clique_union", [], 300, 100, 0.7, 3, 1, 15),
-     "e3830c0cbb417499d4011a43547a7e881e56b08799604f5e94ce495944a11652",
+     "0c628be637dc16f535dfbdbc1429e2643d7a8c0a53db75a8c4f6e8edc776ebf6",
      "16998a431319db6140df24ef06eb5d66978b8d3b9c53bf0878fb1597bf164689",
      "b4c1fb0209b38fb0b5688d19a19431c1a743b692276292d0d35eb7cb32697ed0"),
     (("majority", ["--m", 5], 120, 24, 0.5, 2, 2, 16),
-     "c0095a83112473bbfc83231454cc6a3f65b099dd4aeac7093c6d973208c388b7",
+     "a5db60898aa6a46e08ff90bd6fb24e6f3220325836bf52ae4f107d8c30fc84d8",
      "332717e9211ca862fcb3715ecac9eceefd969edcb6259fbb117f74d1e224482a",
      "8a30fc97a6dfdaf3256e4559fa2d892d46a3beb76bac33e05526b668db15cd91"),
 ]
+
+
+def generate_and_solve(runner, case, g, m, s):
+    adversary, flags, n, k, p, order, reps, seed = case
+    for args in (["generate", "--n", n, "--k", k, "--p", p, "--adversary", adversary, *flags,
+                  "--seed", seed, "--out-graph", g, "--out-meta", m],
+                 ["solve", "--graph", g, "--k", k, "--p", p, "--order", order, "--reps", reps,
+                  "--seed", seed + 1, "--out", s]):
+        invoke(runner, [str(a) for a in args])
 
 
 @pytest.mark.parametrize("case, solve_digest, prune_digest, eval_digest", GOLDEN_DOCUMENTS,
@@ -120,17 +129,31 @@ GOLDEN_DOCUMENTS = [
                               for c in GOLDEN_DOCUMENTS])
 def test_cli_documents_match_golden_digests(runner, tmp_path, case, solve_digest,
                                             prune_digest, eval_digest):
-    adversary, flags, n, k, p, order, reps, seed = case
     g, m, s, pr, ev = (str(tmp_path / name) for name in ("g", "m", "s", "pr", "ev"))
-    for args in (["generate", "--n", n, "--k", k, "--p", p, "--adversary", adversary, *flags,
-                  "--seed", seed, "--out-graph", g, "--out-meta", m],
-                 ["solve", "--graph", g, "--k", k, "--p", p, "--order", order, "--reps", reps,
-                  "--seed", seed + 1, "--out", s],
-                 ["prune", "--list", s, "--n", n, "--p", p, "--out", pr],
+    generate_and_solve(runner, case, g, m, s)
+    n, p = case[2], case[4]
+    for args in (["prune", "--list", s, "--n", n, "--p", p, "--out", pr],
                  ["evaluate", "--graph", g, "--meta", m, "--result", s, "--out", ev]):
         invoke(runner, [str(a) for a in args])
     digests = [hashlib.sha256(Path(path).read_bytes()).hexdigest() for path in (s, pr, ev)]
     assert digests == [solve_digest, prune_digest, eval_digest]
+
+
+def test_solve_document_with_an_old_backend_key_evaluates_the_same(runner, tmp_path):
+    # solve documents once echoed a multiplication backend in stats.config
+    case, _, _, eval_digest = next(c for c in GOLDEN_DOCUMENTS if c[0][4] == 0.3)
+    g, m, s, old = (str(tmp_path / name) for name in ("g", "m", "s", "old"))
+    generate_and_solve(runner, case, g, m, s)
+    doc = json.loads(Path(s).read_text())
+    doc["stats"]["config"]["backend"] = "blocked"
+    Path(old).write_text(json.dumps(doc))
+    scored = []
+    for path in (s, old):
+        invoke(runner, ["evaluate", "--graph", g, "--meta", m, "--result", path,
+                        "--out", path + ".ev"])
+        scored.append(Path(path + ".ev").read_bytes())
+    assert scored[0] == scored[1]
+    assert hashlib.sha256(scored[0]).hexdigest() == eval_digest
 
 
 def test_solve_document_bytes_do_not_depend_on_timings(runner, tmp_path):
@@ -138,12 +161,13 @@ def test_solve_document_bytes_do_not_depend_on_timings(runner, tmp_path):
     invoke(runner, ["generate", "--n", "80", "--k", "40", "--seed", "3",
                     "--out-graph", str(g), "--out-meta", str(meta)])
     docs = []
-    for extra in ([], ["--timings", str(tmp_path / "t.json")]):
+    # --backend naive, the one value it accepts, changes no byte either
+    for extra in ([], ["--timings", str(tmp_path / "t.json")], ["--backend", "naive"]):
         out = tmp_path / f"s{len(docs)}.json"
         invoke(runner, ["solve", "--graph", str(g), "--k", "40", "--seed", "4",
                         "--out", str(out), *extra])
         docs.append(out.read_bytes())
-    assert docs[0] == docs[1]
+    assert docs[0] == docs[1] == docs[2]
     assert set(json.loads(docs[0])["stats"]) == {
         "n", "k", "p", "config", "rounds", "threshold", "rounds_index_not_clique",
         "rounds_nonempty", "rounds_short_skipped", "raw_size_max", "distinct_raw",
@@ -362,6 +386,13 @@ def assert_input_error(proc):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+
+def test_bad_solver_setting_exits_2_before_the_graph_is_read(tmp_path):
+    proc = run_cli("solve", "--graph", tmp_path / "missing.txt", "--k", 5, "--reps", 0,
+                   "--out", tmp_path / "o")
+    assert_input_error(proc)
+    assert "reps must be" in proc.stderr, proc.stderr
 
 
 @pytest.fixture
@@ -673,6 +704,7 @@ def test_oversized_sampled_rip_run_exits_2(args, limit):
     ({"trials": True}, "trials"),
     ({"solvers": [{"rounds": 5}]}, "'rounds'"),
     ({"solvers": [{"order": 3, "bogus": 1}]}, "'bogus'"),
+    ({"solvers": [{"backend": "blocked"}]}, "'backend'"),
     ({"solvers": [3]}, "solvers"),
     ({"ns": 60}, "'ns'"),
     ({"k_rules": "10"}, "'k_rules'"),
@@ -702,6 +734,7 @@ def test_oversized_sampled_rip_run_exits_2(args, limit):
     ({"adversaries": [{"name": "majority", "m": 11}]}, "grid cell 0"),
     ({"solvers": [{"reps": 40}]}, "grid cell 0"),
 ], ids=["trials-zero", "trials-negative", "trials-bool", "solver-rounds", "solver-bogus",
+         "solver-backend",
         "solvers-not-objects", "ns-not-a-list", "k-rules-not-a-list", "ps-not-a-list",
         "p-nan", "p-above-one", "p-zero", "n-string", "n-zero", "n-float", "n-above-max",
         "adversary-unknown", "majority-without-m", "majority-negative-decoys",
@@ -823,3 +856,15 @@ def test_removed_spelling_is_a_usage_error(tmp_path, args, option):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("Usage: ")
     assert proc.stderr.endswith(f"Error: No such option '{option}'.\n"), proc.stderr
+
+
+@pytest.mark.parametrize("backend", ["blocked", "recursive"])
+def test_solve_backend_other_than_naive_is_a_usage_error(instance_files, tmp_path, backend):
+    out = tmp_path / "s.json"
+    proc = run_cli("solve", "--graph", instance_files[0], "--k", 10, "--backend", backend,
+                   "--out", out)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("Usage: ")
+    assert f"Invalid value for '--backend': '{backend}' is not 'naive'." in proc.stderr
+    assert not out.exists()

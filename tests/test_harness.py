@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from srpc import (CliqueEntry, CliqueList, Instance, SolverConfig, batched_inner_products,
-                  from_edge_list, generate, linalg, solve, threshold_for)
+                  from_edge_list, generate, solve, threshold_for)
 from srpc import strategy_clique_union, strategy_erdos_renyi, strategy_majority_adversary
 from srpc import harness
 from srpc.errors import InternalInvariantError, ParameterError
@@ -208,8 +208,8 @@ def test_grid_from_dict_and_cells():
     assert {c["k"] for c in cells if c["n"] == 100 and c["k_rule"] == "4*ceilsqrt"} == {40}
     # unset solver keys take SolverConfig's own defaults
     grid = ExperimentGrid.from_dict({"ns": [100], "k_rules": ["20"],
-                                     "solvers": [{}, {"reps": 2, "backend": "blocked"}]})
-    assert grid.solvers == (SolverConfig(), SolverConfig(reps=2, backend=linalg.BLOCKED))
+                                     "solvers": [{}, {"reps": 2}]})
+    assert grid.solvers == (SolverConfig(), SolverConfig(reps=2))
 
 
 GRID_DOC = {"ns": [100], "k_rules": ["20"]}
@@ -268,3 +268,11 @@ def test_adversary_demo_validation():
         adversary_demo(n=64, k=3, m=5, seed=0)
     with pytest.raises(ParameterError):
         adversary_demo(n=64, k=16, m=3.0, seed=0)
+
+
+def test_adversary_demo_refuses_its_solver_config_before_generating(monkeypatch):
+    def generate_not_reached(*args, **kwargs):
+        raise AssertionError("the instance was generated before the config was checked")
+    monkeypatch.setattr(harness, "generate", generate_not_reached)
+    with pytest.raises(ParameterError, match="c_rounds"):
+        adversary_demo(n=64, k=16, m=1, seed=0, c_rounds=0)

@@ -1,7 +1,7 @@
 import itertools
 import math
 import tracemalloc
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -278,18 +278,15 @@ def test_batched_inner_products_float_path_close_to_direct():
         assert np.allclose(row, direct, rtol=1e-9, atol=1e-9)
 
 
-@pytest.mark.parametrize("backend", [linalg.NAIVE, linalg.Backend("blocked", block_size=16),
-                                     linalg.Backend("recursive", cutoff=16)],
-                         ids=["naive", "blocked", "recursive"])
-def test_float_inner_tables_match_transposed_copy_reference(backend):
+def test_float_inner_tables_match_transposed_copy_reference():
     # The p != 1/2 operand goes in as it is; the transposed copy it replaced is the reference.
     n = 70
     values = pbiased_values(random_graph(n, 21).signs, 0.3)
     alphas = solver._sample_alphas(n, 150, 3, 1, np.random.default_rng(4))
-    tables = [solver._inner_table(values, alphas[start:start + n], backend, None)
+    tables = [solver._inner_table(values, alphas[start:start + n], None)
               for start in range(0, len(alphas), n)]
     reference = [linalg.matmul(row_products(values, alphas[start:start + n]),
-                               np.ascontiguousarray(values.T), backend)
+                               np.ascontiguousarray(values.T))
                  for start in range(0, len(alphas), n)]
     assert len(tables) == len(reference) == 3
     assert all(np.array_equal(a, b) for a, b in zip(tables, reference))
@@ -510,12 +507,10 @@ def test_edgeless_graph_keeps_one_oracle_call_per_batch_and_multiplies_no_row():
     stats = result.stats
     assert (stats["oracle_calls"]["candidate"], stats["madds"]["candidate"]) == (5, 0)
     assert stats["rounds_index_not_clique"] == stats["rounds"] == 100
-    # the float64 path makes the same zero-row calls under every backend
-    for backend in (linalg.NAIVE, linalg.BLOCKED, linalg.RECURSIVE):
-        counters = linalg.Counters()
-        batches = list(solver.iter_round_members(g, 2, 0.3, replace(cfg, backend=backend),
-                                                 counters))
-        assert (len(batches), counters.oracle_calls, counters.madds) == (5, 5, 0)
+    # the float64 path makes the same zero-row calls
+    counters = linalg.Counters()
+    batches = list(solver.iter_round_members(g, 2, 0.3, cfg, counters))
+    assert (len(batches), counters.oracle_calls, counters.madds) == (5, 5, 0)
 
 
 @pytest.mark.parametrize("reps", [1, 2])
@@ -572,7 +567,7 @@ def test_solver_config_validation():
 
 def test_the_model_alone_fixes_the_cutoff():
     assert [f.name for f in fields(SolverConfig)] == ["order", "reps", "c_rounds", "rounds",
-                                                      "seed", "backend"]
+                                                      "seed"]
     with pytest.raises(TypeError):
         SolverConfig(threshold=4.0)
     assert SolverConfig().to_dict()["threshold"] is None
