@@ -120,6 +120,7 @@ def solve_cmd(graph_path, k, p, order, reps, rounds_const, rounds, seed, backend
     """List-decode cliques from a graph file (never reads the planted set)."""
     cfg = solver.SolverConfig(order=int(order), reps=reps, c_rounds=rounds_const,
                               rounds=rounds, seed=seed)
+    solver.threshold_for(k, p)  # refuses k and p before the n^2 read
     graph = read_graph(graph_path)
     result = solver.solve(graph, k, p, cfg)
     wall = result.stats.pop("wall_times")
@@ -142,8 +143,8 @@ def prune_cmd(list_path, n, p, out):
     Intersection counts come from exact 0/1 Gram products; the document is
     the one the reference set-intersection filter writes.
     """
-    clique_list = _read_doc(list_path, CliqueList.from_dict)
-    pruned = pruning.prune_fast(clique_list, pruning.PruneParams.for_model(n, p))
+    params = pruning.PruneParams.for_model(n, p)
+    pruned = pruning.prune_fast(_read_doc(list_path, CliqueList.from_dict), params)
     _emit(out, "prune", pruned.to_dict())
 
 

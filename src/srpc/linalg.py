@@ -4,9 +4,10 @@
 int64 (exact, checked against an overflow bound first) or float64.  All
 backends compute the same product; the solver uses the naive one, and
 ``srpc bench`` times all three.  :func:`sign_matmul` is the one exact path
-for integer counts: inner products of dense float32 rows with entries in
+for integer counts: inner products of int8 or float32 rows with entries in
 {-1, 0, +1}, so sign inner products and 0/1 intersection or degree counts
-alike, returned as the GEMM's own float32 table of exact integers.
+alike, widened to float32 a tile of rows at a time inside one oracle call
+and returned as the GEMM's own float32 table of exact integers.
 
 Every call to :func:`matmul` or :func:`sign_matmul` counts as one call to
 the abstract multiplication oracle; callers that batch work into n-row
@@ -29,6 +30,7 @@ INT64_MAX = np.iinfo(np.int64).max
 # magnitude <= n, which float32 holds exactly, in any summation order,
 # while n < 2**24.
 _FLOAT32_EXACT_N = 2 ** 24
+_TILE_ROWS = 1024  # rows of sign_matmul's b widened to float32 per GEMM, 4 * n bytes each
 
 
 @dataclass
@@ -176,22 +178,26 @@ def matmul(a: np.ndarray, b: np.ndarray, backend: Backend = NAIVE,
 
 def sign_matmul(a: np.ndarray, b: np.ndarray, n: int,
                 counters: Counters | None = None) -> np.ndarray:
-    """Exact table T[i, j] = <a_i, b_j> of dense float32 rows of length n.
+    """Exact table T[i, j] = <a_i, b_j> of int8 or float32 rows of length n.
 
     Entries lie in {-1, 0, +1}: signs, or 0/1 indicators whose inner
-    products count intersections.  One float32 GEMM, whose float32 output
-    is the table: its entries are integers of magnitude <= n, held exactly.
-    Rows of length n >= 2**24, past float32's exact integer range, and
-    operands that are not float32 (an int8 GEMM would overflow silently)
-    raise :class:`ParameterError` before any work.
+    products count intersections.  One oracle call widens ``a`` to float32
+    once and ``b`` :data:`_TILE_ROWS` rows at a time; each tile's GEMM sums
+    all n entries, so the float32 table holds exact integers (an int8 GEMM
+    would wrap silently).  Rows of length n >= 2**24, past float32's exact
+    range, and other operand kinds raise :class:`ParameterError` first.
     """
     if n >= _FLOAT32_EXACT_N:
         raise ParameterError(
             f"sign rows of length {n} exceed the exact float32 range (< {_FLOAT32_EXACT_N})")
-    if a.dtype != np.float32 or b.dtype != np.float32:
-        raise ParameterError(f"sign operands must be float32, got {a.dtype} and {b.dtype}")
+    if not {a.dtype, b.dtype} <= {np.dtype(np.int8), np.dtype(np.float32)}:
+        raise ParameterError(f"sign operands must be int8 or float32, got {a.dtype} and {b.dtype}")
     start = time.perf_counter()
-    out = a @ b.T
+    wide = a.astype(np.float32, copy=False)
+    out = np.empty((a.shape[0], b.shape[0]), dtype=np.float32)
+    for j in range(0, b.shape[0], _TILE_ROWS):
+        np.matmul(wide, b[j:j + _TILE_ROWS].astype(np.float32, copy=False).T,
+                  out=out[:, j:j + _TILE_ROWS])
     if counters is not None:
         counters.record(a.shape[0], n, b.shape[0], time.perf_counter() - start)
     return out

@@ -7,10 +7,10 @@ symmetric and evaluated in a single pass against the full deduplicated
 list, so two heavily-overlapping entries eliminate each other.
 
 `prune_fast` produces the identical output, each removed entry's
-``conflicts_with`` list included, through exact 0/1 Gram products
-instead of the quadratic set-intersection loop: each batch of entries gets
-its full rows of intersection counts from one :func:`linalg.sign_matmul`
-call on float32 indicator rows.
+``conflicts_with`` list included, through exact 0/1 Gram products instead
+of the quadratic set-intersection loop: each batch of entries gets its full
+rows of intersection counts from one :func:`linalg.sign_matmul` call on
+float32 indicator rows, the oracle that widens the solver's int8 signs.
 """
 
 from __future__ import annotations

@@ -370,7 +370,7 @@ def sparse_opnorm_exhaustive(h, r: int, budget: int = DEFAULT_SUPPORT_BUDGET) ->
     mat = _as_matrix(h)
     d = mat.shape[1]
     total = math.comb(d, check_int("r", r, 1, d))
-    if total > budget:
+    if total > check_int("budget", budget, 1):
         raise BudgetExceededError(
             f"C({d},{r}) = {total} supports exceed the budget {budget}")
     supports = np.fromiter(chain.from_iterable(combinations(range(d), r)),

@@ -5,25 +5,21 @@ products, and keeps the vertices whose inner product with every product
 row clears the threshold k * p_plus**4 / 2, as one boolean member table
 per oracle batch; only rounds with >= k members become vertex sets.  A
 round whose t*s sampled vertices are not pairwise adjacent is skipped
-before any row product: the rounds the list-decoding argument relies on
-sample inside the planted clique, so their index sets are cliques.  A
-skipped round is not yielded, and ``solve`` counts it as
+before any row product (the rounds the list-decoding argument relies on
+sample inside the planted clique), and ``solve`` counts it as
 ``rounds_index_not_clique``.  Refine and verify read the induced
-submatrix of each set, rows first and then columns, without the oracle:
-one degree sweep drops vertices with fewer than k-1 neighbors inside the
-set, a nonempty sweep core is replaced by its closure, every vertex
-adjacent to the whole core (the cleanup step of Alon, Krivelevich and
-Sudakov, 1998), which is kept only if it is a clique of size >= k, and
-the accepted sets are deduplicated and pruned down by pairwise
-intersection counts, exact 0/1 products through the same
-:func:`linalg.sign_matmul` as the p = 1/2 candidate stage.  Oracle calls
-take at most n rows each and multiply only real rows.
+submatrix of each set without the oracle: a degree sweep, the closure of
+its core (the cleanup step of Alon, Krivelevich and Sudakov, 1998), kept
+only if it is a clique of size >= k.  Prune takes exact 0/1 intersection
+counts from the same :func:`linalg.sign_matmul` as the p = 1/2 candidate
+stage.  Oracle calls take at most n rows each and multiply only real rows.
 
 The solver only ever sees the graph; nothing here reads a planted set.
-The model (k, p) alone fixes the cutoff and the dense operand, built once
-per round loop: at p = 1/2 the float32 signs, whose :func:`linalg.sign_matmul`
-inner products are exact integers; otherwise the float64 p-biased values,
-whose naive :func:`linalg.matmul` table meets the threshold up to 1e-9 absolute.
+The model (k, p) alone fixes the cutoff and the oracle operand: at p = 1/2
+the graph's own int8 signs, which :func:`linalg.sign_matmul` widens a tile
+of rows at a time into exact integer tables; otherwise the float64 p-biased
+values, built once per round loop, whose naive :func:`linalg.matmul` table
+meets the threshold up to 1e-9 absolute.
 """
 
 from __future__ import annotations
@@ -61,10 +57,10 @@ def threshold_for(k: int, p: float) -> float:
     return check_positive(f"threshold at p={p}", tau)
 
 
-def _check_alpha_rows(rounds: int, reps: int) -> None:
-    if rounds * reps > MAX_ALPHA_ROWS:
-        raise ParameterError(f"rounds * reps = {rounds} * {reps} exceeds the limit "
-                             f"MAX_ALPHA_ROWS={MAX_ALPHA_ROWS}")
+def _check_alpha_rows(rounds: float, reps: int) -> None:
+    if rounds > MAX_ALPHA_ROWS // reps:  # just when ceil(rounds) * reps > MAX_ALPHA_ROWS
+        raise ParameterError(f"rounds * reps exceeds the limit MAX_ALPHA_ROWS={MAX_ALPHA_ROWS}: "
+                             f"at most {MAX_ALPHA_ROWS // reps} rounds at reps = {reps}")
 
 
 @dataclass(frozen=True)
@@ -106,9 +102,8 @@ class SolverConfig:
         if not math.isfinite(count):
             raise ParameterError(f"round count c_rounds * (n/k)**{self.order * self.reps} "
                                  f"is not finite (c_rounds={self.c_rounds}, n={n}, k={k})")
-        rounds = max(1, math.ceil(count))
-        _check_alpha_rows(rounds, self.reps)
-        return rounds
+        _check_alpha_rows(count, self.reps)
+        return max(1, math.ceil(count))
 
     def to_dict(self) -> dict:
         return {"order": self.order, "reps": self.reps, "c_rounds": self.c_rounds,
@@ -123,22 +118,20 @@ class SolverConfig:
 
 
 def _operand(graph: SignedAdjacency, p: float) -> np.ndarray:
-    """The oracle operand at p: float32 signs at p = 1/2, else the float64 p-biased values."""
-    if p == 0.5:
-        return graph.signs.astype(np.float32)
-    return pbiased_values(graph.signs, p)
+    """The oracle operand at p: the int8 signs at p = 1/2, else the float64 p-biased values."""
+    return graph.signs if p == 0.5 else pbiased_values(graph.signs, p)
 
 
 def _inner_table(values: np.ndarray, alpha_rows: np.ndarray,
                  counters: linalg.Counters | None) -> np.ndarray:
     """Table <product row of alpha_rows[b], values[j]> from one oracle call.
 
-    float32 operands are signs and go through the exact :func:`linalg.sign_matmul`;
+    int8 operands are signs and go through the exact :func:`linalg.sign_matmul`;
     float64 operands go through the naive :func:`linalg.matmul`.  An empty
     ``alpha_rows`` still makes its (zero-row) call.
     """
     rows = row_products(values, alpha_rows)
-    if values.dtype == np.float32:
+    if values.dtype == np.int8:
         return linalg.sign_matmul(rows, values, values.shape[0], counters)
     # values is symmetric (SignedAdjacency checks it), so it is its own transpose.
     return linalg.matmul(rows, values, counters=counters)
@@ -182,11 +175,11 @@ def batched_membership_degrees(graph: SignedAdjacency,
                                counters: linalg.Counters | None = None) -> np.ndarray:
     """D[a, j] = number of neighbors of j inside sets[a], a float32 table of exact integers.
 
-    float32 0/1 indicator rows times the float32 0/1 adjacency, one exact
+    float32 0/1 indicator rows times the int8 0/1 adjacency, one exact
     :func:`linalg.sign_matmul` call per n-set batch.
     """
     n = graph.n
-    adjacency = (graph.signs > 0).astype(np.float32)
+    adjacency = np.maximum(graph.signs, 0)
     np.fill_diagonal(adjacency, 0)  # a vertex is not its own neighbor
     rows = linalg.indicator_rows(sets, n)
     batches = [linalg.sign_matmul(rows[start:start + n], adjacency, n, counters)
@@ -252,14 +245,14 @@ def iter_round_members(graph: SignedAdjacency, k: int, p: float,
     clique = _index_cliques(graph.signs, alphas)
 
     values = _operand(graph, p)
-    # At p = 1/2 the float32 table is exact, and so is its cutoff k/2 for every k <= MAX_N.
-    cutoff = tau if values.dtype == np.float32 else tau - FLOAT_THRESHOLD_TOL
+    # At p = 1/2 the sign table is exact, and so is its cutoff k/2 for every k <= MAX_N.
+    cutoff = tau if values.dtype == np.int8 else tau - FLOAT_THRESHOLD_TOL
 
     rounds_per_batch = n // t  # whole rounds per oracle call of at most n rows
     for r0 in range(0, rounds, rounds_per_batch):
         batch = alphas[r0:r0 + rounds_per_batch][clique[r0:r0 + rounds_per_batch]]
-        table = _inner_table(values, batch.reshape(-1, s), counters)
-        yield batch, (table >= cutoff).reshape(-1, t, n).all(axis=1)
+        yield batch, (_inner_table(values, batch.reshape(-1, s), counters)
+                      >= cutoff).reshape(-1, t, n).all(axis=1)
 
 
 def solve(graph: SignedAdjacency, k: int, p: float, cfg: SolverConfig,

@@ -395,6 +395,19 @@ def test_bad_solver_setting_exits_2_before_the_graph_is_read(tmp_path):
     assert "reps must be" in proc.stderr, proc.stderr
 
 
+@pytest.mark.parametrize("command, args, name", [
+    ("solve", ["--graph", "missing.txt", "--k", 0], "k"),
+    ("solve", ["--graph", "missing.txt", "--k", 5, "--p", 0], "p"),
+    ("prune", ["--list", "missing.json", "--n", 1, "--p", 0.5], "n"),
+    ("prune", ["--list", "missing.json", "--n", 10, "--p", 2], "p")],
+    ids=["solve-k", "solve-p", "prune-n", "prune-p"])
+def test_bad_model_exits_2_before_the_input_is_read(tmp_path, command, args, name):
+    proc = run_cli(command, *[tmp_path / a if str(a).startswith("missing") else a
+                              for a in args], "--out", tmp_path / "o")
+    assert_input_error(proc)
+    assert proc.stderr.startswith(f"error: {name} "), proc.stderr
+
+
 @pytest.fixture
 def instance_files(tmp_path):
     graph, meta = tmp_path / "g.txt", tmp_path / "m.txt"
@@ -604,6 +617,15 @@ def test_round_count_past_limit_exits_2(instance_files, tmp_path, args):
     assert "MAX_ALPHA_ROWS" in proc.stderr or "not finite" in proc.stderr
 
 
+def test_round_count_past_limit_error_stays_short(instance_files, tmp_path):
+    # n = 60, k = 10: 10 * 6**300 rounds, a finite float of 235 digits
+    proc = run_cli("solve", "--graph", instance_files[0], "--k", 10, "--reps", 100,
+                   "--out", tmp_path / "s.json")
+    assert_input_error(proc)
+    assert "rounds * reps exceeds the limit MAX_ALPHA_ROWS=67108864" in proc.stderr
+    assert len(proc.stderr) < 120, proc.stderr
+
+
 RIP_SHAPE = ["--k", 4, "--t", 2, "--q", 8]
 
 
@@ -682,6 +704,13 @@ def test_tiny_pbiased_p_with_normal_gram_terms_keeps_its_norm(runner):
     doc = json.loads(invoke(runner, ["rip", "opnorm", *map(str, RIP_SHAPE), "--r", "2",
                                      "--base", "pbiased", "--p", "1e-100"]).output)
     assert doc["value"] == pytest.approx(math.sqrt(2) * 1e-100, rel=1e-9)
+
+
+@pytest.mark.parametrize("budget", [0, -1])
+def test_non_positive_support_budget_exits_2_naming_it(budget):
+    proc = run_cli("rip", "opnorm", *RIP_SHAPE, "--r", 2, "--budget", budget)
+    assert_input_error(proc)
+    assert proc.stderr.startswith("error: budget must be an integer >= 1"), proc.stderr
 
 
 @pytest.mark.parametrize("args, limit", [

@@ -120,13 +120,35 @@ def test_sign_matmul_refuses_rows_past_float32_exactness():
     assert counters.oracle_calls == 0
 
 
-def test_sign_matmul_refuses_non_float32_operands():
-    # an int8 GEMM would wrap around silently at n >= 128
-    signs = np.ones((2, 200), dtype=np.int8)
-    with pytest.raises(ParameterError):
-        linalg.sign_matmul(signs, signs, 200)
-    with pytest.raises(ParameterError):
-        linalg.sign_matmul(signs.astype(np.float32), signs.astype(np.float64), 200)
+def test_sign_matmul_takes_int8_or_float32_and_refuses_other_kinds():
+    # int8 signs widen inside the call to the same exact float32 table; an
+    # int32 or float64 operand is refused (an int8 or int32 GEMM would wrap)
+    rng = np.random.default_rng(7)
+    signs = rng.choice(np.array([-1, 1], dtype=np.int8), size=(9, 300))
+    wide = signs.astype(np.float32)
+    expected = linalg.sign_matmul(wide, wide, 300)
+    for a, b in [(signs, signs), (signs, wide), (wide, signs)]:
+        table = linalg.sign_matmul(a, b, 300)
+        assert table.dtype == np.float32 and np.array_equal(table, expected)
+    assert np.array_equal(expected, signs.astype(np.int64) @ signs.T.astype(np.int64))
+    for kind in (np.int32, np.float64):
+        with pytest.raises(ParameterError, match="int8 or float32"):
+            linalg.sign_matmul(signs, signs.astype(kind), 300)
+        with pytest.raises(ParameterError, match="int8 or float32"):
+            linalg.sign_matmul(signs.astype(kind), wide, 300)
+
+
+def test_sign_matmul_tiles_b_within_one_oracle_call():
+    # b spans two whole tiles and a 3-row remainder: the tiles join into the
+    # exact table of one recorded call of m * n * rows multiply-adds
+    n, m, rows = 70, 5, 2 * linalg._TILE_ROWS + 3
+    rng = np.random.default_rng(8)
+    a = rng.choice(np.array([-1, 0, 1], dtype=np.int8), size=(m, n))
+    b = rng.choice(np.array([-1, 1], dtype=np.int8), size=(rows, n))
+    counters = linalg.Counters()
+    table = linalg.sign_matmul(a, b, n, counters)
+    assert np.array_equal(table, a.astype(np.int64) @ b.T.astype(np.int64))
+    assert (counters.oracle_calls, counters.madds) == (1, m * n * rows)
 
 
 def test_sign_matmul_counts_indicator_intersections_exactly():

@@ -165,6 +165,12 @@ def test_opnorm_budget_refusal():
         riplab.sparse_opnorm_exhaustive(np.eye(40), r=5, budget=1000)
 
 
+@pytest.mark.parametrize("budget", [0, -1, 2.0, True])
+def test_opnorm_refuses_a_budget_that_is_not_a_positive_integer(budget):
+    with pytest.raises(ParameterError, match="budget must be an integer >= 1"):
+        riplab.sparse_opnorm_exhaustive(np.eye(3), r=1, budget=budget)
+
+
 def test_opnorm_witness_reverified():
     rng = np.random.default_rng(10)
     h = rng.standard_normal((12, 8))

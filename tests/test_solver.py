@@ -462,8 +462,8 @@ def test_solve_round_count_and_oracle_batches():
 
 
 def test_solve_peak_memory_stays_below_seven_bytes_per_matrix_entry():
-    # the float32 oracle operand takes 4 bytes per entry; an n x n float64 copy
-    # of the graph anywhere on the solve path would add 8 more
+    # an n x n float64 copy of the graph anywhere on the solve path would
+    # alone take 8 bytes per entry
     n = 1024
     inst = generate(n, 256, 0.5, strategy_erdos_renyi(), seed=3)
     tracemalloc.start()
@@ -475,6 +475,22 @@ def test_solve_peak_memory_stays_below_seven_bytes_per_matrix_entry():
     assert tuple(sorted(inst.planted)) in [e.vertices for e in result.entries]
     assert result.stats["distinct_raw"] > 0
     assert peak < 7 * n * n
+
+
+def test_solve_at_half_keeps_no_float32_copy_of_the_signs():
+    # sign_matmul widens the int8 signs a tile of rows at a time; a whole
+    # float32 copy of the n x n signs would alone take 4 bytes per entry
+    n, k = 4096, 256
+    inst = generate(n, k, 0.5, strategy_erdos_renyi(), seed=9)
+    tracemalloc.start()
+    try:
+        result = solve(inst.graph, k, 0.5, SolverConfig(rounds=2 * n, seed=2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.stats["oracle_calls"]["candidate"] == 2
+    assert tuple(sorted(inst.planted)) in [e.vertices for e in result.entries]
+    assert peak <= 3.5 * n * n
 
 
 def test_solve_reports_stage_madds():
