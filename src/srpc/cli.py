@@ -274,12 +274,14 @@ def rip_isotropy(h, mode, tol):
 @click.option("--method", type=click.Choice(["exhaustive", "sampled"]),
               default="exhaustive", show_default=True)
 @click.option("--trials", type=int, default=10000, show_default=True)
-@click.option("--budget", type=int, default=riplab.DEFAULT_SUPPORT_BUDGET,
-              show_default=True)
+@click.option("--budget", type=int, default=riplab.DEFAULT_SUPPORT_BUDGET, show_default=True)
 @click.option("--normalize/--no-normalize", default=True, show_default=True,
               help="Scale the matrix by 1/sqrt(q) first.")
 def rip_opnorm(h, r, method, trials, budget, normalize):
     """Sparse operator norm over all (or sampled) size-r supports."""
+    other = "trials" if method == "exhaustive" else "budget"  # the other method's flag
+    if click.get_current_context().get_parameter_source(other).name != "DEFAULT":
+        raise ParameterError(f"--{other} does not apply to --method {method}")
     mat = h.values / np.sqrt(h.q) if normalize else h.values
     if method == "exhaustive":
         report = riplab.sparse_opnorm_exhaustive(mat, r, budget=budget)
@@ -326,6 +328,7 @@ def bench(sizes, backends, kind, seed, out):
     if not all(s.strip().isdecimal() and 0 < int(s) <= MAX_BENCH_SIZE for s in sizes.split(",")):
         raise ParameterError(f"--sizes must be comma-separated integers in [1, "
                              f"MAX_BENCH_SIZE={MAX_BENCH_SIZE}], got {sizes!r}")
+    kinds = [linalg.Backend(name) for name in backends.split(",")]  # refused before any product
     report = []
     for size in [int(s) for s in sizes.split(",")]:
         if kind == "int":
@@ -334,11 +337,11 @@ def bench(sizes, backends, kind, seed, out):
         else:
             a = rng.standard_normal((size, size))
             b = rng.standard_normal((size, size))
-        for name in backends.split(","):
+        for backend in kinds:
             counters = linalg.Counters()
-            linalg.matmul(a, b, linalg.Backend(name), counters)
-            click.echo(f"n={size} backend={name}: {counters.seconds:.4f}s", err=True)
-            report.append({"n": size, "backend": name, "kind": kind,
+            linalg.matmul(a, b, backend, counters)
+            click.echo(f"n={size} backend={backend.kind}: {counters.seconds:.4f}s", err=True)
+            report.append({"n": size, "backend": backend.kind, "kind": kind,
                            "oracle_calls": counters.oracle_calls,
                            "madds": counters.madds})
     _emit(out, "bench", {"cases": report})

@@ -2,11 +2,11 @@
 
 A graph on n vertices is stored as a symmetric n x n matrix over {+1, -1}
 with the diagonal fixed to +1 (an edge is +1, a non-edge -1), held as one
-dense read-only int8 array; the row products, the candidate GEMM, the
-degree sweep and the clique check all read it directly.  The p-biased
-rescaling :func:`pbiased_values` maps +1 to p_plus = sqrt((1-p)/p) and -1
-to -p_minus = -sqrt(p/(1-p)), which gives mean-zero unit-variance entries
-when edges appear with probability p.
+dense read-only int8 array; the row products, the candidate GEMM at every
+p, the degree sweep and the clique check all read it directly.
+:func:`pbiased_values` maps +1 to p_plus = sqrt((1-p)/p) and -1 to
+-p_minus = -sqrt(p/(1-p)), mean 0 and variance 1 when edges appear with
+probability p; the solver rescales only the sampled rows this way.
 """
 
 from __future__ import annotations

@@ -1,13 +1,12 @@
 """Matrix-multiplication backends and small dense spectral routines.
 
-:func:`matmul` multiplies plain 2-D numpy arrays, row-major, with dtype
-int64 (exact, checked against an overflow bound first) or float64.  All
-backends compute the same product; the solver uses the naive one, and
-``srpc bench`` times all three.  :func:`sign_matmul` is the one exact path
-for integer counts: inner products of int8 or float32 rows with entries in
-{-1, 0, +1}, so sign inner products and 0/1 intersection or degree counts
-alike, widened to float32 a tile of rows at a time inside one oracle call
-and returned as the GEMM's own float32 table of exact integers.
+:func:`sign_matmul` is the solver's and prune's one product: rows times a
+table ``b`` of int8 or float32 entries in {-1, 0, +1}, widened a tile of
+rows at a time inside one oracle call, to float32 against int8 or float32
+rows (exact integer tables: sign inner products, intersection and degree
+counts alike) and to float64 against float64 rows.  :func:`matmul`
+multiplies plain int64 (exact, overflow-checked) or float64 arrays under
+three backends, which ``srpc bench`` times.
 
 Every call to :func:`matmul` or :func:`sign_matmul` counts as one call to
 the abstract multiplication oracle; callers that batch work into n-row
@@ -178,25 +177,25 @@ def matmul(a: np.ndarray, b: np.ndarray, backend: Backend = NAIVE,
 
 def sign_matmul(a: np.ndarray, b: np.ndarray, n: int,
                 counters: Counters | None = None) -> np.ndarray:
-    """Exact table T[i, j] = <a_i, b_j> of int8 or float32 rows of length n.
+    """Table T[i, j] = <a_i, b_j> of int8 or float32 rows of length n, or float64 ``a``.
 
-    Entries lie in {-1, 0, +1}: signs, or 0/1 indicators whose inner
-    products count intersections.  One oracle call widens ``a`` to float32
-    once and ``b`` :data:`_TILE_ROWS` rows at a time; each tile's GEMM sums
-    all n entries, so the float32 table holds exact integers (an int8 GEMM
-    would wrap silently).  Rows of length n >= 2**24, past float32's exact
-    range, and other operand kinds raise :class:`ParameterError` first.
+    ``b`` holds signs, or 0/1 indicators whose inner products count
+    intersections.  One oracle call widens ``a`` to float32 (float64 stays)
+    and ``b`` :data:`_TILE_ROWS` rows at a time to that kind; a float32 tile's
+    GEMM sums all n entries into exact integers (an int8 GEMM would wrap).
+    n >= 2**24 (past float32's exact range) and other kinds raise ParameterError.
     """
     if n >= _FLOAT32_EXACT_N:
         raise ParameterError(
             f"sign rows of length {n} exceed the exact float32 range (< {_FLOAT32_EXACT_N})")
-    if not {a.dtype, b.dtype} <= {np.dtype(np.int8), np.dtype(np.float32)}:
+    if not ({a.dtype, b.dtype} <= {np.dtype(np.int8), np.dtype(np.float32)}
+            or (a.dtype, b.dtype) == (np.float64, np.int8)):
         raise ParameterError(f"sign operands must be int8 or float32, got {a.dtype} and {b.dtype}")
     start = time.perf_counter()
-    wide = a.astype(np.float32, copy=False)
-    out = np.empty((a.shape[0], b.shape[0]), dtype=np.float32)
+    wide = a.astype(np.promote_types(a.dtype, np.float32), copy=False)
+    out = np.empty((a.shape[0], b.shape[0]), dtype=wide.dtype)
     for j in range(0, b.shape[0], _TILE_ROWS):
-        np.matmul(wide, b[j:j + _TILE_ROWS].astype(np.float32, copy=False).T,
+        np.matmul(wide, b[j:j + _TILE_ROWS].astype(wide.dtype, copy=False).T,
                   out=out[:, j:j + _TILE_ROWS])
     if counters is not None:
         counters.record(a.shape[0], n, b.shape[0], time.perf_counter() - start)

@@ -15,11 +15,10 @@ counts from the same :func:`linalg.sign_matmul` as the p = 1/2 candidate
 stage.  Oracle calls take at most n rows each and multiply only real rows.
 
 The solver only ever sees the graph; nothing here reads a planted set.
-The model (k, p) alone fixes the cutoff and the oracle operand: at p = 1/2
-the graph's own int8 signs, which :func:`linalg.sign_matmul` widens a tile
-of rows at a time into exact integer tables; otherwise the float64 p-biased
-values, built once per round loop, whose naive :func:`linalg.matmul` table
-meets the threshold up to 1e-9 absolute.
+The model (k, p) alone fixes the cutoff.  Every oracle call multiplies
+product rows by the graph's own int8 signs (:func:`_inner_table`): exact
+integer tables at p = 1/2, float64 ones that meet the cutoff up to 1e-9
+absolute otherwise.
 """
 
 from __future__ import annotations
@@ -117,29 +116,30 @@ class SolverConfig:
                    rounds=doc.get("rounds"), seed=doc["seed"])
 
 
-def _operand(graph: SignedAdjacency, p: float) -> np.ndarray:
-    """The oracle operand at p: the int8 signs at p = 1/2, else the float64 p-biased values."""
-    return graph.signs if p == 0.5 else pbiased_values(graph.signs, p)
-
-
-def _inner_table(values: np.ndarray, alpha_rows: np.ndarray,
+def _inner_table(signs: np.ndarray, alpha_rows: np.ndarray, p: float,
                  counters: linalg.Counters | None) -> np.ndarray:
-    """Table <product row of alpha_rows[b], values[j]> from one oracle call.
+    """Table <product row of alpha_rows[b], f(signs[j])> over the p-biased f, one oracle call.
 
-    int8 operands are signs and go through the exact :func:`linalg.sign_matmul`;
-    float64 operands go through the naive :func:`linalg.matmul`.  An empty
-    ``alpha_rows`` still makes its (zero-row) call.
+    f(x) = c0 + c1*x, so the table is c1 * (rows @ signs) + c0 * (row sums), one
+    :func:`linalg.sign_matmul` by the symmetric signs: exact float32 from int8
+    sign rows at p = 1/2 (c0 = 0, c1 = 1), else from float64 rows looked up by
+    each column's count of +1 factors.  Empty ``alpha_rows`` still make the call.
     """
-    rows = row_products(values, alpha_rows)
-    if values.dtype == np.int8:
-        return linalg.sign_matmul(rows, values, values.shape[0], counters)
-    # values is symmetric (SignedAdjacency checks it), so it is its own transpose.
-    return linalg.matmul(rows, values, counters=counters)
+    if p == 0.5:
+        return linalg.sign_matmul(row_products(signs, alpha_rows), signs, len(signs), counters)
+    plus, minus = pbiased_values(np.array([1, -1], dtype=np.int8), p)  # p_plus, -p_minus
+    ups = sum((signs[col] > 0).view(np.int8) for col in alpha_rows.T)  # +1 factors per column
+    c = np.arange(alpha_rows.shape[1] + 1)
+    rows = (plus ** c * minus ** c[::-1])[ups]  # c factors p_plus, the others -p_minus
+    table = linalg.sign_matmul(rows, signs, len(signs), counters)
+    table *= (plus - minus) / 2
+    table += (plus + minus) / 2 * rows.sum(axis=1)[:, None]
+    return table
 
 
 def batched_inner_products(graph: SignedAdjacency, alphas: Sequence[Sequence[int]],
                            p: float = 0.5) -> np.ndarray:
-    """Table T[a, j] = <M_alpha_a, M_j> over the oracle operand at p, one call per n-row batch.
+    """Table T[a, j] = <M_alpha_a, M_j> over the p-biased values at p, one call per n-row batch.
 
     At p = 1/2 it is a float32 table of exact integers; otherwise float64.
     There are ceil(len(alphas) / n) calls; the last batch holds only the
@@ -152,8 +152,8 @@ def batched_inner_products(graph: SignedAdjacency, alphas: Sequence[Sequence[int
     orders = sorted({len(alpha) for alpha in idx})
     if len(orders) > 1:
         raise ParameterError(f"alphas must have one order per call, got orders {orders}")
-    values, rows = _operand(graph, p), np.array(idx)
-    return np.concatenate([_inner_table(values, rows[start:start + graph.n], None)
+    rows = np.array(idx)
+    return np.concatenate([_inner_table(graph.signs, rows[start:start + graph.n], p, None)
                            for start in range(0, len(rows), graph.n)])
 
 
@@ -238,20 +238,18 @@ def iter_round_members(graph: SignedAdjacency, k: int, p: float,
     rounds = cfg.num_rounds(n, k)
     check_int("order", cfg.order, 1, n)
     check_int("reps", cfg.reps, 1, n)  # t product rows of a round share one batch of n
-    tau = threshold_for(k, p)
+    # A p = 1/2 table holds integers, each 1/2 or more from a k/2 it does not
+    # equal, so the tolerance changes no decision there.
+    cutoff = threshold_for(k, p) - FLOAT_THRESHOLD_TOL
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     t, s = cfg.reps, cfg.order
     alphas = _sample_alphas(n, rounds, s, t, rng).reshape(rounds, t, s)
     clique = _index_cliques(graph.signs, alphas)
 
-    values = _operand(graph, p)
-    # At p = 1/2 the sign table is exact, and so is its cutoff k/2 for every k <= MAX_N.
-    cutoff = tau if values.dtype == np.int8 else tau - FLOAT_THRESHOLD_TOL
-
     rounds_per_batch = n // t  # whole rounds per oracle call of at most n rows
     for r0 in range(0, rounds, rounds_per_batch):
         batch = alphas[r0:r0 + rounds_per_batch][clique[r0:r0 + rounds_per_batch]]
-        yield batch, (_inner_table(values, batch.reshape(-1, s), counters)
+        yield batch, (_inner_table(graph.signs, batch.reshape(-1, s), p, counters)
                       >= cutoff).reshape(-1, t, n).all(axis=1)
 
 

@@ -665,11 +665,16 @@ def test_negative_seed_exits_2(tmp_path, args, flag):
     (["bench", "--sizes", "8,60000"], "MAX_BENCH_SIZE"),
     (["bench", "--sizes", "4097"], "MAX_BENCH_SIZE"),
     (["rip", "isotropy", *RIP_SHAPE, "--mode", "exhaustive", "--tol", 0.5], "tol"),
+    (["rip", "opnorm", *RIP_SHAPE, "--r", 2, "--method", "sampled", "--budget", 0], "--budget"),
+    (["rip", "opnorm", *RIP_SHAPE, "--r", 2, "--method", "exhaustive", "--trials", 0],
+     "--trials"),
+    (["bench", "--sizes", 8, "--backends", "naive,foo"], "backend kind 'foo'"),
 ], ids=["p-not-a-number", "p-zero-denominator", "p-malformed-fraction",
         "p-with-rademacher-build", "p-with-rademacher-isotropy", "p-with-rademacher-opnorm",
         "p-with-rademacher-deviation", "p-with-rademacher-corrcount", "sizes-not-a-number",
         "sizes-empty-entry", "sizes-zero", "sizes-huge", "sizes-above-max",
-        "tol-with-exhaustive-isotropy"])
+        "tol-with-exhaustive-isotropy", "budget-with-sampled-opnorm",
+        "trials-with-exhaustive-opnorm", "bench-unknown-backend-after-a-known-one"])
 def test_bad_cli_value_exits_2_naming_the_flag(args, flag):
     proc = run_cli(*args)
     assert_input_error(proc)

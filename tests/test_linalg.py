@@ -122,7 +122,7 @@ def test_sign_matmul_refuses_rows_past_float32_exactness():
 
 def test_sign_matmul_takes_int8_or_float32_and_refuses_other_kinds():
     # int8 signs widen inside the call to the same exact float32 table; an
-    # int32 or float64 operand is refused (an int8 or int32 GEMM would wrap)
+    # int32 operand, or a float64 b, is refused (an int8 or int32 GEMM would wrap)
     rng = np.random.default_rng(7)
     signs = rng.choice(np.array([-1, 1], dtype=np.int8), size=(9, 300))
     wide = signs.astype(np.float32)
@@ -134,8 +134,21 @@ def test_sign_matmul_takes_int8_or_float32_and_refuses_other_kinds():
     for kind in (np.int32, np.float64):
         with pytest.raises(ParameterError, match="int8 or float32"):
             linalg.sign_matmul(signs, signs.astype(kind), 300)
-        with pytest.raises(ParameterError, match="int8 or float32"):
-            linalg.sign_matmul(signs.astype(kind), wide, 300)
+    with pytest.raises(ParameterError, match="int8 or float32"):
+        linalg.sign_matmul(signs.astype(np.int32), wide, 300)
+
+
+def test_sign_matmul_float64_rows_against_int8_signs_give_the_float64_product():
+    # b widens to float64 a tile at a time, so the table is the plain float64 GEMM
+    n, rows = 90, linalg._TILE_ROWS + 5
+    rng = np.random.default_rng(9)
+    a = rng.standard_normal((6, n))
+    signs = rng.choice(np.array([-1, 1], dtype=np.int8), size=(rows, n))
+    counters = linalg.Counters()
+    table = linalg.sign_matmul(a, signs, n, counters)
+    assert table.dtype == np.float64
+    assert np.allclose(table, a @ signs.T.astype(np.float64), rtol=0, atol=1e-12)
+    assert (counters.oracle_calls, counters.madds) == (1, 6 * n * rows)
 
 
 def test_sign_matmul_tiles_b_within_one_oracle_call():

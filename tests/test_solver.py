@@ -10,7 +10,7 @@ from srpc import (SolverConfig, batched_inner_products, batched_membership_degre
                   from_edge_list, generate, pbiased_values, solve,
                   strategy_clique_union, strategy_erdos_renyi,
                   strategy_majority_adversary, threshold_for)
-from srpc import linalg, solver
+from srpc import harness, linalg, solver
 from srpc.errors import InputError, ParameterError
 from srpc.graphs import row_products
 from srpc.solver import MAX_ALPHA_ROWS, _refine_sets
@@ -278,18 +278,24 @@ def test_batched_inner_products_float_path_close_to_direct():
         assert np.allclose(row, direct, rtol=1e-9, atol=1e-9)
 
 
-def test_float_inner_tables_match_transposed_copy_reference():
-    # The p != 1/2 operand goes in as it is; the transposed copy it replaced is the reference.
-    n = 70
-    values = pbiased_values(random_graph(n, 21).signs, 0.3)
-    alphas = solver._sample_alphas(n, 150, 3, 1, np.random.default_rng(4))
-    tables = [solver._inner_table(values, alphas[start:start + n], None)
-              for start in range(0, len(alphas), n)]
-    reference = [linalg.matmul(row_products(values, alphas[start:start + n]),
-                               np.ascontiguousarray(values.T))
-                 for start in range(0, len(alphas), n)]
-    assert len(tables) == len(reference) == 3
-    assert all(np.array_equal(a, b) for a, b in zip(tables, reference))
+def test_pbiased_inner_tables_match_the_float64_values_product():
+    # the p != 1/2 table comes from the int8 signs; the n x n float64 p-biased
+    # values give the reference product and the reference decisions
+    n, p = 70, 0.3
+    g = random_graph(n, 21)
+    values = pbiased_values(g.signs, p)
+    cutoff = threshold_for(12, p) - solver.FLOAT_THRESHOLD_TOL
+    decided = []
+    for order in (1, 2, 3):
+        alphas = solver._sample_alphas(n, 150, order, 1, np.random.default_rng(4))
+        for start in range(0, len(alphas), n):
+            table = solver._inner_table(g.signs, alphas[start:start + n], p, None)
+            reference = row_products(values, alphas[start:start + n]) @ values
+            assert table.dtype == np.float64
+            assert np.allclose(table, reference, rtol=0, atol=1e-9)
+            assert np.array_equal(table >= cutoff, reference >= cutoff)
+            decided.append(table >= cutoff)
+    assert 0 < np.concatenate(decided).mean() < 1
 
 
 def test_batched_inner_products_refuses_mixed_orders_and_bad_alphas():
@@ -493,6 +499,29 @@ def test_solve_at_half_keeps_no_float32_copy_of_the_signs():
     assert peak <= 3.5 * n * n
 
 
+def traced_peak(run):
+    """(run(), the peak bytes that tracemalloc saw numpy and Python allocate inside it)."""
+    tracemalloc.start()
+    try:
+        return run(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_pbiased_solve_and_replay_keep_no_float64_copy_of_the_signs():
+    # at p != 1/2 the oracle multiplies the int8 signs too, widened a tile at
+    # a time; an n x n float64 p-biased copy would alone take 8 bytes per entry
+    n, k, p = 2048, 256, 0.3
+    inst = generate(n, k, p, strategy_erdos_renyi(), seed=9)
+    cfg = SolverConfig(rounds=2 * n, seed=2)
+    result, solve_peak = traced_peak(lambda: solve(inst.graph, k, p, cfg))
+    spurious, replay_peak = traced_peak(lambda: harness.max_spurious_members(inst, cfg, k, p))
+    assert result.stats["oracle_calls"]["candidate"] == 2
+    assert tuple(sorted(inst.planted)) in [e.vertices for e in result.entries]
+    assert spurious > 0
+    assert solve_peak <= 5 * n * n and replay_peak <= 5 * n * n
+
+
 def test_solve_reports_stage_madds():
     inst = generate(128, 64, 0.5, strategy_erdos_renyi(), seed=21)
     result = solve(inst.graph, 64, 0.5, SolverConfig(order=3, reps=1, seed=14))
@@ -530,7 +559,7 @@ def test_edgeless_graph_keeps_one_oracle_call_per_batch_and_multiplies_no_row():
 
 
 @pytest.mark.parametrize("reps", [1, 2])
-@pytest.mark.parametrize("p", [0.5, 0.3])
+@pytest.mark.parametrize("p", [0.5, 0.3, 0.1, 0.9])
 def test_rounds_inside_the_planted_set_survive_and_match_brute_force(p, reps):
     n, k, rounds = 80, 40, 160
     inst = generate(n, k, p, strategy_erdos_renyi(), seed=30 + reps)
@@ -539,11 +568,11 @@ def test_rounds_inside_the_planted_set_survive_and_match_brute_force(p, reps):
     cutoff = threshold_for(k, p) - 1e-9
     planted = set(inst.planted)
     counters = linalg.Counters()
-    cfg = SolverConfig(order=2, reps=reps, rounds=rounds, seed=31)
+    cfg = SolverConfig(order=3, reps=reps, rounds=rounds, seed=31)
     yielded = list(solver.iter_round_members(inst.graph, k, p, cfg, counters))
-    sampled = solver._sample_alphas(n, rounds, 2, reps,
+    sampled = solver._sample_alphas(n, rounds, 3, reps,
                                     np.random.default_rng(np.random.SeedSequence(31)))
-    sampled = sampled.reshape(rounds, reps, 2)
+    sampled = sampled.reshape(rounds, reps, 3)
     clique = np.array([inst.graph.is_clique(a.reshape(-1)) for a in sampled])
     inside = np.array([planted.issuperset(a.reshape(-1).tolist()) for a in sampled])
     assert inside.any() and not clique.all() and not np.any(inside & ~clique)
