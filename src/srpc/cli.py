@@ -155,8 +155,8 @@ def prune_cmd(list_path, n, p, out):
 @click.option("--out", default="-")
 def evaluate_cmd(graph_path, meta_path, result_path, out):
     """Score a solve document against an instance's hidden planted set."""
+    clique_list = _read_doc(result_path, CliqueList.from_dict)  # before the n^2 read
     inst = read_instance(graph_path, meta_path)
-    clique_list = _read_doc(result_path, CliqueList.from_dict)
     try:
         result = harness.evaluate(inst, clique_list)
     except InputError as exc:

@@ -25,7 +25,7 @@ GRAPH_HEADER = "srpc-graph v1"
 MAX_N = 1 << 15
 # Side of the square tiles in which the constructor compares signs with signs.T.
 _TILE = 256
-# Body bytes that read_graph scans per step (rounded up to the next line end).
+# Bytes that read_graph reads per step (then up to the next line end).
 _CHUNK_BYTES = 1 << 20
 # Sign bytes that write_graph takes per block of rows.
 _WRITE_BLOCK_BYTES = 1 << 18
@@ -184,11 +184,11 @@ _HEADER_LINE = re.compile(r"srpc-graph\s+v1\s+n=([0-9]+)")
 _EDGE_LINE = re.compile(r"[ \t]*(?:([0-9]+)[ \t]+([0-9]+)[ \t]*)?")
 
 
-def _chunk_edges(chunk: bytes, n: int, prev: int) -> tuple[np.ndarray, np.ndarray] | None:
+def _chunk_edges(chunk: bytes, n: int, prev: int) -> tuple[np.ndarray, np.ndarray, int] | None:
     """The flat indices (i*n + j, j*n + i) of one newline-aligned body chunk's edges.
 
     ``prev`` is the key i*n + j of the last edge before the chunk, or -1.
-    Returns None if a line breaks the format.
+    The third item is the chunk's LF count.  Returns None if a line breaks the format.
     """
     if chunk.translate(None, b"0123456789 \t\n"):
         return None
@@ -205,9 +205,10 @@ def _chunk_edges(chunk: bytes, n: int, prev: int) -> tuple[np.ndarray, np.ndarra
     if np.any(token[1:-1] & (token[:-2] == token[2:])):
         return None
     tokens = np.count_nonzero(token)
+    lines = token.size - 2 - tokens
     if tokens == 0:
         none = np.empty(0, dtype=np.int64)
-        return none, none
+        return none, none, lines
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a partial parse only warns
         try:
@@ -222,27 +223,25 @@ def _chunk_edges(chunk: bytes, n: int, prev: int) -> tuple[np.ndarray, np.ndarra
     keys = i * n + j
     if keys[0] <= prev or np.any(keys[1:] <= keys[:-1]):
         return None
-    return keys, j * n + i
+    return keys, j * n + i, lines
 
 
-def _body_edges(data: bytes, start: int, n: int):
-    """Yield the :func:`_chunk_edges` flat indices of the v1 body ``data[start:]``, chunk by chunk.
+def _body_edges(chunks: Iterable[bytes], n: int):
+    """Yield the :func:`_chunk_edges` flat indices of the v1 body's newline-aligned chunks.
 
-    Chunks end at a newline.  A chunk that breaks the format holds the body's
-    first bad line (every earlier chunk passed) and raises :func:`_bad_line`'s error.
+    A chunk that breaks the format holds the body's first bad line (every
+    earlier chunk passed) and raises :func:`_bad_line`'s error.
     """
-    body_start, prev = start, -1
-    while start < len(data):
-        stop = data.find(b"\n", start + _CHUNK_BYTES - 1)
-        stop = len(data) if stop < 0 else stop + 1
-        edges = _chunk_edges(data[start:stop], n, prev)
+    lineno, prev = 2, -1
+    for chunk in chunks:
+        edges = _chunk_edges(chunk, n, prev)
         if edges is None:
-            raise _bad_line(data[start:stop].decode("utf-8", errors="replace"), n,
-                            data.count(b"\n", body_start, start) + 2, prev)
-        start = stop
-        if edges[0].size:
-            prev = int(edges[0][-1])
-        yield edges
+            raise _bad_line(chunk.decode("utf-8", errors="replace"), n, lineno, prev)
+        keys, mirrored, lines = edges
+        lineno += lines
+        if keys.size:
+            prev = int(keys[-1])
+        yield keys, mirrored
 
 
 def _bad_line(chunk: str, n: int, first_lineno: int, prev: int) -> InputError:
@@ -279,28 +278,27 @@ def read_graph(path) -> SignedAdjacency:
     are accepted.  Any other line, or a header ``n`` above :data:`MAX_N`,
     raises :class:`InputError` naming its line.
 
-    The body stays bytes.  It is scanned in newline-aligned chunks of about
-    a MiB: ``bytes.translate`` refuses any other byte, array scans check the
-    two-tokens-per-line shape, ``np.fromstring`` parses the values and array
-    reductions check the order, and the chunk's edges go straight into the
-    sign matrix.  No Python code runs per edge and no whole-file edge array is
-    built.  Only a failed chunk runs the per-line scan that names the line.
+    The file is read as latin-1 text with universal newlines, so every byte
+    stays one character and CRLF or CR arrives as LF, in chunks of
+    :data:`_CHUNK_BYTES` characters plus the rest of the line: only the sign
+    matrix and one chunk are held at a time.  ``bytes.translate`` refuses
+    any other byte, array scans check the two-tokens-per-line shape,
+    ``np.fromstring`` parses the values and array reductions check the
+    order, and the chunk's edges go straight into the sign matrix.  No
+    Python code runs per edge.  Only a failed chunk runs the per-line scan
+    that names the line.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if b"\r" in data:  # universal newlines, as a text-mode read would give
-        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    cut = data.find(b"\n")
-    cut = len(data) if cut < 0 else cut
-    header = data[:cut].decode("utf-8", errors="replace").strip()
-    match = _HEADER_LINE.fullmatch(header)
-    if match is None:
-        raise InputError(f"line 1: unrecognized graph header: {header!r}")
-    n = int(match.group(1))
-    if n > MAX_N:
-        raise InputError(f"line 1: n={n} exceeds the limit MAX_N={MAX_N}")
-    edges = _body_edges(data, cut + 1, n)
-    if n < 1:  # no edge fits: a body line is reported first, else n itself
-        next(edges, None)
-        raise ParameterError("n must be >= 1")
-    return _signs_from_edges(n, edges)
+    with open(path, encoding="latin-1", newline=None) as fh:
+        header = fh.readline().encode("latin-1").decode("utf-8", errors="replace").strip()
+        match = _HEADER_LINE.fullmatch(header)
+        if match is None:
+            raise InputError(f"line 1: unrecognized graph header: {header!r}")
+        n = int(match.group(1))
+        if n > MAX_N:
+            raise InputError(f"line 1: n={n} exceeds the limit MAX_N={MAX_N}")
+        chunks = iter(lambda: fh.read(_CHUNK_BYTES) + fh.readline(), "")
+        edges = _body_edges((chunk.encode("latin-1") for chunk in chunks), n)
+        if n < 1:  # no edge fits: a body line is reported first, else n itself
+            next(edges, None)
+            raise ParameterError("n must be >= 1")
+        return _signs_from_edges(n, edges)

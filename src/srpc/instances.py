@@ -273,8 +273,7 @@ def _probability(text: str) -> float:
 
 
 def read_instance(graph_path, meta_path) -> Instance:
-    """Graph file plus sidecar; a malformed or mismatched sidecar raises InputError."""
-    graph = read_graph(graph_path)
+    """Graph file plus sidecar, checked before the n^2 read; a bad sidecar raises InputError."""
     meta = read_instance_meta(meta_path)
 
     def parsed(key, parse):
@@ -287,16 +286,17 @@ def read_instance(graph_path, meta_path) -> Instance:
 
     n, k, seed = (parsed(key, _natural) for key in ("n", "k", "seed"))
     planted = parsed("planted", _ints)
-    if n != graph.n:
-        raise InputError(f"{meta_path}: n = {n}, but the graph has n = {graph.n}")
-    if len(planted) != k or len(set(planted) & set(range(n))) != k:
+    if len(planted) != k or len(set(planted)) != k or any(v >= n for v in planted):
         raise InputError(f"{meta_path}: planted set is not {k} distinct vertices in [0,{n})")
     params = {key[len("param_"):]: parsed(key, _natural) for key in meta
               if key.startswith("param_")}
     details = {key: parsed(key, _ints) for key in ("chosen", "decoys") if key in meta}
-    return Instance(graph=graph, n=n, k=k, p=parsed("p", _probability), planted=tuple(planted),
-                    adversary=parsed("adversary", str), adversary_params=params,
-                    seed=seed, details=details)
+    p, adversary = parsed("p", _probability), parsed("adversary", str)
+    graph = read_graph(graph_path)
+    if n != graph.n:
+        raise InputError(f"{meta_path}: n = {n}, but the graph has n = {graph.n}")
+    return Instance(graph=graph, n=n, k=k, p=p, planted=tuple(planted), adversary=adversary,
+                    adversary_params=params, seed=seed, details=details)
 
 
 def read_instance_meta(meta_path) -> dict:

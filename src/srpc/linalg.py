@@ -29,7 +29,7 @@ INT64_MAX = np.iinfo(np.int64).max
 # magnitude <= n, which float32 holds exactly, in any summation order,
 # while n < 2**24.
 _FLOAT32_EXACT_N = 2 ** 24
-_TILE_ROWS = 1024  # rows of sign_matmul's b widened to float32 per GEMM, 4 * n bytes each
+_TILE_ROWS = 1024  # rows of b widened per GEMM: 4 * n bytes each, 8 * n as float64 at p != 1/2
 
 
 @dataclass

@@ -1,10 +1,14 @@
 import hashlib
+import io
 import json
 import math
 import subprocess
 import sys
+import warnings
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,7 +16,7 @@ from click.testing import CliRunner
 
 from srpc import (CliqueList, PruneParams, SolverConfig, generate, harness, prune_naive,
                   read_instance, riplab, strategy_erdos_renyi, write_instance)
-from srpc.cli import cli
+from srpc.cli import cli, main
 from srpc.harness import report_json
 from srpc.solver import iter_round_members
 
@@ -378,8 +382,22 @@ def test_exit_codes_via_subprocess(tmp_path):
 
 
 def run_cli(*args):
-    return subprocess.run([sys.executable, "-m", "srpc.cli", *map(str, args)],
-                          capture_output=True, text=True)
+    """``python -m srpc.cli *args`` run in this process, as a CompletedProcess.
+
+    main() runs with its own argv, captured stdout and stderr, and numpy's
+    error state and the warnings filters restored afterwards; its SystemExit
+    becomes the return code.  An exception that escapes main() fails the test.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["srpc", *map(str, args)]
+    with mock.patch.object(sys, "argv", argv), redirect_stdout(out), redirect_stderr(err), \
+            np.errstate(), warnings.catch_warnings():
+        try:
+            main()
+            code = 0
+        except SystemExit as exc:
+            code = exc.code or 0
+    return subprocess.CompletedProcess(argv, code, out.getvalue(), err.getvalue())
 
 
 def assert_input_error(proc):
@@ -427,6 +445,7 @@ ARABIC_INDIC_DIGITS = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u066
     ("p", lambda v: "half"),
     ("planted", lambda v: " ".join(v.split()[:9] + ["999"])),
     ("n", lambda v: "100"),
+    ("n", lambda v: "9" * 15),  # checked against the planted set in O(k), not range(n)
     ("planted", lambda v: " ".join(v.split()[:9] + v.split()[:1])),
     ("planted", lambda v: " ".join(v.split()[:9])),
     ("planted", lambda v: " ".join(t[:1] + "_" + t[1:] if t[1:] else t for t in v.split())),
@@ -440,7 +459,7 @@ ARABIC_INDIC_DIGITS = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u066
     ("p", lambda v: v.translate(ARABIC_INDIC_DIGITS)),
     ("adversary", lambda v: v + "\udcff"),  # the byte 0xff, written by surrogateescape
 ], ids=["missing-k", "non-integer-k", "non-float-p", "planted-out-of-range",
-        "n-differs-from-graph", "planted-repeated", "planted-not-size-k",
+        "n-differs-from-graph", "n-huge", "planted-repeated", "planted-not-size-k",
         "planted-underscore", "planted-non-ascii-digits", "planted-plus-sign",
         "k-non-ascii-digits", "seed-plus-sign", "p-nan", "p-infinite", "p-above-one",
         "p-non-ascii-digits", "adversary-not-utf8"])
@@ -470,6 +489,19 @@ def test_strict_instance_meta_exits_2(instance_files, extra, message):
     proc = run_cli("evaluate", "--graph", graph, "--meta", meta, "--result", result)
     assert_input_error(proc)
     assert proc.stderr == f"error: {meta}: {message}\n"
+
+
+@pytest.mark.parametrize("bad", ["meta", "result"])
+def test_evaluate_refuses_a_bad_sidecar_or_result_before_the_graph_is_read(instance_files,
+                                                                          bad):
+    # the graph file is missing, so reading it first would exit 3
+    graph, meta, result = instance_files
+    broken = {"meta": meta, "result": result}[bad]
+    broken.write_text("srpc-instance v1\nk = x\n" if bad == "meta" else "not json")
+    proc = run_cli("evaluate", "--graph", graph.with_name("missing.txt"), "--meta", meta,
+                   "--result", result)
+    assert_input_error(proc)
+    assert proc.stderr.startswith(f"error: {broken}: "), proc.stderr
 
 
 @pytest.mark.parametrize("command, text", [

@@ -414,6 +414,25 @@ def test_write_graph_peak_memory_stays_below_two_bytes_per_matrix_entry(tmp_path
     assert peak < 2 * n * n
 
 
+@pytest.mark.parametrize("end", [b"\n", b"\r"], ids=["lf", "lone-cr"])
+def test_read_graph_peak_memory_stays_below_two_bytes_per_matrix_entry(tmp_path, end):
+    # the sign matrix and one chunk of the file are alive at a time, never the whole file
+    n = 4096
+    graph = random_graph(n, 5)
+    write_graph(graph, tmp_path / "g.txt")
+    if end != b"\n":  # no LF left: chunks must still end at the CR line ends
+        path = tmp_path / "g.txt"
+        path.write_bytes(path.read_bytes().replace(b"\n", end))
+    tracemalloc.start()
+    try:
+        read = read_graph(tmp_path / "g.txt")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert read == graph
+    assert peak < 2 * n * n
+
+
 def test_read_graph_accepts_blank_lines_tabs_and_crlf(tmp_path):
     path = tmp_path / "g.txt"
     path.write_bytes(b"srpc-graph v1 n=5\r\n\r\n 0 1\t\r\n\t0  4\n \t\n2\t3 \r\n\n")
@@ -425,8 +444,10 @@ def test_read_graph_accepts_blank_lines_tabs_and_crlf(tmp_path):
 
 
 def _read_body(tmp_path, body, n=6):
+    """read_graph of the header line and ``body``; a None body leaves the header unterminated."""
     path = tmp_path / "g.txt"
-    path.write_bytes(f"srpc-graph v1 n={n}\n".encode() + body)
+    header = f"srpc-graph v1 n={n}".encode()
+    path.write_bytes(header if body is None else header + b"\n" + body)
     return read_graph(path)
 
 
@@ -436,8 +457,10 @@ def _read_body(tmp_path, body, n=6):
     (b"00 0005\n001 2\n", [(0, 5), (1, 2)]),
     (b"0 " + b"0" * 24 + b"1\n", [(0, 1)]),
     (b"0" * 20 + b" " + b"0" * 19 + b"5\n", [(0, 5)]),
+    (b"", []),
+    (None, []),
 ], ids=["no-final-newline", "lone-cr", "leading-zeros", "25-digit-padded-one",
-        "20-digit-padded-tokens"])
+        "20-digit-padded-tokens", "header-only", "header-only-no-final-newline"])
 def test_read_graph_accepts(tmp_path, body, edges):
     assert _read_body(tmp_path, body) == from_edge_list(6, edges)
 
@@ -487,6 +510,15 @@ def test_read_graph_across_chunks(tmp_path, monkeypatch):
         _read_body(tmp_path, b"".join(lines) + b"7\n", n=10)
     assert str(info.value) == (f"line {len(lines) + 2}: expected two integer vertex indices, "
                                f"got '7'")
+    # a CRLF or lone CR counts as one line end wherever a read stops; 17-byte CRLF
+    # lines put a "\r" at the end of every 16-byte span of the body
+    for end in (b"\r\n", b"\r"):
+        other = [f"{i} {j}".ljust(15).encode() + end for i, j in edges]
+        assert _read_body(tmp_path, b"".join(other), n=10) == from_edge_list(10, edges)
+        with pytest.raises(InputError) as info:
+            _read_body(tmp_path, b"".join(other) + b"7" + end, n=10)
+        assert str(info.value) == (f"line {len(lines) + 2}: expected two integer vertex "
+                                   f"indices, got '7'"), end
 
 
 @pytest.mark.parametrize("chunk", [7, 16, 64])
