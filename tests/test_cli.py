@@ -750,6 +750,13 @@ def test_non_positive_support_budget_exits_2_naming_it(budget):
     assert proc.stderr.startswith("error: budget must be an integer >= 1"), proc.stderr
 
 
+def test_default_support_budget_refuses_more_than_a_million_supports():
+    # C(k, t) = C(12, 3) = 220 columns, and C(220, 3) = 1750540 > 10**6
+    proc = run_cli("rip", "opnorm", "--k", 12, "--t", 3, "--q", 8, "--r", 3)
+    assert_input_error(proc)
+    assert "C(220,3) = 1750540 supports exceed the budget 1000000" in proc.stderr, proc.stderr
+
+
 @pytest.mark.parametrize("args, limit", [
     (["rip", "deviation", "--k", 6, "--t", 3, "--q", 8, "--r", 2, "--trials", 3_000_000_000],
      "MAX_SAMPLED_ENTRIES"),

@@ -18,6 +18,7 @@ from srpc import (CliqueEntry, CliqueList, PruneParams, SolverConfig, from_edge_
                   strategy_erdos_renyi, strategy_majority_adversary, threshold_for)
 from srpc.errors import InputError, ParameterError
 from srpc.harness import ExperimentGrid, evaluate, report_json
+from tests.test_startup import srpc_modules_after
 
 INSTANCE = generate(60, 30, 0.5, strategy_erdos_renyi(), seed=5)
 TENSORED = riplab.build_tensored(5, 2, 16, riplab.RademacherBase(), seed=1)
@@ -210,3 +211,15 @@ PUBLIC_SURFACE = [
 def test_public_surface():
     assert srpc.__all__ == PUBLIC_SURFACE
     assert all(callable(getattr(srpc, name)) for name in srpc.__all__)
+
+
+def test_package_surface_resolves_on_first_use():
+    namespace = {}
+    exec("from srpc import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(PUBLIC_SURFACE)
+    assert set(PUBLIC_SURFACE) <= set(dir(srpc))
+    assert srpc.solve is srpc.solver.solve
+    assert srpc_modules_after("import srpc\nassert srpc.linalg.__name__ == 'srpc.linalg'") \
+        == {"srpc", "srpc.errors", "srpc.linalg"}
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        srpc.no_such_name
