@@ -34,7 +34,8 @@ _BOUND_MARGIN = 1e-9  # relative inflation of each eigenvalue bound, far above i
 # support array then stays within 256 MiB.
 MAX_SAMPLED_ENTRIES = 1 << 26
 # Most entries q * C(k, t) of a tensored matrix; its float64 values then stay
-# within 512 MiB, and the (q, C(k, t), t) factor gather within 1.5 GiB.
+# within 512 MiB, and the (q, C(k, t), t) factor gather within 1.5 GiB.  A d x d
+# Gram matrix is held to the same count, d * d, and so to the same 512 MiB.
 MAX_TENSORED_ENTRIES = 1 << 26
 
 
@@ -209,6 +210,7 @@ def isotropy_check(h: TensoredMatrix, mode: str = "sampled",
         raise ParameterError(f"mode must be 'exhaustive' or 'sampled', got {mode!r}")
     tol = 5.0 / math.sqrt(h.q) if tol is None else tol
     values = h.values
+    _check_gram(values.shape[1])
     means = values.mean(axis=0)
     gram = (values.T @ values) / h.q
     d = gram.shape[0]
@@ -242,8 +244,16 @@ def _as_matrix(h) -> np.ndarray:
     return values
 
 
+def _check_gram(d: int) -> None:
+    """Refuse a d x d Gram matrix of more than :data:`MAX_TENSORED_ENTRIES` entries."""
+    if d * d > MAX_TENSORED_ENTRIES:
+        raise ParameterError(f"the Gram matrix of d = {d} columns needs d * d <= "
+                             f"MAX_TENSORED_ENTRIES={MAX_TENSORED_ENTRIES} entries")
+
+
 def _gram(mat: np.ndarray) -> np.ndarray:
-    """H^T H; a product that overflows float64 raises :class:`ParameterError`."""
+    """H^T H; one past the d * d limit, or one that overflows float64, raises :class:`ParameterError`."""
+    _check_gram(mat.shape[1])
     with np.errstate(over="ignore"):
         gram = mat.T @ mat
     if not np.isfinite(gram).all():
@@ -385,6 +395,7 @@ def _check_sampled(d: int, r: int, trials: int, seed: int) -> None:
     if trials * r > MAX_SAMPLED_ENTRIES:
         raise ParameterError(f"trials * r = {trials} * {r} exceeds the limit "
                              f"MAX_SAMPLED_ENTRIES={MAX_SAMPLED_ENTRIES}")
+    _check_gram(d)  # before any support is drawn
 
 
 def sparse_opnorm_sampled(h, r: int, trials: int, seed: int = 0) -> OpNormReport:
@@ -412,7 +423,13 @@ def rip_deviation_sampled(h_normalized, r: int, trials: int, seed: int = 0) -> f
     ``seed`` draws the supports (:func:`_draw_supports`), then one standard
     normal coefficient row per support, in support order and scaled to unit
     norm.  The rows are drawn chunk by chunk, which gives the same stream as
-    one (trials, r) block; ||H v|| is sqrt(c^T G_S c) with G = H^T H.
+    one (trials, r) block.  ||H v|| is sqrt(c^T G_S c) with G = H^T H, and as
+    G_S is symmetric, c^T G_S c = sum_i c_i^2 G_ii + 2 sum_{i<j} c_i c_j G_ij:
+    each support reads its r diagonal entries and the r(r-1)/2 entries of its
+    strict upper triangle, the latter from G's flat buffer at s_i * d + s_j.
+    A chunk is held slot-major, as the sampler holds its picks, so every
+    gather copies whole rows; each support's sums run down its own column,
+    in slot order, so the result does not depend on the chunk size.
     ``trials * r`` is limited as in :func:`sparse_opnorm_sampled`.
     """
     mat = _as_matrix(h_normalized)
@@ -421,12 +438,19 @@ def rip_deviation_sampled(h_normalized, r: int, trials: int, seed: int = 0) -> f
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     supports = _draw_supports(rng, d, r, trials)
     gram = _gram(mat)
+    flat, diag = gram.ravel(), np.diag(gram)
+    iu, ju = np.triu_indices(r, 1)
     worst = 0.0
     for c in _chunks(trials, r):
         sup = supports[c]
         coeff = rng.standard_normal(sup.shape)
         coeff /= np.linalg.norm(coeff, axis=1, keepdims=True)
-        sq = np.einsum("ni,nij,nj->n", coeff, _gram_blocks(gram, sup), coeff)
+        # slot-major, and intp, the index type np.take uses
+        sup, coeff = sup.T.astype(np.intp), np.ascontiguousarray(coeff.T)
+        index = (sup * d)[iu]
+        index += sup[ju]
+        sq = (np.einsum("in,in,in->n", coeff, coeff, diag[sup])
+              + 2 * np.einsum("in,in,in->n", coeff[iu], coeff[ju], np.take(flat, index)))
         worst = max(worst, float(np.abs(np.sqrt(np.maximum(sq, 0.0)) - 1.0).max()))
     return worst
 

@@ -764,7 +764,18 @@ def test_default_support_budget_refuses_more_than_a_million_supports():
       "--trials", 3_000_000_000], "MAX_SAMPLED_ENTRIES"),
     (["rip", "build", "--k", 400, "--t", 3, "--q", 2000], "MAX_TENSORED_ENTRIES"),
     (["rip", "opnorm", "--k", 100000, "--t", 3, "--q", 1, "--r", 2], "MAX_TENSORED_ENTRIES"),
-], ids=["deviation", "opnorm-sampled", "build-many-entries", "opnorm-many-columns"])
+    # C(40, 3) = 9880 columns: q * d fits, but a 9880 x 9880 Gram is past d * d <= 2**26
+    (["rip", "opnorm", "--k", 40, "--t", 3, "--q", 4, "--r", 2, "--method", "sampled"],
+     "d * d <= MAX_TENSORED_ENTRIES"),
+    (["rip", "deviation", "--k", 40, "--t", 3, "--q", 4, "--r", 2],
+     "d * d <= MAX_TENSORED_ENTRIES"),
+    (["rip", "isotropy", "--k", 40, "--t", 3, "--q", 4, "--mode", "sampled"],
+     "d * d <= MAX_TENSORED_ENTRIES"),
+    (["rip", "opnorm", "--k", 40, "--t", 3, "--q", 4, "--r", 1, "--budget", 10000],
+     "d * d <= MAX_TENSORED_ENTRIES"),
+], ids=["deviation", "opnorm-sampled", "build-many-entries", "opnorm-many-columns",
+        "opnorm-sampled-gram", "deviation-gram", "isotropy-sampled-gram",
+        "opnorm-exhaustive-gram"])
 def test_oversized_sampled_rip_run_exits_2(args, limit):
     proc = run_cli(*args)
     assert_input_error(proc)

@@ -212,11 +212,18 @@ def test_sampled_estimates_refuse_more_entries_than_the_limit():
             estimate(np.eye(4), r=2, trials=trials)
 
 
-def test_rip_deviation_matches_direct_loop():
+@pytest.mark.parametrize("base, r", [
+    (riplab.RademacherBase(), 12),
+    (riplab.PBiasedBase(Fraction(4, 5)), 1),
+    (riplab.PBiasedBase(Fraction(4, 5)), 2),
+    (riplab.PBiasedBase(Fraction(4, 5)), 16),
+], ids=["rademacher-r12", "pbiased-r1", "pbiased-r2", "pbiased-r16"])
+def test_rip_deviation_matches_direct_loop(base, r):
     # Reference: the draw rule replayed row by row, with one (trials, r)
-    # coefficient block and ||H v|| taken directly.  r=12 gives twelve chunks.
-    q, r, trials = 128, 12, 2500
-    h = riplab.build_tensored(10, 3, q, riplab.RademacherBase(), seed=23).values / math.sqrt(q)
+    # coefficient block and ||H v|| taken directly.  r=12 gives twelve chunks;
+    # the p = 4/5 Gram's diagonal is not 1.
+    q, trials = 128, 2500
+    h = riplab.build_tensored(10, 3, q, base, seed=23).values / math.sqrt(q)
     rows = floyd_rows(24, h.shape[1], r, trials)
     rng = np.random.default_rng(np.random.SeedSequence(24))
     for j in range(h.shape[1] - r, h.shape[1]):
@@ -226,6 +233,26 @@ def test_rip_deviation_matches_direct_loop():
                    for row, c in zip(rows, coeff))
     dev = riplab.rip_deviation_sampled(h, r=r, trials=trials, seed=24)
     assert dev == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("base", [riplab.RademacherBase(), riplab.PBiasedBase(Fraction(4, 5))],
+                         ids=["rademacher", "pbiased"])
+@pytest.mark.parametrize("r", [1, 5, 16])
+def test_rip_deviation_does_not_depend_on_the_chunk_size(monkeypatch, base, r):
+    q = 64
+    h = riplab.build_tensored(9, 3, q, base, seed=5).values / math.sqrt(q)
+    devs = []
+    for floats in (2 ** 8, riplab._CHUNK_FLOATS, 2 ** 20):
+        monkeypatch.setattr(riplab, "_CHUNK_FLOATS", floats)
+        devs.append(riplab.rip_deviation_sampled(h, r=r, trials=600, seed=6))
+    assert devs[0] == devs[1] == devs[2]
+
+
+def test_gram_limit_is_d_squared_entries():
+    side = math.isqrt(riplab.MAX_TENSORED_ENTRIES)
+    riplab._check_gram(side)
+    with pytest.raises(ParameterError, match=r"d \* d <= MAX_TENSORED_ENTRIES"):
+        riplab._check_gram(side + 1)
 
 
 def test_rip_deviation_decreases_with_rows():
