@@ -4,16 +4,6 @@ The package imports its submodules on first use (PEP 562), so that
 ``import srpc.cli`` loads only what the command it runs needs.
 """
 
-__all__ = [
-    "CliqueEntry", "CliqueList", "Instance", "PruneParams", "SignedAdjacency",
-    "SolverConfig", "batched_inner_products", "batched_membership_degrees",
-    "from_edge_list", "generate", "hadamard_rows", "intersection_threshold",
-    "majority_vector", "pbiased_values", "prune_fast", "prune_naive",
-    "read_graph", "read_instance", "solve", "strategy_clique_union",
-    "strategy_erdos_renyi", "strategy_majority_adversary", "threshold_for",
-    "write_graph", "write_instance",
-]
-
 # The submodule that defines each exported name.
 _HOME = {
     "CliqueEntry": "cliquelist", "CliqueList": "cliquelist",
@@ -28,6 +18,7 @@ _HOME = {
     "SolverConfig": "solver", "batched_inner_products": "solver",
     "batched_membership_degrees": "solver", "solve": "solver", "threshold_for": "solver",
 }
+__all__ = sorted(_HOME)
 _SUBMODULES = ("bits", "cli", "cliquelist", "errors", "graphs", "harness", "instances",
                "linalg", "pruning", "riplab", "solver")
 

@@ -128,7 +128,7 @@ def solve_cmd(graph_path, k, p, order, reps, rounds_const, rounds, seed, backend
     from . import harness, solver
     cfg = solver.SolverConfig(order=int(order), reps=reps, c_rounds=rounds_const,
                               rounds=rounds, seed=seed)
-    solver.threshold_for(k, p)  # refuses k and p before the n^2 read
+    solver.threshold_for(k, p, cfg.order)  # refuses k and p before the n^2 read
     graph = read_graph(graph_path)
     result = solver.solve(graph, k, p, cfg)
     wall = result.stats.pop("wall_times")

@@ -85,21 +85,16 @@ def from_edge_list(n: int, edges: np.ndarray | Iterable[tuple[int, int]]) -> Sig
             raise InputError(f"edge ({a},{b}) has an endpoint outside [0,{n})")
         raise InputError(f"self-loop ({a},{a}) is not allowed")
     i, j = pairs.T.astype(np.int64)
-    return _signs_from_edges(n, [(i * n + j, j * n + i)])
+    flat = _edgeless(n)
+    flat[i * n + j] = flat[j * n + i] = 1
+    return SignedAdjacency(flat.reshape(n, n))
 
 
-def _signs_from_edges(n: int, key_batches: Iterable[tuple[np.ndarray, np.ndarray]]
-                      ) -> SignedAdjacency:
-    """The sign matrix with +1 at both flat indices i*n + j and j*n + i of every edge.
-
-    Each batch holds the two flat-index arrays of its edges; they must lie in [0, n*n).
-    """
+def _edgeless(n: int) -> np.ndarray:
+    """The flat n*n int8 sign matrix of the graph with no edges: -1 off the diagonal, +1 on it."""
     flat = np.full(n * n, -1, dtype=np.int8)
     flat[::n + 1] = 1
-    for keys, mirrored in key_batches:
-        flat[keys] = 1
-        flat[mirrored] = 1
-    return SignedAdjacency(flat.reshape(n, n))
+    return flat
 
 
 def pbiased_values(signs: np.ndarray, p: float) -> np.ndarray:
@@ -226,24 +221,6 @@ def _chunk_edges(chunk: bytes, n: int, prev: int) -> tuple[np.ndarray, np.ndarra
     return keys, j * n + i, lines
 
 
-def _body_edges(chunks: Iterable[bytes], n: int):
-    """Yield the :func:`_chunk_edges` flat indices of the v1 body's newline-aligned chunks.
-
-    A chunk that breaks the format holds the body's first bad line (every
-    earlier chunk passed) and raises :func:`_bad_line`'s error.
-    """
-    lineno, prev = 2, -1
-    for chunk in chunks:
-        edges = _chunk_edges(chunk, n, prev)
-        if edges is None:
-            raise _bad_line(chunk.decode("utf-8", errors="replace"), n, lineno, prev)
-        keys, mirrored, lines = edges
-        lineno += lines
-        if keys.size:
-            prev = int(keys[-1])
-        yield keys, mirrored
-
-
 def _bad_line(chunk: str, n: int, first_lineno: int, prev: int) -> InputError:
     """The error naming the first bad line of a chunk that starts at line ``first_lineno``."""
     for lineno, line in enumerate(chunk.split("\n"), start=first_lineno):
@@ -296,9 +273,18 @@ def read_graph(path) -> SignedAdjacency:
         n = int(match.group(1))
         if n > MAX_N:
             raise InputError(f"line 1: n={n} exceeds the limit MAX_N={MAX_N}")
-        chunks = iter(lambda: fh.read(_CHUNK_BYTES) + fh.readline(), "")
-        edges = _body_edges((chunk.encode("latin-1") for chunk in chunks), n)
-        if n < 1:  # no edge fits: a body line is reported first, else n itself
-            next(edges, None)
-            raise ParameterError("n must be >= 1")
-        return _signs_from_edges(n, edges)
+        flat = _edgeless(n)
+        lineno, prev = 2, -1
+        for text in iter(lambda: fh.read(_CHUNK_BYTES) + fh.readline(), ""):
+            chunk = text.encode("latin-1")
+            edges = _chunk_edges(chunk, n, prev)
+            if edges is None:  # every earlier chunk passed: this one holds the first bad line
+                raise _bad_line(chunk.decode("utf-8", errors="replace"), n, lineno, prev)
+            keys, mirrored, lines = edges
+            flat[keys] = flat[mirrored] = 1
+            lineno += lines
+            if keys.size:
+                prev = int(keys[-1])
+    if n < 1:  # no edge fits: a body line is reported first, else n itself
+        raise ParameterError("n must be >= 1")
+    return SignedAdjacency(flat.reshape(n, n))

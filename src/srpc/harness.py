@@ -65,10 +65,10 @@ def evaluate(instance: Instance, clique_list: CliqueList) -> EvalResult:
     (0 without one); the replay takes n, k and p from ``stats``, or from the
     instance where a key is absent.  An entry with a repeated vertex or a
     vertex outside [0, n), a ``stats.config`` that lacks a key or holds a bad
-    value (an echoed threshold other than :func:`solver.threshold_for` (k, p)
-    too), or a ``stats`` n, k or p that does not fit the graph, or a
-    ``stats.oracle_calls`` that is not an object of integers >= 0, raises
-    :class:`InputError`.
+    value (an echoed threshold other than :func:`solver.threshold_for`
+    (k, p, order) too), or a ``stats`` n, k or p that does not fit the
+    graph, or a ``stats.oracle_calls`` that is not an object of integers
+    >= 0, raises :class:`InputError`.
     """
     clique_list.check_vertices(instance.n)
     stats = clique_list.stats
@@ -96,10 +96,11 @@ def evaluate(instance: Instance, clique_list: CliqueList) -> EvalResult:
                 raise ParameterError(f"config must be an object, got {config_doc!r}")
             config = solver.SolverConfig.from_dict(config_doc)
             config.num_rounds(n, k)  # refuses a k outside [1, n] and a round count past the limit
-            tau, echoed = solver.threshold_for(k, p), config_doc.get("threshold")
+            tau = solver.threshold_for(k, p, config.order)
+            echoed = config_doc.get("threshold")
             if echoed is not None and check_positive("threshold", echoed) != tau:
-                raise ParameterError(f"threshold must be the model's k * p_plus**4 / 2 = {tau!r}, "
-                                     f"got {echoed!r}")
+                raise ParameterError(f"threshold must be the model's k * p_plus**(order+1) / 2 "
+                                     f"= {tau!r}, got {echoed!r}")
     except KeyError as exc:
         raise InputError(f"stats.config is missing key {exc}") from None
     except ParameterError as exc:
@@ -310,7 +311,7 @@ def adversary_demo(n: int, k: int, m: int, seed: int, c_rounds: float = 10.0) ->
 
     chosen = inst.details["chosen"]
     table = solver.batched_inner_products(inst.graph, [(i,) for i in chosen])
-    admitted = (table[:, inst.details["decoys"]] >= solver.threshold_for(k, p)).sum(axis=1)
+    admitted = (table[:, inst.details["decoys"]] >= solver.threshold_for(k, p, 1)).sum(axis=1)
     contaminated = [{"vertex": i, "decoys_admitted": int(a)} for i, a in zip(chosen, admitted)]
     order1_contaminated = int(np.count_nonzero(admitted))
 

@@ -2,7 +2,7 @@
 
 One round samples t index sets of size s, forms the entrywise row
 products, and keeps the vertices whose inner product with every product
-row clears the threshold k * p_plus**4 / 2, as one boolean member table
+row clears the threshold k * p_plus**(s+1) / 2, as one boolean member table
 per oracle batch; only rounds with >= k members become vertex sets.  A
 round whose t*s sampled vertices are not pairwise adjacent is skipped
 before any row product (the rounds the list-decoding argument relies on
@@ -45,13 +45,19 @@ FLOAT_THRESHOLD_TOL = 1e-9
 MAX_ALPHA_ROWS = 1 << 26
 
 
-def threshold_for(k: int, p: float) -> float:
-    """Inner-product cutoff k * p_plus**4 / 2 (k/2 at p = 1/2); it must be finite."""
+def threshold_for(k: int, p: float, order: int) -> float:
+    """Inner-product cutoff k * p_plus**(s+1) / 2 of an order-s round, s = ``order``.
+
+    A planted vertex scores about k * p_plus**(s+1) against an order-s product
+    row, so the cutoff is half of it; every order gives k/2 at p = 1/2.  It
+    must be finite.
+    """
     check_int("k", k, 1)
     check_probability("p", p)
-    try:
-        tau = k * (1.0 / p - 1.0) ** 2 / 2.0
-    except OverflowError:  # (1/p - 1)**2 past the float range
+    check_int("order", order, 1, 3)
+    try:  # p_plus**2 == 1/p - 1
+        tau = k * (1.0 / p - 1.0) ** ((order + 1) / 2) / 2.0
+    except OverflowError:  # (1/p - 1)**((order+1)/2) past the float range
         tau = math.inf
     return check_positive(f"threshold at p={p}", tau)
 
@@ -64,7 +70,7 @@ def _check_alpha_rows(rounds: float, reps: int) -> None:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs for :func:`solve`; the cutoff is no knob: k and p fix it (:func:`threshold_for`).
+    """Knobs for :func:`solve`; k, p and the order fix the cutoff (:func:`threshold_for`).
 
     ``rounds`` defaults to ceil(c_rounds * (n/k)**(s*t)); s*t is the
     effective tensor order of a round.
@@ -240,7 +246,7 @@ def iter_round_members(graph: SignedAdjacency, k: int, p: float,
     check_int("reps", cfg.reps, 1, n)  # t product rows of a round share one batch of n
     # A p = 1/2 table holds integers, each 1/2 or more from a k/2 it does not
     # equal, so the tolerance changes no decision there.
-    cutoff = threshold_for(k, p) - FLOAT_THRESHOLD_TOL
+    cutoff = threshold_for(k, p, cfg.order) - FLOAT_THRESHOLD_TOL
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     t, s = cfg.reps, cfg.order
     alphas = _sample_alphas(n, rounds, s, t, rng).reshape(rounds, t, s)
@@ -267,7 +273,7 @@ def solve(graph: SignedAdjacency, k: int, p: float, cfg: SolverConfig,
     """
     n = graph.n
     rounds = cfg.num_rounds(n, k)
-    tau = threshold_for(k, p)
+    tau = threshold_for(k, p, cfg.order)
     stage_counters = {name: linalg.Counters() for name in
                       ("candidate", "refine", "verify", "prune")}
     wall = {}

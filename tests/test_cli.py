@@ -101,13 +101,13 @@ GOLDEN_DOCUMENTS = [
      "1f68e634fe7905b5095a831766f38ee6b8262eb3d33711c316bdb04598457d20",
      "c177b1589b775fec076a53dd9edaf24f25b1733f5e9c93cd172abb55356087ea"),
     (("erdos_renyi", [], 300, 120, 0.3, 2, 1, 13),
-     "8bfe178e3d10179dd4bbf6decd187383fa1ba93b236d0a68ddb117a01862f513",
+     "2cf66972a01155b6d30887bb4cc97f72d57aa1cf55ad65d6df4e370095639bc4",
      "a81b2dc673eddf5923f6bd80a4469167fad43e98b8e0e09775493f0725d208fd",
-     "425416e92d26e784fcd5c5cf172168c3d8db7d26671ab59c59d1249e223ac7a1"),
+     "2cdecb9b8e0dd12e62e29c01d144c92373824be7eca41d643d3f5117ba184a32"),
     (("clique_union", [], 300, 100, 0.7, 1, 2, 14),
-     "a0e6e13d22366035e54d3303c6df43f5c1ca906dbfd83a3494e4eaafc7a5d21b",
-     "22b2400ffc114fbbcfeaac8afbe2f30c0d027818a86e7a7f25b13e501ae8faa4",
-     "698a4c526e668a991ca41ca4f2612121c4e65dea47d8155dd567e296fdf35f17"),
+     "c673df815e2059203c4279556987e2aaf685e09fdc65cdc4086c39adee70b634",
+     "332717e9211ca862fcb3715ecac9eceefd969edcb6259fbb117f74d1e224482a",
+     "5263bb45ab91d587afb653b865291f41dd760a2eabb9fc82094aad64fe7a7893"),
     (("clique_union", [], 300, 100, 0.7, 3, 1, 15),
      "0c628be637dc16f535dfbdbc1429e2643d7a8c0a53db75a8c4f6e8edc776ebf6",
      "16998a431319db6140df24ef06eb5d66978b8d3b9c53bf0878fb1597bf164689",
@@ -360,6 +360,15 @@ def test_malformed_graph_file_exits_2(tmp_path, text, line):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert f"line {line}:" in proc.stderr
+
+
+@pytest.mark.parametrize("body", ["", "\n \n\t\n"], ids=["empty", "blank-lines"])
+def test_graph_file_with_n_zero_exits_2(tmp_path, body):
+    graph = tmp_path / "g.txt"
+    graph.write_text(f"srpc-graph v1 n=0\n{body}")
+    proc = run_cli("solve", "--graph", graph, "--k", 1, "--out", tmp_path / "o")
+    assert_input_error(proc)
+    assert proc.stderr == "error: n must be >= 1\n"
 
 
 def test_exit_codes_via_subprocess(tmp_path):

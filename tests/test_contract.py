@@ -55,7 +55,7 @@ def opnorm_doc(report) -> dict:
 ENTRY_POINTS = {
     "solve": lambda k=30, p=0.5: solve(INSTANCE.graph, k, p,
                                        SolverConfig(c_rounds=1.0)).to_dict(),
-    "threshold_for": lambda k=30, p=0.5: {"threshold": threshold_for(k, p)},
+    "threshold_for": lambda k=30, p=0.5, order=3: {"threshold": threshold_for(k, p, order)},
     "SolverConfig": lambda **fields: SolverConfig(**fields).to_dict(),
     "num_rounds": lambda k=30: {"rounds": SolverConfig().num_rounds(60, k)},
     "PruneParams": lambda **fields: asdict(PruneParams(**{"n": 40, "p": 0.5, "delta": 3,
@@ -101,6 +101,7 @@ def bad_values(kind, low=None, high=None):
 FIELDS = [
     ("solve", "k", "k", "int", 1, 60), ("solve", "p", "p", "probability"),
     ("threshold_for", "k", "k", "int", 1), ("threshold_for", "p", "p", "probability"),
+    ("threshold_for", "order", "order", "int", 1, 3),
     ("SolverConfig", "order", "order", "int", 1, 3), ("SolverConfig", "reps", "reps", "int", 1),
     ("SolverConfig", "rounds", "rounds", "int", 1), ("SolverConfig", "seed", "seed", "int", 0),
     ("SolverConfig", "c_rounds", "c_rounds", "positive"),
@@ -149,7 +150,7 @@ def refusal_rows():
     for label, value in bad_values("probability"):
         yield pytest.param("ExperimentGrid", {"ps": (value,)}, "ps entry",
                            id=f"ExperimentGrid-ps-{label}")
-    # a p so small that the threshold k * p_plus**4 / 2 overflows
+    # a p so small that the order-3 threshold k * p_plus**4 / 2 overflows
     for p in (1e-200, 5e-324):
         yield pytest.param("solve", {"p": p}, "threshold", id=f"solve-p-{p}")
     # an echoed cutoff other than the model's k * p_plus**4 / 2 = 15 at k=30, p=1/2
@@ -159,6 +160,8 @@ def refusal_rows():
     # integral floats and fractions inside the range
     for entry, keyword, value in [("solve", "k", 30.0), ("solve", "k", 2.5),
                                   ("threshold_for", "k", 30.0), ("threshold_for", "k", 2.5),
+                                  ("threshold_for", "order", 3.0),
+                                  ("threshold_for", "order", 1.5),
                                   ("PruneParams", "n", 40.5), ("PruneParams", "delta", 2.5),
                                   ("PruneParams", "batch_size", 2.5),
                                   ("intersection_threshold", "n", 40.0),
@@ -186,7 +189,7 @@ ACCEPTED = [
     ("rip_deviation_sampled", {"seed": 2 ** 40}),
     ("sparse_opnorm_exhaustive", {"r": 10}), ("CliqueEntry.from_dict", {"vertex": 0}),
     ("evaluate", {"p": 0.3, "config": dict(solved_stats()["config"],
-                                           threshold=threshold_for(30, 0.3))}),
+                                           threshold=threshold_for(30, 0.3, 3))}),
     ("evaluate.config", {"threshold": 15.0}),
 ]
 

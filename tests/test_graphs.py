@@ -414,13 +414,13 @@ def test_write_graph_peak_memory_stays_below_two_bytes_per_matrix_entry(tmp_path
     assert peak < 2 * n * n
 
 
-@pytest.mark.parametrize("end", [b"\n", b"\r"], ids=["lf", "lone-cr"])
+@pytest.mark.parametrize("end", [b"\n", b"\r", b"\r\n"], ids=["lf", "lone-cr", "crlf"])
 def test_read_graph_peak_memory_stays_below_two_bytes_per_matrix_entry(tmp_path, end):
     # the sign matrix and one chunk of the file are alive at a time, never the whole file
     n = 4096
     graph = random_graph(n, 5)
     write_graph(graph, tmp_path / "g.txt")
-    if end != b"\n":  # no LF left: chunks must still end at the CR line ends
+    if end != b"\n":  # chunks must still end at the CR or CRLF line ends
         path = tmp_path / "g.txt"
         path.write_bytes(path.read_bytes().replace(b"\n", end))
     tracemalloc.start()
@@ -492,6 +492,18 @@ def test_read_graph_accepts(tmp_path, body, edges):
 def test_read_graph_refuses_with_exact_message(tmp_path, body, message):
     with pytest.raises(InputError) as info:
         _read_body(tmp_path, body)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("body, error, message", [
+    (b"", ParameterError, "n must be >= 1"),
+    (b"\n \n\t\n", ParameterError, "n must be >= 1"),
+    (b"0 1\n", InputError, "line 2: edge (0,1) has an endpoint outside [0,0)"),
+    (b"x\n", InputError, "line 2: expected two integer vertex indices, got 'x'"),
+], ids=["empty", "blank-lines", "edge", "not-an-edge"])
+def test_read_graph_at_n_zero_reports_a_body_line_first_then_n(tmp_path, body, error, message):
+    with pytest.raises(error) as info:
+        _read_body(tmp_path, body, n=0)
     assert str(info.value) == message
 
 

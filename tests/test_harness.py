@@ -256,7 +256,7 @@ def test_adversary_demo_contamination_and_separation():
     expected = []
     for i in inst.details["chosen"]:
         row = batched_inner_products(inst.graph, [(i,)])[0]
-        members = set(np.nonzero(row >= threshold_for(80, 0.5))[0].tolist())
+        members = set(np.nonzero(row >= threshold_for(80, 0.5, 1))[0].tolist())
         expected.append({"vertex": i, "decoys_admitted": len(members & decoys)})
     assert report["per_vertex"] == expected
 

@@ -196,7 +196,7 @@ def test_majority_adversary_contaminates_naive_candidates():
     from tests.test_solver import raw_members
     n, k, m = 400, 40, 21
     inst = generate(n, k, 0.5, strategy_majority_adversary(m), seed=10)
-    tau = threshold_for(k, 0.5)
+    tau = threshold_for(k, 0.5, 1)
     decoys = set(inst.details["decoys"])
     for i in inst.details["chosen"]:
         members = set(raw_members(inst.graph, [(i,)], tau))

@@ -34,18 +34,22 @@ def refined(graph, members, k):
 
 
 def test_threshold_values():
-    assert threshold_for(100, 0.5) == 50.0
-    assert threshold_for(100, 4 / 5) == 3.125
-    assert threshold_for(100, 1 / 5) == 800.0
+    # k * p_plus**(order+1) / 2, with p_plus**2 = 1/4 at p = 4/5 and 4 at p = 1/5
+    assert [threshold_for(100, 0.5, order) for order in (1, 2, 3)] == [50.0] * 3
+    assert [threshold_for(100, 4 / 5, order) for order in (1, 2, 3)] == [12.5, 6.25, 3.125]
+    assert [threshold_for(100, 1 / 5, order) for order in (1, 2, 3)] == [200.0, 400.0, 800.0]
     with pytest.raises(ParameterError):
-        threshold_for(0, 0.5)
+        threshold_for(0, 0.5, 3)
     with pytest.raises(ParameterError):
-        threshold_for(10, 1.0)
+        threshold_for(10, 1.0, 3)
+    for order in (0, 4):
+        with pytest.raises(ParameterError, match="order"):
+            threshold_for(10, 0.5, order)
 
 
 def test_candidate_set_complete_graph():
     g = complete_graph(9)
-    assert raw_members(g, [(0, 3, 5)], tau=threshold_for(4, 0.5)) == tuple(range(9))
+    assert raw_members(g, [(0, 3, 5)], tau=threshold_for(4, 0.5, 3)) == tuple(range(9))
 
 
 def test_candidate_set_empty_graph_oracle():
@@ -65,7 +69,7 @@ def test_candidate_set_contains_planted_for_planted_alpha():
     for seed in range(20):
         inst = generate(300, 120, 0.5, strategy_erdos_renyi(), seed=seed)
         alpha = inst.planted[:3]
-        members = raw_members(inst.graph, [alpha], threshold_for(inst.k, 0.5))
+        members = raw_members(inst.graph, [alpha], threshold_for(inst.k, 0.5, 3))
         if set(inst.planted) <= set(members):
             hits += 1
     assert hits >= 19
@@ -78,7 +82,7 @@ def test_candidate_completeness_matches_realized_inner_products():
     planted = list(inst.planted)
     rest = np.setdiff1d(np.arange(200), planted)
     alpha = planted[:3]
-    tau = threshold_for(60, 0.5)
+    tau = threshold_for(60, 0.5, 3)
     out = inst.graph.signs[:, rest].astype(np.int64)
     row_out = np.prod(out[alpha], axis=0)
     captured = set(inst.planted) <= set(raw_members(inst.graph, [alpha], tau))
@@ -284,9 +288,9 @@ def test_pbiased_inner_tables_match_the_float64_values_product():
     n, p = 70, 0.3
     g = random_graph(n, 21)
     values = pbiased_values(g.signs, p)
-    cutoff = threshold_for(12, p) - solver.FLOAT_THRESHOLD_TOL
     decided = []
     for order in (1, 2, 3):
+        cutoff = threshold_for(12, p, order) - solver.FLOAT_THRESHOLD_TOL
         alphas = solver._sample_alphas(n, 150, order, 1, np.random.default_rng(4))
         for start in range(0, len(alphas), n):
             table = solver._inner_table(g.signs, alphas[start:start + n], p, None)
@@ -433,6 +437,17 @@ def test_solve_order_one_and_reps():
         assert tuple(sorted(inst.planted)) in [e.vertices for e in result.entries]
 
 
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_solve_recovers_the_planted_set_at_every_order_below_one_half(order):
+    # an order-s round scores a planted vertex about k * p_plus**(s+1), and the
+    # cutoff is half of that at each order
+    n, k, p = 400, 120, 0.3
+    inst = generate(n, k, p, strategy_erdos_renyi(), seed=0)
+    result = solve(inst.graph, k, p, SolverConfig(order=order, rounds=400, seed=0))
+    assert result.stats["raw_size_max"] >= k
+    assert tuple(sorted(inst.planted)) in [e.vertices for e in result.entries]
+
+
 def test_solve_general_p_paths():
     for p in (0.3, 0.7):
         k = math.ceil(8 * math.ceil(math.sqrt(300)) * max(1.0, (p / (1 - p)) ** 2))
@@ -449,7 +464,7 @@ def test_solve_round_counts_match_brute_force_over_rounds():
     rng = np.random.default_rng(np.random.SeedSequence(3))
     alphas = solver._sample_alphas(150, 300, 1, 2, rng).reshape(300, 2, 1)
     clique = [inst.graph.is_clique(a.reshape(-1)) for a in alphas]
-    sizes = [len(raw_members(inst.graph, a.tolist(), threshold_for(40, 0.5))) if ok else 0
+    sizes = [len(raw_members(inst.graph, a.tolist(), threshold_for(40, 0.5, 1))) if ok else 0
              for a, ok in zip(alphas, clique)]
     assert stats["rounds_index_not_clique"] == clique.count(False)
     assert stats["rounds_nonempty"] == sum(1 for size in sizes if size > 0)
@@ -558,24 +573,26 @@ def test_edgeless_graph_keeps_one_oracle_call_per_batch_and_multiplies_no_row():
     assert (len(batches), counters.oracle_calls, counters.madds) == (5, 5, 0)
 
 
-@pytest.mark.parametrize("reps", [1, 2])
-@pytest.mark.parametrize("p", [0.5, 0.3, 0.1, 0.9])
-def test_rounds_inside_the_planted_set_survive_and_match_brute_force(p, reps):
+@pytest.mark.parametrize("p, reps, order", [
+    pytest.param(p, reps, order, id=f"{p}-{reps}" + ("" if order == 3 else f"-order{order}"))
+    for p in (0.5, 0.3, 0.1, 0.9, 0.7) for reps in (1, 2) for order in (3, 1, 2)])
+def test_rounds_inside_the_planted_set_survive_and_match_brute_force(p, reps, order):
     n, k, rounds = 80, 40, 160
     inst = generate(n, k, p, strategy_erdos_renyi(), seed=30 + reps)
     values = (inst.graph.signs.astype(np.float64) if p == 0.5
               else pbiased_values(inst.graph.signs, p))
-    cutoff = threshold_for(k, p) - 1e-9
+    cutoff = threshold_for(k, p, order) - 1e-9
     planted = set(inst.planted)
     counters = linalg.Counters()
-    cfg = SolverConfig(order=3, reps=reps, rounds=rounds, seed=31)
+    cfg = SolverConfig(order=order, reps=reps, rounds=rounds, seed=31)
     yielded = list(solver.iter_round_members(inst.graph, k, p, cfg, counters))
-    sampled = solver._sample_alphas(n, rounds, 3, reps,
+    sampled = solver._sample_alphas(n, rounds, order, reps,
                                     np.random.default_rng(np.random.SeedSequence(31)))
-    sampled = sampled.reshape(rounds, reps, 3)
+    sampled = sampled.reshape(rounds, reps, order)
     clique = np.array([inst.graph.is_clique(a.reshape(-1)) for a in sampled])
     inside = np.array([planted.issuperset(a.reshape(-1).tolist()) for a in sampled])
-    assert inside.any() and not clique.all() and not np.any(inside & ~clique)
+    # one sampled vertex is always a clique
+    assert inside.any() and clique.all() == (order * reps == 1) and not np.any(inside & ~clique)
     # the yielded rounds are the clique rounds, in order, so every planted round survives
     assert np.array_equal(np.concatenate([a for a, _ in yielded]), sampled[clique])
     assert counters.oracle_calls == len(yielded) == math.ceil(rounds / (n // reps))
@@ -618,7 +635,7 @@ def test_the_model_alone_fixes_the_cutoff():
     assert SolverConfig().to_dict()["threshold"] is None
     # solve echoes the model's cutoff in both slots, and from_dict ignores it
     stats = solve(random_graph(30, 3), 10, 0.3, SolverConfig(c_rounds=1.0)).stats
-    assert stats["threshold"] == stats["config"]["threshold"] == threshold_for(10, 0.3)
+    assert stats["threshold"] == stats["config"]["threshold"] == threshold_for(10, 0.3, 3)
     assert SolverConfig.from_dict(stats["config"]) == SolverConfig(c_rounds=1.0, rounds=27)
 
 
