@@ -44,6 +44,11 @@ def _emit(out, kind: str, doc: dict) -> None:
     _write(out, harness.report_json(dict(doc, format=f"srpc-{kind} v1")))
 
 
+def _given(name: str) -> bool:
+    """Whether the running command's option ``name`` was set on the command line."""
+    return click.get_current_context().get_parameter_source(name).name != "DEFAULT"
+
+
 def _finite_object(pairs: list) -> dict:
     """json object hook that refuses ``NaN``, ``Infinity`` and overflows like ``1e999``."""
     def finite(value):  # nested objects went through this hook already
@@ -126,6 +131,9 @@ def solve_cmd(graph_path, k, p, order, reps, rounds_const, rounds, seed, backend
               timings):
     """List-decode cliques from a graph file (never reads the planted set)."""
     from . import harness, solver
+    if rounds is not None and _given("rounds_const"):
+        raise ParameterError("--rounds-const does not apply with --rounds, "
+                             "which sets the round count itself")
     cfg = solver.SolverConfig(order=int(order), reps=reps, c_rounds=rounds_const,
                               rounds=rounds, seed=seed)
     solver.threshold_for(k, p, cfg.order)  # refuses k and p before the n^2 read
@@ -206,12 +214,11 @@ def grid_cmd(ctx, config_path, out_csv, out_config):
 @click.option("--k", type=int, required=True)
 @click.option("--m", type=int, required=True)
 @_seed_option
-@click.option("--rounds-const", type=float, default=10.0, show_default=True)
 @click.option("--out", default="-")
-def adversary_demo_cmd(n, k, m, seed, rounds_const, out):
+def adversary_demo_cmd(n, k, m, seed, out):
     """Majority-adversary correlation study plus paired order-1/order-3 runs."""
     from . import harness
-    _emit(out, "adversary-demo", harness.adversary_demo(n, k, m, seed, c_rounds=rounds_const))
+    _emit(out, "adversary-demo", harness.adversary_demo(n, k, m, seed))
 
 
 @cli.group()
@@ -278,11 +285,10 @@ def rip_build(h):
 @_rip_command("isotropy")
 @click.option("--mode", type=click.Choice(["exhaustive", "sampled"]),
               default="sampled", show_default=True)
-@click.option("--tol", type=float, default=None)
-def rip_isotropy(h, mode, tol):
-    """Check zero-mean / unit-variance / uncorrelated column moments."""
+def rip_isotropy(h, mode):
+    """Check zero-mean / unit-variance / uncorrelated column moments, to 5/sqrt(q) when sampled."""
     from . import riplab
-    report = riplab.isotropy_check(h, mode=mode, tol=tol)
+    report = riplab.isotropy_check(h, mode)
     return {"mode": report.mode, "ok": report.ok, "max_abs_mean": report.max_abs_mean,
             "max_abs_cross": report.max_abs_cross, "max_diag_err": report.max_diag_err,
             "tol": report.tol, "exact": report.exact}
@@ -295,15 +301,13 @@ def rip_isotropy(h, mode, tol):
 @click.option("--trials", type=int, default=10000, show_default=True)
 @click.option("--budget", type=int, default=None, show_default="riplab.DEFAULT_SUPPORT_BUDGET",
               help="Most supports the exhaustive method enumerates.")
-@click.option("--normalize/--no-normalize", default=True, show_default=True,
-              help="Scale the matrix by 1/sqrt(q) first.")
-def rip_opnorm(h, r, method, trials, budget, normalize):
-    """Sparse operator norm over all (or sampled) size-r supports."""
+def rip_opnorm(h, r, method, trials, budget):
+    """Sparse operator norm of H/sqrt(q) over all (or sampled) size-r supports."""
     from . import riplab
     other = "trials" if method == "exhaustive" else "budget"  # the other method's flag
-    if click.get_current_context().get_parameter_source(other).name != "DEFAULT":
+    if _given(other):
         raise ParameterError(f"--{other} does not apply to --method {method}")
-    mat = h.values / np.sqrt(h.q) if normalize else h.values
+    mat = h.values / np.sqrt(h.q)
     if method == "exhaustive":
         report = riplab.sparse_opnorm_exhaustive(
             mat, r, budget=riplab.DEFAULT_SUPPORT_BUDGET if budget is None else budget)
@@ -311,7 +315,7 @@ def rip_opnorm(h, r, method, trials, budget, normalize):
         report = riplab.sparse_opnorm_sampled(mat, r, trials=trials, seed=h.seed)
     return {"r": report.r, "value": report.value, "method": report.method,
             "support": list(report.support), "supports_checked": report.supports_checked,
-            "residual": report.residual, "normalized": normalize, "seed": h.seed}
+            "residual": report.residual, "normalized": True, "seed": h.seed}
 
 
 @_rip_command("deviation")
@@ -340,33 +344,25 @@ def rip_corrcount(h, tau, w_seed):
 @cli.command()
 @click.option("--sizes", default="128,256", show_default=True,
               help="Comma-separated square sizes.")
-@click.option("--backends", default="naive,blocked,recursive", show_default=True)
-@click.option("--kind", type=click.Choice(["int", "float"]), default="int",
-              show_default=True)
 @_seed_option
 @click.option("--out", default="-",
               help="Deterministic counter report (wall times go to stderr).")
-def bench(sizes, backends, kind, seed, out):
-    """Time the multiplication backends and report oracle counters."""
+def bench(sizes, seed, out):
+    """Time the three multiplication backends on int64 operands and report oracle counters."""
     from . import linalg
     rng = np.random.default_rng(seed)
     if not all(s.strip().isdecimal() and 0 < int(s) <= MAX_BENCH_SIZE for s in sizes.split(",")):
         raise ParameterError(f"--sizes must be comma-separated integers in [1, "
                              f"MAX_BENCH_SIZE={MAX_BENCH_SIZE}], got {sizes!r}")
-    kinds = [linalg.Backend(name) for name in backends.split(",")]  # refused before any product
     report = []
     for size in [int(s) for s in sizes.split(",")]:
-        if kind == "int":
-            a = rng.integers(-8, 9, size=(size, size)).astype(np.int64)
-            b = rng.integers(-8, 9, size=(size, size)).astype(np.int64)
-        else:
-            a = rng.standard_normal((size, size))
-            b = rng.standard_normal((size, size))
-        for backend in kinds:
+        a = rng.integers(-8, 9, size=(size, size)).astype(np.int64)
+        b = rng.integers(-8, 9, size=(size, size)).astype(np.int64)
+        for backend in (linalg.NAIVE, linalg.BLOCKED, linalg.RECURSIVE):
             counters = linalg.Counters()
             linalg.matmul(a, b, backend, counters)
             click.echo(f"n={size} backend={backend.kind}: {counters.seconds:.4f}s", err=True)
-            report.append({"n": size, "backend": backend.kind, "kind": kind,
+            report.append({"n": size, "backend": backend.kind, "kind": "int",
                            "oracle_calls": counters.oracle_calls,
                            "madds": counters.madds})
     _emit(out, "bench", {"cases": report})

@@ -136,6 +136,7 @@ def resolve_k_rule(rule: str, n: int) -> int:
     return math.ceil(k)
 
 
+GRID_KEYS = ("ns", "k_rules", "ps", "solvers", "adversaries", "trials", "seed")
 GRID_SOLVER_KEYS = ("order", "reps", "c_rounds")
 
 
@@ -195,6 +196,11 @@ class ExperimentGrid:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentGrid":
+        """The grid of a config document; a key outside GRID_KEYS is refused."""
+        for key in doc:
+            if key not in GRID_KEYS:
+                raise ParameterError(f"grid config has unknown key {key!r}")
+
         def listed(key, default=None):
             value = doc[key] if default is None else doc.get(key, default)
             if not isinstance(value, list):
@@ -288,7 +294,7 @@ def grid_csv(rows: list[dict]) -> str:
     return buf.getvalue()
 
 
-def adversary_demo(n: int, k: int, m: int, seed: int, c_rounds: float = 10.0) -> dict:
+def adversary_demo(n: int, k: int, m: int, seed: int) -> dict:
     """Majority-adversary study: correlation constants plus paired solver runs.
 
     The correlation half follows the abstract construction (m random sign
@@ -300,7 +306,7 @@ def adversary_demo(n: int, k: int, m: int, seed: int, c_rounds: float = 10.0) ->
     thresholds.
     """
     p = 0.5
-    cfg = solver.SolverConfig(order=3, reps=1, c_rounds=c_rounds, seed=seed + 1)
+    cfg = solver.SolverConfig(order=3, reps=1, seed=seed + 1)
     inst = generate(n, k, p, strategy_majority_adversary(m), seed)  # checks n, k, m first
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1000,)))
     vectors = rng.choice(np.array([-1, 1], dtype=np.int64), size=(m, n))

@@ -221,11 +221,14 @@ def generate(n: int, k: int, p: float, strategy: AdversaryStrategy,
                                      p, planted, complement, cut_block)
 
     # Planted-first block matrix, then one row and one column permutation
-    # back to vertex order: vertex v sits at position position[v].
+    # back to vertex order: vertex v sits at position position[v].  Each
+    # part is freed as soon as a copy holds it.
     block = np.block([[np.ones((k, k), dtype=np.int8), cut_block], [cut_block.T, outside]])
+    del cut_edges, cut_block, outside
     position = np.empty(n, dtype=np.intp)
     position[np.concatenate((planted, complement))] = np.arange(n)
-    signs = block.take(position, axis=0).take(position, axis=1)
+    block = block.take(position, axis=0)
+    signs = block.take(position, axis=1)
 
     return Instance(graph=SignedAdjacency(signs), n=n, k=k, p=p,
                     planted=tuple(int(v) for v in planted),

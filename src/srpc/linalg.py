@@ -5,8 +5,8 @@ table ``b`` of int8 or float32 entries in {-1, 0, +1}, widened a tile of
 rows at a time inside one oracle call, to float32 against int8 or float32
 rows (exact integer tables: sign inner products, intersection and degree
 counts alike) and to float64 against float64 rows.  :func:`matmul`
-multiplies plain int64 (exact, overflow-checked) or float64 arrays under
-three backends, which ``srpc bench`` times.
+multiplies plain int64 arrays (exact, overflow-checked) under three
+backends, which ``srpc bench`` times.
 
 Every call to :func:`matmul` or :func:`sign_matmul` counts as one call to
 the abstract multiplication oracle; callers that batch work into n-row
@@ -77,10 +77,8 @@ def _check_operands(a: np.ndarray, b: np.ndarray) -> None:
     if a.shape[1] != b.shape[0]:
         raise ParameterError(
             f"dimension mismatch: {a.shape} x {b.shape}")
-    if a.dtype != b.dtype:
-        raise ParameterError(f"operand kinds differ: {a.dtype} vs {b.dtype}")
-    if a.dtype not in (np.dtype(np.int64), np.dtype(np.float64)):
-        raise ParameterError(f"unsupported entry kind {a.dtype}")
+    if a.dtype != np.int64 or b.dtype != np.int64:
+        raise ParameterError(f"matmul operands must be int64, got {a.dtype} and {b.dtype}")
 
 
 def _check_int_overflow(a: np.ndarray, b: np.ndarray, levels: int) -> None:
@@ -152,17 +150,15 @@ def _strassen_levels(a: np.ndarray, b: np.ndarray, backend: Backend) -> int:
 
 def matmul(a: np.ndarray, b: np.ndarray, backend: Backend = NAIVE,
            counters: Counters | None = None) -> np.ndarray:
-    """Product A @ B under the selected backend.
+    """Product A @ B of int64 arrays under the selected backend.
 
-    Integer results are exact for every backend (and therefore identical
-    across backends); float results agree across backends to within
-    1e-12 * max|A| * max|B| * inner per entry.
+    Results are exact for every backend, and therefore identical across
+    backends.
     """
     a = np.ascontiguousarray(a)
     b = np.ascontiguousarray(b)
     _check_operands(a, b)
-    if a.dtype == np.int64:
-        _check_int_overflow(a, b, _strassen_levels(a, b, backend))
+    _check_int_overflow(a, b, _strassen_levels(a, b, backend))
     start = time.perf_counter()
     if backend.kind == "naive":
         out = a @ b

@@ -189,26 +189,19 @@ def _exact_isotropy(k: int, t: int, base) -> IsotropyReport:
                           max_diag_err=float(max_diag), tol=0.0, exact=True)
 
 
-def isotropy_check(h: TensoredMatrix, mode: str = "sampled",
-                   tol: float | None = None) -> IsotropyReport:
+def isotropy_check(h: TensoredMatrix, mode: str = "sampled") -> IsotropyReport:
     """Column moment conditions: zero means, unit variances, zero cross moments.
 
     Exhaustive mode enumerates every base outcome with exact rational
-    weights and reports exact deviations; sampled mode estimates the same
-    moments from the realized rows and compares against ``tol``
-    (default 5/sqrt(q)).  A ``tol`` that is negative or not finite raises
-    :class:`ParameterError`, and so does any ``tol`` in exhaustive mode,
-    whose verdict is exact.
+    weights and reports exact deviations (tolerance 0); sampled mode
+    estimates the same moments from the realized rows and compares them
+    against the tolerance 5/sqrt(q).
     """
-    if tol is not None and not (math.isfinite(tol) and tol >= 0):
-        raise ParameterError(f"tol must be finite and >= 0, got {tol}")
     if mode == "exhaustive":
-        if tol is not None:
-            raise ParameterError(f"tol applies only to sampled mode, got tol={tol}")
         return _exact_isotropy(h.k, h.t, h.base)
     if mode != "sampled":
         raise ParameterError(f"mode must be 'exhaustive' or 'sampled', got {mode!r}")
-    tol = 5.0 / math.sqrt(h.q) if tol is None else tol
+    tol = 5.0 / math.sqrt(h.q)
     values = h.values
     _check_gram(values.shape[1])
     means = values.mean(axis=0)

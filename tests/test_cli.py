@@ -2,6 +2,8 @@ import hashlib
 import io
 import json
 import math
+import re
+import shlex
 import subprocess
 import sys
 import warnings
@@ -212,7 +214,7 @@ def test_grid_command(runner, tmp_path):
 def test_adversary_demo_command(runner, tmp_path):
     out = tmp_path / "demo.json"
     invoke(runner, ["adversary-demo", "--n", "64", "--k", "16", "--m", "1",
-                    "--seed", "7", "--rounds-const", "4", "--out", str(out)])
+                    "--seed", "7", "--out", str(out)])
     doc = json.loads(out.read_text())
     assert doc["min_correlation"] == 64
 
@@ -249,8 +251,7 @@ def test_rip_subcommands(runner, tmp_path):
 
 def test_bench_command(runner, tmp_path):
     out = tmp_path / "bench.json"
-    invoke(runner, ["bench", "--sizes", "16,33", "--kind", "int",
-                    "--seed", "1", "--out", str(out)])
+    invoke(runner, ["bench", "--sizes", "16,33", "--seed", "1", "--out", str(out)])
     doc = json.loads(out.read_text())
     assert len(doc["cases"]) == 6
     assert all(case["oracle_calls"] == 1 for case in doc["cases"])
@@ -279,7 +280,7 @@ GOLDEN_REPORTS = [
      "0349dfed163d9c22ad7a80b55cace766506c664bbbf111dc11f4568831ae7e21"),
     (["adversary-demo", "--n", 200, "--k", 60, "--m", 3, "--seed", 1],
      "68d1a022f13681b8542d307c7dcb0ec87d8c0b28f6bd0a89e3de021e5f06eb69"),
-    (["bench", "--sizes", "16,33", "--kind", "int", "--seed", 1],
+    (["bench", "--sizes", "16,33", "--seed", 1],
      "6ad39187d282b4cbb89e2482083207d1d84eb7c36c222497b08e38d8fe225564"),
 ]
 
@@ -314,7 +315,7 @@ def test_documents_pass_the_traced_module_functions(runner, tmp_path, monkeypatc
         (["evaluate", "--graph", g, "--meta", m, "--result", s, "--out", ev], 1, 0),
         (["grid", "--config", cfg, "--out-csv", str(tmp_path / "csv"),
           "--out-config", str(tmp_path / "echo")], 1, 0),
-        (["adversary-demo", "--n", "64", "--k", "16", "--m", "1", "--rounds-const", "1"], 1, 0),
+        (["adversary-demo", "--n", "64", "--k", "16", "--m", "1"], 1, 0),
         (["bench", "--sizes", "8"], 1, 0),
         (["rip", "build", *rip_shape], 1, 1),
         (["rip", "isotropy", *rip_shape], 1, 1),
@@ -420,6 +421,16 @@ def test_bad_solver_setting_exits_2_before_the_graph_is_read(tmp_path):
                    "--out", tmp_path / "o")
     assert_input_error(proc)
     assert "reps must be" in proc.stderr, proc.stderr
+
+
+@pytest.mark.parametrize("const", ["3", "10"])
+def test_rounds_const_with_rounds_exits_2_before_the_graph_is_read(tmp_path, const):
+    # --rounds sets the round count, so a --rounds-const beside it would go unused;
+    # given explicitly, even at its default value, it is refused
+    proc = run_cli("solve", "--graph", tmp_path / "missing.txt", "--k", 30, "--rounds", 50,
+                   "--rounds-const", const, "--out", tmp_path / "o")
+    assert_input_error(proc)
+    assert "--rounds-const does not apply with --rounds" in proc.stderr, proc.stderr
 
 
 @pytest.mark.parametrize("command, args, name", [
@@ -705,17 +716,14 @@ def test_negative_seed_exits_2(tmp_path, args, flag):
     (["bench", "--sizes", "0"], "--sizes"),
     (["bench", "--sizes", "8,60000"], "MAX_BENCH_SIZE"),
     (["bench", "--sizes", "4097"], "MAX_BENCH_SIZE"),
-    (["rip", "isotropy", *RIP_SHAPE, "--mode", "exhaustive", "--tol", 0.5], "tol"),
     (["rip", "opnorm", *RIP_SHAPE, "--r", 2, "--method", "sampled", "--budget", 0], "--budget"),
     (["rip", "opnorm", *RIP_SHAPE, "--r", 2, "--method", "exhaustive", "--trials", 0],
      "--trials"),
-    (["bench", "--sizes", 8, "--backends", "naive,foo"], "backend kind 'foo'"),
 ], ids=["p-not-a-number", "p-zero-denominator", "p-malformed-fraction",
         "p-with-rademacher-build", "p-with-rademacher-isotropy", "p-with-rademacher-opnorm",
         "p-with-rademacher-deviation", "p-with-rademacher-corrcount", "sizes-not-a-number",
         "sizes-empty-entry", "sizes-zero", "sizes-huge", "sizes-above-max",
-        "tol-with-exhaustive-isotropy", "budget-with-sampled-opnorm",
-        "trials-with-exhaustive-opnorm", "bench-unknown-backend-after-a-known-one"])
+        "budget-with-sampled-opnorm", "trials-with-exhaustive-opnorm"])
 def test_bad_cli_value_exits_2_naming_the_flag(args, flag):
     proc = run_cli(*args)
     assert_input_error(proc)
@@ -725,9 +733,6 @@ def test_bad_cli_value_exits_2_naming_the_flag(args, flag):
 @pytest.mark.parametrize("args, name", [
     (["rip", "corrcount", *RIP_SHAPE, "--tau", "nan"], "tau"),
     (["rip", "corrcount", *RIP_SHAPE, "--tau", "inf"], "tau"),
-    (["rip", "isotropy", *RIP_SHAPE, "--tol", "nan"], "tol"),
-    (["rip", "isotropy", *RIP_SHAPE, "--tol", "inf"], "tol"),
-    (["rip", "isotropy", *RIP_SHAPE, "--tol", "-1"], "tol"),
     (["rip", "build", *RIP_SHAPE, "--base", "pbiased", "--p", "1e-400"], "p = 1/1000"),
     (["rip", "build", "--k", 4, "--t", 3, "--q", 8, "--base", "pbiased", "--p", "1e-300"],
      "p = 1/1000"),
@@ -735,7 +740,7 @@ def test_bad_cli_value_exits_2_naming_the_flag(args, flag):
      "below the normal float range at t = 2"),
     (["rip", "deviation", *RIP_SHAPE, "--r", 2, "--base", "pbiased", "--p", "1e-300"],
      "below the normal float range at t = 2"),
-], ids=["tau-nan", "tau-inf", "tol-nan", "tol-inf", "tol-negative", "pbiased-p-overflows",
+], ids=["tau-nan", "tau-inf", "pbiased-p-overflows",
         "pbiased-entries-overflow", "pbiased-gram-underflows-opnorm",
         "pbiased-gram-underflows-deviation"])
 def test_non_finite_rip_thresholds_exit_2(args, name):
@@ -826,6 +831,7 @@ def test_oversized_sampled_rip_run_exits_2(args, limit):
     ({"adversaries": [{"name": "majority", "m": 3, "decoy_count": 1.5}]}, "adversaries"),
     ({"adversaries": [{"name": "majority", "m": 11}]}, "grid cell 0"),
     ({"solvers": [{"reps": 40}]}, "grid cell 0"),
+    ({"trails": 1, "sead": 3}, "unknown key 'trails'"),
 ], ids=["trials-zero", "trials-negative", "trials-bool", "solver-rounds", "solver-bogus",
          "solver-backend",
         "solvers-not-objects", "ns-not-a-list", "k-rules-not-a-list", "ps-not-a-list",
@@ -835,7 +841,7 @@ def test_oversized_sampled_rip_run_exits_2(args, limit):
         "k-zero", "k-above-n", "formula-k-above-n", "formula-k-zero", "formula-k-infinite",
         "formula-k-overflowing",
         "majority-float-m", "majority-float-decoys", "majority-m-above-k",
-        "solver-rounds-past-limit"])
+        "solver-rounds-past-limit", "misspelled-top-level-keys"])
 def test_bad_grid_config_exits_2(tmp_path, extra, name):
     config = tmp_path / "grid.json"
     config.write_text(json.dumps({"ns": [30], "k_rules": ["10"], **extra}))
@@ -876,7 +882,7 @@ def test_bad_thread_count_exits_2(tmp_path, threads):
     ["generate", "--n", 40, "--k", 10, "--adversary", "majority", "--m", 3,
      "--out-graph", "{out}", "--out-meta", "{out}.meta"],
     ["solve", "--graph", "{graph}", "--k", 10, "--order", 1, "--out", "{out}"],
-    ["adversary-demo", "--n", 64, "--k", 16, "--m", 3, "--rounds-const", 1, "--out", "{out}"],
+    ["adversary-demo", "--n", 64, "--k", 16, "--m", 3, "--out", "{out}"],
     ["rip", "build", *RIP_SHAPE, "--out", "{out}"],
     ["rip", "isotropy", *RIP_SHAPE, "--out", "{out}"],
     ["rip", "opnorm", *RIP_SHAPE, "--r", 2, "--method", "sampled", "--trials", 20,
@@ -899,8 +905,8 @@ def test_seed_changes_the_output(runner, instance_files, tmp_path, args):
 # Every option of every command, as `srpc <command> --help` lists them.
 OPTION_SURFACE = {
     "": ["--threads"],
-    "adversary-demo": ["--n", "--k", "--m", "--seed", "--rounds-const", "--out"],
-    "bench": ["--sizes", "--backends", "--kind", "--seed", "--out"],
+    "adversary-demo": ["--n", "--k", "--m", "--seed", "--out"],
+    "bench": ["--sizes", "--seed", "--out"],
     "evaluate": ["--graph", "--meta", "--result", "--out"],
     "generate": ["--n", "--k", "--p", "--adversary", "--m", "--seed", "--out-graph",
                  "--out-meta"],
@@ -912,10 +918,9 @@ OPTION_SURFACE = {
                       "--w-seed"],
     "rip deviation": ["--k", "--t", "--q", "--base", "--p", "--seed", "--out", "--r",
                       "--trials"],
-    "rip isotropy": ["--k", "--t", "--q", "--base", "--p", "--seed", "--out", "--mode",
-                     "--tol"],
+    "rip isotropy": ["--k", "--t", "--q", "--base", "--p", "--seed", "--out", "--mode"],
     "rip opnorm": ["--k", "--t", "--q", "--base", "--p", "--seed", "--out", "--r", "--method",
-                   "--trials", "--budget", "--normalize", "--no-normalize"],
+                   "--trials", "--budget"],
     "solve": ["--graph", "--k", "--p", "--order", "--reps", "--rounds-const", "--rounds",
               "--seed", "--backend", "--out", "--timings"],
 }
@@ -934,6 +939,30 @@ def test_option_surface():
     assert seeds == [0] * 9
 
 
+def readme_command_lines():
+    """Every ``srpc ...`` command line of README's ``sh`` blocks, continuations joined."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, flags=re.M | re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("srpc ")]
+
+
+def test_readme_command_lines_parse():
+    # make_context parses each line down to its leaf command and runs nothing,
+    # so a removed or misspelled flag or a missing required one fails here
+    lines = readme_command_lines()
+    assert len(lines) >= 10
+    for argv in lines:
+        command, name, ctx = cli, "srpc", None
+        while True:
+            ctx = command.make_context(name, argv, parent=ctx)
+            if not hasattr(command, "commands"):
+                break
+            # a group stops parsing at its subcommand's name and leaves what follows
+            name = argv[len(argv) - len(ctx.args) - 1]
+            command, argv = command.commands[name], ctx.args
+
+
 @pytest.mark.parametrize("args, option", [
     (["--seed", 1, "generate", "--n", 50, "--k", 10, "--out-graph", "{tmp}/g",
       "--out-meta", "{tmp}/m"], "--seed"),
@@ -949,6 +978,25 @@ def test_removed_spelling_is_a_usage_error(tmp_path, args, option):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("Usage: ")
     assert proc.stderr.endswith(f"Error: No such option '{option}'.\n"), proc.stderr
+
+
+@pytest.mark.parametrize("args, option", [
+    (["rip", "isotropy", *RIP_SHAPE, "--tol", 0.5], "--tol"),
+    (["rip", "opnorm", *RIP_SHAPE, "--r", 2, "--normalize"], "--normalize"),
+    (["rip", "opnorm", *RIP_SHAPE, "--r", 2, "--no-normalize"], "--no-normalize"),
+    (["bench", "--sizes", 8, "--kind", "float"], "--kind"),
+    (["bench", "--sizes", 8, "--backends", "naive"], "--backends"),
+    (["adversary-demo", "--n", 64, "--k", 16, "--m", 1, "--rounds-const", 4], "--rounds-const"),
+], ids=["isotropy-tol", "opnorm-normalize", "opnorm-no-normalize", "bench-kind",
+        "bench-backends", "adversary-demo-rounds-const"])
+def test_removed_setting_is_a_usage_error(args, option):
+    # each of these settings had one value in use and is now a constant
+    proc = run_cli(*args)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("Usage: ")
+    # click may append a "Did you mean" suggestion
+    assert f"Error: No such option '{option}'." in proc.stderr, proc.stderr
 
 
 @pytest.mark.parametrize("backend", ["blocked", "recursive"])

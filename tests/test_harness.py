@@ -237,7 +237,7 @@ def test_report_json_refuses_non_finite_numbers(value):
 
 
 def test_adversary_demo_m1_min_correlation_is_n():
-    report = adversary_demo(n=64, k=16, m=1, seed=4, c_rounds=4.0)
+    report = adversary_demo(n=64, k=16, m=1, seed=4)
     assert report["min_correlation"] == 64  # w equals the single vector
     assert report["order1_chosen_total"] == 1
 
@@ -268,11 +268,3 @@ def test_adversary_demo_validation():
         adversary_demo(n=64, k=3, m=5, seed=0)
     with pytest.raises(ParameterError):
         adversary_demo(n=64, k=16, m=3.0, seed=0)
-
-
-def test_adversary_demo_refuses_its_solver_config_before_generating(monkeypatch):
-    def generate_not_reached(*args, **kwargs):
-        raise AssertionError("the instance was generated before the config was checked")
-    monkeypatch.setattr(harness, "generate", generate_not_reached)
-    with pytest.raises(ParameterError, match="c_rounds"):
-        adversary_demo(n=64, k=16, m=1, seed=0, c_rounds=0)

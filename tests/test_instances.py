@@ -320,17 +320,21 @@ def test_iid_block_matches_triu_indices_reference(size, p):
     assert np.array_equal(block, whole_triangle_iid_block(np.random.default_rng(12), size, p))
 
 
-def test_generate_peak_memory_stays_below_four_and_a_half_bytes_per_matrix_entry():
-    # the i.i.d. block draws one row block of uniforms at a time
-    n = 2048
+@pytest.mark.parametrize("make", [
+    strategy_erdos_renyi, strategy_clique_union, lambda: strategy_majority_adversary(3),
+], ids=["erdos_renyi", "clique_union", "majority"])
+def test_generate_peak_memory_stays_below_two_and_a_half_bytes_per_matrix_entry(make):
+    # the i.i.d. block draws one row block of uniforms at a time, and each
+    # part of the block matrix is freed once a copy holds it
+    n = 4096
     tracemalloc.start()
     try:
-        inst = generate(n, 64, 0.5, strategy_erdos_renyi(), seed=7)
+        inst = generate(n, 256, 0.5, make(), seed=7)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert inst.graph.n == n
-    assert peak < 4.5 * n * n
+    assert peak < 2.5 * n * n, peak / (n * n)
 
 
 # SHA-256 of the graph and meta files that write_instance writes, pinned so

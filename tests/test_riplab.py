@@ -310,21 +310,6 @@ def test_correlated_column_count_refuses_non_finite_tau(tau):
         riplab.correlated_column_count(h, np.ones(5), tau=tau)
 
 
-@pytest.mark.parametrize("mode", ["sampled", "exhaustive"])
-@pytest.mark.parametrize("tol", [math.nan, math.inf, -0.1])
-def test_isotropy_check_refuses_bad_tol(mode, tol):
-    h = riplab.build_tensored(4, 2, 8, riplab.RademacherBase(), seed=1)
-    with pytest.raises(ParameterError, match="tol"):
-        riplab.isotropy_check(h, mode=mode, tol=tol)
-
-
-def test_exhaustive_isotropy_refuses_a_tol():
-    # the exhaustive verdict is exact, so a tol would be checked and then ignored
-    h = riplab.build_tensored(4, 2, 8, riplab.RademacherBase(), seed=1)
-    with pytest.raises(ParameterError, match="tol"):
-        riplab.isotropy_check(h, mode="exhaustive", tol=0.5)
-
-
 def test_correlated_count_unit_column_hits_itself():
     rng = np.random.default_rng(15)
     h = rng.standard_normal((12, 6))
