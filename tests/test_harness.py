@@ -221,6 +221,12 @@ def test_grid_from_dict_refuses_bad_trials(trials):
         ExperimentGrid.from_dict(dict(GRID_DOC, trials=trials))
 
 
+@pytest.mark.parametrize("key", ["sead", "trails"])
+def test_grid_from_dict_refuses_unknown_top_level_keys(key):
+    with pytest.raises(ParameterError, match=f"'{key}'"):
+        ExperimentGrid.from_dict(dict(GRID_DOC, **{key: 3}))
+
+
 @pytest.mark.parametrize("entry, key", [({"rounds": 5}, "rounds"),
                                         ({"order": 2, "bogus": 1}, "bogus"),
                                         ({"seed": 3}, "seed")])
@@ -234,6 +240,19 @@ def test_report_json_refuses_non_finite_numbers(value):
     with pytest.raises(InternalInvariantError):
         report_json({"stats": {"tau": value}})
     assert report_json({"tau": 0.5}) == '{\n  "tau": 0.5\n}\n'
+
+
+def test_adversary_demo_solves_at_the_default_round_constant(monkeypatch):
+    configs = []
+    solve_as_given = harness.solver.solve
+
+    def recording_solve(graph, k, p, cfg):
+        configs.append(cfg)
+        return solve_as_given(graph, k, p, cfg)
+    monkeypatch.setattr(harness.solver, "solve", recording_solve)
+    adversary_demo(n=64, k=16, m=1, seed=4)
+    assert configs == [SolverConfig(order=3, reps=1, seed=5)]
+    assert configs[0].c_rounds == SolverConfig().c_rounds
 
 
 def test_adversary_demo_m1_min_correlation_is_n():

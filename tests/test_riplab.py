@@ -129,6 +129,15 @@ def test_sampled_isotropy_within_tolerance():
     assert report.ok
 
 
+@pytest.mark.parametrize("mode, q", [("sampled", 400), ("exhaustive", 4)])
+def test_isotropy_tolerance_is_set_by_the_mode(mode, q):
+    # sampled mode allows 5/sqrt(q); the exhaustive verdict is exact, so it allows 0
+    h = riplab.build_tensored(4, 2, q, riplab.RademacherBase(), seed=1)
+    report = riplab.isotropy_check(h, mode=mode)
+    assert report.tol == (5.0 / math.sqrt(q) if mode == "sampled" else 0.0)
+    assert report.exact == (mode == "exhaustive")
+
+
 def test_opnorm_orthonormal_columns():
     report = riplab.sparse_opnorm_exhaustive(np.eye(6), r=3)
     assert report.value == pytest.approx(1.0, rel=1e-9)
