@@ -1,9 +1,9 @@
 """End-to-end experiment driving: generate -> solve -> evaluate.
 
-Evaluation owns the hidden planted set; the solver never sees it.  The
-spurious-membership statistic is recomputed by replaying the solver's
-round sampling (a pure function of the echoed n, k, p and config) against
-the instance, so the solver output document stays small and planted-free.
+Evaluation owns the hidden planted set; the solver never sees it.  A grid
+trial counts spurious members in its own solve's member tables; `evaluate`
+replays the round sampling (a pure function of the echoed n, k, p and
+config), so a solve output document stays small and planted-free.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import json
 import math
 import re
 import sys
+import time
 import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
@@ -44,22 +45,47 @@ class EvalResult:
         return asdict(self)
 
 
-def max_spurious_members(instance: Instance, cfg: solver.SolverConfig, k: int, p: float) -> int:
-    """max over rounds of |S_alpha \\ S*|, replayed at the solve's k, p and config.
+class _SpuriousMax:
+    """A :func:`solver.solve` observer: ``worst`` is the largest |S_alpha \\ S*| it has seen."""
 
-    The maximum ranges over the rounds whose sampled index set is a clique;
-    the solve skips every other round, and a skipped round has no members.
-    """
-    planted = np.zeros(instance.n, dtype=bool)
-    planted[list(instance.planted)] = True
-    worst = 0
+    def __init__(self, instance: Instance):
+        self.outside = np.ones(instance.n, dtype=bool)
+        self.outside[list(instance.planted)] = False
+        self.worst = 0
+
+    def __call__(self, members: np.ndarray) -> None:
+        self.worst = max(self.worst, int((members & self.outside).sum(axis=1).max(initial=0)))
+
+
+def max_spurious_members(instance: Instance, cfg: solver.SolverConfig, k: int, p: float) -> int:
+    """max over the multiplied rounds of |S_alpha \\ S*|, replayed at the solve's k, p, config."""
+    observe = _SpuriousMax(instance)
     for _, members in solver.iter_round_members(instance.graph, k, p, cfg):
-        worst = max(worst, int((members & ~planted).sum(axis=1).max(initial=0)))
-    return worst
+        observe(members)
+    return observe.worst
+
+
+def score(instance: Instance, clique_list: CliqueList, max_spurious: int) -> EvalResult:
+    """Score a solve output against the hidden planted set, unchecked (see :func:`evaluate`)."""
+    stats = clique_list.stats
+    planted = tuple(sorted(instance.planted))
+    matching = sum(1 for e in clique_list.entries if e.vertices == planted)
+    valid = all(len(e.vertices) >= instance.k and instance.graph.is_clique(e.vertices)
+                for e in clique_list.entries)
+    stage_counts = {key: stats.get(key) for key in
+                    ("rounds", "rounds_index_not_clique", "rounds_nonempty",
+                     "rounds_short_skipped", "raw_size_max", "distinct_raw",
+                     "refined_size_max", "distinct_refined", "closure_added_max",
+                     "rounds_accepted", "accepted_distinct", "pruned_size")}
+    return EvalResult(recovered=matching > 0, list_size=len(clique_list.entries),
+                      stage_counts=stage_counts, max_spurious=max_spurious,
+                      entries_matching_planted=matching,
+                      all_entries_valid_cliques=valid,
+                      oracle_calls=dict(stats.get("oracle_calls", {})))
 
 
 def evaluate(instance: Instance, clique_list: CliqueList) -> EvalResult:
-    """Score a solve output against the instance's hidden planted set.
+    """Check a solve output, then :func:`score` it against the hidden planted set.
 
     A ``stats`` that holds a ``config`` is replayed for ``max_spurious``
     (0 without one); the replay takes n, k and p from ``stats``, or from the
@@ -73,15 +99,6 @@ def evaluate(instance: Instance, clique_list: CliqueList) -> EvalResult:
     clique_list.check_vertices(instance.n)
     stats = clique_list.stats
     oracle_calls = stats.get("oracle_calls", {})
-    planted = tuple(sorted(instance.planted))
-    matching = sum(1 for e in clique_list.entries if e.vertices == planted)
-    valid = all(len(e.vertices) >= instance.k and instance.graph.is_clique(e.vertices)
-                for e in clique_list.entries)
-    stage_counts = {key: stats.get(key) for key in
-                    ("rounds", "rounds_index_not_clique", "rounds_nonempty",
-                     "rounds_short_skipped", "raw_size_max", "distinct_raw",
-                     "refined_size_max", "distinct_refined", "closure_added_max",
-                     "rounds_accepted", "accepted_distinct", "pruned_size")}
     replay = "config" in stats
     try:
         if not isinstance(oracle_calls, dict):
@@ -95,8 +112,7 @@ def evaluate(instance: Instance, clique_list: CliqueList) -> EvalResult:
             if not isinstance(config_doc, dict):
                 raise ParameterError(f"config must be an object, got {config_doc!r}")
             config = solver.SolverConfig.from_dict(config_doc)
-            config.num_rounds(n, k)  # refuses a k outside [1, n] and a round count past the limit
-            tau = solver.threshold_for(k, p, config.order)
+            _, tau = config.resolve(n, k, p)
             echoed = config_doc.get("threshold")
             if echoed is not None and check_positive("threshold", echoed) != tau:
                 raise ParameterError(f"threshold must be the model's k * p_plus**(order+1) / 2 "
@@ -106,11 +122,7 @@ def evaluate(instance: Instance, clique_list: CliqueList) -> EvalResult:
     except ParameterError as exc:
         raise InputError(f"stats: {exc}") from None
     spurious = max_spurious_members(instance, config, k, p) if replay else 0
-    return EvalResult(recovered=matching > 0, list_size=len(clique_list.entries),
-                      stage_counts=stage_counts, max_spurious=spurious,
-                      entries_matching_planted=matching,
-                      all_entries_valid_cliques=valid,
-                      oracle_calls=dict(oracle_calls))
+    return score(instance, clique_list, spurious)
 
 
 _K_RULE_RE = re.compile(
@@ -186,7 +198,7 @@ class ExperimentGrid:
         for index, cell in enumerate(self.cells()):
             n, k, cfg = cell["n"], cell["k"], cell["solver"]
             try:
-                cfg.num_rounds(n, k)
+                cfg.resolve(n, k, cell["p"])
                 strategy_by_name(cell["adversary"], **cell["adversary_params"]).check(n, k)
             except ParameterError as exc:
                 raise ParameterError(
@@ -235,8 +247,9 @@ def _run_trial(cell: dict, root_seed: int, cell_index: int,
         strategy = strategy_by_name(cell["adversary"], **cell["adversary_params"])
         inst = generate(cell["n"], cell["k"], cell["p"], strategy, seed)
         cfg = replace(cell["solver"], seed=seed + 1)
-        result = solver.solve(inst.graph, cell["k"], cell["p"], cfg)
-        return evaluate(inst, result), None
+        spurious = _SpuriousMax(inst)
+        result = solver.solve(inst.graph, cell["k"], cell["p"], cfg, spurious)
+        return score(inst, result, spurious.worst), None
     except Exception as exc:
         return None, (type(exc).__name__, traceback.format_exc())
 
@@ -252,11 +265,13 @@ def run_grid(grid: ExperimentGrid, threads: int = 1) -> list[dict]:
     A trial that raises counts as a failure and in the cell's ``errors``
     column rather than aborting the grid; ``error_kinds`` holds the sorted,
     distinct exception class names joined by ``;`` (empty when none raised),
-    and the first traceback of each such cell goes to stderr.
+    and the first traceback of each such cell goes to stderr.  Each finished
+    cell prints one progress line to stderr.
     """
     check_int("threads", threads, 1)
     rows = []
     for index, cell in enumerate(grid.cells()):
+        start = time.perf_counter()
         trial = partial(_run_trial, cell, grid.seed, index)
         with ThreadPoolExecutor(max_workers=threads) as pool:
             outcomes = list(pool.map(trial, range(grid.trials)))
@@ -266,6 +281,8 @@ def run_grid(grid: ExperimentGrid, threads: int = 1) -> list[dict]:
             print(f"grid cell {index}: {len(errors)} of {grid.trials} trials raised; "
                   f"first traceback:\n{errors[0][1]}", file=sys.stderr, end="")
         successes = sum(1 for r in done if r.recovered)
+        print(f"grid cell {index}: {successes}/{grid.trials} recovered, {len(errors)} errors, "
+              f"{time.perf_counter() - start:.2f} s", file=sys.stderr)
 
         def mean(vals):
             return sum(vals) / len(vals) if vals else 0.0
@@ -300,7 +317,7 @@ def adversary_demo(n: int, k: int, m: int, seed: int) -> dict:
     The correlation half follows the abstract construction (m random sign
     vectors of length n, w their coordinate-wise majority); the instance
     half builds the actual adversarial graph, runs order 3 end to end,
-    scored by :func:`evaluate`, and checks each chosen planted vertex's raw
+    scored by :func:`score`, and checks each chosen planted vertex's raw
     order-1 candidate set for decoy contamination.  Edges have p = 1/2,
     where the order-1 sign inner products are the ones the solver
     thresholds.
@@ -322,8 +339,7 @@ def adversary_demo(n: int, k: int, m: int, seed: int) -> dict:
     order1_contaminated = int(np.count_nonzero(admitted))
 
     result = solver.solve(inst.graph, k, p, cfg)
-    # without stats the list is scored without a replay of the candidate stage
-    recovered = evaluate(inst, CliqueList(result.entries)).recovered
+    recovered = score(inst, result, 0).recovered  # the demo reports no spurious count
 
     return {
         "n": n, "k": k, "m": m, "p": p, "seed": seed,

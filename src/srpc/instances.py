@@ -174,7 +174,7 @@ def strategy_by_name(name: str, **params) -> AdversaryStrategy:
     """The named adversary; a bad name or a missing or unknown parameter is a ParameterError."""
     try:
         cls = _STRATEGIES[name]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable name, such as a list
         raise ParameterError(f"unknown adversary strategy {name!r}") from None
     try:
         inspect.signature(cls).bind(**params)
@@ -214,8 +214,10 @@ def generate(n: int, k: int, p: float, strategy: AdversaryStrategy,
     planted = np.sort(_substream(seed, _STREAM_PLANTED).choice(n, size=k, replace=False))
     complement = np.setdiff1d(np.arange(n), planted)
 
-    cut_edges = _substream(seed, _STREAM_CUT).random((k, n - k)) < p
-    cut_block = cut_edges.view(np.int8) * 2 - 1
+    rng = _substream(seed, _STREAM_CUT)
+    cut_block = np.empty((k, n - k), dtype=np.int8)
+    for r in range(0, k, _TILE):  # one row-major draw, a row block at a time
+        cut_block[r:r + _TILE] = np.where(rng.random((min(_TILE, k - r), n - k)) < p, 1, -1)
 
     outside, details = strategy.fill(_substream(seed, _STREAM_ADVERSARY),
                                      p, planted, complement, cut_block)
@@ -224,11 +226,12 @@ def generate(n: int, k: int, p: float, strategy: AdversaryStrategy,
     # back to vertex order: vertex v sits at position position[v].  Each
     # part is freed as soon as a copy holds it.
     block = np.block([[np.ones((k, k), dtype=np.int8), cut_block], [cut_block.T, outside]])
-    del cut_edges, cut_block, outside
+    del cut_block, outside
     position = np.empty(n, dtype=np.intp)
     position[np.concatenate((planted, complement))] = np.arange(n)
     block = block.take(position, axis=0)
     signs = block.take(position, axis=1)
+    del block  # before the planted-clique check of Instance gathers k x n entries
 
     return Instance(graph=SignedAdjacency(signs), n=n, k=k, p=p,
                     planted=tuple(int(v) for v in planted),

@@ -45,11 +45,6 @@ class Counters:
         self.madds += m * inner * n
         self.seconds += elapsed
 
-    def merge(self, other: "Counters") -> None:
-        self.oracle_calls += other.oracle_calls
-        self.madds += other.madds
-        self.seconds += other.seconds
-
 
 @dataclass(frozen=True)
 class Backend:

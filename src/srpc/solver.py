@@ -27,7 +27,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass, replace
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -109,6 +109,18 @@ class SolverConfig:
                                  f"is not finite (c_rounds={self.c_rounds}, n={n}, k={k})")
         _check_alpha_rows(count, self.reps)
         return max(1, math.ceil(count))
+
+    def resolve(self, n: int, k: int, p: float) -> tuple[int, float]:
+        """(round count, threshold) of a solve of an n-vertex graph at (k, p).
+
+        Every refusal of :func:`solve` and :func:`iter_round_members` is made
+        here: those of :meth:`num_rounds` and :func:`threshold_for`, and an
+        order or reps above n.
+        """
+        rounds = self.num_rounds(n, k)
+        check_int("order", self.order, 1, n)
+        check_int("reps", self.reps, 1, n)  # t product rows of a round share one batch of n
+        return rounds, threshold_for(k, p, self.order)
 
     def to_dict(self) -> dict:
         return {"order": self.order, "reps": self.reps, "c_rounds": self.c_rounds,
@@ -241,12 +253,10 @@ def iter_round_members(graph: SignedAdjacency, k: int, p: float,
     recomputes the raw candidate sets against the hidden planted set.
     """
     n = graph.n
-    rounds = cfg.num_rounds(n, k)
-    check_int("order", cfg.order, 1, n)
-    check_int("reps", cfg.reps, 1, n)  # t product rows of a round share one batch of n
+    rounds, tau = cfg.resolve(n, k, p)
     # A p = 1/2 table holds integers, each 1/2 or more from a k/2 it does not
     # equal, so the tolerance changes no decision there.
-    cutoff = threshold_for(k, p, cfg.order) - FLOAT_THRESHOLD_TOL
+    cutoff = tau - FLOAT_THRESHOLD_TOL
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     t, s = cfg.reps, cfg.order
     alphas = _sample_alphas(n, rounds, s, t, rng).reshape(rounds, t, s)
@@ -260,7 +270,7 @@ def iter_round_members(graph: SignedAdjacency, k: int, p: float,
 
 
 def solve(graph: SignedAdjacency, k: int, p: float, cfg: SolverConfig,
-          counters: linalg.Counters | None = None) -> CliqueList:
+          observe: Callable[[np.ndarray], None] | None = None) -> CliqueList:
     """Run all rounds, refine, verify, deduplicate and prune.
 
     Returns the pruned clique list; ``stats`` carries per-stage counts, the
@@ -270,10 +280,10 @@ def solve(graph: SignedAdjacency, k: int, p: float, cfg: SolverConfig,
     per-stage oracle calls, multiply-adds and oracle
     seconds, wall times, and an echo of the resolved configuration (enough to
     replay the round sampling).  Refine and verify make no oracle call.
+    ``observe``, if given, is called with each batch's member table in turn.
     """
     n = graph.n
-    rounds = cfg.num_rounds(n, k)
-    tau = threshold_for(k, p, cfg.order)
+    rounds, tau = cfg.resolve(n, k, p)
     stage_counters = {name: linalg.Counters() for name in
                       ("candidate", "refine", "verify", "prune")}
     wall = {}
@@ -285,6 +295,8 @@ def solve(graph: SignedAdjacency, k: int, p: float, cfg: SolverConfig,
     rounds_multiplied = raw_size_max = 0
     for alphas, members in iter_round_members(graph, k, p, cfg,
                                               stage_counters["candidate"]):
+        if observe is not None:
+            observe(members)
         rounds_multiplied += len(alphas)
         sizes = members.sum(axis=1)
         raw_size_max = max(raw_size_max, int(sizes.max(initial=0)))
@@ -355,7 +367,4 @@ def solve(graph: SignedAdjacency, k: int, p: float, cfg: SolverConfig,
         "wall_times": wall,
         "oracle_seconds": {name: c.seconds for name, c in stage_counters.items()},
     }
-    if counters is not None:
-        for c in stage_counters.values():
-            counters.merge(c)
     return CliqueList(pruned.entries, stats)

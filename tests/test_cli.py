@@ -831,6 +831,9 @@ def test_oversized_sampled_rip_run_exits_2(args, limit):
     ({"adversaries": [{"name": "majority", "m": 3, "decoy_count": 1.5}]}, "adversaries"),
     ({"adversaries": [{"name": "majority", "m": 11}]}, "grid cell 0"),
     ({"solvers": [{"reps": 40}]}, "grid cell 0"),
+    ({"ns": [2], "k_rules": ["1"], "solvers": [{"order": 3}]}, "grid cell 0"),
+    ({"ns": [2], "k_rules": ["1"], "solvers": [{"order": 1, "reps": 3}]}, "grid cell 0"),
+    ({"ps": [1e-300]}, "grid cell 0"),
     ({"trails": 1, "sead": 3}, "unknown key 'trails'"),
 ], ids=["trials-zero", "trials-negative", "trials-bool", "solver-rounds", "solver-bogus",
          "solver-backend",
@@ -841,7 +844,8 @@ def test_oversized_sampled_rip_run_exits_2(args, limit):
         "k-zero", "k-above-n", "formula-k-above-n", "formula-k-zero", "formula-k-infinite",
         "formula-k-overflowing",
         "majority-float-m", "majority-float-decoys", "majority-m-above-k",
-        "solver-rounds-past-limit", "misspelled-top-level-keys"])
+        "solver-rounds-past-limit", "solver-order-above-n", "solver-reps-above-n",
+        "threshold-not-finite", "misspelled-top-level-keys"])
 def test_bad_grid_config_exits_2(tmp_path, extra, name):
     config = tmp_path / "grid.json"
     config.write_text(json.dumps({"ns": [30], "k_rules": ["10"], **extra}))

@@ -167,6 +167,8 @@ def test_grid_counts_errored_trials_apart(capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "grid cell 1: 6 of 6 trials raised" in err
     assert err.count("Traceback") == 2  # the first traceback of each cell only
+    assert err.count(" recovered, ") == 3  # one progress line per finished cell
+    assert "grid cell 1: 0/6 recovered, 6 errors, " in err
     csv_text = grid_csv(rows)
     assert csv_text.splitlines()[0].split(",")[10:12] == ["errors", "error_kinds"]
     assert csv_text.splitlines()[2].split(",")[10:12] == ["6", "MemoryError;RuntimeError"]
@@ -174,8 +176,10 @@ def test_grid_counts_errored_trials_apart(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("adversary", [("majority", {"m": 4}), ("majority", {}),
-                                       ("erdos_renyi", {"m": 3}), ("bogus", {})],
-                         ids=["even-m", "missing-m", "unknown-key", "unknown-name"])
+                                       ("erdos_renyi", {"m": 3}), ("bogus", {}),
+                                       (["x"], {}), ({"a": 1}, {})],
+                         ids=["even-m", "missing-m", "unknown-key", "unknown-name",
+                              "list-name", "object-name"])
 def test_grid_built_directly_refuses_a_bad_adversary(adversary):
     # the error from_dict gives for the same entry, before any trial runs
     with pytest.raises(ParameterError, match="grid adversaries entry"):
@@ -185,6 +189,29 @@ def test_grid_built_directly_refuses_a_bad_adversary(adversary):
     with pytest.raises(ParameterError, match="grid adversaries entry"):
         ExperimentGrid.from_dict({"ns": [40], "k_rules": ["20"],
                                   "adversaries": [{"name": name, **params}]})
+
+
+def test_grid_trial_scores_its_own_candidate_pass_as_the_replay_does(monkeypatch):
+    # the trial counts spurious members in its solve's member tables, so the
+    # candidate stage runs once; evaluate's replay of that solve agrees
+    cell = ExperimentGrid(ns=(200,), k_rules=("40",), ps=(0.5,), solvers=(SolverConfig(),),
+                          adversaries=(("erdos_renyi", {}),)).cells()[0]
+    passes = []
+    candidate_pass = harness.solver.iter_round_members
+
+    def counted(*args):
+        passes.append(args)
+        return candidate_pass(*args)
+    monkeypatch.setattr(harness.solver, "iter_round_members", counted)
+    trial, error = harness._run_trial(cell, 3, 0, 0)
+    assert error is None
+    assert len(passes) == 1
+    monkeypatch.undo()
+    seed = harness._trial_seed(3, 0, 0)
+    inst = generate(200, 40, 0.5, strategy_erdos_renyi(), seed)
+    replayed = evaluate(inst, solve(inst.graph, 40, 0.5, SolverConfig(seed=seed + 1)))
+    assert trial.max_spurious == replayed.max_spurious > 0
+    assert trial == replayed
 
 
 def test_grid_success_monotone_in_k():

@@ -320,16 +320,20 @@ def test_iid_block_matches_triu_indices_reference(size, p):
     assert np.array_equal(block, whole_triangle_iid_block(np.random.default_rng(12), size, p))
 
 
-@pytest.mark.parametrize("make", [
-    strategy_erdos_renyi, strategy_clique_union, lambda: strategy_majority_adversary(3),
-], ids=["erdos_renyi", "clique_union", "majority"])
-def test_generate_peak_memory_stays_below_two_and_a_half_bytes_per_matrix_entry(make):
-    # the i.i.d. block draws one row block of uniforms at a time, and each
-    # part of the block matrix is freed once a copy holds it
+@pytest.mark.parametrize("make, k", [
+    pytest.param(make, k, id=name if k == 256 else f"{name}-k{k}")
+    for k in (256, 2048, 3072)
+    for make, name in [(strategy_erdos_renyi, "erdos_renyi"),
+                       (strategy_clique_union, "clique_union"),
+                       (lambda: strategy_majority_adversary(3), "majority")]])
+def test_generate_peak_memory_stays_below_two_and_a_half_bytes_per_matrix_entry(make, k):
+    # the cut and the i.i.d. block draw one row block of uniforms at a time,
+    # and each part of the block matrix is freed once a copy holds it, so a
+    # large k leaves the planted-clique check of Instance its k x n gather
     n = 4096
     tracemalloc.start()
     try:
-        inst = generate(n, 256, 0.5, make(), seed=7)
+        inst = generate(n, k, 0.5, make(), seed=7)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
