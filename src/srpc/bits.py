@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 WORD_BITS = 64
+_XOR_ROWS = 64  # rows of packed_a per temporary XOR block
 
 
 def words_per_row(n: int) -> int:
@@ -44,20 +45,19 @@ def unpack_sign_rows(packed: np.ndarray, n: int) -> np.ndarray:
     return (bits.astype(np.int8) * 2) - 1
 
 
-def sign_inner_popcount(packed_a: np.ndarray, packed_b: np.ndarray, n: int,
-                        chunk: int = 64) -> np.ndarray:
+def sign_inner_popcount(packed_a: np.ndarray, packed_b: np.ndarray, n: int) -> np.ndarray:
     """All pairwise inner products between two packed sign-row stacks.
 
     Returns the int32 table T with T[i, j] = <a_i, b_j> = n - 2 * popcount(
-    a_i XOR b_j).  Word-parallel; ``chunk`` bounds the temporary XOR block.
+    a_i XOR b_j).  Word-parallel; :data:`_XOR_ROWS` bounds the temporary XOR block.
     """
     packed_a = np.atleast_2d(packed_a)
     packed_b = np.atleast_2d(packed_b)
     m = packed_a.shape[0]
     out = np.empty((m, packed_b.shape[0]), dtype=np.int32)
-    for start in range(0, m, chunk):
-        block = packed_a[start:start + chunk]
+    for start in range(0, m, _XOR_ROWS):
+        block = packed_a[start:start + _XOR_ROWS]
         xored = block[:, None, :] ^ packed_b[None, :, :]
-        out[start:start + chunk] = n - 2 * np.bitwise_count(xored).sum(
+        out[start:start + _XOR_ROWS] = n - 2 * np.bitwise_count(xored).sum(
             axis=2, dtype=np.int32)
     return out

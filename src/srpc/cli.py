@@ -20,12 +20,12 @@ from __future__ import annotations
 import json
 import math
 import sys
+import warnings
 
 import click
 import numpy as np
 
-from .errors import (InputError, InternalInvariantError, NonConvergenceError,
-                     ParameterError)
+from .errors import InputError, InternalInvariantError, ParameterError
 from .graphs import read_graph
 from .instances import generate, read_instance, strategy_by_name, write_instance
 
@@ -368,23 +368,30 @@ def bench(sizes, seed, out):
     _emit(out, "bench", {"cases": report})
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """Show a warning as one ``warning: <message>`` line on stderr, without source lines."""
+    click.echo(f"warning: {message}", err=True)
+
+
 def main():
-    try:
-        cli(standalone_mode=False)
-    except click.exceptions.Abort:
-        sys.exit(1)
-    except click.exceptions.ClickException as exc:
-        exc.show()
-        sys.exit(2)
-    except (ParameterError, InputError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
-    except OSError as exc:
-        click.echo(f"i/o error: {exc}", err=True)
-        sys.exit(3)
-    except (InternalInvariantError, NonConvergenceError) as exc:
-        click.echo(f"internal error: {exc}", err=True)
-        sys.exit(4)
+    with warnings.catch_warnings():  # restores showwarning for an in-process caller
+        warnings.showwarning = _show_warning
+        try:
+            cli(standalone_mode=False)
+        except click.exceptions.Abort:
+            sys.exit(1)
+        except click.exceptions.ClickException as exc:
+            exc.show()
+            sys.exit(2)
+        except (ParameterError, InputError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(2)
+        except OSError as exc:
+            click.echo(f"i/o error: {exc}", err=True)
+            sys.exit(3)
+        except InternalInvariantError as exc:
+            click.echo(f"internal error: {exc}", err=True)
+            sys.exit(4)
 
 
 if __name__ == "__main__":

@@ -25,17 +25,6 @@ class BudgetExceededError(ParameterError):
     """An enumeration was refused because it would exceed the configured budget."""
 
 
-class NonConvergenceError(RuntimeError):
-    """An iterative routine hit its iteration cap.
-
-    Carries the last estimate so callers can still inspect it.
-    """
-
-    def __init__(self, message, last_estimate=None):
-        super().__init__(message)
-        self.last_estimate = last_estimate
-
-
 class InternalInvariantError(RuntimeError):
     """An internal consistency check failed; indicates a bug, not bad input."""
 

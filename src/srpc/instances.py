@@ -24,6 +24,8 @@ INSTANCE_HEADER = "srpc-instance v1"
 
 # Substream labels under the root seed; order is part of the on-disk contract.
 _STREAM_PLANTED, _STREAM_CUT, _STREAM_ADVERSARY = 0, 1, 2
+# Bytes of float64 uniforms that _iid_block draws per block of rows.
+_DRAW_BLOCK_BYTES = 1 << 19
 
 
 def _substream(seed: int, label: int) -> np.random.Generator:
@@ -66,16 +68,18 @@ class AdversaryStrategy:
 def _iid_block(rng: np.random.Generator, size: int, p: float) -> np.ndarray:
     """Symmetric +-1 block with i.i.d. upper-triangle edges and +1 diagonal.
 
-    The strict upper triangle is drawn one block of ``_TILE`` rows at a
-    time, in row-major order: the split draws are the one-shot stream of
-    ``np.triu_indices`` order.  The block is then mirrored tile by tile and
-    turned into signs in place, so no temporary is larger than a row block.
+    The strict upper triangle is drawn a block of rows at a time, at most
+    :data:`_DRAW_BLOCK_BYTES` of uniforms each, in row-major order: the split
+    draws are the one-shot stream of ``np.triu_indices`` order.  The block
+    is then mirrored ``_TILE`` by ``_TILE`` and turned into signs in place,
+    so no temporary is larger than a row block.
     """
     vertices = np.arange(size)
     edges = np.zeros((size, size), dtype=bool)
-    for r in range(0, size, _TILE):
-        upper = vertices[r:r + _TILE, None] < vertices
-        edges[r:r + _TILE][upper] = rng.random(np.count_nonzero(upper)) < p
+    step = max(1, _DRAW_BLOCK_BYTES // (8 * max(size, 1)))
+    for r in range(0, size, step):
+        upper = vertices[r:r + step, None] < vertices
+        edges[r:r + step][upper] = rng.random(np.count_nonzero(upper)) < p
     for r in range(0, size, _TILE):
         rows = slice(r, r + _TILE)
         edges[rows, rows] |= edges[rows, rows].T

@@ -15,13 +15,14 @@ chunks therefore get call counts proportional to the number of chunks.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import NonConvergenceError, ParameterError, check_int
+from .errors import ParameterError, check_int
 
 INT64_MAX = np.iinfo(np.int64).max
 
@@ -202,44 +203,18 @@ def indicator_rows(sets: Sequence[Sequence[int]], n: int) -> np.ndarray:
     return out
 
 
-def power_iteration(m: np.ndarray, tol: float = 1e-9, cap: int = 10_000,
-                    seed: int = 0) -> tuple[float, np.ndarray]:
-    """Top singular value and right singular vector by power iteration.
+def power_iteration(m: np.ndarray) -> tuple[float, np.ndarray]:
+    """Top singular value and unit right singular vector, exactly.
 
-    Iterates on the smaller Gram side with a deterministic seeded start.
-    Raises :class:`NonConvergenceError` (carrying the last estimate) if the
-    relative change in the estimate has not dropped below ``tol`` within
-    ``cap`` iterations.
+    Takes ``eigh`` of the smaller Gram side: sigma = sqrt(max(lambda_top, 0)),
+    and for a wide ``m`` the right vector is m^T u, normalised.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.size == 0:
         raise ParameterError("power_iteration needs a non-empty 2-D matrix")
     if not np.any(m):
         raise ParameterError("power_iteration needs a nonzero matrix")
-    rng = np.random.default_rng(seed)
     tall = m.shape[0] >= m.shape[1]
-    dim = m.shape[1] if tall else m.shape[0]
-    v = rng.standard_normal(dim)
-    v /= np.linalg.norm(v)
-    sigma = 0.0
-    for _ in range(cap):
-        if tall:
-            w = m.T @ (m @ v)
-        else:
-            w = m @ (m.T @ v)
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            # Start vector fell in the kernel; re-draw deterministically.
-            v = rng.standard_normal(dim)
-            v /= np.linalg.norm(v)
-            continue
-        v = w / norm
-        new_sigma = float(np.sqrt(norm))
-        if abs(new_sigma - sigma) <= tol * max(new_sigma, 1e-300):
-            right = v if tall else m.T @ v
-            nrm = np.linalg.norm(right)
-            return new_sigma, right / nrm
-        sigma = new_sigma
-    raise NonConvergenceError(
-        f"power iteration did not converge in {cap} iterations "
-        f"(last estimate {sigma})", last_estimate=sigma)
+    lam, vecs = np.linalg.eigh(m.T @ m if tall else m @ m.T)
+    right = vecs[:, -1] if tall else m.T @ vecs[:, -1]
+    return math.sqrt(max(float(lam[-1]), 0.0)), right / np.linalg.norm(right)

@@ -203,9 +203,8 @@ def isotropy_check(h: TensoredMatrix, mode: str = "sampled") -> IsotropyReport:
         raise ParameterError(f"mode must be 'exhaustive' or 'sampled', got {mode!r}")
     tol = 5.0 / math.sqrt(h.q)
     values = h.values
-    _check_gram(values.shape[1])
+    gram = _gram(values) / h.q
     means = values.mean(axis=0)
-    gram = (values.T @ values) / h.q
     d = gram.shape[0]
     off = gram[~np.eye(d, dtype=bool)]
     max_mean = float(np.abs(means).max())

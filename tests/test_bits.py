@@ -30,3 +30,13 @@ def test_sign_inner_popcount_equals_direct_sums():
     table = bits.sign_inner_popcount(bits.pack_sign_rows(a), bits.pack_sign_rows(b), n)
     direct = a.astype(np.int64) @ b.astype(np.int64).T
     assert np.array_equal(table, direct)
+
+
+def test_sign_inner_popcount_crosses_xor_blocks():
+    # more rows of a than one temporary XOR block holds
+    rng = np.random.default_rng(6)
+    n = 70
+    a = rng.choice(np.array([-1, 1], dtype=np.int8), size=(2 * bits._XOR_ROWS + 3, n))
+    b = rng.choice(np.array([-1, 1], dtype=np.int8), size=(5, n))
+    table = bits.sign_inner_popcount(bits.pack_sign_rows(a), bits.pack_sign_rows(b), n)
+    assert np.array_equal(table, a.astype(np.int64) @ b.astype(np.int64).T)

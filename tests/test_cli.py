@@ -372,6 +372,16 @@ def test_graph_file_with_n_zero_exits_2(tmp_path, body):
     assert proc.stderr == "error: n must be >= 1\n"
 
 
+def test_library_warning_reaches_stderr_as_one_line():
+    # Delta = 9 >= k = 5 makes prune vacuous; the warning names no srpc source line
+    proc = subprocess.run(
+        [sys.executable, "-m", "srpc.cli", "adversary-demo", "--n", "10", "--k", "5", "--m", "3"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ("warning: intersection threshold 9 >= smallest clique size 5; "
+                           "pruning is vacuous\n"), proc.stderr
+
+
 def test_exit_codes_via_subprocess(tmp_path):
     # parameter error -> 2
     proc = subprocess.run(

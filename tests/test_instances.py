@@ -320,17 +320,17 @@ def test_iid_block_matches_triu_indices_reference(size, p):
     assert np.array_equal(block, whole_triangle_iid_block(np.random.default_rng(12), size, p))
 
 
-@pytest.mark.parametrize("make, k", [
-    pytest.param(make, k, id=name if k == 256 else f"{name}-k{k}")
-    for k in (256, 2048, 3072)
+@pytest.mark.parametrize("make, n, k", [
+    pytest.param(make, n, k, id=(name if k == 256 else f"{name}-k{k}") if n == 4096
+                 else f"{name}-n{n}-k{k}")
+    for n, k in ((4096, 256), (4096, 2048), (4096, 3072), (2000, 64))
     for make, name in [(strategy_erdos_renyi, "erdos_renyi"),
                        (strategy_clique_union, "clique_union"),
                        (lambda: strategy_majority_adversary(3), "majority")]])
-def test_generate_peak_memory_stays_below_two_and_a_half_bytes_per_matrix_entry(make, k):
+def test_generate_peak_memory_stays_below_two_and_a_half_bytes_per_matrix_entry(make, n, k):
     # the cut and the i.i.d. block draw one row block of uniforms at a time,
     # and each part of the block matrix is freed once a copy holds it, so a
     # large k leaves the planted-clique check of Instance its k x n gather
-    n = 4096
     tracemalloc.start()
     try:
         inst = generate(n, k, 0.5, make(), seed=7)
@@ -339,6 +339,21 @@ def test_generate_peak_memory_stays_below_two_and_a_half_bytes_per_matrix_entry(
         tracemalloc.stop()
     assert inst.graph.n == n
     assert peak < 2.5 * n * n, peak / (n * n)
+
+
+@pytest.mark.parametrize("size", [1936, 3840])
+def test_iid_block_peak_memory_stays_below_one_and_a_half_bytes_per_block_entry(size):
+    # the block itself takes one byte per entry; the uniforms of one draw are
+    # bounded in bytes, not by a fixed row count that grows with the size
+    instances._iid_block(np.random.default_rng(0), 2, 0.5)  # lazy imports, outside the trace
+    tracemalloc.start()
+    try:
+        block = instances._iid_block(np.random.default_rng(13), size, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert block.shape == (size, size)
+    assert peak < 1.5 * size * size, peak / (size * size)
 
 
 # SHA-256 of the graph and meta files that write_instance writes, pinned so

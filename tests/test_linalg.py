@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from srpc import bits, linalg
-from srpc.errors import NonConvergenceError, ParameterError
+from srpc.errors import ParameterError
 
 BACKENDS = [linalg.NAIVE, linalg.BLOCKED, linalg.RECURSIVE]
 
@@ -209,7 +209,7 @@ def test_power_iteration_vs_characteristic_polynomial_blocks():
         expected = max(expected, float(np.max(np.real(np.roots(
             np.poly(gram))))))
         at += d
-    sigma, _ = linalg.power_iteration(m, seed=3)
+    sigma, _ = linalg.power_iteration(m)
     assert sigma == pytest.approx(np.sqrt(expected), rel=1e-7)
 
 
@@ -227,14 +227,18 @@ def test_power_iteration_deflation_cross_check():
     assert sigma2 == pytest.approx(svals[1], rel=1e-6)
 
 
-def test_power_iteration_nonconvergence_carries_estimate():
-    m = np.diag([1.0, 0.9999])  # tiny gap: estimates still moving after 3 steps
-    try:
-        linalg.power_iteration(m, tol=1e-16, cap=3)
-    except NonConvergenceError as exc:
-        assert exc.last_estimate is not None
+@pytest.mark.parametrize("shape", [(512, 64), (64, 512), (10, 5000), "rank-one"])
+def test_power_iteration_matches_svd_to_rounding(shape):
+    # tall, wide and very wide +-1 matrices, and a rank-one 3 x 2
+    if shape == "rank-one":
+        m = np.outer([1.0, -2.0, 2.0], [3.0, 4.0])
     else:
-        pytest.fail("expected NonConvergenceError at cap")
+        m = np.random.default_rng(11).choice(np.array([-1.0, 1.0]), size=shape)
+    sigma, v = linalg.power_iteration(m)
+    expected = np.linalg.svd(m, compute_uv=False)[0]
+    assert abs(sigma - expected) <= 1e-12 * expected
+    assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
+    assert abs(np.linalg.norm(m @ v) - sigma) <= 1e-12 * sigma
 
 
 def test_power_iteration_rejects_zero_matrix():

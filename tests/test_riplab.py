@@ -1,15 +1,17 @@
+import dataclasses
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 import pytest
 
-from srpc import linalg, riplab
+from srpc import riplab
 from srpc.errors import BudgetExceededError, ParameterError
 
 
@@ -165,7 +167,7 @@ def test_opnorm_monotone_in_r_and_full_support_is_spectral_norm():
     h = rng.standard_normal((15, 6))
     values = [riplab.sparse_opnorm_exhaustive(h, r=r).value for r in range(1, 7)]
     assert values == sorted(values)
-    assert values[-1] == pytest.approx(linalg.power_iteration(h)[0], rel=1e-8)
+    assert values[-1] == pytest.approx(np.linalg.svd(h, compute_uv=False)[0], rel=1e-8)
 
 
 def test_opnorm_budget_refusal():
@@ -352,10 +354,10 @@ def test_correlation_count_vs_opnorm_inequality():
 
 
 def test_spectral_norm_cases():
-    assert linalg.power_iteration(np.diag([3.0, 1.0]))[0] == pytest.approx(3.0, rel=1e-9)
+    assert np.linalg.svd(np.diag([3.0, 1.0]), compute_uv=False)[0] == pytest.approx(3.0, rel=1e-9)
     u = np.array([2.0, 0.0, 0.0])
     v = np.array([0.0, 5.0])
-    assert linalg.power_iteration(np.outer(u, v))[0] == pytest.approx(10.0, rel=1e-9)
+    assert np.linalg.svd(np.outer(u, v), compute_uv=False)[0] == pytest.approx(10.0, rel=1e-9)
 
 
 def test_spectral_norm_rademacher_ratio():
@@ -363,7 +365,7 @@ def test_spectral_norm_rademacher_ratio():
     for seed in range(20):
         rng = np.random.default_rng(seed)
         m = rng.choice(np.array([-1.0, 1.0]), size=(512, 64))
-        ratios.append(linalg.power_iteration(m)[0] / (math.sqrt(512) + math.sqrt(64)))
+        ratios.append(np.linalg.svd(m, compute_uv=False)[0] / (math.sqrt(512) + math.sqrt(64)))
     assert all(0.8 <= r <= 1.3 for r in ratios)
 
 
@@ -649,3 +651,16 @@ def test_estimates_refuse_non_finite_matrix(estimate, bad):
 def test_estimates_refuse_overflowing_gram():
     with pytest.raises(ParameterError, match="overflows"):
         riplab.sparse_opnorm_sampled(np.full((4, 5), 1e200), r=2, trials=50)
+
+
+def test_sampled_isotropy_refuses_overflowing_gram_as_opnorm_does():
+    # one Gram path: the moment estimate raises where the norm estimate does,
+    # with no RuntimeWarning and no infinite cross moment on the way
+    h = riplab.build_tensored(4, 1, 4, riplab.RademacherBase(), seed=0)
+    h = dataclasses.replace(h, values=np.full((4, 4), 1e200))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match="the Gram matrix H\\^T H overflows float64"):
+            riplab.sparse_opnorm_exhaustive(h, r=2)
+        with pytest.raises(ParameterError, match="the Gram matrix H\\^T H overflows float64"):
+            riplab.isotropy_check(h, mode="sampled")
