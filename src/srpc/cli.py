@@ -299,18 +299,14 @@ def rip_isotropy(h, mode):
 @click.option("--method", type=click.Choice(["exhaustive", "sampled"]),
               default="exhaustive", show_default=True)
 @click.option("--trials", type=int, default=10000, show_default=True)
-@click.option("--budget", type=int, default=None, show_default="riplab.DEFAULT_SUPPORT_BUDGET",
-              help="Most supports the exhaustive method enumerates.")
-def rip_opnorm(h, r, method, trials, budget):
+def rip_opnorm(h, r, method, trials):
     """Sparse operator norm of H/sqrt(q) over all (or sampled) size-r supports."""
     from . import riplab
-    other = "trials" if method == "exhaustive" else "budget"  # the other method's flag
-    if _given(other):
-        raise ParameterError(f"--{other} does not apply to --method {method}")
     mat = h.values / np.sqrt(h.q)
     if method == "exhaustive":
-        report = riplab.sparse_opnorm_exhaustive(
-            mat, r, budget=riplab.DEFAULT_SUPPORT_BUDGET if budget is None else budget)
+        if _given("trials"):
+            raise ParameterError("--trials does not apply to --method exhaustive")
+        report = riplab.sparse_opnorm_exhaustive(mat, r)
     else:
         report = riplab.sparse_opnorm_sampled(mat, r, trials=trials, seed=h.seed)
     return {"r": report.r, "value": report.value, "method": report.method,

@@ -21,10 +21,6 @@ class InputError(ValueError):
     """Malformed caller-supplied data (vertices out of range, bad files, ...)."""
 
 
-class BudgetExceededError(ParameterError):
-    """An enumeration was refused because it would exceed the configured budget."""
-
-
 class InternalInvariantError(RuntimeError):
     """An internal consistency check failed; indicates a bug, not bad input."""
 

@@ -12,7 +12,6 @@ probability p; the solver rescales only the sampled rows this way.
 from __future__ import annotations
 
 import re
-import warnings
 from typing import Iterable
 
 import numpy as np
@@ -204,12 +203,7 @@ def _chunk_edges(chunk: bytes, n: int, prev: int) -> tuple[np.ndarray, np.ndarra
     if tokens == 0:
         none = np.empty(0, dtype=np.int64)
         return none, none, lines
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # a partial parse only warns
-        try:
-            values = np.fromstring(chunk, dtype=np.int64, sep=" ")
-        except DeprecationWarning:
-            return None
+    values = np.fromstring(chunk, dtype=np.int64, sep=" ")
     if values.size != tokens:
         return None
     i, j = values[0::2], values[1::2]

@@ -147,7 +147,7 @@ class MajorityAdversaryStrategy(AdversaryStrategy):
         decoy_idx = np.sort(rng.choice(size, size=decoys, replace=False))
         if decoys:  # none only when the complement is empty
             w = majority_vector(cut_block[chosen])
-            others = np.setdiff1d(np.arange(size), decoy_idx)
+            others = np.delete(np.arange(size), decoy_idx)
             for d in decoy_idx:
                 block[d, others] = w[others]
                 block[others, d] = w[others]
@@ -216,7 +216,7 @@ def generate(n: int, k: int, p: float, strategy: AdversaryStrategy,
     strategy.check(n, k)
 
     planted = np.sort(_substream(seed, _STREAM_PLANTED).choice(n, size=k, replace=False))
-    complement = np.setdiff1d(np.arange(n), planted)
+    complement = np.delete(np.arange(n), planted)  # not setdiff1d: it imports numpy.ma
 
     rng = _substream(seed, _STREAM_CUT)
     cut_block = np.empty((k, n - k), dtype=np.int8)

@@ -20,9 +20,8 @@ from itertools import chain, combinations
 
 import numpy as np
 
-from .errors import BudgetExceededError, InternalInvariantError, ParameterError, check_int
+from .errors import InternalInvariantError, ParameterError, check_int
 
-DEFAULT_SUPPORT_BUDGET = 1_000_000
 _ENUM_OUTCOME_LIMIT = 20  # 2**k outcomes must stay enumerable
 _ISO_BLOCK_ENTRIES = 2 ** 16  # integer table entries per block of outcomes
 # float64 entries in one chunk of gathered r x r Gram blocks; the flat gather
@@ -30,13 +29,20 @@ _ISO_BLOCK_ENTRIES = 2 ** 16  # integer table entries per block of outcomes
 _CHUNK_FLOATS = 2 ** 15
 _SEED_ROWS = 32  # highest-bound supports ranked first, to set the pruning threshold
 _BOUND_MARGIN = 1e-9  # relative inflation of each eigenvalue bound, far above its rounding
-# Most support entries (trials * r) one sampled estimate draws; its int32
-# support array then stays within 256 MiB.
-MAX_SAMPLED_ENTRIES = 1 << 26
-# Most entries q * C(k, t) of a tensored matrix; its float64 values then stay
-# within 512 MiB, and the (q, C(k, t), t) factor gather within 1.5 GiB.  A d x d
-# Gram matrix is held to the same count, d * d, and so to the same 512 MiB.
+# Most support entries (C(d, r) * r enumerated, or trials * r sampled) one
+# operator norm or deviation holds; its int32 support array then stays within 256 MiB.
+MAX_SUPPORT_ENTRIES = 1 << 26
+# Most entries q * C(k, t) of a tensored matrix; its float64 values, and each
+# factor gather while they are built, then stay within 512 MiB, and its int32
+# columns within t * 256 MiB.  A d x d Gram matrix is held to the same count,
+# d * d, and so to the same 512 MiB.
 MAX_TENSORED_ENTRIES = 1 << 26
+
+
+def _subsets(m: int, r: int) -> np.ndarray:
+    """The (C(m, r), r) int32 array of every size-r subset of range(m), in lexicographic order."""
+    flat = chain.from_iterable(combinations(range(m), r))
+    return np.fromiter(flat, np.int32, math.comb(m, r) * r).reshape(-1, r)
 
 
 class PBiasedBase:
@@ -105,7 +111,7 @@ class TensoredMatrix:
     k: int
     t: int
     base: object
-    columns: tuple[tuple[int, ...], ...]
+    columns: np.ndarray  # read-only (C(k, t), t) int32: column alpha's base coordinates
     values: np.ndarray
     seed: int
 
@@ -130,9 +136,11 @@ def build_tensored(k: int, t: int, q: int, base_dist, seed: int) -> TensoredMatr
                              f"MAX_TENSORED_ENTRIES={MAX_TENSORED_ENTRIES}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     x = base_dist.sample(rng, (q, k))
-    cols = tuple(combinations(range(k), t))
-    idx = np.array(cols)
-    values = x[:, idx].prod(axis=2)
+    cols = _subsets(k, t)
+    values = x[:, cols[:, 0]]
+    for j in range(1, t):
+        values *= x[:, cols[:, j]]
+    cols.setflags(write=False)
     values.setflags(write=False)
     return TensoredMatrix(q=q, k=k, t=t, base=base_dist, columns=cols,
                           values=values, seed=seed)
@@ -165,7 +173,7 @@ def _exact_isotropy(k: int, t: int, base) -> IsotropyReport:
     p_den = math.lcm(*(p.denominator for p in probs))
     v_num = np.array([int(v * v_den) for v in values], dtype=object)
     p_num = np.array([int(p * p_den) for p in probs], dtype=object)
-    idx = np.array(list(combinations(range(k), t)))
+    idx = _subsets(k, t)
     d = len(idx)
     mean_num = np.zeros(d, dtype=object)
     gram_num = np.zeros((d, d), dtype=object)
@@ -358,7 +366,7 @@ def _rank_and_report(mat: np.ndarray, supports: np.ndarray, method: str,
                         eig_ranked=eig_ranked)
 
 
-def sparse_opnorm_exhaustive(h, r: int, budget: int = DEFAULT_SUPPORT_BUDGET) -> OpNormReport:
+def sparse_opnorm_exhaustive(h, r: int) -> OpNormReport:
     """Max top singular value over every size-r column support.
 
     Supports are ranked by :func:`_opnorm_over_supports`: a certified bound
@@ -367,27 +375,29 @@ def sparse_opnorm_exhaustive(h, r: int, budget: int = DEFAULT_SUPPORT_BUDGET) ->
     within a relative 1e-12 of the maximum, the lexicographically first is
     reported, with its witness from ``eigh``.  ``supports_checked`` counts
     every support, pruned ones included; ``eig_ranked`` counts the
-    ``eigvalsh`` evaluations.
+    ``eigvalsh`` evaluations.  A ``C(d, r) * r`` above
+    :data:`MAX_SUPPORT_ENTRIES` raises :class:`ParameterError`.
     """
     mat = _as_matrix(h)
     d = mat.shape[1]
     total = math.comb(d, check_int("r", r, 1, d))
-    if total > check_int("budget", budget, 1):
-        raise BudgetExceededError(
-            f"C({d},{r}) = {total} supports exceed the budget {budget}")
-    supports = np.fromiter(chain.from_iterable(combinations(range(d), r)),
-                           dtype=np.int64, count=total * r).reshape(total, r)
-    return _rank_and_report(mat, supports, "exhaustive", total)
+    _check_supports(d, r, total, f"C({d}, {r})")
+    return _rank_and_report(mat, _subsets(d, r), "exhaustive", total)
+
+
+def _check_supports(d: int, r: int, count: int, what: str) -> None:
+    """Refuse ``count`` size-r supports past :data:`MAX_SUPPORT_ENTRIES`, or a Gram past its limit."""
+    if count * r > MAX_SUPPORT_ENTRIES:
+        raise ParameterError(f"{what} * r = {count} * {r} exceeds the limit "
+                             f"MAX_SUPPORT_ENTRIES={MAX_SUPPORT_ENTRIES}")
+    _check_gram(d)  # before any support exists
 
 
 def _check_sampled(d: int, r: int, trials: int, seed: int) -> None:
     check_int("r", r, 1, d)
     check_int("trials", trials, 1)
     check_int("seed", seed, 0)
-    if trials * r > MAX_SAMPLED_ENTRIES:
-        raise ParameterError(f"trials * r = {trials} * {r} exceeds the limit "
-                             f"MAX_SAMPLED_ENTRIES={MAX_SAMPLED_ENTRIES}")
-    _check_gram(d)  # before any support is drawn
+    _check_supports(d, r, trials, "trials")
 
 
 def sparse_opnorm_sampled(h, r: int, trials: int, seed: int = 0) -> OpNormReport:
@@ -398,7 +408,7 @@ def sparse_opnorm_sampled(h, r: int, trials: int, seed: int = 0) -> OpNormReport
     the supports that can still win); of those within a relative 1e-12 of the
     maximum, the first drawn is reported, with its witness from ``eigh``.
     ``supports_checked`` is ``trials``, pruned supports included.  A
-    ``trials * r`` above :data:`MAX_SAMPLED_ENTRIES` raises :class:`ParameterError`.
+    ``trials * r`` above :data:`MAX_SUPPORT_ENTRIES` raises :class:`ParameterError`.
     """
     mat = _as_matrix(h)
     d = mat.shape[1]

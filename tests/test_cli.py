@@ -726,14 +726,13 @@ def test_negative_seed_exits_2(tmp_path, args, flag):
     (["bench", "--sizes", "0"], "--sizes"),
     (["bench", "--sizes", "8,60000"], "MAX_BENCH_SIZE"),
     (["bench", "--sizes", "4097"], "MAX_BENCH_SIZE"),
-    (["rip", "opnorm", *RIP_SHAPE, "--r", 2, "--method", "sampled", "--budget", 0], "--budget"),
     (["rip", "opnorm", *RIP_SHAPE, "--r", 2, "--method", "exhaustive", "--trials", 0],
      "--trials"),
 ], ids=["p-not-a-number", "p-zero-denominator", "p-malformed-fraction",
         "p-with-rademacher-build", "p-with-rademacher-isotropy", "p-with-rademacher-opnorm",
         "p-with-rademacher-deviation", "p-with-rademacher-corrcount", "sizes-not-a-number",
         "sizes-empty-entry", "sizes-zero", "sizes-huge", "sizes-above-max",
-        "budget-with-sampled-opnorm", "trials-with-exhaustive-opnorm"])
+        "trials-with-exhaustive-opnorm"])
 def test_bad_cli_value_exits_2_naming_the_flag(args, flag):
     proc = run_cli(*args)
     assert_input_error(proc)
@@ -767,25 +766,19 @@ def test_tiny_pbiased_p_with_normal_gram_terms_keeps_its_norm(runner):
     assert doc["value"] == pytest.approx(math.sqrt(2) * 1e-100, rel=1e-9)
 
 
-@pytest.mark.parametrize("budget", [0, -1])
-def test_non_positive_support_budget_exits_2_naming_it(budget):
-    proc = run_cli("rip", "opnorm", *RIP_SHAPE, "--r", 2, "--budget", budget)
+def test_exhaustive_opnorm_past_the_support_entry_limit_exits_2():
+    # C(k, t) = C(12, 3) = 220 columns, and C(220, 4) * 4 = 379867180 > 2**26 entries
+    proc = run_cli("rip", "opnorm", "--k", 12, "--t", 3, "--q", 8, "--r", 4)
     assert_input_error(proc)
-    assert proc.stderr.startswith("error: budget must be an integer >= 1"), proc.stderr
-
-
-def test_default_support_budget_refuses_more_than_a_million_supports():
-    # C(k, t) = C(12, 3) = 220 columns, and C(220, 3) = 1750540 > 10**6
-    proc = run_cli("rip", "opnorm", "--k", 12, "--t", 3, "--q", 8, "--r", 3)
-    assert_input_error(proc)
-    assert "C(220,3) = 1750540 supports exceed the budget 1000000" in proc.stderr, proc.stderr
+    assert ("C(220, 4) * r = 94966795 * 4 exceeds the limit MAX_SUPPORT_ENTRIES=67108864"
+            in proc.stderr), proc.stderr
 
 
 @pytest.mark.parametrize("args, limit", [
     (["rip", "deviation", "--k", 6, "--t", 3, "--q", 8, "--r", 2, "--trials", 3_000_000_000],
-     "MAX_SAMPLED_ENTRIES"),
+     "MAX_SUPPORT_ENTRIES"),
     (["rip", "opnorm", "--k", 6, "--t", 3, "--q", 8, "--r", 2, "--method", "sampled",
-      "--trials", 3_000_000_000], "MAX_SAMPLED_ENTRIES"),
+      "--trials", 3_000_000_000], "MAX_SUPPORT_ENTRIES"),
     (["rip", "build", "--k", 400, "--t", 3, "--q", 2000], "MAX_TENSORED_ENTRIES"),
     (["rip", "opnorm", "--k", 100000, "--t", 3, "--q", 1, "--r", 2], "MAX_TENSORED_ENTRIES"),
     # C(40, 3) = 9880 columns: q * d fits, but a 9880 x 9880 Gram is past d * d <= 2**26
@@ -795,7 +788,7 @@ def test_default_support_budget_refuses_more_than_a_million_supports():
      "d * d <= MAX_TENSORED_ENTRIES"),
     (["rip", "isotropy", "--k", 40, "--t", 3, "--q", 4, "--mode", "sampled"],
      "d * d <= MAX_TENSORED_ENTRIES"),
-    (["rip", "opnorm", "--k", 40, "--t", 3, "--q", 4, "--r", 1, "--budget", 10000],
+    (["rip", "opnorm", "--k", 40, "--t", 3, "--q", 4, "--r", 1],
      "d * d <= MAX_TENSORED_ENTRIES"),
 ], ids=["deviation", "opnorm-sampled", "build-many-entries", "opnorm-many-columns",
         "opnorm-sampled-gram", "deviation-gram", "isotropy-sampled-gram",
@@ -934,7 +927,7 @@ OPTION_SURFACE = {
                       "--trials"],
     "rip isotropy": ["--k", "--t", "--q", "--base", "--p", "--seed", "--out", "--mode"],
     "rip opnorm": ["--k", "--t", "--q", "--base", "--p", "--seed", "--out", "--r", "--method",
-                   "--trials", "--budget"],
+                   "--trials"],
     "solve": ["--graph", "--k", "--p", "--order", "--reps", "--rounds-const", "--rounds",
               "--seed", "--backend", "--out", "--timings"],
 }
@@ -1001,8 +994,9 @@ def test_removed_spelling_is_a_usage_error(tmp_path, args, option):
     (["bench", "--sizes", 8, "--kind", "float"], "--kind"),
     (["bench", "--sizes", 8, "--backends", "naive"], "--backends"),
     (["adversary-demo", "--n", 64, "--k", 16, "--m", 1, "--rounds-const", 4], "--rounds-const"),
+    (["rip", "opnorm", *RIP_SHAPE, "--r", 2, "--budget", 10], "--budget"),
 ], ids=["isotropy-tol", "opnorm-normalize", "opnorm-no-normalize", "bench-kind",
-        "bench-backends", "adversary-demo-rounds-const"])
+        "bench-backends", "adversary-demo-rounds-const", "opnorm-budget"])
 def test_removed_setting_is_a_usage_error(args, option):
     # each of these settings had one value in use and is now a constant
     proc = run_cli(*args)

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from fractions import Fraction
 from itertools import combinations
@@ -12,23 +13,39 @@ import numpy as np
 import pytest
 
 from srpc import riplab
-from srpc.errors import BudgetExceededError, ParameterError
+from srpc.errors import ParameterError
 
 
 def test_build_tensored_order_one_is_base_sample():
     h = riplab.build_tensored(5, 1, 12, riplab.RademacherBase(), seed=0)
     assert h.values.shape == (12, 5)
     assert set(np.unique(h.values)) <= {-1.0, 1.0}
-    assert h.columns == tuple((i,) for i in range(5))
+    assert h.columns.tolist() == [[i] for i in range(5)]
 
 
 def test_build_tensored_column_products():
     h = riplab.build_tensored(4, 2, 30, riplab.RademacherBase(), seed=1)
-    assert h.columns == tuple(combinations(range(4), 2))
+    assert h.columns.tolist() == [list(c) for c in combinations(range(4), 2)]
+    assert h.columns.dtype == np.int32 and not h.columns.flags.writeable
     # recover the base sample from order-1 with the same seed
     base = riplab.build_tensored(4, 1, 30, riplab.RademacherBase(), seed=1)
     for c, (i, j) in enumerate(h.columns):
         assert np.array_equal(h.values[:, c], base.values[:, i] * base.values[:, j])
+
+
+def test_build_tensored_peak_memory_stays_below_32_bytes_per_column():
+    # At q = 1 each of the C(120, 3) = 280840 columns holds its int32 index
+    # triple (12 bytes) and its float64 value (8), and building it adds one
+    # float64 factor gather (8): 28 bytes, with no Python object per column.
+    riplab.build_tensored(4, 3, 1, riplab.RademacherBase(), seed=0)  # lazy imports, outside the trace
+    tracemalloc.start()
+    try:
+        h = riplab.build_tensored(120, 3, 1, riplab.RademacherBase(), seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert h.values.shape == (1, 280840) and h.columns.shape == (280840, 3)
+    assert peak < 32 * len(h.columns), peak / len(h.columns)
 
 
 def test_fixed_base_row_products():
@@ -170,16 +187,11 @@ def test_opnorm_monotone_in_r_and_full_support_is_spectral_norm():
     assert values[-1] == pytest.approx(np.linalg.svd(h, compute_uv=False)[0], rel=1e-8)
 
 
-def test_opnorm_budget_refusal():
-    h = np.zeros((4, 40))
-    with pytest.raises(BudgetExceededError):
-        riplab.sparse_opnorm_exhaustive(np.eye(40), r=5, budget=1000)
-
-
-@pytest.mark.parametrize("budget", [0, -1, 2.0, True])
-def test_opnorm_refuses_a_budget_that_is_not_a_positive_integer(budget):
-    with pytest.raises(ParameterError, match="budget must be an integer >= 1"):
-        riplab.sparse_opnorm_exhaustive(np.eye(3), r=1, budget=budget)
+def test_opnorm_exhaustive_refuses_more_support_entries_than_the_limit():
+    # C(600, 3) * 3 = 107460600 entries > 2**26; the 600 x 600 Gram is within its limit
+    with pytest.raises(ParameterError, match=r"C\(600, 3\) \* r = 35820200 \* 3 exceeds the "
+                                             "limit MAX_SUPPORT_ENTRIES"):
+        riplab.sparse_opnorm_exhaustive(np.eye(600), r=3)
 
 
 def test_opnorm_witness_reverified():
@@ -217,9 +229,9 @@ def test_sampled_estimates_refuse_zero_trials():
 
 def test_sampled_estimates_refuse_more_entries_than_the_limit():
     # trials * r one past the limit is refused before anything is drawn
-    trials = riplab.MAX_SAMPLED_ENTRIES // 2 + 1
+    trials = riplab.MAX_SUPPORT_ENTRIES // 2 + 1
     for estimate in (riplab.rip_deviation_sampled, riplab.sparse_opnorm_sampled):
-        with pytest.raises(ParameterError, match="MAX_SAMPLED_ENTRIES"):
+        with pytest.raises(ParameterError, match="MAX_SUPPORT_ENTRIES"):
             estimate(np.eye(4), r=2, trials=trials)
 
 
@@ -264,6 +276,28 @@ def test_gram_limit_is_d_squared_entries():
     riplab._check_gram(side)
     with pytest.raises(ParameterError, match=r"d \* d <= MAX_TENSORED_ENTRIES"):
         riplab._check_gram(side + 1)
+
+
+def test_exhaustive_support_limit_is_checked_before_any_support_exists(monkeypatch):
+    def no_subsets(m, r):
+        raise AssertionError("supports enumerated")
+
+    monkeypatch.setattr(riplab, "_subsets", no_subsets)
+    # C(513, 3) * 3 = 67108608 <= 2**26 < C(514, 3) * 3
+    with pytest.raises(AssertionError, match="supports enumerated"):
+        riplab.sparse_opnorm_exhaustive(np.zeros((1, 513)), 3)
+    with pytest.raises(ParameterError, match="MAX_SUPPORT_ENTRIES"):
+        riplab.sparse_opnorm_exhaustive(np.zeros((1, 514)), 3)
+    entries = math.comb(30, 3) * 3
+    monkeypatch.setattr(riplab, "MAX_SUPPORT_ENTRIES", entries - 1)  # one entry over
+    with pytest.raises(ParameterError, match="MAX_SUPPORT_ENTRIES"):
+        riplab.sparse_opnorm_exhaustive(np.eye(30), 3)
+    monkeypatch.setattr(riplab, "MAX_SUPPORT_ENTRIES", entries)
+    with pytest.raises(AssertionError, match="supports enumerated"):
+        riplab.sparse_opnorm_exhaustive(np.eye(30), 3)
+    # the Gram limit holds too: 8193 columns, one support each, are refused on d * d
+    with pytest.raises(ParameterError, match=r"d \* d <= MAX_TENSORED_ENTRIES"):
+        riplab.sparse_opnorm_exhaustive(np.zeros((1, 8193)), 1)
 
 
 def test_rip_deviation_decreases_with_rows():
@@ -465,6 +499,19 @@ def test_opnorm_exhaustive_r2_matches_closed_form_pair_max():
     # The ranking is exact; the reported value comes from the eigh witness.
     assert pair_norm(*report.support) == pytest.approx(best, rel=1e-12)
     assert report.value == pytest.approx(best, rel=1e-9)
+
+
+def test_opnorm_exhaustive_past_a_million_supports_matches_closed_form_pair_max():
+    # C(C(24, 3), 2) = C(2024, 2) = 2047276 supports, 4094552 entries: within the limit
+    q = 64
+    mat = riplab.build_tensored(24, 3, q, riplab.RademacherBase(), seed=17).values / math.sqrt(q)
+    gram = mat.T @ mat
+    i, j = np.triu_indices(mat.shape[1], 1)
+    a, b, c = gram[i, i], gram[j, j], gram[i, j]
+    pair_norms = np.sqrt((a + b) / 2 + np.sqrt(((a - b) / 2) ** 2 + c * c))
+    report = riplab.sparse_opnorm_exhaustive(mat, r=2)
+    assert report.supports_checked == 2047276
+    assert report.value == pytest.approx(pair_norms.max(), rel=1e-9)
 
 
 def test_opnorm_exhaustive_r3_matches_svd_over_supports():
