@@ -278,7 +278,7 @@ def _rip_command(name: str):
 @_rip_command("build")
 def rip_build(h):
     """Build a tensored matrix and report its shape and entry bound."""
-    return {"q": h.q, "k": h.k, "t": h.t, "columns": len(h.columns),
+    return {"q": h.q, "k": h.k, "t": h.t, "columns": h.values.shape[1],
             "entry_bound": h.entry_bound, "base": h.base.name, "seed": h.seed}
 
 

@@ -2,12 +2,13 @@
 
 Builds tensored matrices whose columns are entrywise products of t base
 coordinates, verifies that their columns are uncorrelated with unit second
-moment (exactly, by enumerating the base distribution, or by sampling),
-and measures sparse operator norms either exhaustively over all supports
-or as a certified lower bound from sampled supports.  Both rank supports
-by a certified upper bound on each r x r Gram block's top eigenvalue and
-run exact ``eigvalsh`` only on the supports that can still win, so the
-result is the one a full ``eigvalsh`` ranking gives.
+moment (exactly, from one column pair per overlap class, at a cost that
+does not depend on k, or by sampling), and measures sparse operator norms
+either exhaustively over all supports or as a certified lower bound from
+sampled supports.  Both rank supports by a certified upper bound on each
+r x r Gram block's top eigenvalue and run exact ``eigvalsh`` only on the
+supports that can still win, so the result is the one a full ``eigvalsh``
+ranking gives.
 """
 
 from __future__ import annotations
@@ -16,14 +17,12 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain, combinations, product
 
 import numpy as np
 
 from .errors import InternalInvariantError, ParameterError, check_int
 
-_ENUM_OUTCOME_LIMIT = 20  # 2**k outcomes must stay enumerable
-_ISO_BLOCK_ENTRIES = 2 ** 16  # integer table entries per block of outcomes
 # float64 entries in one chunk of gathered r x r Gram blocks; the flat gather
 # also holds an intp index of the same size while it runs.
 _CHUNK_FLOATS = 2 ** 15
@@ -33,9 +32,9 @@ _BOUND_MARGIN = 1e-9  # relative inflation of each eigenvalue bound, far above i
 # operator norm or deviation holds; its int32 support array then stays within 256 MiB.
 MAX_SUPPORT_ENTRIES = 1 << 26
 # Most entries q * C(k, t) of a tensored matrix; its float64 values, and each
-# factor gather while they are built, then stay within 512 MiB, and its int32
-# columns within t * 256 MiB.  A d x d Gram matrix is held to the same count,
-# d * d, and so to the same 512 MiB.
+# factor gather while they are built, then stay within 512 MiB, and the int32
+# column index they are built from within t * 256 MiB.  A d x d Gram matrix
+# is held to the same count, d * d, and so to the same 512 MiB.
 MAX_TENSORED_ENTRIES = 1 << 26
 
 
@@ -105,19 +104,27 @@ class RademacherBase(PBiasedBase):
 
 @dataclass(frozen=True)
 class TensoredMatrix:
-    """q x C(k,t) matrix H with H[i, alpha] = prod_{j in alpha} X[i, j]."""
+    """q x C(k,t) matrix H with H[i, alpha] = prod_{j in alpha} X[i, j].
+
+    Its ``columns`` index is computed on access, not held."""
 
     q: int
     k: int
     t: int
     base: object
-    columns: np.ndarray  # read-only (C(k, t), t) int32: column alpha's base coordinates
     values: np.ndarray
     seed: int
 
     @property
     def entry_bound(self) -> float:
         return self.base.bound ** self.t
+
+    @property
+    def columns(self) -> np.ndarray:
+        """Read-only (C(k, t), t) int32: row alpha holds column alpha's base coordinates."""
+        cols = _subsets(self.k, self.t)
+        cols.setflags(write=False)
+        return cols
 
 
 def build_tensored(k: int, t: int, q: int, base_dist, seed: int) -> TensoredMatrix:
@@ -140,10 +147,8 @@ def build_tensored(k: int, t: int, q: int, base_dist, seed: int) -> TensoredMatr
     values = x[:, cols[:, 0]]
     for j in range(1, t):
         values *= x[:, cols[:, j]]
-    cols.setflags(write=False)
     values.setflags(write=False)
-    return TensoredMatrix(q=q, k=k, t=t, base=base_dist, columns=cols,
-                          values=values, seed=seed)
+    return TensoredMatrix(q=q, k=k, t=t, base=base_dist, values=values, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -158,39 +163,32 @@ class IsotropyReport:
 
 
 def _exact_isotropy(k: int, t: int, base) -> IsotropyReport:
-    """Exact column moments over all 2^k base outcomes, in integer arithmetic.
+    """Exact column moments from one column pair per overlap class, in integer arithmetic.
 
-    Values and probabilities are scaled to integer numerators over their
-    common denominators, so every mean and Gram entry is an exact integer
-    over one known denominator; outcomes are taken in blocks to bound memory.
+    The base coordinates are i.i.d., so each column has the law of {0..t-1}
+    and each pair sharing c coordinates, max(0, 2t-k) <= c < t, the joint
+    law of {0..t-1} and {t-c..2t-c-1}: no moment needs more than 2^(2t)
+    outcomes, whatever k is.  Values and probabilities are integer
+    numerators over common denominators; Fractions appear only at the end.
     """
-    if k > _ENUM_OUTCOME_LIMIT:
-        raise ParameterError(
-            f"exhaustive isotropy enumerates 2^k outcomes; k={k} exceeds "
-            f"the limit {_ENUM_OUTCOME_LIMIT}")
     values, probs = base.exact_values(), base.exact_probs()  # (plus, minus) each
     v_den = math.lcm(*(v.denominator for v in values))
     p_den = math.lcm(*(p.denominator for p in probs))
-    v_num = np.array([int(v * v_den) for v in values], dtype=object)
-    p_num = np.array([int(p * p_den) for p in probs], dtype=object)
-    idx = _subsets(k, t)
-    d = len(idx)
-    mean_num = np.zeros(d, dtype=object)
-    gram_num = np.zeros((d, d), dtype=object)
-    block = max(1, _ISO_BLOCK_ENTRIES // d)
-    for start in range(0, 2 ** k, block):
-        outcomes = np.arange(start, min(start + block, 2 ** k))
-        minus = 1 - ((outcomes[:, None] >> np.arange(k)) & 1)  # bit j set: plus
-        cols = v_num[minus][:, idx].prod(axis=2)
-        weighted = cols * p_num[minus].prod(axis=1)[:, None]
-        mean_num += weighted.sum(axis=0)
-        gram_num += weighted.T @ cols
-    mean_den = p_den ** k * v_den ** t
-    gram_den = mean_den * v_den ** t
-    off = ~np.eye(d, dtype=bool)
-    max_mean = Fraction(max(abs(m) for m in mean_num), mean_den)
-    max_cross = Fraction(max((abs(g) for g in gram_num[off]), default=0), gram_den)
-    max_diag = Fraction(max(abs(g - gram_den) for g in np.diag(gram_num)), gram_den)
+    v_num = [int(v * v_den) for v in values]
+    p_num = [int(p * p_den) for p in probs]
+
+    def moment(coords: list[int]) -> Fraction:
+        """E[product of the base values at ``coords``], over every outcome of 0..max(coords)."""
+        m = max(coords) + 1
+        total = sum(math.prod(p_num[o] for o in out) * math.prod(v_num[out[j]] for j in coords)
+                    for out in product((0, 1), repeat=m))
+        return Fraction(total, p_den ** m * v_den ** len(coords))
+
+    col = list(range(t))
+    max_mean = abs(moment(col))
+    max_diag = abs(moment(col * 2) - 1)
+    max_cross = max((abs(moment(col + list(range(t - c, 2 * t - c))))
+                     for c in range(max(0, 2 * t - k), t)), default=0)
     ok = max_mean == 0 and max_cross == 0 and max_diag == 0
     return IsotropyReport(mode="exhaustive", ok=ok, max_abs_mean=float(max_mean),
                           max_abs_cross=float(max_cross),
@@ -200,10 +198,10 @@ def _exact_isotropy(k: int, t: int, base) -> IsotropyReport:
 def isotropy_check(h: TensoredMatrix, mode: str = "sampled") -> IsotropyReport:
     """Column moment conditions: zero means, unit variances, zero cross moments.
 
-    Exhaustive mode enumerates every base outcome with exact rational
-    weights and reports exact deviations (tolerance 0); sampled mode
-    estimates the same moments from the realized rows and compares them
-    against the tolerance 5/sqrt(q).
+    Exhaustive mode reports exact deviations (tolerance 0) from the base
+    outcomes of one column and of one column pair per overlap class, so its
+    cost does not depend on k; sampled mode estimates the same moments from
+    the realized rows and compares them against the tolerance 5/sqrt(q).
     """
     if mode == "exhaustive":
         return _exact_isotropy(h.k, h.t, h.base)

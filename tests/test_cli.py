@@ -230,6 +230,13 @@ def test_rip_subcommands(runner, tmp_path):
     doc = json.loads(out.read_text())
     assert doc["ok"] is True and doc["exact"] is True
 
+    # C(40, 3) = 9880 columns: the exact check reads one column pair per overlap class
+    invoke(runner, ["rip", "isotropy", "--k", "40", "--t", "3", "--q", "4",
+                    "--mode", "exhaustive", "--out", str(out)])
+    doc = json.loads(out.read_text())
+    assert doc["ok"] is True and doc["exact"] is True
+    assert (doc["max_abs_mean"], doc["max_abs_cross"], doc["max_diag_err"]) == (0, 0, 0)
+
     invoke(runner, ["rip", "isotropy", "--k", "5", "--t", "2", "--q", "4",
                     "--base", "pbiased", "--p", "4/5", "--mode", "exhaustive",
                     "--seed", "1", "--out", str(out)])

@@ -34,9 +34,9 @@ def test_build_tensored_column_products():
 
 
 def test_build_tensored_peak_memory_stays_below_32_bytes_per_column():
-    # At q = 1 each of the C(120, 3) = 280840 columns holds its int32 index
-    # triple (12 bytes) and its float64 value (8), and building it adds one
-    # float64 factor gather (8): 28 bytes, with no Python object per column.
+    # At q = 1 building each of the C(120, 3) = 280840 columns holds its int32
+    # index triple (12 bytes), its float64 value (8) and one float64 factor
+    # gather (8): 28 bytes, with no Python object per column.
     riplab.build_tensored(4, 3, 1, riplab.RademacherBase(), seed=0)  # lazy imports, outside the trace
     tracemalloc.start()
     try:
@@ -46,6 +46,19 @@ def test_build_tensored_peak_memory_stays_below_32_bytes_per_column():
         tracemalloc.stop()
     assert h.values.shape == (1, 280840) and h.columns.shape == (280840, 3)
     assert peak < 32 * len(h.columns), peak / len(h.columns)
+
+
+def test_built_tensored_matrix_holds_only_its_values():
+    # the column index is computed on access, so the built matrix holds its
+    # 8-byte float64 values and no int32 index triple (12 bytes more per column)
+    riplab.build_tensored(4, 3, 1, riplab.RademacherBase(), seed=0)  # lazy imports, outside the trace
+    tracemalloc.start()
+    try:
+        h = riplab.build_tensored(120, 3, 1, riplab.RademacherBase(), seed=0)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 9 * h.values.shape[1], held / h.values.shape[1]
 
 
 def test_fixed_base_row_products():
@@ -111,8 +124,9 @@ def test_build_validation():
         riplab.build_tensored(5, 2, 0, riplab.RademacherBase(), seed=0)
 
 
-def test_exhaustive_isotropy_rademacher_exact():
-    h = riplab.build_tensored(6, 3, 4, riplab.RademacherBase(), seed=3)
+@pytest.mark.parametrize("k, t", [(6, 3), (21, 1), (40, 3)])  # no 2^k enumeration, so any k runs
+def test_exhaustive_isotropy_rademacher_exact(k, t):
+    h = riplab.build_tensored(k, t, 4, riplab.RademacherBase(), seed=3)
     report = riplab.isotropy_check(h, mode="exhaustive")
     assert report.exact and report.ok
     assert report.max_abs_mean == 0.0
@@ -126,12 +140,6 @@ def test_exhaustive_isotropy_pbiased_exact():
     report = riplab.isotropy_check(h, mode="exhaustive")
     assert report.exact and report.ok
     assert (report.max_abs_mean, report.max_abs_cross, report.max_diag_err) == (0, 0, 0)
-
-
-def test_exhaustive_isotropy_refuses_large_k():
-    h = riplab.build_tensored(21, 1, 4, riplab.RademacherBase(), seed=5)
-    with pytest.raises(ParameterError):
-        riplab.isotropy_check(h, mode="exhaustive")
 
 
 def test_exhaustive_isotropy_refuses_irrational_pbiased():
@@ -588,29 +596,104 @@ def fraction_isotropy(k, t, base):
     return float(max_mean), float(max_cross), float(max_diag)
 
 
-class OffCentreBase:
-    """Values 1 and -1/2 with probability 1/2 each: nonzero mean, non-unit variance."""
+class TwoPointBase:
+    """Exact values (plus, minus) with probabilities (p, 1 - p): a base that may break isotropy."""
+
+    def __init__(self, plus, minus, p):
+        self.values = Fraction(plus), Fraction(minus)
+        self.probs = Fraction(p), 1 - Fraction(p)
 
     def exact_values(self):
-        return Fraction(1), Fraction(-1, 2)
+        return self.values
 
     def exact_probs(self):
-        return Fraction(1, 2), Fraction(1, 2)
+        return self.probs
+
+
+OFF_CENTRE = TwoPointBase(1, Fraction(-1, 2), Fraction(1, 2))  # nonzero mean, non-unit variance
 
 
 @pytest.mark.parametrize("k, t, base", [
     *[(k, t, riplab.RademacherBase()) for k in range(3, 8) for t in range(1, 4)],
     (5, 2, riplab.PBiasedBase(Fraction(4, 5))),
     (4, 3, riplab.PBiasedBase(Fraction(4, 5))),
-    (5, 1, OffCentreBase()),
-    (5, 2, OffCentreBase()),
-    (4, 3, OffCentreBase()),
+    (5, 1, OFF_CENTRE),
+    (5, 2, OFF_CENTRE),
+    (4, 3, OFF_CENTRE),
 ])
 def test_exact_isotropy_matches_fraction_loop(k, t, base):
     report = riplab._exact_isotropy(k, t, base)
     expected = fraction_isotropy(k, t, base)
     assert (report.max_abs_mean, report.max_abs_cross, report.max_diag_err) == expected
     assert report.ok == (expected == (0.0, 0.0, 0.0))
+
+
+def enumerated_isotropy(k, t, base):
+    """Exact column moments over all 2^k base outcomes, in integer arithmetic (the reference).
+
+    Values and probabilities are scaled to integer numerators over their
+    common denominators, so every mean and Gram entry of the d x d object
+    Gram is an exact integer over one known denominator; outcomes are taken
+    in blocks of at most 2**16 table entries.
+    """
+    values, probs = base.exact_values(), base.exact_probs()  # (plus, minus) each
+    v_den = math.lcm(*(v.denominator for v in values))
+    p_den = math.lcm(*(p.denominator for p in probs))
+    v_num = np.array([int(v * v_den) for v in values], dtype=object)
+    p_num = np.array([int(p * p_den) for p in probs], dtype=object)
+    idx = riplab._subsets(k, t)
+    d = len(idx)
+    mean_num = np.zeros(d, dtype=object)
+    gram_num = np.zeros((d, d), dtype=object)
+    block = max(1, 2 ** 16 // d)
+    for start in range(0, 2 ** k, block):
+        outcomes = np.arange(start, min(start + block, 2 ** k))
+        minus = 1 - ((outcomes[:, None] >> np.arange(k)) & 1)  # bit j set: plus
+        cols = v_num[minus][:, idx].prod(axis=2)
+        weighted = cols * p_num[minus].prod(axis=1)[:, None]
+        mean_num += weighted.sum(axis=0)
+        gram_num += weighted.T @ cols
+    mean_den = p_den ** k * v_den ** t
+    gram_den = mean_den * v_den ** t
+    off = ~np.eye(d, dtype=bool)
+    max_mean = Fraction(max(abs(m) for m in mean_num), mean_den)
+    max_cross = Fraction(max((abs(g) for g in gram_num[off]), default=0), gram_den)
+    max_diag = Fraction(max(abs(g - gram_den) for g in np.diag(gram_num)), gram_den)
+    ok = max_mean == 0 and max_cross == 0 and max_diag == 0
+    return riplab.IsotropyReport(mode="exhaustive", ok=ok, max_abs_mean=float(max_mean),
+                                 max_abs_cross=float(max_cross),
+                                 max_diag_err=float(max_diag), tol=0.0, exact=True)
+
+
+# isotropic bases, then two that break it: (1, -1/2) at p = 1/3 has mean 0 but
+# variance 1/2; (3/2, -1) at p = 1/2 has mean 1/4 and variance 13/8
+ISOTROPY_BASES = {
+    "rademacher": riplab.RademacherBase(),
+    **{f"p={p}": riplab.PBiasedBase(p) for p in (Fraction(4, 5), Fraction(1, 5), Fraction(9, 10))},
+    "unit-variance-broken": TwoPointBase(1, Fraction(-1, 2), Fraction(1, 3)),
+    "mean-broken": TwoPointBase(Fraction(3, 2), -1, Fraction(1, 2)),
+}
+
+
+@pytest.mark.parametrize("base", ISOTROPY_BASES.values(), ids=ISOTROPY_BASES.keys())
+@pytest.mark.parametrize("t", [1, 2, 3])
+@pytest.mark.parametrize("k", range(3, 10))
+def test_exact_isotropy_per_class_matches_all_outcomes(k, t, base):
+    report = riplab._exact_isotropy(k, t, base)
+    assert dataclasses.asdict(report) == dataclasses.asdict(enumerated_isotropy(k, t, base))
+
+
+@pytest.mark.parametrize("base, deviations", [
+    (ISOTROPY_BASES["unit-variance-broken"], (0.0, 0.0, 0.875)),
+    (ISOTROPY_BASES["mean-broken"], (0.015625, 0.1650390625, 3.291015625)),
+], ids=["unit-variance-broken", "mean-broken"])
+def test_exhaustive_isotropy_reports_a_broken_base(base, deviations):
+    # k = 6, t = 3: the first has mean 0 and diagonal (1/2)^3; the second has
+    # mean (1/4)^3, diagonal (13/8)^3 and, largest in the class sharing two
+    # coordinates, cross moment (13/8)^2 (1/4)^2
+    report = riplab._exact_isotropy(6, 3, base)
+    assert report.exact and not report.ok
+    assert (report.max_abs_mean, report.max_abs_cross, report.max_diag_err) == deviations
 
 
 def full_ranking(mat, supports):
