@@ -260,13 +260,15 @@ def _rip_command(name: str):
     """Register ``fn(h, **own_options) -> dict`` as ``srpc rip <name>``.
 
     The shared options come first; they build the tensored matrix ``h``
-    once, and the returned document goes to ``--out``.
+    once.  The returned document goes to ``--out`` with the matrix's k, t,
+    q, base, exact base-law p (such as "4/5") and seed.
     """
     def wrap(fn):
         def command(k, t, q, base, p, seed, out, **own):
             from . import riplab
             h = riplab.build_tensored(k, t, q, _base_dist(base, p), seed)
-            _emit(out, f"rip-{name}", fn(h, **own))
+            _emit(out, f"rip-{name}", {"k": h.k, "t": h.t, "q": h.q, "base": h.base.name,
+                                       "p": str(h.base.p), "seed": h.seed, **fn(h, **own)})
         command.__doc__ = fn.__doc__
         command.__click_params__ = list(getattr(fn, "__click_params__", []))
         for option in reversed(_RIP_OPTIONS):
@@ -278,8 +280,7 @@ def _rip_command(name: str):
 @_rip_command("build")
 def rip_build(h):
     """Build a tensored matrix and report its shape and entry bound."""
-    return {"q": h.q, "k": h.k, "t": h.t, "columns": h.values.shape[1],
-            "entry_bound": h.entry_bound, "base": h.base.name, "seed": h.seed}
+    return {"columns": h.values.shape[1], "entry_bound": h.entry_bound}
 
 
 @_rip_command("isotropy")
@@ -311,7 +312,7 @@ def rip_opnorm(h, r, method, trials):
         report = riplab.sparse_opnorm_sampled(mat, r, trials=trials, seed=h.seed)
     return {"r": report.r, "value": report.value, "method": report.method,
             "support": list(report.support), "supports_checked": report.supports_checked,
-            "residual": report.residual, "normalized": True, "seed": h.seed}
+            "residual": report.residual, "normalized": True}
 
 
 @_rip_command("deviation")
@@ -322,7 +323,7 @@ def rip_deviation(h, r, trials):
     from . import riplab
     deviation = riplab.rip_deviation_sampled(h.values / np.sqrt(h.q), r,
                                              trials=trials, seed=h.seed)
-    return {"r": r, "trials": trials, "deviation": deviation, "q": h.q, "seed": h.seed}
+    return {"r": r, "trials": trials, "deviation": deviation}
 
 
 @_rip_command("corrcount")
@@ -334,7 +335,7 @@ def rip_corrcount(h, tau, w_seed):
     rng = np.random.default_rng(np.random.SeedSequence(w_seed))
     w = rng.choice(np.array([-1.0, 1.0]), size=h.q)
     count, columns = riplab.correlated_column_count(h.values, w, tau)
-    return {"tau": tau, "count": count, "columns": columns, "w_seed": w_seed, "seed": h.seed}
+    return {"tau": tau, "count": count, "columns": columns, "w_seed": w_seed}
 
 
 @cli.command()

@@ -126,13 +126,13 @@ def evaluate(instance: Instance, clique_list: CliqueList) -> EvalResult:
 
 
 _K_RULE_RE = re.compile(
-    r"^(?P<c>\d+(?:\.\d+)?)\*(?P<kind>sqrt|ceilsqrt)(?:\*log\^(?P<e>\d+))?$")
+    r"^(?P<c>[0-9]+(?:\.[0-9]+)?)\*(?P<kind>sqrt|ceilsqrt)(?:\*log\^(?P<e>[0-9]+))?$")
 
 
 def resolve_k_rule(rule: str, n: int) -> int:
-    """k from a rule: '360' (absolute), '8*ceilsqrt', or 'c*sqrt[*log^e]'."""
+    """k from an ASCII rule: '360' (absolute), '8*ceilsqrt', or 'c*sqrt[*log^e]'."""
     rule = rule.strip()
-    if rule.isdigit():
+    if rule.isascii() and rule.isdigit():
         return int(rule)
     m = _K_RULE_RE.match(rule)
     if m is None:

@@ -2,15 +2,15 @@
 
 :func:`sign_matmul` is the solver's and prune's one product: rows times a
 table ``b`` of int8 or float32 entries in {-1, 0, +1}, widened a tile of
-rows at a time inside one oracle call, to float32 against int8 or float32
+rows at a time inside one product, to float32 against int8 or float32
 rows (exact integer tables: sign inner products, intersection and degree
 counts alike) and to float64 against float64 rows.  :func:`matmul`
 multiplies plain int64 arrays (exact, overflow-checked) under three
 backends, which ``srpc bench`` times.
 
-Every call to :func:`matmul` or :func:`sign_matmul` counts as one call to
-the abstract multiplication oracle; callers that batch work into n-row
-chunks therefore get call counts proportional to the number of chunks.
+The oracle's cost model lives here alone: :func:`sign_matmul` charges m rows
+of length n times ``cols`` rows max(1, ceil(m / n)) calls and m * n * cols
+multiply-adds, whatever BLAS calls it makes; :func:`matmul` charges one call.
 """
 
 from __future__ import annotations
@@ -41,10 +41,10 @@ class Counters:
     madds: int = 0
     seconds: float = 0.0
 
-    def record(self, m: int, inner: int, n: int, elapsed: float) -> None:
-        self.oracle_calls += 1
-        self.madds += m * inner * n
-        self.seconds += elapsed
+    def record(self, calls: int, madds: int, seconds: float) -> None:
+        self.oracle_calls += calls
+        self.madds += madds
+        self.seconds += seconds
 
 
 @dataclass(frozen=True)
@@ -163,7 +163,7 @@ def matmul(a: np.ndarray, b: np.ndarray, backend: Backend = NAIVE,
     else:
         out = _strassen(a, b, backend.cutoff)
     if counters is not None:
-        counters.record(a.shape[0], a.shape[1], b.shape[1], time.perf_counter() - start)
+        counters.record(1, a.shape[0] * a.shape[1] * b.shape[1], time.perf_counter() - start)
     return out
 
 
@@ -172,10 +172,12 @@ def sign_matmul(a: np.ndarray, b: np.ndarray, n: int,
     """Table T[i, j] = <a_i, b_j> of int8 or float32 rows of length n, or float64 ``a``.
 
     ``b`` holds signs, or 0/1 indicators whose inner products count
-    intersections.  One oracle call widens ``a`` to float32 (float64 stays)
-    and ``b`` :data:`_TILE_ROWS` rows at a time to that kind; a float32 tile's
-    GEMM sums all n entries into exact integers (an int8 GEMM would wrap).
-    n >= 2**24 (past float32's exact range) and other kinds raise ParameterError.
+    intersections.  Each n rows of ``a``, one charged oracle call, widen to
+    float32 (float64 stays), and ``b`` :data:`_TILE_ROWS` rows at a time to
+    that kind; a float32 tile's GEMM sums all n entries into exact integers
+    (an int8 GEMM would wrap).  m rows of ``a`` are charged max(1, ceil(m / n))
+    calls and m * n * len(b) multiply-adds.  n >= 2**24 (past float32's exact
+    range) and other kinds raise ParameterError.
     """
     if n >= _FLOAT32_EXACT_N:
         raise ParameterError(
@@ -184,13 +186,15 @@ def sign_matmul(a: np.ndarray, b: np.ndarray, n: int,
             or (a.dtype, b.dtype) == (np.float64, np.int8)):
         raise ParameterError(f"sign operands must be int8 or float32, got {a.dtype} and {b.dtype}")
     start = time.perf_counter()
-    wide = a.astype(np.promote_types(a.dtype, np.float32), copy=False)
-    out = np.empty((a.shape[0], b.shape[0]), dtype=wide.dtype)
-    for j in range(0, b.shape[0], _TILE_ROWS):
-        np.matmul(wide, b[j:j + _TILE_ROWS].astype(wide.dtype, copy=False).T,
-                  out=out[:, j:j + _TILE_ROWS])
-    if counters is not None:
-        counters.record(a.shape[0], n, b.shape[0], time.perf_counter() - start)
+    m = a.shape[0]
+    out = np.empty((m, b.shape[0]), dtype=np.promote_types(a.dtype, np.float32))
+    for i in range(0, m, n):  # one charged call: n rows of a, widened once
+        wide = a[i:i + n].astype(out.dtype, copy=False)
+        for j in range(0, b.shape[0], _TILE_ROWS):
+            np.matmul(wide, b[j:j + _TILE_ROWS].astype(out.dtype, copy=False).T,
+                      out=out[i:i + n, j:j + _TILE_ROWS])
+    if counters is not None:  # an empty product still counts one call
+        counters.record(max(1, -(-m // n)), m * n * b.shape[0], time.perf_counter() - start)
     return out
 
 

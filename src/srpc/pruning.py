@@ -46,13 +46,10 @@ class PruneParams:
     n: int
     p: float
     delta: int
-    batch_size: int | None = None
 
     def __post_init__(self):
         _check_model(self.n, self.p)
         check_int("delta", self.delta, 0)
-        if self.batch_size is not None:
-            check_int("batch_size", self.batch_size, 1)
 
     @classmethod
     def for_model(cls, n: int, p: float) -> "PruneParams":
@@ -107,17 +104,18 @@ def prune_naive(clique_list: CliqueList, params: PruneParams) -> CliqueList:
 
 def _gram_conflicts(entries: list[CliqueEntry], params: PruneParams,
                     counters: linalg.Counters | None) -> list[list[int]]:
-    """Each entry's ascending conflicts, from full Gram rows, one oracle call per batch.
+    """Each entry's ascending conflicts, from full Gram rows, n entries at a time.
 
-    An asymmetric conflict relation is a fault in the product and raises
+    The n-row batches bound the float table a product holds.  An asymmetric
+    conflict relation is a fault in the product and raises
     :class:`InternalInvariantError`.
     """
-    u = linalg.indicator_rows([entry.vertices for entry in entries], params.n)
+    n = params.n
+    u = linalg.indicator_rows([entry.vertices for entry in entries], n)
     hits = np.zeros((len(entries), len(entries)), dtype=bool)
-    batch = params.batch_size or params.n
-    for start in range(0, len(entries), batch):
-        hits[start:start + batch] = linalg.sign_matmul(u[start:start + batch], u, params.n,
-                                                       counters) > params.delta
+    for start in range(0, len(entries), n):
+        hits[start:start + n] = linalg.sign_matmul(u[start:start + n], u, n,
+                                                   counters) > params.delta
     np.fill_diagonal(hits, False)  # an entry does not conflict with itself
     if not np.array_equal(hits, hits.T):
         raise InternalInvariantError("conflict relation is not symmetric")
@@ -128,11 +126,10 @@ def prune_fast(clique_list: CliqueList, params: PruneParams,
                counters: linalg.Counters | None = None) -> CliqueList:
     """Gram-product implementation; output is identical to :func:`prune_naive`.
 
-    Each batch of ``params.batch_size`` (default n) of the m deduplicated
-    entries gets its full conflict rows from one :func:`linalg.sign_matmul`
-    of its float32 0/1 indicator rows against all m: ceil(m / batch) oracle
-    calls, m * n * m multiply-adds.  The float32 tables hold the counts, exact
-    integers in [0, n], as n < 2**24.
+    Each batch of n of the m deduplicated entries gets its full conflict rows
+    from one :func:`linalg.sign_matmul` of its float32 0/1 indicator rows
+    against all m: ceil(m / n) oracle calls, m * n * m multiply-adds.  The
+    float32 tables hold the counts, exact integers in [0, n], as n < 2**24.
     """
     return _prune(clique_list, params,
                   lambda entries: _gram_conflicts(entries, params, counters))

@@ -12,7 +12,7 @@ submatrix of each set without the oracle: a degree sweep, the closure of
 its core (the cleanup step of Alon, Krivelevich and Sudakov, 1998), kept
 only if it is a clique of size >= k.  Prune takes exact 0/1 intersection
 counts from the same :func:`linalg.sign_matmul` as the p = 1/2 candidate
-stage.  Oracle calls take at most n rows each and multiply only real rows.
+stage, which charges ceil(rows / n) oracle calls and multiplies only real rows.
 
 The solver only ever sees the graph; nothing here reads a planted set.
 The model (k, p) alone fixes the cutoff.  Every oracle call multiplies
@@ -136,12 +136,12 @@ class SolverConfig:
 
 def _inner_table(signs: np.ndarray, alpha_rows: np.ndarray, p: float,
                  counters: linalg.Counters | None) -> np.ndarray:
-    """Table <product row of alpha_rows[b], f(signs[j])> over the p-biased f, one oracle call.
+    """Table <product row of alpha_rows[b], f(signs[j])> over the p-biased f, one product.
 
     f(x) = c0 + c1*x, so the table is c1 * (rows @ signs) + c0 * (row sums), one
     :func:`linalg.sign_matmul` by the symmetric signs: exact float32 from int8
     sign rows at p = 1/2 (c0 = 0, c1 = 1), else from float64 rows looked up by
-    each column's count of +1 factors.  Empty ``alpha_rows`` still make the call.
+    each column's count of +1 factors.  Empty ``alpha_rows`` are still charged a call.
     """
     if p == 0.5:
         return linalg.sign_matmul(row_products(signs, alpha_rows), signs, len(signs), counters)
@@ -157,12 +157,11 @@ def _inner_table(signs: np.ndarray, alpha_rows: np.ndarray, p: float,
 
 def batched_inner_products(graph: SignedAdjacency, alphas: Sequence[Sequence[int]],
                            p: float = 0.5) -> np.ndarray:
-    """Table T[a, j] = <M_alpha_a, M_j> over the p-biased values at p, one call per n-row batch.
+    """Table T[a, j] = <M_alpha_a, M_j> over the p-biased values at p, one :func:`_inner_table`.
 
     At p = 1/2 it is a float32 table of exact integers; otherwise float64.
-    There are ceil(len(alphas) / n) calls; the last batch holds only the
-    remaining rows.  All alphas must have one order; mixed orders raise
-    :class:`ParameterError`.
+    The oracle charges ceil(len(alphas) / n) calls.  All alphas must have one
+    order; mixed orders raise :class:`ParameterError`.
     """
     if not alphas:
         raise ParameterError("alphas must be nonempty")
@@ -170,9 +169,7 @@ def batched_inner_products(graph: SignedAdjacency, alphas: Sequence[Sequence[int
     orders = sorted({len(alpha) for alpha in idx})
     if len(orders) > 1:
         raise ParameterError(f"alphas must have one order per call, got orders {orders}")
-    rows = np.array(idx)
-    return np.concatenate([_inner_table(graph.signs, rows[start:start + graph.n], p, None)
-                           for start in range(0, len(rows), graph.n)])
+    return _inner_table(graph.signs, np.array(idx), p, None)
 
 
 def _refine_sets(graph: SignedAdjacency, sets: Sequence[Sequence[int]],
@@ -194,15 +191,12 @@ def batched_membership_degrees(graph: SignedAdjacency,
     """D[a, j] = number of neighbors of j inside sets[a], a float32 table of exact integers.
 
     float32 0/1 indicator rows times the int8 0/1 adjacency, one exact
-    :func:`linalg.sign_matmul` call per n-set batch.
+    :func:`linalg.sign_matmul`, charged max(1, ceil(len(sets) / n)) calls.
     """
-    n = graph.n
     adjacency = np.maximum(graph.signs, 0)
     np.fill_diagonal(adjacency, 0)  # a vertex is not its own neighbor
-    rows = linalg.indicator_rows(sets, n)
-    batches = [linalg.sign_matmul(rows[start:start + n], adjacency, n, counters)
-               for start in range(0, len(sets), n)]  # adjacency is its own transpose
-    return np.concatenate([rows[:0], *batches])  # rows[:0]: no sets give a (0, n) table
+    return linalg.sign_matmul(linalg.indicator_rows(sets, graph.n), adjacency, graph.n,
+                              counters)  # adjacency is its own transpose
 
 
 def _sample_alphas(n: int, rounds: int, s: int, t: int,

@@ -104,7 +104,10 @@ def _random_prune_list(rng):
     n = int(rng.integers(24, 140))
     k = int(rng.integers(4, max(5, n // 3)))
     kind = int(rng.integers(0, 4))
-    count = int(rng.integers(0, 30))
+    # half the independent and shared-core lists outnumber n, so that prune_fast
+    # runs more than one n-row batch on them
+    outnumber = kind < 2 and rng.random() < 0.5
+    count = int(rng.integers(n + 1, 2 * n + 1)) if outnumber else int(rng.integers(0, 30))
     sets = []
     if kind == 0:  # independent random subsets
         sets = [tuple(sorted(rng.choice(n, size=k, replace=False)))
@@ -127,15 +130,14 @@ def _random_prune_list(rng):
             sets.append(tuple(range(b * k, b * k + k)))
         sets.extend(sets[: count - len(sets)])
     delta = int(rng.integers(1, k + 2))
-    batch = int(rng.integers(1, n + 1))
-    return CliqueList([CliqueEntry(s) for s in sets]), PruneParams(
-        n=n, p=0.5, delta=delta, batch_size=batch)
+    return CliqueList([CliqueEntry(s) for s in sets]), PruneParams(n=n, p=0.5, delta=delta)
 
 
 def test_criterion_04_oracle_equivalences_exact():
     rng = np.random.default_rng(44)
-    # 1) prune_fast == prune_naive on 200 randomized lists
-    prune_cases = 0
+    # 1) prune_fast == prune_naive on 200 randomized lists, 20 or more of them
+    #    holding more distinct entries than n (several n-row batches)
+    prune_cases = multi_batch = 0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for _ in range(200):
@@ -144,6 +146,8 @@ def test_criterion_04_oracle_equivalences_exact():
             fast = prune_fast(lst, params)
             assert fast.vertex_sets() == naive.vertex_sets()
             prune_cases += 1
+            multi_batch += len({entry.vertices for entry in lst.entries}) > params.n
+    assert multi_batch >= 20, f"only {multi_batch} prune lists outnumber n"
 
     # 2) batched inner products == direct loops, bit-exact, n <= 256
     from tests.test_graphs import random_graph
@@ -178,7 +182,8 @@ def test_criterion_04_oracle_equivalences_exact():
         for backend in backends[1:]:
             assert np.array_equal(ref, linalg.matmul(a, b, backend))
         backend_cases += 1
-    verdict(4, True, f"{prune_cases} prune lists, {inner_cases} inner-product "
+    verdict(4, True, f"{prune_cases} prune lists ({multi_batch} over n entries), "
+                     f"{inner_cases} inner-product "
                      f"rows, {backend_cases} backend cases, all exact")
 
 

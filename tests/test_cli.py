@@ -256,6 +256,26 @@ def test_rip_subcommands(runner, tmp_path):
     assert json.loads(out.read_text())["count"] >= 0
 
 
+def test_rip_documents_name_the_matrix_they_came_from(runner, tmp_path):
+    # exhaustive isotropy is exact for every isotropic shape, so only the shape
+    # fields tell two such documents apart
+    docs = []
+    for k, t in ((6, 3), (7, 2)):
+        out = tmp_path / f"iso-{k}-{t}.json"
+        invoke(runner, ["rip", "isotropy", "--k", str(k), "--t", str(t), "--q", "4",
+                        "--mode", "exhaustive", "--out", str(out)])
+        docs.append(out.read_bytes())
+    assert docs[0] != docs[1]
+    shape = {"k": 6, "t": 3, "q": 4, "base": "rademacher", "p": "1/2", "seed": 0}
+    assert json.loads(docs[0]).items() >= shape.items()
+    out = tmp_path / "build.json"
+    invoke(runner, ["rip", "build", "--k", "5", "--t", "2", "--q", "8", "--base", "pbiased",
+                    "--p", "0.8", "--seed", "3", "--out", str(out)])
+    doc = json.loads(out.read_text())
+    assert doc == {"format": "srpc-rip-build v1", "k": 5, "t": 2, "q": 8, "base": "pbiased",
+                   "p": "4/5", "seed": 3, "columns": 10, "entry_bound": 4.0}
+
+
 def test_bench_command(runner, tmp_path):
     out = tmp_path / "bench.json"
     invoke(runner, ["bench", "--sizes", "16,33", "--seed", "1", "--out", str(out)])
@@ -268,23 +288,23 @@ def test_bench_command(runner, tmp_path):
 # OPENBLAS_NUM_THREADS 1 and 2.
 GOLDEN_REPORTS = [
     (["rip", "build", "--k", 6, "--t", 3, "--q", 32, "--seed", 1],
-     "69907c7550b7025b08790e9a650de0ab9cb7cd10e4774d934e24c453a1e428ab"),
+     "4b9038cc1157c859ee45b04c65e52af83c419cb2e928798b00d7fc6d16444fec"),
     (["rip", "isotropy", "--k", 5, "--t", 2, "--q", 4, "--base", "pbiased", "--p", "4/5",
       "--mode", "exhaustive", "--seed", 1],
-     "4042c3d8e36f1c452958bd8f656a42484c03650cd93c4a30288d22a33257a384"),
+     "5e84275d90d1a85536defd22a897458e3fe27e934fa496851879e9c64fa71f10"),
     (["rip", "isotropy", "--k", 6, "--t", 2, "--q", 64, "--mode", "sampled", "--seed", 2],
-     "27100bab7f97584038239972361c5f10f2f3ad824e976af4ce0621f3e58841bd"),
+     "4642c9f6b69a516561c332079a4df884921094d0c75f0715bbd98a3ecfa5ceae"),
     (["rip", "opnorm", "--k", 6, "--t", 2, "--q", 64, "--r", 2, "--seed", 2],
-     "30e9eb83a6622d94dc5b6659210d77c6c72b78e262dee8fcd1d5df944bd5bde3"),
+     "03953c37630a937fe7434833db7464753f231d959bb0a565c41ce182c895ada6"),
     (["rip", "opnorm", "--k", 8, "--t", 3, "--q", 64, "--r", 4, "--method", "sampled",
       "--trials", 200, "--seed", 3],
-     "03cdd153ad03426177b2cfd86ebd76789e0e9be863d378a9322e6d5c721398b4"),
+     "d6e91768286ace7b1479b9d88e3146cc5e5244cb91078d49a9120185232071ba"),
     (["rip", "deviation", "--k", 6, "--t", 2, "--q", 64, "--r", 3, "--trials", 200,
       "--seed", 3],
-     "7b50b2ee96c8f2be9e7547e7f0962851a12aeead57a4a0c534945fff3876631b"),
+     "0e0c2d68e22ae4cee39d478440c39c785f1da3278b5dab066108737290b185df"),
     (["rip", "corrcount", "--k", 6, "--t", 2, "--q", 32, "--tau", 0.2, "--w-seed", 5,
       "--seed", 4],
-     "0349dfed163d9c22ad7a80b55cace766506c664bbbf111dc11f4568831ae7e21"),
+     "efbb7b2469de5d79df832278a2218c53e85bfdcbf2caf28dbad58e6e4cf80760"),
     (["adversary-demo", "--n", 200, "--k", 60, "--m", 3, "--seed", 1],
      "68d1a022f13681b8542d307c7dcb0ec87d8c0b28f6bd0a89e3de021e5f06eb69"),
     (["bench", "--sizes", "16,33", "--seed", 1],
@@ -837,6 +857,9 @@ def test_oversized_sampled_rip_run_exits_2(args, limit):
     ({"k_rules": ["0*sqrt"]}, "k_rules"),
     ({"k_rules": ["9" * 400 + "*sqrt"]}, "no finite k"),
     ({"k_rules": ["8*sqrt*log^1000"]}, "no finite k at n=30"),
+    ({"k_rules": ["\u00b2"]}, "k rule '\u00b2'"),
+    ({"k_rules": ["\uff13\uff10"]}, "k rule '\uff13\uff10'"),
+    ({"k_rules": ["\uff13*sqrt"]}, "k rule '\uff13*sqrt'"),
     ({"adversaries": [{"name": "majority", "m": 3.0}]}, "adversaries"),
     ({"adversaries": [{"name": "majority", "m": 3, "decoy_count": 1.5}]}, "adversaries"),
     ({"adversaries": [{"name": "majority", "m": 11}]}, "grid cell 0"),
@@ -852,7 +875,8 @@ def test_oversized_sampled_rip_run_exits_2(args, limit):
         "adversary-unknown", "majority-without-m", "majority-negative-decoys",
         "adversary-bad-param", "adversary-not-an-object", "seed-negative", "seed-float",
         "k-zero", "k-above-n", "formula-k-above-n", "formula-k-zero", "formula-k-infinite",
-        "formula-k-overflowing",
+        "formula-k-overflowing", "k-superscript-digit", "k-fullwidth-digits",
+        "formula-fullwidth-digit",
         "majority-float-m", "majority-float-decoys", "majority-m-above-k",
         "solver-rounds-past-limit", "solver-order-above-n", "solver-reps-above-n",
         "threshold-not-finite", "misspelled-top-level-keys"])

@@ -108,7 +108,6 @@ FIELDS = [
     ("num_rounds", "k", "k", "int", 1, 60),
     ("PruneParams", "n", "n", "int", 2, 1 << 15), ("PruneParams", "p", "p", "probability"),
     ("PruneParams", "delta", "delta", "int", 0),
-    ("PruneParams", "batch_size", "batch_size", "int", 1),
     ("intersection_threshold", "n", "n", "int", 2, 1 << 15),
     ("intersection_threshold", "p", "p", "probability"),
     ("pbiased_values", "p", "p", "probability"),
@@ -163,7 +162,6 @@ def refusal_rows():
                                   ("threshold_for", "order", 3.0),
                                   ("threshold_for", "order", 1.5),
                                   ("PruneParams", "n", 40.5), ("PruneParams", "delta", 2.5),
-                                  ("PruneParams", "batch_size", 2.5),
                                   ("intersection_threshold", "n", 40.0),
                                   ("generate", "n", 40.0), ("generate", "k", 10.0),
                                   ("generate", "seed", 1.5)]:
@@ -181,7 +179,7 @@ def test_entry_point_refuses_bad_value_naming_the_field(entry, fields, field):
 ACCEPTED = [
     ("solve", {"p": 0.3}), ("threshold_for", {"p": 1e-150}),
     ("SolverConfig", {"rounds": 5}), ("num_rounds", {"k": 60}),
-    ("PruneParams", {"batch_size": 7}), ("intersection_threshold", {"p": 1e-300}),
+    ("PruneParams", {"delta": 0}), ("intersection_threshold", {"p": 1e-300}),
     ("pbiased_values", {"p": 0.7}), ("from_edge_list", {"n": 2}),
     ("generate", {"p": 0.3, "seed": 2 ** 40}), ("majority", {"m": 1}),
     ("ExperimentGrid", {"ps": (0.3, 0.7)}), ("Backend", {"cutoff": 1}),

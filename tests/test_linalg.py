@@ -155,6 +155,24 @@ def test_sign_matmul_tiles_b_within_one_oracle_call():
     assert (counters.oracle_calls, counters.madds) == (1, m * n * rows)
 
 
+@pytest.mark.parametrize("kinds", [(np.int8, np.int8), (np.float32, np.float32),
+                                   (np.float32, np.int8), (np.float64, np.int8)],
+                         ids=["int8-int8", "float32-float32", "float32-int8", "float64-int8"])
+@pytest.mark.parametrize("rows", [0, 1, 11, 12, 13, 25],
+                         ids=["0", "1", "n-1", "n", "n+1", "2n+1"])
+def test_sign_matmul_charges_one_call_per_n_rows_and_at_least_one(kinds, rows):
+    # m rows of length n = 12 times cols rows: max(1, ceil(m / n)) calls, m * n * cols madds
+    n, cols = 12, 7
+    rng = np.random.default_rng(rows)
+    a = rng.integers(-1, 2, size=(rows, n)).astype(kinds[0])
+    b = rng.integers(-1, 2, size=(cols, n)).astype(kinds[1])
+    counters = linalg.Counters()
+    table = linalg.sign_matmul(a, b, n, counters)
+    reference = a.astype(np.int64) @ b.T.astype(np.int64)
+    assert table.shape == (rows, cols) and np.array_equal(table, reference)
+    assert (counters.oracle_calls, counters.madds) == (max(1, -(-rows // n)), rows * n * cols)
+
+
 def test_sign_matmul_counts_indicator_intersections_exactly():
     rng = np.random.default_rng(6)
     sets = [tuple(np.flatnonzero(rng.random(101) < 0.3)) for _ in range(67)] + [()]

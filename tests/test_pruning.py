@@ -118,40 +118,31 @@ def test_fast_marks_in_one_pass():
 
 
 @pytest.mark.parametrize("fields, name", [
-    ({"batch_size": -1}, "batch_size"),
-    ({"batch_size": 0}, "batch_size"),
     ({"delta": -1}, "delta"),
     ({"n": 1}, "n"),
     ({"p": 0.0}, "p"),
     ({"p": 1.0}, "p"),
     ({"p": float("nan")}, "p"),
-], ids=["batch-negative", "batch-zero", "delta-negative", "n-one", "p-zero", "p-one", "p-nan"])
+], ids=["delta-negative", "n-one", "p-zero", "p-one", "p-nan"])
 def test_prune_params_refuse_out_of_range_fields(fields, name):
     with pytest.raises(ParameterError, match=name):
         PruneParams(**{"n": 40, "p": 0.5, "delta": 3, **fields})
 
 
-def test_fast_removes_overlapping_pair_at_every_batch_size():
-    # with batch_size=-1 allowed, prune_fast ran no batch and kept both
-    # entries, which meet in 8 > delta vertices; naive removes both
-    sets = [range(0, 10), range(2, 12)]
-    for batch in (None, 1, 2, 3):
-        params = PruneParams(n=40, p=0.5, delta=3, batch_size=batch)
-        fast = prune_fast(entries_from_sets(sets), params)
-        assert fast.vertex_sets() == []
-        assert fast.to_dict() == prune_naive(entries_from_sets(sets), params).to_dict()
-
-
 def test_fast_makes_one_oracle_call_per_batch_of_full_rows():
-    # m entries in batches of b: ceil(m / b) calls of b rows against all m
+    # m entries in batches of n: ceil(m / n) calls of at most n rows against all m
     rng = np.random.default_rng(9)
-    n, m, batch = 50, 23, 5
-    sets = [tuple(sorted(rng.choice(n, size=12, replace=False))) for _ in range(m)]
-    params = PruneParams(n=n, p=0.5, delta=3, batch_size=batch)
-    counters = linalg.Counters()
-    fast = prune_fast(entries_from_sets(sets), params, counters=counters)
-    assert (counters.oracle_calls, counters.madds) == (math.ceil(m / batch), m * n * m)
-    assert fast.to_dict() == prune_naive(entries_from_sets(sets), params).to_dict()
+    n = 20
+    params = PruneParams(n=n, p=0.5, delta=2)
+    for m in (n - 1, n, n + 1, 2 * n + 1):
+        sets = set()
+        while len(sets) < m:
+            sets.add(tuple(sorted(rng.choice(n, size=5, replace=False).tolist())))
+        lst = entries_from_sets(sorted(sets))
+        counters = linalg.Counters()
+        fast = prune_fast(lst, params, counters=counters)
+        assert (counters.oracle_calls, counters.madds) == (math.ceil(m / n), m * n * m)
+        assert fast.to_dict() == prune_naive(lst, params).to_dict()
 
 
 def test_fast_batches_by_n_when_entries_outnumber_it():
@@ -241,25 +232,27 @@ def random_list(rng, n, k, count, overlap_core=0):
 
 @pytest.mark.parametrize("mode", ["random", "adversarial"])
 def test_fast_equals_naive_randomized(mode):
+    # lists of n + 1 to 2n entries: most dedup to more than n, two n-row batches
     rng = np.random.default_rng(0 if mode == "random" else 1)
+    multi_batch = 0
     for trial in range(60):
-        n = int(rng.integers(20, 120))
+        n = int(rng.integers(20, 60))
         k = int(rng.integers(4, max(5, n // 3)))
-        count = int(rng.integers(0, 4 * max(1, n // k)))
+        count = int(rng.integers(n + 1, 2 * n + 1))
         core = 0 if mode == "random" else int(rng.integers(0, k))
         sets = random_list(rng, n, k, count, overlap_core=core)
-        if mode == "adversarial" and sets:
+        if mode == "adversarial":
             sets.extend(sets[:2])  # force duplicates
-        params = PruneParams(n=n, p=0.5,
-                             delta=int(rng.integers(1, k + 2)),
-                             batch_size=int(rng.integers(1, n + 1)))
+        params = PruneParams(n=n, p=0.5, delta=int(rng.integers(1, k + 2)))
         lst = entries_from_sets(sets)
+        multi_batch += len(set(sets)) > n
         import warnings
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # small k can make Delta vacuous
             naive = prune_naive(lst, params)
             fast = prune_fast(lst, params)
         assert fast.vertex_sets() == naive.vertex_sets()
+    assert multi_batch >= 40
 
 
 def test_fast_and_naive_documents_are_identical():
@@ -278,11 +271,15 @@ def test_fast_and_naive_documents_are_identical():
 
 
 def test_fast_equals_naive_over_several_batches():
+    # 100 distinct entries over n = 30 vertices: four n-row batches
     rng = np.random.default_rng(2)
-    sets = random_list(rng, 80, 10, 30, overlap_core=4)
-    params = PruneParams(n=80, p=0.5, delta=6, batch_size=7)
+    sets = random_list(rng, 30, 8, 100, overlap_core=3)
+    assert len(set(sets)) > 3 * 30
+    params = PruneParams(n=30, p=0.5, delta=5)
     lst = entries_from_sets(sets)
-    assert prune_fast(lst, params).vertex_sets() == prune_naive(lst, params).vertex_sets()
+    fast = prune_fast(lst, params)
+    assert fast.vertex_sets() == prune_naive(lst, params).vertex_sets()
+    assert fast.stats["removed"] and fast.entries
 
 
 def test_planted_survives_when_others_barely_overlap():

@@ -335,8 +335,8 @@ def test_batched_membership_degrees_cases():
 
 
 @pytest.mark.parametrize("count", [0, 1, 15, 16, 17, 33])
-def test_batched_membership_degrees_joins_one_table_per_n_set_batch(count):
-    # n = 16: ceil(count / 16) oracle calls, joined into one (count, n) table
+def test_batched_membership_degrees_charges_one_call_per_n_sets(count):
+    # n = 16: one (count, n) product, charged max(1, ceil(count / 16)) oracle calls
     n = 16
     g = random_graph(n, 31)
     rng = np.random.default_rng(count)
@@ -344,11 +344,33 @@ def test_batched_membership_degrees_joins_one_table_per_n_set_batch(count):
     counters = linalg.Counters()
     table = batched_membership_degrees(g, sets, counters)
     assert table.shape == (count, n) and table.dtype == np.float32
-    assert counters.oracle_calls == math.ceil(count / n)
+    assert (counters.oracle_calls, counters.madds) == (max(1, math.ceil(count / n)),
+                                                       count * n * n)
     adj = ((g.signs > 0) & ~np.eye(n, dtype=bool)).astype(np.int64)
     expected = np.array([adj[:, list(members)].sum(axis=1) for members in sets],
                         dtype=np.int64).reshape(count, n)
     assert np.array_equal(table, expected)
+
+
+def test_batched_helpers_keep_no_joined_copy_of_their_tables():
+    # m = 3n rows, one product each: the (m, n) float32 table (12 n^2 bytes), its operand,
+    # int8 product rows (3 n^2, widened one n-row slice at a time: 4 n^2) or float32
+    # indicator rows (12 n^2), and one float32 tile of b (4 n^2); a joined copy adds 12 n^2
+    n = linalg._TILE_ROWS
+    g = random_graph(n, 41)
+    rng = np.random.default_rng(5)
+    alphas = [tuple(sorted(rng.choice(n, size=3, replace=False).tolist())) for _ in range(3 * n)]
+    sets = [tuple(np.flatnonzero(rng.random(n) < 0.1).tolist()) for _ in range(3 * n)]
+    for call, bound in ((lambda: batched_inner_products(g, alphas), 24),
+                        (lambda: batched_membership_degrees(g, sets), 30)):
+        call()  # first-call allocations stay out of the traced peak
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * n * n
 
 
 def test_oracle_calls_multiply_only_real_rows(monkeypatch):
@@ -366,11 +388,36 @@ def test_oracle_calls_multiply_only_real_rows(monkeypatch):
     batched_inner_products(g, alphas[:5])
     assert calls == [(5, 64, 64)]
     calls.clear()
-    batched_inner_products(g, alphas)
-    assert calls == [(64, 64, 64), (1, 64, 64)]
+    batched_inner_products(g, alphas)  # one product of 65 rows, charged two calls
+    assert calls == [(65, 64, 64)]
+    counters = linalg.Counters()
+    solver._inner_table(g.signs, np.array(alphas), 0.5, counters)
+    assert (counters.oracle_calls, counters.madds) == (2, 65 * 64 * 64)
     counters = linalg.Counters()
     batched_membership_degrees(g, [(0, 1, 2), (3, 4)], counters=counters)
     assert (counters.oracle_calls, counters.madds) == (1, 2 * 64 * 64)
+
+
+@pytest.mark.parametrize("p, reps", [(0.5, 1), (0.5, 2), (0.3, 1), (0.3, 2)])
+def test_stage_stats_sum_the_charge_rule_over_each_oracle_product(monkeypatch, p, reps):
+    # a stub on linalg.sign_matmul charges each product max(1, ceil(rows / n)) calls
+    # and rows * n * cols multiply-adds; candidate products take the graph's signs
+    n, k = 80, 40
+    inst = generate(n, k, p, strategy_erdos_renyi(), seed=40 + reps)
+    charged = {stage: [0, 0] for stage in ("candidate", "refine", "verify", "prune")}
+
+    def recording(a, b, width, counters=None):
+        sums = charged["candidate" if b is inst.graph.signs else "prune"]
+        sums[0] += max(1, math.ceil(len(a) / width))
+        sums[1] += len(a) * width * len(b)
+        return sign_matmul(a, b, width, counters)
+
+    sign_matmul = linalg.sign_matmul
+    monkeypatch.setattr(linalg, "sign_matmul", recording)
+    result = solve(inst.graph, k, p, SolverConfig(reps=reps, seed=5))
+    assert result.entries and charged["candidate"][1] > 0
+    assert {stage: [result.stats["oracle_calls"][stage], result.stats["madds"][stage]]
+            for stage in charged} == charged
 
 
 def test_solve_complete_graph_returns_single_clique():
